@@ -71,12 +71,14 @@ staticcheck:
 fmt:
 	gofmt -l -w .
 
-# Exactly what the GitHub Actions workflow runs.
+# Exactly what the GitHub Actions workflow runs. perfbench is its own
+# module (root ./... skips it), so it is vetted and tested separately.
 ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test ./...
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -1,13 +1,17 @@
 package sei
 
-// Inference-path benchmarks and allocation guards for the bit-packed
-// SEI fast path (internal/seicore/fast.go) and the bit-sliced batch
-// kernel (internal/seicore/sliced.go). BenchmarkSEIPredict (in
-// bench_test.go) runs the default dispatch — the fast path for the
-// ideal-analog default device; BenchmarkSEIPredictFloat pins the same
-// design to the float path so the pair measures the fast-path speedup
-// directly; BenchmarkSEIPredictBatchSliced measures the 64-images-per-
-// word path against BenchmarkSEIPredict's per-image cost. `make
+// Inference-path benchmarks and allocation guards for the two packed
+// SEI walkers: the per-image walker (internal/seicore/fast.go) and the
+// bit-sliced batch walker (internal/seicore/sliced.go).
+// BenchmarkSEIPredict (in bench_test.go) runs the default dispatch —
+// the per-image walker for the ideal-analog default device;
+// BenchmarkSEIPredictFloat pins the same design to the float path so
+// the pair measures the packed speedup directly;
+// BenchmarkSEIPredictBatch wraps the design to keep batches on the
+// chunked per-image engine; BenchmarkSEIPredictBatchSliced measures the
+// 64-images-per-word walker against BenchmarkSEIPredict's per-image
+// cost; the Bounded and Noisy variants run the same walkers with
+// activation bounds on or read noise in the device model. `make
 // bench-json` records all of them plus allocs/op in a trend-gated
 // bench-reports/ report (historic figures: bench-reports/history/).
 
@@ -51,21 +55,19 @@ func BenchmarkSEIPredictFloat(b *testing.B) {
 }
 
 // BenchmarkSEIPredictBatch measures batched inference through the
-// per-image parallel engine on all cores — the sliced path is pinned
-// off so this stays the chunked-engine baseline the sliced benchmark
-// is compared against. The result buffer is reused across iterations
-// (nn.PredictBatchInto), so steady-state allocations amortize to near
-// zero per image.
+// per-image parallel engine on all cores — the design is wrapped so it
+// does not offer nn.SlicedBatchPredictor, which keeps this the
+// chunked-engine baseline the sliced benchmark is compared against.
+// The result buffer is reused across iterations (nn.PredictBatchInto),
+// so steady-state allocations amortize to near zero per image.
 func BenchmarkSEIPredictBatch(b *testing.B) {
-	d := benchSEIDesign(b)
-	d.SetSlicedPath(false)
-	defer d.SetSlicedPath(true)
+	c := struct{ nn.ParallelClassifier }{benchSEIDesign(b)}
 	imgs := benchContext(b).Test.Images
 	var res []nn.PredictResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = nn.PredictBatchInto(nil, d, imgs, 0, res)
+		res = nn.PredictBatchInto(nil, c, imgs, 0, res)
 	}
 	b.StopTimer()
 	for i, r := range res {

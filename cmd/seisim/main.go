@@ -18,7 +18,7 @@
 //	efficiency  GOPs/J vs FPGA/GPU (Section 5.3)
 //	timing      latency/throughput and the replica trade-off (Section 5.3)
 //	map         per-layer floorplan with measured-activity energy
-//	bounded     runtime activation-bound study: skip rates, energy, approx delta
+//	bounded     runtime activation-bound study: skip rates, energy
 //	noisy       packed non-ideal inference study: speedup, draw ledger, approx delta
 //	pareto      device precision/variation Pareto frontier
 //	vgg         VGG-19 motivation numbers (Section 2.3)

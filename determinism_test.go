@@ -394,14 +394,18 @@ func TestSlicedPathThreeWayDeterminism(t *testing.T) {
 				d.Instrument(rec)
 				q.Instrument(rec)
 				d.SetFastPath(p.fastOn)
-				d.SetSlicedPath(p.sliced)
 				defer func() {
 					d.Instrument(nil)
 					q.Instrument(nil)
 					d.SetFastPath(true)
-					d.SetSlicedPath(true)
 				}()
-				res := nn.PredictBatchObs(rec, d, imgs, workers)
+				// Wrapping hides nn.SlicedBatchPredictor, which keeps the
+				// batch on the chunked per-image engine.
+				var c nn.Classifier = d
+				if !p.sliced {
+					c = struct{ nn.ParallelClassifier }{d}
+				}
+				res := nn.PredictBatchObs(rec, c, imgs, workers)
 				labels := make([]int, len(res))
 				for i, r := range res {
 					if r.Err != nil {
@@ -434,8 +438,8 @@ func TestSlicedPathThreeWayDeterminism(t *testing.T) {
 	}
 }
 
-// The packed non-ideal path (internal/seicore/fastnoisy.go) and the
-// float path are two implementations of the noisy prediction contract:
+// The packed per-image walker (internal/seicore/fast.go) and the float
+// path are two implementations of the noisy prediction contract:
 // for a linearly non-ideal design — read noise (per-column or
 // per-cell) and/or IR drop — labels, hardware-counter totals AND the
 // RNG-consumption ledger (sei_noise_draws) must be bit-identical

@@ -15,9 +15,8 @@ import (
 )
 
 // BoundedResult reports the runtime activation-bound study: how much
-// crossbar work the input-dependent suffix bounds skip on the
-// ideal-analog engines (exact, label-identical) and what the explicit
-// approximate mode costs in accuracy under read noise (DESIGN.md §16).
+// crossbar work the input-dependent suffix bounds skip on an
+// ideal-analog design, exactly and label-identically (DESIGN.md §16).
 type BoundedResult struct {
 	NetworkID int
 	Images    int
@@ -38,15 +37,6 @@ type BoundedResult struct {
 	UnboundedPJ    float64
 	BoundedPJ      float64
 	EnergySavedPct float64
-
-	// Approximate mode on the noisy sampled path (read-noise sigma
-	// NoisySigma, split at NoisyCrossbar): the exact noisy error, the
-	// approx-mode error, and the approx run's skip rate.
-	NoisySigma    float64
-	NoisyCrossbar int
-	NoisyExactErr float64
-	NoisyApprox   float64
-	NoisySkipRate float64
 }
 
 // boundedEval runs design d over data with a fresh recorder and
@@ -71,10 +61,8 @@ func boundedEval(d *seicore.SEIDesign, data *mnist.Dataset, workers int) ([]int,
 }
 
 // BoundedStudy measures the runtime activation bounds on one network:
-// an unbounded ideal-analog baseline, the exact bounded mode (which
-// must reproduce its labels bit-for-bit while skipping rows), and the
-// explicit approximate mode on a read-noise variant of the same
-// network.
+// an unbounded ideal-analog baseline and the exact bounded mode, which
+// must reproduce its labels bit-for-bit while skipping rows.
 func BoundedStudy(c *Context, networkID int) (*BoundedResult, error) {
 	q := c.QuantizedCalibrated(networkID)
 	cfg := seicore.DefaultSEIBuildConfig()
@@ -136,30 +124,6 @@ func BoundedStudy(c *Context, networkID int) (*BoundedResult, error) {
 	if unboundedPJ > 0 {
 		res.EnergySavedPct = 100 * (unboundedPJ - boundedPJ) / unboundedPJ
 	}
-
-	// Approximate mode under read noise: same network, noisy sampled
-	// path. The exact noisy run and the approx run share one design so
-	// the comparison isolates the bound-induced sampling change.
-	res.NoisySigma = 0.05
-	ncfg := seicore.DefaultSEIBuildConfig()
-	ncfg.DynamicThreshold = false
-	ncfg.Layer.Model.ReadNoiseSigma = res.NoisySigma
-	res.NoisyCrossbar = ncfg.Layer.MaxCrossbar
-	nd, err := seicore.BuildSEI(q, c.Train, ncfg, rand.New(rand.NewSource(c.Cfg.Seed)))
-	if err != nil {
-		return nil, fmt.Errorf("building noisy SEI design: %w", err)
-	}
-	c.logf("bounded study: noisy exact baseline (sigma=%.2f)\n", res.NoisySigma)
-	_, res.NoisyExactErr, _ = boundedEval(nd, c.Test, workers)
-	c.logf("bounded study: noisy approximate mode\n")
-	nd.SetBoundedApprox(true)
-	_, approxErr, recA := boundedEval(nd, c.Test, workers)
-	nd.SetBoundedApprox(false)
-	res.NoisyApprox = approxErr
-	recA.PublishSkipRates()
-	if v, ok := recA.GaugeValues()[obs.SEISkipRate]; ok {
-		res.NoisySkipRate = v
-	}
 	return res, nil
 }
 
@@ -187,9 +151,4 @@ func (r *BoundedResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  energy: %.1f pJ/inference unbounded -> %.1f pJ/inference bounded (%.1f%% saved)\n",
 		r.UnboundedPJ, r.BoundedPJ, r.EnergySavedPct)
-	fmt.Fprintf(w, "  approx mode under read noise (sigma=%.2f, crossbar %d):\n",
-		r.NoisySigma, r.NoisyCrossbar)
-	fmt.Fprintf(w, "    exact noisy err %.2f%%, approx err %.2f%% (delta %+.2f pp), approx skip rate %.1f%%\n",
-		100*r.NoisyExactErr, 100*r.NoisyApprox, 100*(r.NoisyApprox-r.NoisyExactErr), 100*r.NoisySkipRate)
-	fmt.Fprintln(w, "  (bounded mode never dispatches on the noisy path by itself; approx mode is the explicit opt-in)")
 }

@@ -142,8 +142,8 @@ func PredictBatchInto(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, wo
 // predictBatchChunked is the per-image engine: fixed-size chunks,
 // per-chunk evaluator clones with seeded noise streams — the only
 // path noisy designs ever take. Whether a noisy clone then evaluates
-// on the float path or the packed non-ideal path (seicore
-// fastnoisy.go) is the design's own dispatch decision; the chunk
+// on the float path or the packed walker (seicore fast.go) is the
+// design's own dispatch decision; the chunk
 // boundaries and per-chunk seeds here are what make the two paths
 // consume identical noise-stream prefixes at every worker count.
 func predictBatchChunked(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, workers int, out []PredictResult) {

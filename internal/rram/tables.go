@@ -3,7 +3,7 @@ package rram
 // Device-model parameters in table form. The behavioural model's
 // methods recompute level conductances and re-read individual model
 // fields on every call; the hot paths — programming a large matrix,
-// and the packed non-ideal inference engine (seicore/fastnoisy.go) —
+// and the packed inference walker (seicore/fast.go) —
 // want the same information resolved once: a nominal conductance per
 // level, and the read-out coefficients that decide which inference
 // path a device model is eligible for.

@@ -237,49 +237,6 @@ func (b *seiBlock) sumsBitsBounded(in *bitvec.Vec, main []float64, ref float64) 
 	return st
 }
 
-// sumsBounded is the float-input twin of sumsBitsBounded for the
-// approximate mode of the noisy float path (SEIConvLayer.Eval): the
-// active rows arrive as a 0/1 float vector instead of a packed window.
-// The bound is computed against the ideal (noise-free) sums, so under
-// read noise a decision is approximate — that is the mode's explicit
-// accuracy trade-off.
-func (b *seiBlock) sumsBounded(in []float64, m int, ref float64) ([]float64, boundState) {
-	main := make([]float64, m)
-	cb := b.bnd
-	st := boundState{undecided: colMask(m)}
-	lastCp := -1
-	data := b.eff.Data()
-	for local, j := range b.inputs {
-		if in[j] == 0 {
-			continue
-		}
-		if cp := local / cb.stride; cp > lastCp {
-			lastCp = cp
-			st.evals += bits.OnesCount64(st.undecided)
-			base := cp * m
-			dec0, dec1 := vecf.BoundCols(main,
-				cb.sufPos[base:base+m], cb.sufNeg[base:base+m], cb.sufAbs[base:base+m],
-				cb.slackU[cp], ref, st.undecided)
-			st.fired1 |= dec1
-			st.undecided &^= dec0 | dec1
-			if st.undecided == 0 {
-				for _, jj := range b.inputs[local:] {
-					if in[jj] != 0 {
-						st.skipped++
-					}
-				}
-				return main, st
-			}
-		}
-		st.ones++
-		row := data[local*m : (local+1)*m]
-		for c, v := range row {
-			main[c] += v
-		}
-	}
-	return main, st
-}
-
 // countOnes counts the block's active rows without driving them — the
 // skipped-row accounting for blocks the cross-block digital-threshold
 // logic skips wholesale.
@@ -303,17 +260,19 @@ func (b *seiBlock) countOnes(in *bitvec.Vec) int {
 }
 
 // boundable reports whether the layer's columns fit the undecided mask;
-// wider layers fall back to the unbounded scan even in bounded mode.
+// wider layers keep the unbounded kernels even in bounded mode
+// (convKernel).
 func (l *SEIConvLayer) boundable() bool { return l.M <= boundMaxCols }
 
 // initBounds builds the suffix tables for every block that can use
-// them (static dynamic-column-free blocks of mask-width layers) and
-// validates any tables restored from a snapshot, rebuilding stale
-// ones. Tables depend only on the programmed effective weights, so a
-// rebuilt table is identical to a persisted one.
+// them (static dynamic-column-free blocks of mask-width layers on an
+// ideal read-out, the only place bounded mode runs) and validates any
+// tables restored from a snapshot, rebuilding stale ones. Tables
+// depend only on the programmed effective weights, so a rebuilt table
+// is identical to a persisted one.
 func (d *SEIDesign) initBounds() {
 	for _, l := range d.Convs {
-		if !l.boundable() {
+		if !d.ideal || !l.boundable() {
 			for bi := range l.blocks {
 				l.blocks[bi].bnd = nil
 			}
@@ -332,20 +291,16 @@ func (d *SEIDesign) initBounds() {
 	}
 }
 
-// evalBoundedCounts is evalFastCounts with runtime activation bounds:
-// statically-referenced blocks run the bounded row walk, every block
-// participates in the cross-block digital-threshold skip, and the
-// hardware counters record only the work actually performed (rows
-// driven, sense-amp compares actually taken). Labels — the fired
-// counts compared against DigitalThreshold by the caller — are
-// bit-identical to evalFastCounts; counter totals shrink exactly where
-// work was skipped, with the skipped work recorded on the sei_* skip
-// counters instead.
+// evalBoundedCounts is evalCounts with runtime activation bounds, for
+// ideal read-outs of boundable layers: statically-referenced blocks
+// run the bounded row walk, every block participates in the
+// cross-block digital-threshold skip, and the hardware counters record
+// only the work actually performed (rows driven, sense-amp compares
+// actually taken). Labels — the fired counts compared against
+// DigitalThreshold by the caller — are bit-identical to evalCounts;
+// counter totals shrink exactly where work was skipped, with the
+// skipped work recorded on the sei_* skip counters instead.
 func (l *SEIConvLayer) evalBoundedCounts(in *bitvec.Vec, fired []int, col []float64) {
-	if !l.boundable() {
-		l.evalFastCounts(in, fired, col)
-		return
-	}
 	for c := range fired {
 		fired[c] = 0
 	}

@@ -1,7 +1,6 @@
 package seicore
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -251,59 +250,6 @@ func boundColsRef(acc []float64, cb *colBounds, base, cp int, ref float64) (uint
 	m := cb.m
 	return vecf.BoundCols(acc, cb.sufPos[base:base+m], cb.sufNeg[base:base+m],
 		cb.sufAbs[base:base+m], cb.slackU[cp], ref, colMask(m))
-}
-
-// TestBoundedApproxAccuracyDelta pins the approximate mode's contract
-// under read noise: it dispatches only when explicitly enabled, skips
-// real work, and its accuracy stays within a small delta of the exact
-// noisy path.
-func TestBoundedApproxAccuracyDelta(t *testing.T) {
-	f := getFixture(t)
-	cfg := DefaultSEIBuildConfig()
-	cfg.Layer.MaxCrossbar = 16 // split conv stage: several boundable blocks
-	cfg.Layer.Model.ReadNoiseSigma = 0.05
-	cfg.DynamicThreshold = false
-	d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.fast {
-		t.Fatalf("noisy design enabled the fast path")
-	}
-	sub := f.test.Subset(120)
-
-	// Default: bounded approximation must NOT dispatch on the noisy
-	// path, even with SetBounded on (that flag only gates the
-	// ideal-analog engines).
-	rec := obs.New()
-	d.Instrument(rec)
-	d.SetBounded(true)
-	exactErr := nn.ClassifierErrorRateObs(rec, d, sub, 2)
-	if skipped := rec.CounterValues()[obs.SEIRowsSkipped]; skipped != 0 {
-		t.Fatalf("noisy path skipped %d rows without approx mode", skipped)
-	}
-	d.SetBounded(false)
-	d.Instrument(nil)
-
-	// Explicit approx mode: must actually skip, with bounded accuracy
-	// delta.
-	rec = obs.New()
-	d.Instrument(rec)
-	d.SetBoundedApprox(true)
-	approxErr := nn.ClassifierErrorRateObs(rec, d, sub, 2)
-	d.SetBoundedApprox(false)
-	d.Instrument(nil)
-	counters := rec.CounterValues()
-	if counters[obs.SEIRowsSkipped] == 0 && counters[obs.SEIColsEarlyExit] == 0 {
-		t.Fatalf("approx mode performed no skips")
-	}
-	delta := math.Abs(approxErr - exactErr)
-	t.Logf("exact %.4f approx %.4f delta %.4f skipped=%d colsEarly=%d",
-		exactErr, approxErr, delta, counters[obs.SEIRowsSkipped], counters[obs.SEIColsEarlyExit])
-	if delta > 0.10 {
-		t.Errorf("approx-mode accuracy delta %.4f exceeds 0.10 (exact %.4f, approx %.4f)",
-			delta, exactErr, approxErr)
-	}
 }
 
 // TestBoundedZeroAllocs pins that the bounded fast path stays

@@ -95,128 +95,73 @@ type SEIDesign struct {
 	// ≥ 1), when calibration ran.
 	CalibResults map[int]CalibrationResult
 
-	// fast caches the fast-path eligibility decision (ideal-analog
-	// device models everywhere; see fast.go), scratch holds the shared
-	// *seiScratch arena pool and sliced the *slicedScratch pool of the
-	// bit-sliced batch path (sliced.go). All are set once by
-	// initFastPath at build/load time, before the design is shared
-	// across goroutines. fastOff/slicedOff are the SetFastPath/
-	// SetSlicedPath overrides for benchmarks and path-equivalence
-	// tests.
-	fast      bool
-	fastOff   bool
-	slicedOff bool
-	scratch   *sync.Pool
-	sliced    *sync.Pool
-	// bounded enables the runtime activation-bound walk (bounds.go) on
-	// the ideal-analog fast paths: labels stay bit-identical, hw_*
-	// counters record only work actually performed, and the sei_*
-	// counters account for what was skipped. Off by default
-	// (SetBounded) so existing counter-parity goldens are unaffected.
-	bounded bool
-	// noisyPacked caches the packed non-ideal path's eligibility
-	// (fastnoisy.go): a linear but non-exact read-out — read noise
-	// (per-column or per-cell) and/or IR drop, no I-V nonlinearity.
-	// Mutually exclusive with fast (an ideal design takes the ideal
-	// path). Set by initFastPath.
-	noisyPacked bool
-	// approxNoise enables the aggregated-variance noise approximation
-	// on the packed path (SetNoiseApprox); boundedApprox records that
-	// SetBoundedApprox turned the float path's approximate bounded walk
-	// on, which forces noisy predicts back onto the float path — see
-	// Predict for the precedence between the two.
-	approxNoise   bool
-	boundedApprox bool
+	// packed caches whether every stage reads out linearly, which lets
+	// the packed walker (fast.go) reproduce the float path; ideal
+	// whether every read-out is exact, which the sliced walker
+	// (sliced.go) and bounded mode need. strip0 caches the static half
+	// of the stage-0 kernel choice (stage0Kernel). scratch holds the
+	// packed walker's *seiScratch arena pool (nil unless packed) and
+	// sliced the sliced walker's *slicedScratch pool (nil unless
+	// ideal). All are set once by initFastPath at build/load time,
+	// before the design is shared across goroutines.
+	packed, ideal, strip0 bool
+	scratch, sliced       *sync.Pool
+	// fastOff (SetFastPath), bounded (SetBounded) and approxNoise
+	// (SetNoiseApprox) are the mode toggles.
+	fastOff, bounded, approxNoise bool
 }
 
-// initFastPath caches the fast-path decision and creates the scratch
-// arena pools (per-image and bit-sliced). Called once at construction
-// (BuildSEI / LoadDesign). Bound tables are built for every design —
-// noisy ones included, since the approximate mode needs them — but the
-// bounded walk itself stays off until SetBounded/SetBoundedApprox.
+// initFastPath caches the walkers' eligibility and static kernel facts
+// and creates the scratch arena pools. Called once at construction
+// (BuildSEI / LoadDesign). Bound tables are built for ideal designs,
+// but the bounded walk itself stays off until SetBounded.
 func (d *SEIDesign) initFastPath() {
-	d.fast = d.fastEligible()
-	d.noisyPacked = !d.fast && d.noisyEligible()
-	if d.fast || d.noisyPacked {
+	d.packed = d.readoutAll(rram.ReadoutParams.Linear)
+	d.ideal = d.readoutAll(rram.ReadoutParams.Ideal)
+	if d.packed {
 		d.scratch = &sync.Pool{}
 	}
-	if d.fast {
+	if d.ideal {
 		d.sliced = &sync.Pool{}
+	}
+	d.strip0 = d.Input.cells == nil && d.Q.Convs[0].Stride == 1
+	for _, l := range d.Convs {
+		l.word = l.wordWindowEligible()
 	}
 	d.initBounds()
 	d.initNoiseTables()
 }
 
 // SetFastPath enables (the default for eligible designs) or disables
-// the bit-packed fast path. Disabling forces the float path — used by
-// benchmarks and by the determinism tests that pin fast-vs-float
-// bit-identity. It cannot enable the fast path on noisy/nonlinear
-// designs. Not safe to call concurrently with evaluation.
+// the packed walkers, per-image and sliced. Disabling forces the float
+// path — used by benchmarks and by the determinism tests that pin
+// packed-vs-float bit-identity. It cannot enable the packed walkers on
+// designs with a nonlinear read-out. Not safe to call concurrently
+// with evaluation.
 func (d *SEIDesign) SetFastPath(on bool) { d.fastOff = !on }
 
-// SetBounded enables the runtime activation-bound walk on the
-// ideal-analog fast paths (per-image and bit-sliced): crossbar rows
-// that provably cannot change any undecided column's sense-amp
-// decision are never driven, and pool-cropped window positions are
-// skipped wholesale. Labels are bit-identical to the unbounded paths;
-// hw_* counters shrink exactly where work was skipped, with the
-// avoided work recorded on the sei_* skip counters. No effect on the
-// float path (noisy designs need SetBoundedApprox). Not safe to call
+// SetBounded enables the runtime activation-bound walk on ideal
+// designs (per-image and bit-sliced): crossbar rows that provably
+// cannot change any undecided column's sense-amp decision are never
+// driven, and pool-cropped window positions are skipped wholesale.
+// Labels are bit-identical to the unbounded walk; hw_* counters shrink
+// exactly where work was skipped, with the avoided work recorded on
+// the sei_* skip counters. No effect on designs with read noise or IR
+// drop, whose sums the bounds do not model. Not safe to call
 // concurrently with evaluation.
 func (d *SEIDesign) SetBounded(on bool) { d.bounded = on }
 
-// Bounded reports whether the activation-bound walk is enabled.
-func (d *SEIDesign) Bounded() bool { return d.bounded }
-
-// SetBoundedApprox enables the explicit *approximate* bounded mode on
-// the noisy float path: bound decisions are made against the ideal
-// column sums, so read noise can flip a decision the bound already
-// made. Off by default; cmd/seisim's bounded experiment reports the
-// measured accuracy delta. Implies nothing about the ideal-analog
-// paths (use SetBounded for those). Not safe to call concurrently with
-// evaluation.
-func (d *SEIDesign) SetBoundedApprox(on bool) {
-	d.boundedApprox = on
-	for _, l := range d.Convs {
-		l.approx = on
-	}
-}
-
 // SetNoiseApprox enables the aggregated-variance noise approximation
-// on the packed non-ideal path (DESIGN.md §17): layers with per-cell
-// read noise draw one Gaussian per column per block, scaled by the
-// summed per-cell variance, instead of one per active cell. The
-// per-column draw distribution is identical to the exact pass (pinned
-// by noise_test.go's KS harness) but the draws are not bit-identical
-// to it — an explicit Monte Carlo throughput trade; cmd/seisim's
-// noisy study measures the accuracy delta. Layers with per-column
-// noise are unaffected (their exact pass is already one draw per
-// column). Precedence over SetBoundedApprox: when both are on, the
-// noise approximation wins and predicts stay on the packed path (the
-// float path's approximate bounded walk never runs). Not safe to call
-// concurrently with evaluation.
+// on the packed walker (DESIGN.md §17): layers with per-cell read
+// noise draw one Gaussian per column per block, scaled by the summed
+// per-cell variance, instead of one per active cell. The per-column
+// draw distribution is identical to the exact pass (pinned by
+// noise_test.go's KS harness) but the draws are not bit-identical to
+// it — an explicit Monte Carlo throughput trade; cmd/seisim's noisy
+// study measures the accuracy delta. Layers with per-column noise are
+// unaffected (their exact pass is already one draw per column). Not
+// safe to call concurrently with evaluation.
 func (d *SEIDesign) SetNoiseApprox(on bool) { d.approxNoise = on }
-
-// NoiseApprox reports whether the aggregated-variance approximation
-// is enabled.
-func (d *SEIDesign) NoiseApprox() bool { return d.approxNoise }
-
-// noisyEligible reports whether every stage reads out linearly —
-// read noise and IR drop commute with the packed column sums
-// (fastnoisy.go applies them as separate passes over the bit-summed
-// ideal values), the sinh I-V transfer on the analog input stage does
-// not.
-func (d *SEIDesign) noisyEligible() bool {
-	if !d.Input.model.Readout().Linear() {
-		return false
-	}
-	for _, l := range d.Convs {
-		if !l.model.Readout().Linear() {
-			return false
-		}
-	}
-	return d.FC.model.Readout().Linear()
-}
 
 // initNoiseTables builds the squared-weight variance tables the
 // aggregated-noise approximation folds into the packed sum — only for
@@ -473,46 +418,27 @@ func (d *SEIDesign) EvalConv(l int, in []float64) []bool {
 func (d *SEIDesign) EvalFC(in []float64) []float64 { return d.FC.Eval(in) }
 
 // Predict classifies one image through the SEI hardware simulation.
-// This is the single dispatch point for every inference path:
-//
-//   - Ideal-analog designs (no read noise, IR drop or I-V
-//     nonlinearity — the Table 4/5 default) run the bit-packed,
-//     allocation-free path of fast.go.
-//   - Linearly non-ideal designs (read noise and/or IR drop, no I-V
-//     nonlinearity) run the packed non-ideal path of fastnoisy.go —
-//     bit-identical to the float path in labels, counters and RNG
-//     consumption — unless SetBoundedApprox demanded the float path's
-//     approximate bounded walk; SetNoiseApprox overrides that demand
-//     (the two approximations' precedence, pinned by noise_test.go).
-//   - Everything else (sinh I-V designs; boundedApprox without
-//     noiseApprox) keeps the float path.
+// Designs with a linear read-out everywhere — ideal or with read noise
+// and/or IR drop — run the packed walker of fast.go, bit-identical to
+// the float path in labels, counters and noise draws; designs with a
+// sinh I-V nonlinearity, and any design after SetFastPath(false), keep
+// the float path.
 //
 // The scratch pool hands each goroutine its own arena, so a shared
 // noise-free design stays safe under the parallel engine; noisy
 // designs additionally carry per-layer noise streams and go through
 // CloneForEval's per-chunk clones, exactly as on the float path.
 func (d *SEIDesign) Predict(img *tensor.Tensor) int {
-	if !d.fastOff && d.scratch != nil {
-		if d.fast {
-			s, _ := d.scratch.Get().(*seiScratch)
-			if s == nil {
-				s = newSEIScratch(d)
-			}
-			label := d.predictFast(img, s)
-			d.scratch.Put(s)
-			return label
-		}
-		if d.noisyPacked && (d.approxNoise || !d.boundedApprox) {
-			s, _ := d.scratch.Get().(*seiScratch)
-			if s == nil {
-				s = newSEIScratch(d)
-			}
-			label := d.predictFastNoisy(img, s)
-			d.scratch.Put(s)
-			return label
-		}
+	if d.fastOff || d.scratch == nil {
+		return d.Q.PredictWith(d, img)
 	}
-	return d.Q.PredictWith(d, img)
+	s, _ := d.scratch.Get().(*seiScratch)
+	if s == nil {
+		s = newSEIScratch(d)
+	}
+	label := d.predictPacked(img, s)
+	d.scratch.Put(s)
+	return label
 }
 
 // MergedDesign is a quantized network in which every stage keeps the

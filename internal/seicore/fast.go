@@ -1,6 +1,6 @@
 package seicore
 
-// The bit-packed inference fast path. After 1-bit quantization every
+// The packed per-image walker. After 1-bit quantization every
 // inter-layer activation is binary, so the crossbar MVM degenerates to
 // summing the effective-weight rows whose input bit is set and max
 // pooling to an OR of bits (the paper's core observation; Section 3).
@@ -10,19 +10,34 @@ package seicore
 // arena for every buffer the forward pass needs, making steady-state
 // Predict allocation-free.
 //
-// Contract (pinned by determinism_test.go and fast_test.go): the fast
-// path is bit-identical to the float path in predictions AND in
-// hardware-counter totals. Every float accumulation visits rows in the
-// exact order of the float path's skip-zero loops, every counter is
-// recorded at the same logical event, and the fused OR pool writes the
-// same output bits as quant.orPool (OR is order-independent on bits).
-// The path applies only to ideal-analog designs — no read noise, no IR
-// drop, no I-V nonlinearity (the Table 4/5 default device) — because
-// those effects perturb sums in ways the packed kernels do not model;
-// noisy/nonlinear designs keep the float path, selected at the single
-// dispatch point in SEIDesign.Predict.
+// One walker serves every linear read-out. Each non-ideality the repo
+// models is a separate pass over the binary column sums: variation,
+// stuck faults and level quantization are already folded into the
+// effective weights (matrix.go); IR drop is a per-column scale fixed
+// by the active-row count; per-column read noise is one draw per
+// column current; per-cell read noise is a second walk over the same
+// active rows in the same ascending order (noise.go). On an ideal
+// read-out those passes do nothing, so the ideal and the noisy designs
+// share the layer kernels. Only the sinh I-V transfer breaks the
+// separation (it distorts the analog input stage before the product);
+// those designs keep the float path, selected in SEIDesign.Predict.
+//
+// Each stage's kernel is picked from facts about that layer
+// (stage0Kernel, convKernel): the row-strip or gather kernel at stage
+// 0; the bounded, single-word or bitvec kernel at the SEI stages.
+//
+// Contract (pinned by determinism_test.go, fast_test.go and
+// noise_test.go): the walker is bit-identical to the float path in
+// predictions, hardware-counter totals and noise draws. Every float
+// accumulation visits rows in the exact order of the float path's
+// skip-zero loops, every counter is recorded at the same logical
+// event, and the fused OR pool writes the same output bits as
+// quant.orPool (OR is order-independent on bits). Bounded mode keeps
+// labels and records only the work actually performed (bounds.go).
 
 import (
+	"math/bits"
+
 	"sei/internal/bitvec"
 	"sei/internal/quant"
 	"sei/internal/rram"
@@ -65,20 +80,20 @@ func fastGeometry(q *quant.QuantizedNet) []stageGeom {
 	return gs
 }
 
-// seiScratch is one goroutine's arena for the fast path: every buffer
-// a full forward pass touches, sized once for the design's largest
-// stage. Predict borrows a scratch from the design's pool, so
+// seiScratch is one goroutine's arena for the packed walker: every
+// buffer a full forward pass touches, sized once for the design's
+// largest stage. Predict borrows a scratch from the design's pool, so
 // steady-state inference performs zero heap allocations per image.
 type seiScratch struct {
 	geom      []stageGeom
 	cur, next *bitvec.Vec // packed activation maps, ping-pong
 	win       *bitvec.Vec // packed receptive-field window
 	field     []float64   // stage-0 float im2col window (DAC-driven)
-	strip     []float64   // stage-0 output-row column sums (fastnoisy.go)
+	strip     []float64   // stage-0 output-row column sums (row-strip kernel)
 	col       []float64   // per-block column sums
 	fired     []int       // per-column fired-block counts
 	scores    []float64   // FC classifier scores
-	gauss     []float64   // noise-draw block (fastnoisy.go)
+	gauss     []float64   // per-cell noise-draw block
 	varsum    []float64   // aggregated-noise per-column variances
 }
 
@@ -113,28 +128,84 @@ func newSEIScratch(d *SEIDesign) *seiScratch {
 	return s
 }
 
-// idealAnalog reports whether a device model's read-out is exact: no
-// read noise, no IR drop, no I-V nonlinearity. Programming-time
-// effects (variation, stuck faults, quantized levels) are already
-// baked into the effective weights and do not disqualify the fast
-// path.
-func idealAnalog(m rram.DeviceModel) bool {
-	return m.Readout().Ideal()
-}
-
-// fastEligible reports whether every stage of the design reads out
-// exactly, which is what makes the packed kernels bit-identical to the
-// float path.
-func (d *SEIDesign) fastEligible() bool {
-	if !idealAnalog(d.Input.model) {
+// readoutAll reports whether every stage's device read-out satisfies
+// ok — rram.ReadoutParams.Linear gates the packed walker,
+// rram.ReadoutParams.Ideal the sliced walker and bounded mode.
+func (d *SEIDesign) readoutAll(ok func(rram.ReadoutParams) bool) bool {
+	if !ok(d.Input.model.Readout()) || !ok(d.FC.model.Readout()) {
 		return false
 	}
 	for _, l := range d.Convs {
-		if !idealAnalog(l.model) {
+		if !ok(l.model.Readout()) {
 			return false
 		}
 	}
-	return idealAnalog(d.FC.model)
+	return true
+}
+
+// stageKernel names the kernel one stage of a packed walker runs.
+type stageKernel int
+
+const (
+	// kernelStrip scans each image row once per output row and scatters
+	// its pixels into a strip of per-window column sums (stage 0).
+	kernelStrip stageKernel = iota
+	// kernelGather gathers each float window, runs MatVecTInto and the
+	// read-noise pass, and records counters (stage 0).
+	kernelGather
+	// kernelBounded is the activation-bound row walk (SEI stages).
+	kernelBounded
+	// kernelWord walks a receptive field packed into one machine word
+	// (SEI stages).
+	kernelWord
+	// kernelBitvec walks a bitvec window (SEI stages).
+	kernelBitvec
+)
+
+func (k stageKernel) String() string {
+	return [...]string{"strip", "gather", "bounded", "word", "bitvec"}[k]
+}
+
+// stage0Kernel picks the input stage's kernel. The row strip needs
+// stride 1 and no per-cell noise (cached in strip0), and records no
+// counters, so an instrumented design gathers.
+func (d *SEIDesign) stage0Kernel() stageKernel {
+	if d.strip0 && d.Input.hw == nil {
+		return kernelStrip
+	}
+	return kernelGather
+}
+
+// convKernel picks an SEI conv stage's kernel. Bounds are exact only
+// on ideal read-outs and need the columns to fit the undecided mask;
+// the single-word window needs the fan-in in one word, contiguous
+// blocks and no per-cell noise (cached in l.word).
+func (d *SEIDesign) convKernel(l *SEIConvLayer) stageKernel {
+	switch {
+	case d.bounded && d.ideal && l.boundable():
+		return kernelBounded
+	case l.word:
+		return kernelWord
+	default:
+		return kernelBitvec
+	}
+}
+
+// wordWindowEligible reports whether the layer's receptive field fits
+// in 64 bits and every block holds a contiguous ascending input range,
+// so block-local rows are bit positions and the row walk is a
+// TrailingZeros loop. Per-cell noise keeps the bitvec window (its draw
+// walk consumes one).
+func (l *SEIConvLayer) wordWindowEligible() bool {
+	if l.N > 64 || l.cells != nil {
+		return false
+	}
+	for bi := range l.blocks {
+		if !l.blocks[bi].contig {
+			return false
+		}
+	}
+	return true
 }
 
 // gatherFloatWindow copies one receptive-field window out of the float
@@ -167,6 +238,29 @@ func gatherBitWindow(in *bitvec.Vec, g *stageGeom, oy, ox int, dst *bitvec.Vec) 
 	}
 }
 
+// gatherWindowWord packs one receptive-field window (fan ≤ 64) into a
+// single machine word, in gatherBitWindow's bit order: kernel-row
+// segments of the map, concatenated channel-major.
+func gatherWindowWord(in *bitvec.Vec, g *stageGeom, oy, ox int) uint64 {
+	words := in.Words()
+	var win uint64
+	di := 0
+	for ch := 0; ch < g.inC; ch++ {
+		base := ch * g.inH * g.inW
+		for ky := 0; ky < g.kh; ky++ {
+			src := base + (oy*g.stride+ky)*g.inW + ox*g.stride
+			off := uint(src) & 63
+			w := words[src>>6] >> off
+			if rem := 64 - int(off); rem < g.kw {
+				w |= words[(src>>6)+1] << uint(rem)
+			}
+			win |= (w & (1<<uint(g.kw) - 1)) << uint(di)
+			di += g.kw
+		}
+	}
+	return win
+}
+
 // poolSet writes one fired output bit into the (pool-fused) output
 // map: with pooling the bit lands OR-wise in its pool window's slot,
 // and positions in edge rows/columns the floor-division pool grid
@@ -183,13 +277,31 @@ func poolSet(out *bitvec.Vec, g *stageGeom, k, oy, ox int) {
 	out.Set((k*g.pooledH+py)*g.pooledW + px)
 }
 
-// predictFast classifies one image on the bit-packed path. The caller
-// owns s for the duration of the call.
-func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
-	if d.bounded {
-		return d.predictFastBounded(img, s)
+// croppedAt reports whether output position (oy, ox) falls outside
+// the floor-division pool grid — the mirror of poolSet's drop
+// condition. Bounded mode skips such windows wholesale: their outputs
+// are unreadable, so not driving them cannot change anything.
+func (g *stageGeom) croppedAt(oy, ox int) bool {
+	return g.pool > 1 && (oy/g.pool >= g.pooledH || ox/g.pool >= g.pooledW)
+}
+
+// live returns the extent of the output grid the pool grid keeps: the
+// positions croppedAt does not report.
+func (g *stageGeom) live() (h, w int) {
+	if g.pool > 1 {
+		return g.pooledH * g.pool, g.pooledW * g.pool
 	}
+	return g.outH, g.outW
+}
+
+// predictPacked classifies one image on the packed walker. The caller
+// owns s for the duration of the call.
+func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	q := d.Q
+	// The pool-crop skip comes with bounded mode, which is exact only
+	// on ideal read-outs (a noisy window's draws must still be taken).
+	bounded := d.bounded && d.ideal
+	agg := d.approxNoise
 
 	// Stage 0 keeps the DAC+ADC organization (Section 3.2): float
 	// image windows through the merged input layer, binarized by the
@@ -197,19 +309,10 @@ func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
 	g := &s.geom[0]
 	out := s.cur
 	out.Reset(g.filters * g.pooledH * g.pooledW)
-	thr := q.Thresholds[0]
-	col := s.col[:g.filters]
-	data := img.Data()
-	for oy := 0; oy < g.outH; oy++ {
-		for ox := 0; ox < g.outW; ox++ {
-			gatherFloatWindow(data, g, oy, ox, s.field)
-			d.Input.evalIdealInto(s.field, col)
-			for k, v := range col {
-				if v > thr {
-					poolSet(out, g, k, oy, ox)
-				}
-			}
-		}
+	if d.stage0Kernel() == kernelStrip {
+		d.stage0Strip(img.Data(), g, s.strip, out)
+	} else {
+		d.stage0Gather(img.Data(), g, s, out, bounded)
 	}
 	if g.pool > 1 {
 		q.CountORPool(int64(g.filters * g.pooledH * g.pooledW))
@@ -219,6 +322,7 @@ func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
 	// threshold counts out, OR-fused pooling.
 	for l := 1; l < len(q.Convs); l++ {
 		layer := d.Convs[l-1]
+		kernel := d.convKernel(layer)
 		g := &s.geom[l]
 		in := s.cur
 		out := s.next
@@ -226,10 +330,29 @@ func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
 		s.win.Reset(g.fan)
 		fired := s.fired[:layer.M]
 		col := s.col[:layer.M]
+		var cropSkip int64
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
-				gatherBitWindow(in, g, oy, ox, s.win)
-				layer.evalFastCounts(s.win, fired, col)
+				crop := bounded && g.croppedAt(oy, ox)
+				if kernel == kernelWord {
+					w := gatherWindowWord(in, g, oy, ox)
+					if crop {
+						cropSkip += int64(bits.OnesCount64(w))
+						continue
+					}
+					layer.evalCountsWord(w, fired, col, s.gauss, s.varsum, agg)
+				} else {
+					gatherBitWindow(in, g, oy, ox, s.win)
+					if crop {
+						cropSkip += int64(s.win.OnesCount())
+						continue
+					}
+					if kernel == kernelBounded {
+						layer.evalBoundedCounts(s.win, fired, col)
+					} else {
+						layer.evalCounts(s.win, fired, col, s.gauss, s.varsum, agg)
+					}
+				}
 				for k, f := range fired {
 					if f >= layer.DigitalThreshold {
 						poolSet(out, g, k, oy, ox)
@@ -240,11 +363,14 @@ func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
 		if g.pool > 1 {
 			q.CountORPool(int64(g.filters * g.pooledH * g.pooledW))
 		}
+		if cropSkip > 0 {
+			layer.skip.Record(0, cropSkip, 0, 0, 0)
+		}
 		s.cur, s.next = out, in
 	}
 
 	// FC stage: the flattened final map is already the packed input.
-	d.FC.evalFastInto(s.cur, s.scores, s.col[:d.FC.M])
+	d.FC.evalInto(s.cur, s.scores, s.col[:d.FC.M], s.gauss, s.varsum, agg)
 	best, bi := s.scores[0], 0
 	for i, v := range s.scores {
 		if v > best { // strict >: first maximum wins, as tensor.ArgMax
@@ -252,4 +378,247 @@ func (d *SEIDesign) predictFast(img *tensor.Tensor, s *seiScratch) int {
 		}
 	}
 	return bi
+}
+
+// stage0Gather is the gather kernel: each window goes through the
+// merged layer's evalInto, which records the counters and feeds the
+// per-cell noise walk its input values. In bounded mode pool-cropped
+// windows skip the MVM, their active inputs counted skipped (the
+// merged layer has no threshold readout to bound rows against).
+func (d *SEIDesign) stage0Gather(data []float64, g *stageGeom, s *seiScratch, out *bitvec.Vec, bounded bool) {
+	thr := d.Q.Thresholds[0]
+	col := s.col[:g.filters]
+	var driven, skipped int64
+	for oy := 0; oy < g.outH; oy++ {
+		for ox := 0; ox < g.outW; ox++ {
+			gatherFloatWindow(data, g, oy, ox, s.field)
+			if bounded && g.croppedAt(oy, ox) {
+				for _, v := range s.field {
+					if v != 0 {
+						skipped++
+					}
+				}
+				continue
+			}
+			driven += int64(d.Input.evalInto(s.field, col, s.gauss))
+			for k, v := range col {
+				if v > thr {
+					poolSet(out, g, k, oy, ox)
+				}
+			}
+		}
+	}
+	if bounded {
+		d.Input.skip.Record(driven, skipped, 0, 0, 0)
+	}
+}
+
+// stage0Strip is the row-strip kernel: the windows are evaluated one
+// output row at a time, each image row scanned once per (oy, ky) and
+// its nonzero pixels scattered into the strip of per-window column
+// sums, so a pixel is read kh times instead of kh·kw times. For a
+// fixed window ox at stride 1, ascending pixel index means ascending
+// kernel column, so every window still accumulates its contributions
+// in exactly MatVecTInto's (ch, ky, kx) skip-zero order and the sums
+// stay bit-identical; the per-column noise pass then walks the strip
+// in window order, preserving the RNG stream.
+func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, out *bitvec.Vec) {
+	in := d.Input
+	thr := d.Q.Thresholds[0]
+	eff, m := in.eff.Data(), in.M
+	sigma, rng := in.model.ReadNoiseSigma, in.readNoise
+	strip = strip[:g.outW*m]
+	for oy := 0; oy < g.outH; oy++ {
+		for i := range strip {
+			strip[i] = 0
+		}
+		for ch := 0; ch < g.inC; ch++ {
+			base := ch * g.inH * g.inW
+			for ky := 0; ky < g.kh; ky++ {
+				row := data[base+(oy+ky)*g.inW : base+(oy+ky+1)*g.inW]
+				kbase := (ch*g.kh + ky) * g.kw
+				for ix, x := range row {
+					if x == 0 {
+						continue
+					}
+					lo := ix - g.kw + 1
+					if lo < 0 {
+						lo = 0
+					}
+					hi := ix
+					if hi >= g.outW {
+						hi = g.outW - 1
+					}
+					for ox := lo; ox <= hi; ox++ {
+						w := eff[(kbase+ix-ox)*m : (kbase+ix-ox+1)*m]
+						dst := strip[ox*m : ox*m+m]
+						for j, v := range w {
+							dst[j] += v * x
+						}
+					}
+				}
+			}
+		}
+		for ox := 0; ox < g.outW; ox++ {
+			cw := strip[ox*m : ox*m+m]
+			if rng != nil {
+				for j := range cw {
+					cw[j] *= 1 + sigma*rng.NormFloat64()
+				}
+			}
+			for k, v := range cw {
+				if v > thr {
+					poolSet(out, g, k, oy, ox)
+				}
+			}
+		}
+	}
+}
+
+// evalCountsWord is evalCounts over a single-word window: each
+// contiguous block selects its rows by mask and walks set bits
+// lowest-first — the same ascending local order, sums, draws and
+// counters as the bitvec walk, with no window blit and no second pass.
+func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col, g, vs []float64, agg bool) {
+	for c := range fired {
+		fired[c] = 0
+	}
+	m := len(col)
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		w := win >> uint(b.inputs[0])
+		if n := len(b.inputs); n < 64 {
+			w &= 1<<uint(n) - 1
+		}
+		for c := range col {
+			col[c] = 0
+		}
+		data := b.eff.Data()
+		ones := 0
+		w0sum := 0.0
+		for bs := w; bs != 0; bs &= bs - 1 {
+			local := bits.TrailingZeros64(bs)
+			ones++
+			row := data[local*m : (local+1)*m]
+			for c, v := range row {
+				col[c] += v
+			}
+			if b.w0 != nil {
+				w0sum += b.w0[local]
+			}
+		}
+		l.hw.ActiveInputs(int64(ones))
+		l.applyAnalogBits(b, nil, col, ones, g, vs, agg)
+		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
+		for c, s := range col {
+			if s > ref {
+				fired[c]++
+			}
+		}
+	}
+	if h := l.hw; h != nil {
+		h.MVM(int64(l.K))
+		h.SACompares(int64(l.K * l.M))
+		h.ColumnActivations(int64(l.K * l.M))
+	}
+}
+
+// evalCounts is the packed twin of the float Eval: bit-summed blocks,
+// the read-out effects applied per block, the same sense-amp compare,
+// hardware counters recorded at the same logical events. It fills
+// fired (len M, the per-column count of blocks whose SA fired); the
+// caller applies Eval's `>= DigitalThreshold` compare.
+func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g, vs []float64, agg bool) {
+	for c := range fired {
+		fired[c] = 0
+	}
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		w0sum, ones := b.sumsBits(in, col)
+		l.hw.ActiveInputs(int64(ones))
+		l.applyAnalogBits(b, in, col, ones, g, vs, agg)
+		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
+		for c, s := range col {
+			if s > ref {
+				fired[c]++
+			}
+		}
+	}
+	if h := l.hw; h != nil {
+		h.MVM(int64(l.K))
+		h.SACompares(int64(l.K * l.M))
+		h.ColumnActivations(int64(l.K * l.M))
+	}
+}
+
+// applyAnalogBits is applyAnalog on a packed input window: the same
+// effect order (per-cell noise, IR scale, per-column noise), the same
+// draws. agg selects the aggregated-variance approximation for the
+// per-cell pass; vs is its variance scratch.
+func (l *SEIConvLayer) applyAnalogBits(b *seiBlock, in *bitvec.Vec, sums []float64, ones int, g, vs []float64, agg bool) {
+	if l.cells != nil {
+		if agg {
+			l.hw.NoiseDraws(int64(cellNoiseAggregated(l.cells, l.model.ReadNoiseSigma, b, in, sums, g, vs)))
+		} else {
+			l.hw.NoiseDraws(int64(cellNoiseBits(l.cells, l.model.ReadNoiseSigma, b, in, sums, g)))
+		}
+	}
+	if a := l.model.IRDropAlpha; a > 0 {
+		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
+		for c := range sums {
+			sums[c] *= scale
+		}
+	}
+	if l.noise != nil {
+		for c := range sums {
+			sums[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
+		}
+		l.hw.NoiseDraws(int64(len(sums)))
+	}
+}
+
+// evalInto is the packed twin of the FC Eval: scores are written into
+// out (len M) and col is a per-block column scratch (len M). Bias
+// copy, block order, effect order and the `s − w0sum` accumulation
+// all match Eval, so scores are bit-identical.
+func (l *SEIFCLayer) evalInto(in *bitvec.Vec, out, col, g, vs []float64, agg bool) {
+	copy(out, l.Bias)
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		w0sum, ones := b.sumsBits(in, col)
+		l.hw.ActiveInputs(int64(ones))
+		w0sum = l.applyAnalogFCBits(b, in, col, w0sum, ones, g, vs, agg)
+		for c, s := range col {
+			out[c] += s - w0sum
+		}
+	}
+	if h := l.hw; h != nil {
+		h.MVM(int64(l.K))
+		h.ColumnActivations(int64(l.K * l.M))
+	}
+}
+
+// applyAnalogFCBits is applyAnalogFC on a packed input window.
+func (l *SEIFCLayer) applyAnalogFCBits(b *seiBlock, in *bitvec.Vec, main []float64, w0sum float64, ones int, g, vs []float64, agg bool) float64 {
+	if l.cells != nil {
+		if agg {
+			l.hw.NoiseDraws(int64(cellNoiseAggregated(l.cells, l.model.ReadNoiseSigma, b, in, main, g, vs)))
+		} else {
+			l.hw.NoiseDraws(int64(cellNoiseBits(l.cells, l.model.ReadNoiseSigma, b, in, main, g)))
+		}
+	}
+	if a := l.model.IRDropAlpha; a > 0 {
+		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
+		for c := range main {
+			main[c] *= scale
+		}
+		w0sum *= scale
+	}
+	if l.noise != nil {
+		for c := range main {
+			main[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
+		}
+		l.hw.NoiseDraws(int64(len(main)))
+	}
+	return w0sum
 }

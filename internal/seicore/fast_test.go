@@ -88,7 +88,7 @@ func TestFastPathMatchesFloatPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !d.fast {
+			if !d.ideal {
 				t.Fatalf("ideal-analog design did not enable the fast path")
 			}
 			fastLabels, fastCounters := evalBothPaths(t, d, f.q, sub, true, 2)
@@ -105,7 +105,8 @@ func TestFastPathMatchesFloatPath(t *testing.T) {
 
 // TestFastPathDisabledForNonIdealModels pins the dispatch rule: any
 // analog read-out effect (read noise, IR drop, I-V nonlinearity)
-// must keep the design on the float path.
+// keeps the design off the ideal-only paths (sliced walker, bounded
+// mode), and the design still evaluates.
 func TestFastPathDisabledForNonIdealModels(t *testing.T) {
 	f := getFixture(t)
 	mods := map[string]func(*rram.DeviceModel){
@@ -122,12 +123,11 @@ func TestFastPathDisabledForNonIdealModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.fast {
-				t.Fatalf("%s model enabled the fast path", name)
+			if d.ideal || d.SlicedBatchEligible() {
+				t.Fatalf("%s model enabled the ideal-only paths", name)
 			}
-			// The float path must still evaluate.
 			if _, err := nn.Predict(d, f.test.Images[0]); err != nil {
-				t.Fatalf("float-path predict: %v", err)
+				t.Fatalf("predict: %v", err)
 			}
 		})
 	}
@@ -171,7 +171,7 @@ func TestFastPathSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.fast {
+	if !loaded.ideal {
 		t.Fatalf("loaded ideal-analog design did not re-enable the fast path")
 	}
 	sub := f.test.Subset(40)
@@ -185,5 +185,67 @@ func TestFastPathSurvivesSaveLoad(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { loaded.Predict(sub.Images[0]) }); avg != 0 {
 		t.Errorf("loaded design's Predict allocates %.1f objects per image, want 0", avg)
+	}
+}
+
+// TestKernelSelection pins which kernel the packed walkers pick at
+// stage 0 and at the SEI conv stage for each design configuration, so a
+// change to a selection rule shows up here and not only as a benchmark
+// delta. The fixture's conv stage has fan-in 36: one machine word.
+func TestKernelSelection(t *testing.T) {
+	f := getFixture(t)
+	perm := rand.New(rand.NewSource(11)).Perm(36)
+	colNoise := func(c *SEIBuildConfig) { c.Layer.Model.ReadNoiseSigma = 0.05 }
+	cellNoise := func(c *SEIBuildConfig) {
+		c.Layer.Model.ReadNoiseSigma = 0.05
+		c.Layer.Model.ReadNoisePerCell = true
+	}
+	irDrop := func(c *SEIBuildConfig) { c.Layer.Model.IRDropAlpha = 0.1 }
+	split := func(c *SEIBuildConfig) { c.Layer.MaxCrossbar = 16 }
+	permuted := func(c *SEIBuildConfig) {
+		c.Layer.MaxCrossbar = 16
+		c.Orders = [][]int{nil, perm} // non-contiguous blocks
+	}
+	cases := []struct {
+		name                string
+		mod                 func(*SEIBuildConfig)
+		bounded, instrument bool
+		stage0, conv        stageKernel
+	}{
+		{"ideal", nil, false, false, kernelStrip, kernelWord},
+		{"ideal-bounded", nil, true, false, kernelStrip, kernelBounded},
+		{"ideal-instrumented", nil, false, true, kernelGather, kernelWord},
+		{"ideal-bounded-instrumented", nil, true, true, kernelGather, kernelBounded},
+		{"per-column-noise", colNoise, false, false, kernelStrip, kernelWord},
+		{"per-column-noise-bounded", colNoise, true, false, kernelStrip, kernelWord},
+		{"per-column-noise-instrumented", colNoise, false, true, kernelGather, kernelWord},
+		{"per-cell-noise", cellNoise, false, false, kernelGather, kernelBitvec},
+		{"ir-drop-bounded", irDrop, true, false, kernelStrip, kernelWord},
+		{"split-contiguous", split, false, false, kernelStrip, kernelWord},
+		{"split-permuted", permuted, false, false, kernelStrip, kernelBitvec},
+		{"split-permuted-bounded", permuted, true, false, kernelStrip, kernelBounded},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultSEIBuildConfig()
+			cfg.DynamicThreshold = false
+			if tc.mod != nil {
+				tc.mod(&cfg)
+			}
+			d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetBounded(tc.bounded)
+			if tc.instrument {
+				d.Instrument(obs.New())
+			}
+			if got := d.stage0Kernel(); got != tc.stage0 {
+				t.Errorf("stage 0 kernel %v, want %v", got, tc.stage0)
+			}
+			if got := d.convKernel(d.Convs[0]); got != tc.conv {
+				t.Errorf("conv stage kernel %v, want %v", got, tc.conv)
+			}
+		})
 	}
 }

@@ -97,9 +97,24 @@ func snapshotBlocks(blocks []seiBlock) []blockSnapshot {
 	return out
 }
 
-func restoreBlocks(snaps []blockSnapshot, m int) ([]seiBlock, error) {
+// restoreBlocks rebuilds a layer's k blocks from their snapshots and
+// checks that their inputs form a permutation of the layer's n logical
+// inputs: the evaluators index input vectors by them unchecked.
+func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
+	if n < 0 || len(snaps) != k {
+		return nil, fmt.Errorf("seicore: %d blocks over %d inputs, want K=%d", len(snaps), n, k)
+	}
+	seen := make([]bool, n)
+	held := 0
 	blocks := make([]seiBlock, len(snaps))
 	for i, s := range snaps {
+		for _, j := range s.Inputs {
+			if j < 0 || j >= n || seen[j] {
+				return nil, fmt.Errorf("seicore: block %d input %d: block inputs are not a permutation of [0,%d)", i, j, n)
+			}
+			seen[j] = true
+		}
+		held += len(s.Inputs)
 		if len(s.Eff) != len(s.Inputs)*m {
 			return nil, fmt.Errorf("seicore: block %d has %d effective weights, want %d×%d", i, len(s.Eff), len(s.Inputs), m)
 		}
@@ -128,6 +143,9 @@ func restoreBlocks(snaps []blockSnapshot, m int) ([]seiBlock, error) {
 			}
 		}
 		blocks[i].initFast()
+	}
+	if held != n {
+		return nil, fmt.Errorf("seicore: blocks hold %d of %d inputs", held, n)
 	}
 	return blocks, nil
 }
@@ -212,11 +230,21 @@ func LoadDesign(r io.Reader, seed int64) (*SEIDesign, error) {
 		}
 	}
 	rngIdx++
+	if len(snap.Convs) != len(q.Convs)-1 {
+		return nil, fmt.Errorf("seicore: %d SEI conv stages, quantized net has %d", len(snap.Convs), len(q.Convs)-1)
+	}
 	for i, ls := range snap.Convs {
 		if err := ls.Model.Validate(); err != nil {
 			return nil, fmt.Errorf("seicore: conv stage %d device: %w", i+1, err)
 		}
-		blocks, err := restoreBlocks(ls.Blocks, ls.M)
+		if len(ls.BaseThr) != ls.K || len(ls.OnesMean) != ls.K {
+			return nil, fmt.Errorf("seicore: conv stage %d has %d base thresholds and %d ones means, want K=%d",
+				i+1, len(ls.BaseThr), len(ls.OnesMean), ls.K)
+		}
+		if ls.DigitalThreshold < 1 || ls.DigitalThreshold > ls.K {
+			return nil, fmt.Errorf("seicore: conv stage %d digital threshold %d outside [1,%d]", i+1, ls.DigitalThreshold, ls.K)
+		}
+		blocks, err := restoreBlocks(ls.Blocks, ls.N, ls.M, ls.K)
 		if err != nil {
 			return nil, fmt.Errorf("seicore: conv stage %d: %w", i+1, err)
 		}
@@ -243,7 +271,10 @@ func LoadDesign(r io.Reader, seed int64) (*SEIDesign, error) {
 	if err := snap.FC.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("seicore: FC stage device: %w", err)
 	}
-	fcBlocks, err := restoreBlocks(snap.FC.Blocks, snap.FC.M)
+	if len(snap.FC.Bias) != snap.FC.M {
+		return nil, fmt.Errorf("seicore: FC bias length %d, want %d", len(snap.FC.Bias), snap.FC.M)
+	}
+	fcBlocks, err := restoreBlocks(snap.FC.Blocks, snap.FC.N, snap.FC.M, snap.FC.K)
 	if err != nil {
 		return nil, fmt.Errorf("seicore: FC stage: %w", err)
 	}

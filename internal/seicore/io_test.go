@@ -194,3 +194,61 @@ func TestLoadDesignRejectsGarbage(t *testing.T) {
 		t.Fatal("truncated design accepted")
 	}
 }
+
+// TestLoadDesignRejectsCorruptSnapshots pins LoadDesign's structural
+// checks: each corruption decodes cleanly but would panic or
+// mispredict on the first Predict, so the load must fail instead.
+func TestLoadDesignRejectsCorruptSnapshots(t *testing.T) {
+	f := getFixture(t)
+	cfg := DefaultSEIBuildConfig()
+	cfg.Layer.MaxCrossbar = 16 // several blocks per layer
+	cfg.DynamicThreshold = false
+	design, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := design.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	load := func(corrupt func(*designSnapshot)) error {
+		var snap designSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&snap)
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDesign(&out, 1)
+		return err
+	}
+	if err := load(func(*designSnapshot) {}); err != nil {
+		t.Fatalf("intact snapshot rejected: %v", err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(*designSnapshot)
+	}{
+		{"conv-base-thr-nil", func(s *designSnapshot) { s.Convs[0].BaseThr = nil }},
+		{"conv-ones-mean-short", func(s *designSnapshot) { s.Convs[0].OnesMean = s.Convs[0].OnesMean[1:] }},
+		{"conv-block-count", func(s *designSnapshot) { s.Convs[0].Blocks = s.Convs[0].Blocks[1:] }},
+		{"conv-input-out-of-range", func(s *designSnapshot) { s.Convs[0].Blocks[0].Inputs[0] = s.Convs[0].N }},
+		{"conv-input-repeated", func(s *designSnapshot) {
+			s.Convs[0].Blocks[1].Inputs[0] = s.Convs[0].Blocks[0].Inputs[0]
+		}},
+		{"convs-nil", func(s *designSnapshot) { s.Convs = nil }},
+		{"digital-threshold-zero", func(s *designSnapshot) { s.Convs[0].DigitalThreshold = 0 }},
+		{"digital-threshold-above-k", func(s *designSnapshot) { s.Convs[0].DigitalThreshold = s.Convs[0].K + 1 }},
+		{"fc-bias-short", func(s *designSnapshot) { s.FC.Bias = s.FC.Bias[1:] }},
+		{"fc-input-out-of-range", func(s *designSnapshot) { s.FC.Blocks[0].Inputs[0] = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := load(tc.corrupt); err == nil {
+				t.Fatal("corrupt snapshot accepted")
+			}
+		})
+	}
+}

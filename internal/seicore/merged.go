@@ -119,15 +119,15 @@ func (l *MergedLayer) applyReadNoise(in, out, g []float64) {
 	}
 }
 
-// evalIdealInto is the allocation-free variant of Eval for the
-// ideal-analog case (no I-V nonlinearity, no read noise — guaranteed
-// by the fast-path dispatch): outputs are written into out (len M)
-// with MatVecTInto, whose accumulation order is bit-identical to the
-// MatVecT call inside Eval. Hardware counters are recorded exactly as
-// Eval records them. Returns the active-input count for the bounded
-// path's row accounting (0 when uninstrumented — only the bounded
-// path, which requires instrumentation to be useful, reads it).
-func (l *MergedLayer) evalIdealInto(in, out []float64) int {
+// evalInto is the allocation-free variant of Eval for a linear
+// read-out (no I-V nonlinearity — guaranteed by the packed walker's
+// dispatch): MatVecTInto produces the bit-identical product, then
+// applyReadNoise draws exactly the draws Eval draws, in the same
+// order, from the caller's scratch g (a no-op on an ideal read-out).
+// Hardware counters are recorded exactly as Eval records them. Returns
+// the active-input count for bounded mode's row accounting (0 when
+// uninstrumented, where nothing reads it).
+func (l *MergedLayer) evalInto(in, out, g []float64) int {
 	ones := 0
 	if h := l.hw; h != nil {
 		for _, x := range in {
@@ -140,30 +140,8 @@ func (l *MergedLayer) evalIdealInto(in, out []float64) int {
 		h.ActiveInputs(int64(ones))
 	}
 	tensor.MatVecTInto(out, l.eff, in)
-	return ones
-}
-
-// evalNoisyInto is the allocation-free variant of Eval for linear but
-// non-ideal read-out (read noise and/or IR-free merged stages —
-// guaranteed by the packed noisy dispatch, which excludes I-V
-// nonlinearity): MatVecTInto produces the bit-identical ideal product,
-// then applyReadNoise draws exactly the draws Eval draws, in the same
-// order, from the caller's scratch g. Hardware counters are recorded
-// exactly as Eval records them.
-func (l *MergedLayer) evalNoisyInto(in, out, g []float64) {
-	if h := l.hw; h != nil {
-		ones := 0
-		for _, x := range in {
-			if x != 0 {
-				ones++
-			}
-		}
-		h.MVM(1)
-		h.ColumnActivations(int64(l.M))
-		h.ActiveInputs(int64(ones))
-	}
-	tensor.MatVecTInto(out, l.eff, in)
 	l.applyReadNoise(in, out, g)
+	return ones
 }
 
 // EffectiveWeights exposes the programmed effective matrix for

@@ -2,7 +2,7 @@ package seicore
 
 // Per-cell read noise: the seed-addressed draw stream and the noise
 // passes shared by the float path (sei.go, merged.go) and the packed
-// non-ideal path (fastnoisy.go).
+// walker (fast.go).
 //
 // The per-column model (DeviceModel.ReadNoiseSigma alone) keeps its
 // original math/rand ziggurat stream untouched — every existing noisy

@@ -2,7 +2,6 @@ package seicore
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"sei/internal/bitvec"
@@ -232,11 +231,9 @@ type SEIConvLayer struct {
 	cells *noiseStream
 	hw    *obs.HW     // hardware-event counters; nil = not instrumented
 	skip  *obs.SkipHW // activation-bound skip counters; nil = not instrumented
-	// approx enables the bounded walk on the noisy float path: bound
-	// decisions are exact for the ideal sums but approximate once read
-	// noise perturbs them, so this is opt-in (SetBoundedApprox) and
-	// reported with a measured accuracy delta.
-	approx bool
+	// word caches wordWindowEligible for the packed walker's kernel
+	// choice (convKernel); set by initFastPath.
+	word bool
 
 	// Threshold is the layer's logical binarization threshold (from
 	// Algorithm 1), in weight·input units.
@@ -324,15 +321,6 @@ func gatherRows(w *tensor.Tensor, rows []int) *tensor.Tensor {
 }
 
 // Eval computes the layer's output bits for one 0/1 input vector.
-//
-// With the approximate bounded mode on (SetBoundedApprox), blocks with
-// a static reference and a built bound table run the bounded row walk
-// even under read noise: the bound decides against the *ideal* sums,
-// and noise is drawn only for the columns whose decision still needs
-// the analog value (in ascending column order — fewer RNG draws is
-// precisely the "work actually performed" semantics, and precisely the
-// approximation). Labels can therefore differ from the exact path;
-// cmd/seisim's bounded experiment measures the accuracy delta.
 func (l *SEIConvLayer) Eval(in []float64) []bool {
 	if len(in) != l.N {
 		panic(fmt.Sprintf("seicore: SEIConvLayer input length %d, want %d", len(in), l.N))
@@ -342,77 +330,13 @@ func (l *SEIConvLayer) Eval(in []float64) []bool {
 	if l.cells != nil {
 		g = make([]float64, l.M)
 	}
-	var saCmps int64
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		if l.approx && l.cells == nil && b.bnd != nil && b.w0 == nil && l.Gamma == 0 && l.model.IRDropAlpha == 0 {
-			ref := l.BaseThr[bi]
-			main, st := b.sumsBounded(in, l.M, ref)
-			l.hw.ActiveInputs(int64(st.ones))
-			firedMask := st.fired1
-			var draws int64
-			for t := st.undecided; t != 0; t &= t - 1 {
-				c := bits.TrailingZeros64(t)
-				s := main[c]
-				if l.noise != nil {
-					s *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
-					draws++
-				}
-				if s > ref {
-					firedMask |= 1 << uint(c)
-				}
-			}
-			l.hw.NoiseDraws(draws)
-			for t := firedMask; t != 0; t &= t - 1 {
-				fired[bits.TrailingZeros64(t)]++
-			}
-			undec := bits.OnesCount64(st.undecided)
-			saCmps += int64(undec)
-			l.skip.Record(int64(st.ones), int64(st.skipped),
-				int64(bits.OnesCount64(colMask(l.M)&^st.undecided)), int64(st.evals), 0)
-			continue
-		}
 		main, w0sum, ones := b.sums(in, l.M)
 		l.hw.ActiveInputs(int64(ones))
 		l.applyAnalog(b, in, main, ones, g)
 		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
 		for c, s := range main {
-			if s > ref {
-				fired[c]++
-			}
-		}
-		saCmps += int64(l.M)
-	}
-	if h := l.hw; h != nil {
-		h.MVM(int64(l.K))
-		h.SACompares(saCmps)
-		h.ColumnActivations(saCmps)
-	}
-	out := make([]bool, l.M)
-	for c, f := range fired {
-		out[c] = f >= l.DigitalThreshold
-	}
-	return out
-}
-
-// evalFastCounts is the bit-packed, allocation-free core of Eval for
-// the ideal-analog case (no IR drop, no read noise, no I-V
-// nonlinearity — the fast-path dispatch guarantees applyAnalog would
-// be a no-op). It fills fired (len M, the per-column count of blocks
-// whose SA fired) using the caller's scratch slices; the caller turns
-// fired into output bits with the same `>= DigitalThreshold` compare
-// Eval uses. Hardware counters are recorded exactly as Eval records
-// them.
-func (l *SEIConvLayer) evalFastCounts(in *bitvec.Vec, fired []int, col []float64) {
-	for c := range fired {
-		fired[c] = 0
-	}
-	for bi := range l.blocks {
-		b := &l.blocks[bi]
-		w0sum, ones := b.sumsBits(in, col)
-		l.hw.ActiveInputs(int64(ones))
-		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
-		for c, s := range col {
 			if s > ref {
 				fired[c]++
 			}
@@ -423,6 +347,11 @@ func (l *SEIConvLayer) evalFastCounts(in *bitvec.Vec, fired []int, col []float64
 		h.SACompares(int64(l.K * l.M))
 		h.ColumnActivations(int64(l.K * l.M))
 	}
+	out := make([]bool, l.M)
+	for c, f := range fired {
+		out[c] = f >= l.DigitalThreshold
+	}
+	return out
 }
 
 // BlockSums exposes the per-block analog sums and active counts for
@@ -603,25 +532,4 @@ func (l *SEIFCLayer) applyAnalogFC(b *seiBlock, in []float64, main []float64, w0
 		l.hw.NoiseDraws(int64(len(main)))
 	}
 	return w0sum
-}
-
-// evalFastInto is the bit-packed, allocation-free variant of Eval for
-// the ideal-analog case: the flattened 0/1 activation map arrives
-// packed, scores are written into out (len M) and col is a per-block
-// column scratch (len M). Bias copy, block order and the `s − w0sum`
-// accumulation match Eval exactly, so scores are bit-identical.
-func (l *SEIFCLayer) evalFastInto(in *bitvec.Vec, out, col []float64) {
-	copy(out, l.Bias)
-	for bi := range l.blocks {
-		b := &l.blocks[bi]
-		w0sum, ones := b.sumsBits(in, col)
-		l.hw.ActiveInputs(int64(ones))
-		for c, s := range col {
-			out[c] += s - w0sum
-		}
-	}
-	if h := l.hw; h != nil {
-		h.MVM(int64(l.K))
-		h.ColumnActivations(int64(l.K * l.M))
-	}
 }

@@ -1,7 +1,7 @@
 package seicore
 
-// The bit-sliced (SIMD-within-a-register) batch fast path. fast.go
-// packs one image's activations 64 bits per word; this file transposes
+// The bit-sliced (SIMD-within-a-register) batch walker. The per-image
+// walker (fast.go) packs one image's activations 64 bits per word; this file transposes
 // the layout — the SAME activation bit across up to 64 images packed
 // into one uint64, image L in bit (lane) L — so a pooling OR, a
 // threshold write-out or a crossbar row-select test processes 64
@@ -11,11 +11,11 @@ package seicore
 // are produced lane-major directly and never transposed back.
 //
 // Bit-identity contract (pinned by sliced_test.go and
-// determinism_test.go): per-lane results equal the per-image fast path
+// determinism_test.go): per-lane results equal the per-image walker
 // bit for bit, in labels AND in hardware-counter totals. Two
 // mechanisms carry that:
 //
-//   - Every float accumulation replays the per-image path's exact
+//   - Every float accumulation replays the per-image walker's exact
 //     addition sequence. Stage 0 transposes the float images lane-major
 //     (pixT[p·64+lane]) and gathers each window with ascending-row
 //     vecf.MulAccLanes calls — strict mul-then-add rounding per
@@ -42,10 +42,19 @@ package seicore
 // contract. The speedup comes from amortizing row walks, window
 // gathers and pooling over 64 lanes, not from reassociating sums.
 //
-// Eligibility is the fast path's: ideal-analog models everywhere (no
-// read noise, IR drop or I-V nonlinearity), which also makes the
-// receiver goroutine-safe — scratch state lives in a per-call arena
-// from a sync.Pool, so steady-state sliced batches allocate nothing.
+// Bounded mode (SetBounded) runs the same walk with the per-lane
+// activation-bound kernel on stages convKernel picks it for, and skips
+// pool-cropped windows wholesale; labels, hw_* and sei_* counter
+// totals stay bit-identical to per-image bounded Predict (pinned by
+// TestBoundedSlicedMatchesBoundedFast). The per-lane walk mirrors
+// sumsBitsBounded decision for decision: a column decides at exactly
+// the same scan point on either engine because both call
+// vecf.BoundCols with identical partial sums and tables.
+//
+// Eligibility: ideal read-outs everywhere (no read noise, IR drop or
+// I-V nonlinearity), which also makes the receiver goroutine-safe —
+// scratch state lives in a per-call arena from a sync.Pool, so
+// steady-state sliced batches allocate nothing.
 
 import (
 	"math/bits"
@@ -81,17 +90,16 @@ type slicedScratch struct {
 	ones   []int32   // per-lane active-input count within one block
 	w0     []float64 // per-lane dynamic-column sum within one block
 
-	// Bounded-mode per-lane state (sliced_bounded.go): undecided column
-	// masks, bound-decided-1 masks and last-evaluated checkpoints within
-	// one block's walk, plus the cross-block output-undecided masks.
+	// Bounded-mode per-lane state: undecided column masks,
+	// bound-decided-1 masks and last-evaluated checkpoints within one
+	// block's walk, plus the cross-block output-undecided masks.
 	undec    []uint64
 	fired1   []uint64
 	lastCp   []int32
 	outUndec []uint64
-	// Stage-0 live/cropped window coverage split: coverLive counts the
-	// pool-covered kernel placements reading each pixel, coverSkip the
-	// pool-cropped ones (coverLive + coverSkip == cover).
-	coverLive, coverSkip []int32
+	// coverLive counts the pool-covered kernel placements reading each
+	// pixel; cover − coverLive are the pool-cropped ones.
+	coverLive []int32
 }
 
 // newSlicedScratch sizes an arena for d and precomputes the stage-0
@@ -138,27 +146,20 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 		}
 	}
 	// Window coverage is separable: cover(y,x) = rows(y)·cols(x), the
-	// per-axis counts of kernel placements reading that coordinate.
+	// per-axis counts of kernel placements reading that coordinate;
+	// coverLive counts only the placements the pool grid keeps (a
+	// window is live iff both its axes are).
+	liveH, liveW := g.live()
 	rows := coverage1D(g.inH, g.kh, g.stride, g.outH)
 	cols := coverage1D(g.inW, g.kw, g.stride, g.outW)
+	liveRows := coverage1D(g.inH, g.kh, g.stride, liveH)
+	liveCols := coverage1D(g.inW, g.kw, g.stride, liveW)
 	s.cover = make([]int32, g.inH*g.inW)
+	s.coverLive = make([]int32, g.inH*g.inW)
 	for y := 0; y < g.inH; y++ {
 		for x := 0; x < g.inW; x++ {
 			s.cover[y*g.inW+x] = rows[y] * cols[x]
-		}
-	}
-	// Bounded-mode split of the same coverage into pool-covered and
-	// pool-cropped placements (separable like cover itself: a window is
-	// live iff both its axes are).
-	liveRows := coverage1DLive(g.kh, g.stride, g.outH, g.pool, g.pooledH, g.inH)
-	liveCols := coverage1DLive(g.kw, g.stride, g.outW, g.pool, g.pooledW, g.inW)
-	s.coverLive = make([]int32, g.inH*g.inW)
-	s.coverSkip = make([]int32, g.inH*g.inW)
-	for y := 0; y < g.inH; y++ {
-		for x := 0; x < g.inW; x++ {
-			live := liveRows[y] * liveCols[x]
-			s.coverLive[y*g.inW+x] = live
-			s.coverSkip[y*g.inW+x] = s.cover[y*g.inW+x] - live
+			s.coverLive[y*g.inW+x] = liveRows[y] * liveCols[x]
 		}
 	}
 	s.undec = make([]uint64, lanes)
@@ -168,23 +169,8 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 	return s
 }
 
-// coverage1DLive is coverage1D restricted to kernel placements the
-// floor-division pool grid keeps along one axis.
-func coverage1DLive(k, stride, outN, pool, pooledN, in int) []int32 {
-	c := make([]int32, in)
-	for o := 0; o < outN; o++ {
-		if pool > 1 && o/pool >= pooledN {
-			continue
-		}
-		for d := 0; d < k; d++ {
-			c[o*stride+d]++
-		}
-	}
-	return c
-}
-
-// coverage1D counts, per input coordinate, how many of the outN kernel
-// placements along one axis read it.
+// coverage1D counts, per input coordinate, how many of the first outN
+// kernel placements along one axis read it.
 func coverage1D(in, k, stride, outN int) []int32 {
 	c := make([]int32, in)
 	for o := 0; o < outN; o++ {
@@ -195,34 +181,13 @@ func coverage1D(in, k, stride, outN int) []int32 {
 	return c
 }
 
-// outRange returns the inclusive range of output coordinates along one
-// axis whose kernel window covers input coordinate p (empty when
-// lo > hi — an edge pixel the output grid never reads).
-func outRange(p, k, stride, outN int) (lo, hi int) {
-	if p >= k {
-		lo = (p - k + stride) / stride
-	}
-	hi = p / stride
-	if hi > outN-1 {
-		hi = outN - 1
-	}
-	return lo, hi
-}
-
-// SetSlicedPath enables (the default for eligible designs) or disables
-// the bit-sliced batch path: disabling makes SlicedBatchEligible
-// report false, so nn.PredictBatch keeps the per-image engine — used
-// by benchmarks that measure the per-image path and by the
-// path-equivalence tests. It cannot enable the sliced path on
-// noisy/nonlinear designs. Not safe to call concurrently with
-// evaluation.
-func (d *SEIDesign) SetSlicedPath(on bool) { d.slicedOff = !on }
-
 // SlicedBatchEligible implements nn.SlicedBatchPredictor: the sliced
-// path applies exactly when the per-image fast path does (ideal-analog
-// models; see fast.go) and neither path has been toggled off.
+// path applies to ideal read-outs (d.sliced is built only for them)
+// unless SetFastPath turned the packed paths off. Callers that need
+// the per-image engine on an eligible design wrap it in a type that
+// does not implement nn.SlicedBatchPredictor.
 func (d *SEIDesign) SlicedBatchEligible() bool {
-	return d.fast && !d.fastOff && !d.slicedOff && d.sliced != nil
+	return d.sliced != nil && !d.fastOff
 }
 
 var _ nn.SlicedBatchPredictor = (*SEIDesign)(nil)
@@ -260,29 +225,51 @@ func (d *SEIDesign) PredictBatchSliced(imgs []*tensor.Tensor, out []nn.PredictRe
 // predictSliced runs the full bit-sliced forward pass. The caller owns
 // s for the duration of the call and has validated the input shapes.
 func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult, s *slicedScratch) {
-	if d.bounded {
-		d.predictSlicedBounded(imgs, out, s)
-		return
-	}
 	q := d.Q
 	lanes := len(imgs)
+	batchMask := ^uint64(0)
+	if lanes < vecf.Lanes {
+		batchMask = 1<<uint(lanes) - 1
+	}
 
 	// Stage 0 keeps the DAC+ADC organization: the float images are
 	// transposed lane-major, every conv window accumulates all 64 lanes
 	// at once through the vecf kernels, and the fired bits pool-fuse
-	// straight into the lane-major map.
+	// straight into the lane-major map. The compute loops skip
+	// pool-cropped windows (their outputs are unreadable); unbounded
+	// runs still charge them, as the per-image walker evaluates them,
+	// while bounded runs charge only the live placements and record the
+	// cropped ones as skipped.
 	g := &s.geom[0]
 	mapLen := g.filters * g.pooledH * g.pooledW
 	cur := s.cur[:mapLen]
 	for i := range cur {
 		cur[i] = 0
 	}
-	ones := d.slicedStage0(imgs, s, cur)
+	d.slicedStage0(imgs, s, cur)
+	positions, cover := int64(g.outH*g.outW), s.cover
+	if d.bounded {
+		liveH, liveW := g.live()
+		positions, cover = int64(liveH*liveW), s.coverLive
+	}
+	// Active inputs: each nonzero pixel counted once per window covering
+	// it — the sum of the per-image walker's per-window counts.
+	plane := g.inH * g.inW
+	var driven0, skipped0 int64
+	for p, w := range s.nz[:g.inC*plane] {
+		if w != 0 {
+			cnt := int64(bits.OnesCount64(w))
+			driven0 += cnt * int64(cover[p%plane])
+			skipped0 += cnt * int64(s.cover[p%plane]-cover[p%plane])
+		}
+	}
 	if h := d.Input.hw; h != nil {
-		positions := int64(g.outH * g.outW)
 		h.MVM(positions * int64(lanes))
 		h.ColumnActivations(positions * int64(g.filters) * int64(lanes))
-		h.ActiveInputs(ones)
+		h.ActiveInputs(driven0)
+	}
+	if d.bounded {
+		d.Input.skip.Record(driven0, skipped0, 0, 0, 0)
 	}
 	if g.pool > 1 {
 		q.CountORPool(int64(lanes) * int64(mapLen))
@@ -292,6 +279,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 	// threshold counts per lane out, OR-fused pooling as word ORs.
 	for l := 1; l < len(q.Convs); l++ {
 		layer := d.Convs[l-1]
+		bnd := d.convKernel(layer) == kernelBounded
 		g := &s.geom[l]
 		in := s.cur
 		outMap := s.next[:g.filters*g.pooledH*g.pooledW]
@@ -301,6 +289,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 		win := s.win[:g.fan]
 		fired := s.fired[:lanes*layer.M]
 		dthr := int32(layer.DigitalThreshold)
+		var fullWins, cropSkip int64 // windows charged at full cost; rows skipped by the crop
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
 				py, px := oy, ox
@@ -322,10 +311,22 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 				if cropped {
 					// No output bit depends on a pool-cropped window;
 					// only its active-input totals are observable.
-					layer.slicedOnes(win)
+					if d.bounded {
+						for _, w := range win {
+							cropSkip += int64(bits.OnesCount64(w & batchMask))
+						}
+					} else {
+						layer.slicedOnes(win)
+						fullWins++
+					}
 					continue
 				}
-				layer.slicedCounts(win, lanes, s)
+				if bnd {
+					layer.slicedCountsBounded(win, lanes, batchMask, s)
+				} else {
+					layer.slicedCounts(win, lanes, batchMask, s)
+					fullWins++
+				}
 				for k := 0; k < layer.M; k++ {
 					var w uint64
 					for lane := 0; lane < lanes; lane++ {
@@ -340,10 +341,13 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 			}
 		}
 		if h := layer.hw; h != nil {
-			positions := int64(g.outH * g.outW)
-			h.MVM(int64(layer.K) * positions * int64(lanes))
-			h.SACompares(int64(layer.K*layer.M) * positions * int64(lanes))
-			h.ColumnActivations(int64(layer.K*layer.M) * positions * int64(lanes))
+			n := int64(layer.K) * fullWins * int64(lanes)
+			h.MVM(n)
+			h.SACompares(n * int64(layer.M))
+			h.ColumnActivations(n * int64(layer.M))
+		}
+		if cropSkip > 0 {
+			layer.skip.Record(0, cropSkip, 0, 0, 0)
 		}
 		if g.pool > 1 {
 			q.CountORPool(int64(lanes) * int64(g.filters*g.pooledH*g.pooledW))
@@ -353,7 +357,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 
 	// FC stage: the flattened final map is already the lane-major
 	// input; per-lane scores feed the argmax epilogue.
-	d.FC.slicedScores(s.cur, lanes, s)
+	d.FC.slicedScores(s.cur, lanes, batchMask, s)
 	m := d.FC.M
 	for lane := 0; lane < lanes; lane++ {
 		sc := s.scores[lane*m : lane*m+m]
@@ -369,10 +373,8 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 
 // slicedStage0 convolves all lanes' float images through the merged
 // input layer in one lane-dense pass, thresholds per lane and
-// pool-fuses the fired bits into the lane-major map. It returns the
-// active-input total across lanes (each nonzero pixel counted once per
-// window covering it — the sum of evalIdealInto's per-window nonzero
-// counts).
+// pool-fuses the fired bits into the lane-major map, leaving each
+// pixel's nonzero-lane word in s.nz for the caller's counters.
 //
 // Per window the kernel rows are visited in ascending fan order with
 // strict mul-then-add accumulation — vecf.ConvWin4 fused when the
@@ -381,10 +383,9 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 // exactly; lanes whose pixel is zero accumulate a ±0 product, an IEEE
 // identity (see the file header), and rows zero in every lane are
 // skipped outright.
-func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []uint64) int64 {
+func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []uint64) {
 	g := &s.geom[0]
 	n := g.inC * g.inH * g.inW
-	plane := g.inH * g.inW
 	pixT := s.pixT[:n*vecf.Lanes]
 	nz := s.nz[:n]
 	srcs := s.srcs[:len(imgs)]
@@ -411,13 +412,6 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 	for lane := range srcs {
 		srcs[lane] = nil // don't retain image data in the pooled arena
 	}
-	var ones int64
-	for p, w := range nz {
-		if w != 0 {
-			ones += int64(bits.OnesCount64(w)) * int64(s.cover[p%plane])
-		}
-	}
-
 	lanes := len(imgs)
 	laneMask := ^uint64(0)
 	if lanes < vecf.Lanes {
@@ -463,7 +457,7 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 				}
 			}
 		}
-		return ones
+		return
 	}
 	acc := s.acc[:m*vecf.Lanes]
 	for oy := 0; oy < g.outH; oy++ {
@@ -505,17 +499,17 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 			}
 		}
 	}
-	return ones
 }
 
-// slicedCounts is evalFastCounts over a lane-major window: it fills
-// s.fired (lane-major, lanes·M entries) with each lane's per-column
-// fired-block counts. Rows are visited in ascending local order and
-// each set lane accumulates the same effective-weight row the
-// per-image path adds, so per-lane sums — and the SA compares against
-// the (per-lane dynamic) reference — are bit-identical. ActiveInputs
-// is recorded as the popcount total, the sum of the per-lane counts.
-func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, s *slicedScratch) {
+// slicedCounts is evalCounts over a lane-major window on an ideal
+// read-out: it fills s.fired (lane-major, lanes·M entries) with each
+// lane's per-column fired-block counts. Rows are visited in ascending
+// local order and each set lane accumulates the same effective-weight
+// row the per-image walker adds, so per-lane sums — and the SA
+// compares against the (per-lane dynamic) reference — are
+// bit-identical. ActiveInputs is recorded as the popcount total, the
+// sum of the per-lane counts.
+func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, batchMask uint64, s *slicedScratch) {
 	m := l.M
 	fired := s.fired[:lanes*m]
 	for i := range fired {
@@ -523,7 +517,7 @@ func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, s *slicedScratch) {
 	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot := b.slicedSums(win, lanes, s, l.Gamma != 0)
+		onesTot, _ := b.slicedSums(win, batchMask, 0, l.Gamma != 0, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		switch {
@@ -567,8 +561,8 @@ func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, s *slicedScratch) {
 
 // slicedOnes records a pool-cropped window's per-block active-input
 // totals without computing column sums: the window's fired bits never
-// reach the output map, but the per-image path still evaluates it, so
-// its ActiveInputs contribution must be counted.
+// reach the output map, but the unbounded per-image walker still
+// evaluates it, so its ActiveInputs contribution must be counted.
 func (l *SEIConvLayer) slicedOnes(win []uint64) {
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
@@ -580,17 +574,18 @@ func (l *SEIConvLayer) slicedOnes(win []uint64) {
 	}
 }
 
-// slicedScores is evalFastInto over a lane-major flattened map: bias
-// copy, block order and the `s − w0sum` accumulation per lane match
-// the per-image path exactly, so per-lane scores are bit-identical.
-func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, s *slicedScratch) {
+// slicedScores is SEIFCLayer.evalInto over a lane-major flattened map
+// on an ideal read-out: bias copy, block order and the `s − w0sum`
+// accumulation per lane match the per-image walker exactly, so
+// per-lane scores are bit-identical.
+func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *slicedScratch) {
 	m := l.M
 	for lane := 0; lane < lanes; lane++ {
 		copy(s.scores[lane*m:lane*m+m], l.Bias)
 	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot := b.slicedSums(in, lanes, s, false)
+		onesTot, _ := b.slicedSums(in, batchMask, 0, false, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		for lane := 0; lane < lanes; lane++ {
@@ -611,47 +606,56 @@ func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, s *slicedScratch) {
 	}
 }
 
-// slicedSums is sumsBits over a lane-major input: for every block row
-// whose lane word has any bit set, each set lane accumulates the row
-// into its column sums (s.acc, zeroed here) in ascending local-row
-// order via vecf.AddRowLanes — one IEEE add per element, identical to
-// the scalar loop. Per-lane active counts land in s.ones only when the
-// caller needs them (the Gamma reference), dynamic-column sums in s.w0
-// when the block carries them. Returns the popcount total — the sum
-// over lanes of the per-image path's ones. One word test skips a row
+// slicedSums is sumsBits over a lane-major input, restricted to the
+// lanes in part: for every block row whose lane word has a part bit
+// set, each such lane accumulates the row into its column sums (s.acc,
+// zeroed here) in ascending local-row order via vecf.AddRowLanes — one
+// IEEE add per element, identical to the scalar loop. Per-lane active
+// counts land in s.ones only when the caller needs them (the Gamma
+// reference), dynamic-column sums in s.w0 when the block carries them.
+// Returns the rows driven — the sum over part lanes of the per-image
+// walker's ones — and the active bits of the nonPart lanes, whose
+// block the bounded walk skips wholesale. One word test skips a row
 // for all 64 lanes at once.
-func (b *seiBlock) slicedSums(in []uint64, lanes int, s *slicedScratch, needOnes bool) int64 {
+func (b *seiBlock) slicedSums(win []uint64, part, nonPart uint64, needOnes bool, s *slicedScratch) (driven, skipped int64) {
 	m := b.eff.Dim(1)
-	acc := s.acc[:lanes*m]
+	n := bits.Len64(part)
+	acc := s.acc[:n*m]
 	for i := range acc {
 		acc[i] = 0
 	}
 	dyn := b.w0 != nil
 	if dyn {
-		for i := range s.w0[:lanes] {
+		for i := range s.w0[:n] {
 			s.w0[i] = 0
 		}
 	}
 	if needOnes {
-		for i := range s.ones[:lanes] {
+		for i := range s.ones[:n] {
 			s.ones[i] = 0
 		}
 	}
-	var onesTot int64
 	data := b.eff.Data()
 	for local, j := range b.inputs {
-		w := in[j]
+		w := win[j]
 		if w == 0 {
 			continue
 		}
-		onesTot += int64(bits.OnesCount64(w))
-		vecf.AddRowLanes(acc, data[local*m:(local+1)*m], w)
+		if sw := w & nonPart; sw != 0 {
+			skipped += int64(bits.OnesCount64(sw))
+		}
+		pw := w & part
+		if pw == 0 {
+			continue
+		}
+		driven += int64(bits.OnesCount64(pw))
+		vecf.AddRowLanes(acc, data[local*m:(local+1)*m], pw)
 		if needOnes || dyn {
 			var w0v float64
 			if dyn {
 				w0v = b.w0[local]
 			}
-			for t := w; t != 0; t &= t - 1 {
+			for t := pw; t != 0; t &= t - 1 {
 				lane := bits.TrailingZeros64(t)
 				if needOnes {
 					s.ones[lane]++
@@ -662,5 +666,186 @@ func (b *seiBlock) slicedSums(in []uint64, lanes int, s *slicedScratch, needOnes
 			}
 		}
 	}
-	return onesTot
+	return driven, skipped
+}
+
+// slicedCountsBounded is evalBoundedCounts over a lane-major window:
+// per participating lane the same blocks are bounded, full-scanned or
+// skipped wholesale, and every counter — hw_* and sei_* — aggregates
+// the per-lane events the per-image walker would record. Only run on
+// layers convKernel picks the bounded kernel for.
+func (l *SEIConvLayer) slicedCountsBounded(win []uint64, lanes int, batchMask uint64, s *slicedScratch) {
+	m := l.M
+	full := colMask(m)
+	fired := s.fired[:lanes*m]
+	for i := range fired {
+		fired[i] = 0
+	}
+	outUndec := s.outUndec[:lanes]
+	for lane := range outUndec {
+		outUndec[lane] = full
+	}
+	var mvms, saCmps, driven, skipped, colsEarly, evals, blocksSkipped int64
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		var part uint64
+		for lane := 0; lane < lanes; lane++ {
+			if outUndec[lane] != 0 {
+				part |= 1 << uint(lane)
+			}
+		}
+		nonPart := batchMask &^ part
+		blocksSkipped += int64(bits.OnesCount64(nonPart))
+		if part == 0 {
+			for _, j := range b.inputs {
+				skipped += int64(bits.OnesCount64(win[j] & batchMask))
+			}
+			continue
+		}
+		mvms += int64(bits.OnesCount64(part))
+		if b.bnd != nil && l.Gamma == 0 {
+			ref := l.BaseThr[bi]
+			d2, s2, c2, e2 := b.slicedSumsBounded(win, part, nonPart, ref, s)
+			driven += d2
+			skipped += s2
+			colsEarly += c2
+			evals += e2
+			l.hw.ActiveInputs(d2)
+			for t := part; t != 0; t &= t - 1 {
+				lane := bits.TrailingZeros64(t)
+				undec := s.undec[lane]
+				saCmps += int64(bits.OnesCount64(undec))
+				firedMask := s.fired1[lane]
+				a := s.acc[lane*m : lane*m+m]
+				for u := undec; u != 0; u &= u - 1 {
+					c := bits.TrailingZeros64(u)
+					if a[c] > ref {
+						firedMask |= 1 << uint(c)
+					}
+				}
+				f := fired[lane*m : lane*m+m]
+				for u := firedMask; u != 0; u &= u - 1 {
+					f[bits.TrailingZeros64(u)]++
+				}
+			}
+		} else {
+			// Dynamic reference (Gamma slope or unipolar w0 column):
+			// participating lanes scan in full, as per-image.
+			d2, s2 := b.slicedSums(win, part, nonPart, l.Gamma != 0, s)
+			driven += d2
+			skipped += s2
+			l.hw.ActiveInputs(d2)
+			for t := part; t != 0; t &= t - 1 {
+				lane := bits.TrailingZeros64(t)
+				ref := l.BaseThr[bi]
+				if l.Gamma != 0 {
+					ref += l.Gamma * (float64(s.ones[lane]) - l.OnesMean[bi])
+				}
+				if b.w0 != nil {
+					ref += s.w0[lane]
+				}
+				a := s.acc[lane*m : lane*m+m]
+				f := fired[lane*m : lane*m+m]
+				for c, v := range a {
+					if v > ref {
+						f[c]++
+					}
+				}
+				saCmps += int64(m)
+			}
+		}
+		if l.K > 1 {
+			rem := l.K - 1 - bi
+			for t := part; t != 0; t &= t - 1 {
+				lane := bits.TrailingZeros64(t)
+				f := fired[lane*m : lane*m+m]
+				var undec uint64
+				for u := outUndec[lane]; u != 0; u &= u - 1 {
+					c := bits.TrailingZeros64(u)
+					if int(f[c]) >= l.DigitalThreshold {
+						continue
+					}
+					if int(f[c])+rem < l.DigitalThreshold {
+						continue
+					}
+					undec |= 1 << uint(c)
+				}
+				outUndec[lane] = undec
+			}
+		}
+	}
+	if h := l.hw; h != nil {
+		h.MVM(mvms)
+		h.SACompares(saCmps)
+		h.ColumnActivations(saCmps)
+	}
+	l.skip.Record(driven, skipped, colsEarly, evals, blocksSkipped)
+}
+
+// slicedSumsBounded is sumsBitsBounded over a lane-major window: the
+// block's rows are walked once in ascending local order; per active
+// row each participating, still-undecided lane whose checkpoint
+// advanced evaluates the bound, then the row is driven only into the
+// lanes still alive. Active bits in decided lanes count skipped, bits
+// in non-participating lanes count toward their wholesale block skip.
+// Per-lane outcomes land in s.undec / s.fired1; partial sums in s.acc
+// equal the full scan's values for every undecided column.
+func (b *seiBlock) slicedSumsBounded(win []uint64, part, nonPart uint64, ref float64, s *slicedScratch) (driven, skipped, colsEarly, evals int64) {
+	cb := b.bnd
+	m := cb.m
+	acc := s.acc[:vecf.Lanes*m]
+	for i := range acc {
+		acc[i] = 0
+	}
+	full := colMask(m)
+	for t := part; t != 0; t &= t - 1 {
+		lane := bits.TrailingZeros64(t)
+		s.undec[lane] = full
+		s.fired1[lane] = 0
+		s.lastCp[lane] = -1
+	}
+	alive := part
+	data := b.eff.Data()
+	for local, j := range b.inputs {
+		w := win[j]
+		if w == 0 {
+			continue
+		}
+		skipped += int64(bits.OnesCount64(w & nonPart))
+		if alive == 0 {
+			skipped += int64(bits.OnesCount64(w & part))
+			continue
+		}
+		cp := int32(local / cb.stride)
+		base := int(cp) * m
+		for t := w & alive; t != 0; t &= t - 1 {
+			lane := bits.TrailingZeros64(t)
+			if s.lastCp[lane] >= cp {
+				continue
+			}
+			s.lastCp[lane] = cp
+			u := s.undec[lane]
+			evals += int64(bits.OnesCount64(u))
+			dec0, dec1 := vecf.BoundCols(acc[lane*m:lane*m+m],
+				cb.sufPos[base:base+m], cb.sufNeg[base:base+m], cb.sufAbs[base:base+m],
+				cb.slackU[cp], ref, u)
+			s.fired1[lane] |= dec1
+			u &^= dec0 | dec1
+			s.undec[lane] = u
+			if u == 0 {
+				alive &^= 1 << uint(lane)
+			}
+		}
+		aw := w & alive
+		driven += int64(bits.OnesCount64(aw))
+		skipped += int64(bits.OnesCount64(w & part &^ alive))
+		if aw != 0 {
+			vecf.AddRowLanes(acc, data[local*m:(local+1)*m], aw)
+		}
+	}
+	for t := part; t != 0; t &= t - 1 {
+		lane := bits.TrailingZeros64(t)
+		colsEarly += int64(bits.OnesCount64(full &^ s.undec[lane]))
+	}
+	return driven, skipped, colsEarly, evals
 }

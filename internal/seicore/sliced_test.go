@@ -129,8 +129,7 @@ func TestSlicedMatchesPerImage(t *testing.T) {
 
 // TestSlicedRefusals pins every condition under which the sliced
 // kernel must hand the batch back: ineligible designs, empty and
-// oversized batches, geometry mismatches, and the SetSlicedPath /
-// SetFastPath toggles.
+// oversized batches, geometry mismatches, and the SetFastPath toggle.
 func TestSlicedRefusals(t *testing.T) {
 	f := getFixture(t)
 	cfg := DefaultSEIBuildConfig()
@@ -163,11 +162,6 @@ func TestSlicedRefusals(t *testing.T) {
 		t.Error("nil image accepted")
 	}
 
-	d.SetSlicedPath(false)
-	if d.SlicedBatchEligible() || d.PredictBatchSliced(imgs, out) {
-		t.Error("SetSlicedPath(false) did not disable the sliced path")
-	}
-	d.SetSlicedPath(true)
 	d.SetFastPath(false)
 	if d.SlicedBatchEligible() {
 		t.Error("SetFastPath(false) left the design sliced-eligible")

@@ -1,7 +1,7 @@
 package vecf
 
 // Counter-indexed Gaussian kernel for the packed non-ideal inference
-// paths (seicore/fastnoisy.go). Unlike math/rand's ziggurat — whose
+// path (seicore/fast.go). Unlike math/rand's ziggurat — whose
 // draws depend on hidden generator state and a variable number of
 // uniforms per sample — every draw here is a pure function of
 // (seed, index): splitmix64's finalizer turns the counter into a
