@@ -80,6 +80,7 @@ ci:
 	$(GO) test ./...
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
+	$(GO) test -race -short ./internal/quant
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/seibench run -quick

@@ -1,13 +1,12 @@
 package sei
 
-// Calibration-path benchmarks for the crossing-aware incremental
-// threshold-search engine (internal/quant/engine.go). The
+// Calibration-path benchmarks for the candidate-lane threshold-search
+// engine (internal/quant/engine.go). The
 // SearchThresholds/SearchThresholdsNaive pair measures the same
-// Algorithm-1 search through the incremental engine and the retained
+// Algorithm-1 search through the lane sweep and the retained
 // pre-engine reference on the bench context's Network 2 (the network
 // the Table 4/5 benches run), so the ratio is the engine speedup;
-// `make bench-quant` records all three plus allocs/op and the derived
-// speedup in bench-reports/history/BENCH_PR5.json.
+// `make bench-quant` records all three plus allocs/op through seibench.
 
 import (
 	"testing"
@@ -47,17 +46,17 @@ func benchSearch(b *testing.B, search func(*quant.QuantizedNet, *mnist.Dataset, 
 	}
 }
 
-// BenchmarkSearchThresholds measures the incremental crossing-aware
-// search engine: sorted-activation sweeps, remainder skipping, FC
-// delta updates, pooled arenas.
+// BenchmarkSearchThresholds measures the candidate-lane search engine:
+// crossing indices, up to 64 candidates per remainder pass, pooled
+// arenas.
 func BenchmarkSearchThresholds(b *testing.B) {
 	benchSearch(b, quant.SearchThresholds)
 }
 
 // BenchmarkSearchThresholdsNaive measures the retained pre-engine
 // reference (full remainder forward pass per candidate × sample, fresh
-// buffers per call) — the baseline for the speedup and allocation
-// numbers in bench-reports/history/BENCH_PR5.json.
+// buffers per call) — the baseline for the engine's speedup and
+// allocation numbers.
 func BenchmarkSearchThresholdsNaive(b *testing.B) {
 	benchSearch(b, quant.SearchThresholdsReference)
 }

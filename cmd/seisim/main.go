@@ -34,7 +34,7 @@
 // `search/convN` spans carry the threshold-search wall time, the
 // `quant_search_skip_rate` gauge and the `quant_remainder_skipped` /
 // `quant_remainder_evals` / `quant_fc_delta_updates` counters expose
-// how much remainder work the incremental engine avoided. Counter
+// how much remainder work the lane engine avoided. Counter
 // values are identical for any -workers setting.
 //
 // The synthetic MNIST substitute is used unless $MNIST_DIR points at

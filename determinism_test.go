@@ -185,11 +185,11 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// The crossing-aware incremental search engine (internal/quant/engine.go)
-// and the retained naive sweep are two implementations of Algorithm 1:
+// The candidate-lane search engine (internal/quant/engine.go) and the
+// retained naive sweep are two implementations of Algorithm 1:
 // thresholds, per-layer accuracies, and every comparable counter total
 // must be bit-identical, at every worker count. par_* scheduling counts
-// and the incremental-only skip/eval accounting are the only legitimate
+// and the engine-only skip/eval accounting are the only legitimate
 // differences (the engine runs one parallel region per candidate list
 // instead of one per candidate).
 func TestSearchEngineMatchesNaiveReference(t *testing.T) {
@@ -247,7 +247,7 @@ func TestSearchEngineMatchesNaiveReference(t *testing.T) {
 				workers, counters, refCounters)
 		}
 		if report.Stats.Evaluations == 0 {
-			t.Errorf("workers=%d: incremental engine recorded no evaluations", workers)
+			t.Errorf("workers=%d: lane engine recorded no evaluations", workers)
 		}
 	}
 }

@@ -122,19 +122,6 @@ func (v *Vec) SetFloats(xs []float64) {
 	}
 }
 
-// SetAbove re-sizes v to len(xs) and packs the binarization of xs at
-// threshold t: bit i is set iff xs[i] > t — Algorithm 1's candidate
-// predicate in packed form, used by the incremental threshold-search
-// engine to seed each sample's activation bitmap.
-func (v *Vec) SetAbove(xs []float64, t float64) {
-	v.Reset(len(xs))
-	for i, x := range xs {
-		if x > t {
-			v.w[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-}
-
 // CopyRange copies n bits from src starting at srcOff into dst
 // starting at dstOff, overwriting the destination range. It is the
 // im2col primitive of the fast path: a receptive-field window is a

@@ -191,23 +191,3 @@ func BenchmarkCopyRange(b *testing.B) {
 		CopyRange(dst, 7, src, 13, 4000)
 	}
 }
-
-func TestSetAbove(t *testing.T) {
-	xs := []float64{0, 1, 0.5, 0.5, -2, 0.50001}
-	v := New(1)
-	v.SetAbove(xs, 0.5)
-	if v.Len() != len(xs) {
-		t.Fatalf("SetAbove len = %d, want %d", v.Len(), len(xs))
-	}
-	for i, x := range xs {
-		if v.Get(i) != (x > 0.5) {
-			t.Fatalf("bit %d = %v for value %v at threshold 0.5", i, v.Get(i), x)
-		}
-	}
-	// Re-packing at a higher threshold reuses the buffer and clears
-	// stale bits.
-	v.SetAbove(xs, 1)
-	if got := v.OnesCount(); got != 0 {
-		t.Fatalf("SetAbove(xs, 1) left %d bits set, want 0", got)
-	}
-}

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -52,11 +53,56 @@ func comparableCounters(all map[string]int64) map[string]int64 {
 	return out
 }
 
-// TestIncrementalSearchMatchesReference is the engine's bit-identity
-// property test: for both stock configs and Workers ∈ {1, 2, 8}, the
-// crossing-aware engine must reproduce the naive reference's
-// SearchReport — thresholds, max outputs, accuracies — the re-scaled
-// weights, and the comparable counter totals exactly.
+// checkSearchMatchesReference is the lane sweep's bit-identity
+// property: on fresh extractions of net, SearchThresholds at Workers ∈
+// {1, 2, 8} must reproduce the naive reference's SearchReport —
+// thresholds, max outputs, accuracies — the re-scaled weights, and the
+// comparable counter totals exactly.
+func checkSearchMatchesReference(t *testing.T, net *nn.Network, train *mnist.Dataset, cfg SearchConfig) {
+	t.Helper()
+	refQ, refR, refC := runSearch(t, net, train, cfg, 1, SearchThresholdsReference)
+	if refR.Stats != (SweepStats{}) {
+		t.Fatalf("reference recorded engine stats %+v, want zero", refR.Stats)
+	}
+	refCounters := comparableCounters(refC)
+	for _, workers := range []int{1, 2, 8} {
+		q, r, c := runSearch(t, net, train, cfg, workers, SearchThresholds)
+		if len(r.Layers) != len(refR.Layers) {
+			t.Fatalf("workers=%d: %d layers, reference %d", workers, len(r.Layers), len(refR.Layers))
+		}
+		for l, lr := range r.Layers {
+			if want := refR.Layers[l]; lr != want {
+				t.Fatalf("workers=%d layer %d: got %+v, reference %+v", workers, l, lr, want)
+			}
+			if q.Thresholds[l] != refQ.Thresholds[l] {
+				t.Fatalf("workers=%d: threshold[%d] = %v, reference %v", workers, l, q.Thresholds[l], refQ.Thresholds[l])
+			}
+		}
+		for l := range refQ.Convs {
+			a, b := refQ.Convs[l].W.Data(), q.Convs[l].W.Data()
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("workers=%d: conv %d re-scaled weight %d differs", workers, l, i)
+				}
+			}
+		}
+		got := comparableCounters(c)
+		if len(got) != len(refCounters) {
+			t.Fatalf("workers=%d: counter sets differ: %v vs %v", workers, got, refCounters)
+		}
+		for k, v := range refCounters {
+			if got[k] != v {
+				t.Fatalf("workers=%d: counter %s = %d, reference %d", workers, k, got[k], v)
+			}
+		}
+		if r.Stats.Evaluations == 0 || r.Stats.RemainderSkipped == 0 {
+			t.Fatalf("workers=%d: engine recorded no work (stats %+v)", workers, r.Stats)
+		}
+	}
+}
+
+// TestIncrementalSearchMatchesReference pins the lane sweep against the
+// reference on both stock configs.
 func TestIncrementalSearchMatchesReference(t *testing.T) {
 	net := trainedNet2(t)
 	train := mnist.Synthetic(400, 9)
@@ -67,85 +113,70 @@ func TestIncrementalSearchMatchesReference(t *testing.T) {
 	for name, cfg := range configs {
 		cfg.Samples = 150
 		t.Run(name, func(t *testing.T) {
-			refQ, refR, refC := runSearch(t, net, train, cfg, 1, SearchThresholdsReference)
-			refCounters := comparableCounters(refC)
-			for _, workers := range []int{1, 2, 8} {
-				q, r, c := runSearch(t, net, train, cfg, workers, SearchThresholds)
-				if len(r.Layers) != len(refR.Layers) {
-					t.Fatalf("workers=%d: %d layers, reference %d", workers, len(r.Layers), len(refR.Layers))
-				}
-				for l, lr := range r.Layers {
-					want := refR.Layers[l]
-					if lr.Threshold != want.Threshold || lr.Accuracy != want.Accuracy || lr.MaxOutput != want.MaxOutput {
-						t.Fatalf("workers=%d layer %d: got %+v, reference %+v", workers, l, lr, want)
-					}
-					if q.Thresholds[l] != refQ.Thresholds[l] {
-						t.Fatalf("workers=%d: threshold[%d] = %v, reference %v", workers, l, q.Thresholds[l], refQ.Thresholds[l])
-					}
-				}
-				for l := range refQ.Convs {
-					a, b := refQ.Convs[l].W.Data(), q.Convs[l].W.Data()
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("workers=%d: conv %d re-scaled weight %d differs", workers, l, i)
-						}
-					}
-				}
-				got := comparableCounters(c)
-				if len(got) != len(refCounters) {
-					t.Fatalf("workers=%d: counter sets differ: %v vs %v", workers, got, refCounters)
-				}
-				for k, v := range refCounters {
-					if got[k] != v {
-						t.Fatalf("workers=%d: counter %s = %d, reference %d", workers, k, got[k], v)
-					}
-				}
-				if r.Stats.Evaluations == 0 || r.Stats.RemainderSkipped == 0 {
-					t.Fatalf("workers=%d: engine recorded no work (stats %+v)", workers, r.Stats)
-				}
-				if refR.Stats != (SweepStats{}) {
-					t.Fatalf("reference recorded engine stats %+v, want zero", refR.Stats)
-				}
-			}
+			checkSearchMatchesReference(t, net, train, cfg)
 		})
 	}
 }
 
+// trainedDeepNet trains the three-conv-stage network once per test
+// binary.
+func trainedDeepNet(t *testing.T) *nn.Network {
+	t.Helper()
+	if n, ok := trainedCache["deep"]; ok {
+		return n
+	}
+	net := nn.NewDeepNetwork(3)
+	tcfg := nn.DefaultTrainConfig()
+	tcfg.Epochs = 1
+	nn.Train(net, mnist.Synthetic(300, 11), tcfg)
+	trainedCache["deep"] = net
+	return net
+}
+
 // TestIncrementalSearchMatchesReferenceDeepNet covers the geometries
 // the Network 2 fixture misses: three conv stages, one of them
-// unpooled (pool ≤ 1 sweeps and a multi-stage float remainder).
+// unpooled (pool ≤ 1 sweeps and a multi-stage float remainder, whose
+// deeper stage runs on float lanes).
 func TestIncrementalSearchMatchesReferenceDeepNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains an extra network")
 	}
-	train := mnist.Synthetic(300, 11)
-	net := nn.NewDeepNetwork(3)
+	cfg := DefaultSearchConfig()
+	cfg.Samples = 100
+	checkSearchMatchesReference(t, trainedDeepNet(t), mnist.Synthetic(300, 11), cfg)
+}
+
+// TestLaneSearchMatchesReferenceManyCandidates sweeps more than 64
+// candidates per list, so each sample is scored in several lane groups.
+func TestLaneSearchMatchesReferenceManyCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scores 121 coarse candidates through the naive reference")
+	}
+	cfg := DefaultSearchConfig()
+	cfg.CoarseStep = 0.005
+	cfg.FineStep = 0.001
+	cfg.Samples = 60
+	if n := len(thresholdCandidates(cfg.ThresMin, cfg.ThresMax, cfg.CoarseStep)); n <= lanes {
+		t.Fatalf("%d coarse candidates fit one lane group", n)
+	}
+	checkSearchMatchesReference(t, trainedNet2(t), mnist.Synthetic(300, 9), cfg)
+}
+
+// TestLaneSearchMatchesReferenceNetwork1 covers the paper's Network 1
+// geometry (12@5×5 → 64@5×5, fan-in 300, FC 1024→10): wide lane
+// accumulators and a remainder input map far larger than one word.
+func TestLaneSearchMatchesReferenceNetwork1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains Network 1")
+	}
+	train := mnist.Synthetic(300, 17)
+	net := nn.NewTableNetwork(1, 5)
 	tcfg := nn.DefaultTrainConfig()
 	tcfg.Epochs = 1
 	nn.Train(net, train, tcfg)
-
 	cfg := DefaultSearchConfig()
-	cfg.Samples = 100
-	refQ, refR, refC := runSearch(t, net, train, cfg, 1, SearchThresholdsReference)
-	refCounters := comparableCounters(refC)
-	for _, workers := range []int{1, 2, 8} {
-		q, r, c := runSearch(t, net, train, cfg, workers, SearchThresholds)
-		for l, lr := range r.Layers {
-			want := refR.Layers[l]
-			if lr != want {
-				t.Fatalf("workers=%d layer %d: got %+v, reference %+v", workers, l, lr, want)
-			}
-			if q.Thresholds[l] != refQ.Thresholds[l] {
-				t.Fatalf("workers=%d: threshold[%d] = %v, reference %v", workers, l, q.Thresholds[l], refQ.Thresholds[l])
-			}
-		}
-		got := comparableCounters(c)
-		for k, v := range refCounters {
-			if got[k] != v {
-				t.Fatalf("workers=%d: counter %s = %d, reference %d", workers, k, got[k], v)
-			}
-		}
-	}
+	cfg.Samples = 40
+	checkSearchMatchesReference(t, net, train, cfg)
 }
 
 // TestSweepStatsAccounting pins the engine's internal bookkeeping on a
@@ -172,10 +203,10 @@ func TestSweepStatsAccounting(t *testing.T) {
 	if s.Evaluations <= 0 {
 		t.Fatalf("no evaluations recorded: %+v", s)
 	}
-	// Per sample, the seed evaluation plus every non-skipped candidate
+	// Per sample, the first candidate plus every non-skipped candidate
 	// are the only remainder evaluations for non-last stages; for the
-	// last stage non-skipped candidates are pure delta updates. So
-	// skipped + evals can never exceed evaluations + seeds.
+	// last stage non-skipped candidates count as delta updates. So
+	// skipped + evals can never exceed evaluations + first candidates.
 	if s.RemainderSkipped+s.RemainderEvals > s.Evaluations+int64(len(r.Layers))*100 {
 		t.Fatalf("inconsistent accounting: %+v", s)
 	}
@@ -196,6 +227,13 @@ func TestSweepStatsAccounting(t *testing.T) {
 	}
 	if g := rec.GaugeValues()[GaugeSearchSkipRate]; g != s.SkipRate() {
 		t.Fatalf("gauge %v != skip rate %v", g, s.SkipRate())
+	}
+	// Literal accounting on this fixture, recorded from a sorted
+	// crossing-schedule sweep: the lane sweep derives the same numbers
+	// from crossing indices and must reproduce them exactly.
+	want := SweepStats{Evaluations: 6800, RemainderSkipped: 2187, RemainderEvals: 3399, FCDeltaUpdates: 2389}
+	if s != want {
+		t.Fatalf("sweep stats %+v, want %+v", s, want)
 	}
 }
 
@@ -263,16 +301,16 @@ func refineThresholdsReference(q *QuantizedNet, train *mnist.Dataset, cfg Refine
 	return best
 }
 
-// TestIncrementalRefineMatchesReference pins the refinement engine
-// against the naive coordinate descent: returned accuracy and final
-// thresholds bit-identical at Workers ∈ {1, 2, 8}.
-func TestIncrementalRefineMatchesReference(t *testing.T) {
-	refQ, train, _ := quantizedFixture(t)
-	cfg := DefaultRefineConfig()
-	cfg.Samples = 150
+// checkRefineMatchesReference pins the refinement against the naive
+// coordinate descent: returned accuracy and final thresholds
+// bit-identical at Workers ∈ {1, 2, 8}. fixture returns a fresh copy of
+// the same quantized net on every call.
+func checkRefineMatchesReference(t *testing.T, fixture func() *QuantizedNet, train *mnist.Dataset, cfg RefineConfig) {
+	t.Helper()
+	refQ := fixture()
 	refBest := refineThresholdsReference(refQ, train, cfg)
 	for _, workers := range []int{1, 2, 8} {
-		q, _, _ := quantizedFixture(t)
+		q := fixture()
 		c := cfg
 		c.Workers = workers
 		got, err := RefineThresholds(q, train, c)
@@ -285,6 +323,162 @@ func TestIncrementalRefineMatchesReference(t *testing.T) {
 		for l := range q.Thresholds {
 			if q.Thresholds[l] != refQ.Thresholds[l] {
 				t.Fatalf("workers=%d: threshold[%d] = %v, reference %v", workers, l, q.Thresholds[l], refQ.Thresholds[l])
+			}
+		}
+	}
+}
+
+// TestIncrementalRefineMatchesReference runs the refinement pin on the
+// Network 2 fixture.
+func TestIncrementalRefineMatchesReference(t *testing.T) {
+	_, train, _ := quantizedFixture(t)
+	cfg := DefaultRefineConfig()
+	cfg.Samples = 150
+	checkRefineMatchesReference(t, func() *QuantizedNet {
+		q, _, _ := quantizedFixture(t)
+		return q
+	}, train, cfg)
+}
+
+// deepFixture returns a fresh copy of the three-stage network after
+// Algorithm 1 (quantized once per test binary) and its training set.
+func deepFixture(t *testing.T) (*QuantizedNet, *mnist.Dataset) {
+	t.Helper()
+	train := mnist.Synthetic(300, 11)
+	if deepSnapshot == nil {
+		cfg := DefaultSearchConfig()
+		cfg.Samples = 100
+		q, _, err := QuantizeNetwork(trainedDeepNet(t), train, []int{1, 28, 28}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := q.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		deepSnapshot = buf.Bytes()
+	}
+	q, err := Load(bytes.NewReader(deepSnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, train
+}
+
+var deepSnapshot []byte
+
+// TestLaneRefineMatchesReferenceDeepNet runs the refinement pin on the
+// three-stage network: two-stage binarized remainders, one of them
+// unpooled.
+func TestLaneRefineMatchesReferenceDeepNet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains an extra network")
+	}
+	_, train := deepFixture(t)
+	cfg := DefaultRefineConfig()
+	cfg.Samples = 100
+	checkRefineMatchesReference(t, func() *QuantizedNet {
+		q, _ := deepFixture(t)
+		return q
+	}, train, cfg)
+}
+
+// TestLaneSweepCountsMatchNaive checks every candidate's correct count,
+// not only the optimum the search and refinement keep: for each stage
+// and both remainder kinds, over 121 candidates (two lane groups), the
+// lane sweep must count exactly what a fresh binarize + remainder pass
+// per (sample, candidate) counts.
+func TestLaneSweepCountsMatchNaive(t *testing.T) {
+	q, train, _ := quantizedFixture(t)
+	checkLaneCounts(t, q, train.Subset(40))
+	if testing.Short() {
+		return
+	}
+	dq, dtrain := deepFixture(t)
+	checkLaneCounts(t, dq, dtrain.Subset(25))
+}
+
+func checkLaneCounts(t *testing.T, q *QuantizedNet, data *mnist.Dataset) {
+	t.Helper()
+	ts := thresholdCandidates(0, 0.6, 0.005)
+	eval := q.Digital()
+	for l := range q.Convs {
+		pool := q.Convs[l].PoolSize
+		for _, binary := range []bool{false, true} {
+			values := make([]*tensor.Tensor, data.Len())
+			for i, img := range data.Images {
+				if in := stageInput(q, l, img); binary {
+					values[i] = stageSums(&q.Convs[l], in)
+				} else {
+					values[i] = floatConv(&q.Convs[l], in)
+				}
+			}
+			var got []int
+			if binary {
+				got = newRefineSweeper(q, l, values)(ts, data.Labels, RefineConfig{Workers: 2}, &SweepStats{})
+			} else {
+				got = newLaneSweeper(q, l, values, data.Labels, SearchConfig{Workers: 2}, &SweepStats{})(ts)
+			}
+			for c, th := range ts {
+				want := 0
+				for i, v := range values {
+					var pred int
+					if binary {
+						x := q.advanceFromSums(l, v, th)
+						for m := l + 1; m < len(q.Convs); m++ {
+							x = q.convStage(eval, m, x)
+						}
+						pred = argmaxFirst(eval.EvalFC(x.Data()))
+					} else {
+						x := binarize(v, th)
+						if pool > 1 {
+							x = orPool(x, pool)
+						}
+						pred = floatRemainder(q, l+1, x)
+					}
+					if pred == data.Labels[i] {
+						want++
+					}
+				}
+				if got[c] != want {
+					t.Fatalf("%s stage %d binary=%v candidate %d (t=%v): lane sweep counts %d, naive %d", q.Name, l, binary, c, th, got[c], want)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneSweepAllocsPerSample is the steady-state allocation guard:
+// scoring a sample allocates nothing, so run's allocations do not grow
+// with the sample count, for both remainder kinds and for swept stages
+// with and without a conv remainder.
+func TestLaneSweepAllocsPerSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are meaningless")
+	}
+	q, train, _ := quantizedFixture(t)
+	data := train.Subset(160)
+	ts := thresholdCandidates(0, 0.6, 0.03)
+	for l := range q.Convs {
+		values := make([][]float64, data.Len())
+		var shape []int
+		for i, img := range data.Images {
+			out := floatConv(&q.Convs[l], stageInput(q, l, img))
+			values[i], shape = out.Data(), out.Shape()
+		}
+		for _, binary := range []bool{false, true} {
+			s := newCrossSweep(q, l, shape, binary)
+			var stats SweepStats
+			runN := func(n int) float64 {
+				return testing.AllocsPerRun(20, func() { s.run(values[:n], data.Labels[:n], ts, 1, nil, &stats) })
+			}
+			if few, many := runN(16), runN(160); many != few {
+				t.Fatalf("stage %d binary=%v: run allocates %v for 16 samples, %v for 160", l, binary, few, many)
+			}
+			a := s.getArena(len(ts))
+			counts := make([]int64, len(ts))
+			if avg := testing.AllocsPerRun(50, func() { s.sweepSample(a, values[1], data.Labels[1], ts, counts) }); avg != 0 {
+				t.Fatalf("stage %d binary=%v: sweepSample allocates %v per sample", l, binary, avg)
 			}
 		}
 	}

@@ -198,9 +198,15 @@ func (q *QuantizedNet) ForwardWith(eval StageEval, img *tensor.Tensor) []float64
 }
 
 // convStage applies conv stage l (matrix eval + binarize + OR pool) to
-// the current activation map and returns the next 0/1 map.
+// the current activation map and returns the next 0/1 map. The digital
+// evaluator takes the dense kernels (stageSums' skip-zero fold is
+// digitalEval.EvalConv's, position by position); other evaluators are
+// asked one receptive field at a time.
 func (q *QuantizedNet) convStage(eval StageEval, l int, cur *tensor.Tensor) *tensor.Tensor {
 	c := &q.Convs[l]
+	if d, ok := eval.(digitalEval); ok && d.q == q {
+		return q.advanceFromSums(l, stageSums(c, cur), q.Thresholds[l])
+	}
 	kh, kw := c.W.Dim(2), c.W.Dim(3)
 	cols := tensor.Im2Col(cur, kh, kw, c.Stride)
 	positions := cols.Dim(0)
@@ -209,21 +215,20 @@ func (q *QuantizedNet) convStage(eval StageEval, l int, cur *tensor.Tensor) *ten
 	outW := (w-kw)/c.Stride + 1
 	f := c.Filters()
 	bits := tensor.New(f, outH, outW)
+	bd := bits.Data()
 	fan := cols.Dim(1)
 	for p := 0; p < positions; p++ {
 		field := cols.Data()[p*fan : (p+1)*fan]
-		ob := eval.EvalConv(l, field)
-		oy, ox := p/outW, p%outW
-		for k, b := range ob {
+		for k, b := range eval.EvalConv(l, field) {
 			if b {
-				bits.Set(1, k, oy, ox)
+				bd[k*positions+p] = 1
 			}
 		}
 	}
 	if c.PoolSize > 1 {
 		bits = orPool(bits, c.PoolSize)
 		if h := q.hw; h != nil {
-			h.ORPool(int64(bits.Dim(0) * bits.Dim(1) * bits.Dim(2)))
+			h.ORPool(int64(bits.Len()))
 		}
 	}
 	return bits
@@ -232,26 +237,35 @@ func (q *QuantizedNet) convStage(eval StageEval, l int, cur *tensor.Tensor) *ten
 // orPool reduces each size×size window to the OR of its bits — the
 // degenerate form of max pooling on 1-bit data (Section 3.1).
 func orPool(bits *tensor.Tensor, size int) *tensor.Tensor {
+	out := tensor.New(bits.Dim(0), bits.Dim(1)/size, bits.Dim(2)/size)
+	orPoolInto(out, bits, size)
+	return out
+}
+
+// orPoolInto writes the OR pool of a 0/1 map ([c,h,w]) into dst
+// ([c, h/size, w/size]).
+func orPoolInto(dst, bits *tensor.Tensor, size int) {
 	ch, h, w := bits.Dim(0), bits.Dim(1), bits.Dim(2)
-	oh, ow := h/size, w/size
-	out := tensor.New(ch, oh, ow)
+	oh, ow := dst.Dim(1), dst.Dim(2)
+	bd, dd := bits.Data(), dst.Data()
 	for c := 0; c < ch; c++ {
+		base := c * h * w
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				v := 0.0
 				for ky := 0; ky < size && v == 0; ky++ {
+					row := base + (oy*size+ky)*w + ox*size
 					for kx := 0; kx < size; kx++ {
-						if bits.At(c, oy*size+ky, ox*size+kx) != 0 {
+						if bd[row+kx] != 0 {
 							v = 1
 							break
 						}
 					}
 				}
-				out.Set(v, c, oy, ox)
+				dd[(c*oh+oy)*ow+ox] = v
 			}
 		}
 	}
-	return out
 }
 
 // Predict classifies one image with the exact digital evaluator.

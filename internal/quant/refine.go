@@ -36,10 +36,10 @@ func DefaultRefineConfig() RefineConfig {
 // the same brute-force accuracy-driven search, applied at deployment
 // semantics; it never changes weights.
 //
-// Candidate scoring runs on the crossing-aware incremental engine
-// (engine.go): per layer, the prefix pipeline is evaluated once into
-// cached entry maps, the layer's analog sums once per sample, and the
-// candidate thresholds sweep the sorted sums — results are
+// Candidate scoring runs on the candidate-lane sweep (engine.go): per
+// layer, the prefix pipeline is evaluated once into cached entry maps,
+// the layer's analog sums once per sample, and all candidate thresholds
+// are scored together as lanes of the binarized remainder — results are
 // bit-identical to evaluating every candidate through Predict.
 func RefineThresholds(q *QuantizedNet, train *mnist.Dataset, cfg RefineConfig) (float64, error) {
 	if cfg.Rounds <= 0 || cfg.Step <= 0 || cfg.Radius <= 0 {
@@ -118,20 +118,9 @@ func refineCandidates(orig, step float64, radius int) []float64 {
 }
 
 // newRefineSweeper wires a crossSweep for refining conv stage l over
-// precomputed analog sums: the remainder evaluator is the binarized
-// tail of the pipeline, or the FC delta path when l is the last stage.
+// precomputed analog sums through the binarized tail of the pipeline.
 func newRefineSweeper(q *QuantizedNet, l int, sums []*tensor.Tensor) func(ts []float64, labels []int, cfg RefineConfig, stats *SweepStats) []int {
-	outShape := sums[0].Shape()
-	pool := q.Convs[l].PoolSize
-	var newRem func() func(*tensor.Tensor) int
-	if l < len(q.Convs)-1 {
-		remShape := outShape
-		if pool > 1 {
-			remShape = []int{outShape[0], outShape[1] / pool, outShape[2] / pool}
-		}
-		newRem = newBinaryRemainderEval(q, l+1, remShape)
-	}
-	s := newCrossSweep(outShape, pool, q.FC.W, q.FC.B, newRem)
+	s := newCrossSweep(q, l, sums[0].Shape(), true)
 	values := make([][]float64, len(sums))
 	for i, t := range sums {
 		values[i] = t.Data()

@@ -19,21 +19,22 @@ const (
 	// MetricRefineCandidates counts candidate thresholds scored by the
 	// coordinate-descent refinement (plus its baseline evaluation).
 	MetricRefineCandidates = "quant_refine_candidates"
-	// MetricRemainderSkipped counts (sample, candidate) evaluations the
-	// incremental engine answered without touching the remainder of the
-	// network: no activation crossed between consecutive thresholds (or
-	// every crossing was absorbed by a still-populated OR-pool window),
-	// so the remainder input — hence the prediction — is provably
-	// unchanged.
+	// MetricRemainderSkipped counts (sample, candidate) evaluations whose
+	// remainder input equals the previous candidate's: no activation
+	// crossed between the two thresholds (or every crossing was absorbed
+	// by a still-populated OR-pool window), so the prediction is provably
+	// unchanged and the lane sweep scores both with one remainder lane.
 	MetricRemainderSkipped = "quant_remainder_skipped"
-	// MetricRemainderEvals counts full remainder evaluations the engine
-	// actually ran (the seeding pass per sample plus every candidate
-	// whose remainder input changed; the FC delta-update short cut is
-	// counted separately).
+	// MetricRemainderEvals counts distinct remainder inputs per sample
+	// for stages with a conv remainder (the first candidate plus every
+	// candidate whose remainder input changed; the last conv stage counts
+	// only its first candidate and reports changes as FC delta updates).
 	MetricRemainderEvals = "quant_remainder_evals"
-	// MetricFCDeltaUpdates counts exact FC delta updates: last-stage
-	// pooled bits that turned off and were applied to the classifier
-	// scores as per-column subtractions instead of a fresh MatVec.
+	// MetricFCDeltaUpdates counts last-stage pooled bits that turn off
+	// inside the candidate list (crossing index 1 ≤ cj ≤ C-1): the
+	// per-column classifier updates an incremental sweep would apply.
+	// The lane sweep re-folds the classifier per lane instead and keeps
+	// the count as a measure of crossing activity.
 	MetricFCDeltaUpdates = "quant_fc_delta_updates"
 	// GaugeSearchSkipRate is RemainderSkipped/Evaluations of the last
 	// SearchThresholds run — the fraction of candidate evaluations the
@@ -103,22 +104,24 @@ type LayerSearchResult struct {
 	Accuracy  float64 // training-subsample accuracy at the chosen threshold
 }
 
-// SweepStats is the incremental engine's work accounting: how many
-// (sample, candidate) evaluations the sweep faced and how it answered
-// them. The reference implementation leaves it zero — the stats
+// SweepStats is the lane sweep's work accounting: how many (sample,
+// candidate) evaluations the sweep faced and how many distinct
+// remainder inputs they produced, derived from the crossing indices
+// (engine.go). The reference implementation leaves it zero — the stats
 // describe engine effort, not search outcomes, and are excluded from
 // the bit-identity contract.
 type SweepStats struct {
 	// Evaluations is the number of (sample, candidate) pairs scored.
 	Evaluations int64
-	// RemainderSkipped counts evaluations answered by the crossing test
-	// alone (remainder input unchanged since the previous candidate).
+	// RemainderSkipped counts evaluations whose remainder input is
+	// unchanged since the previous candidate.
 	RemainderSkipped int64
-	// RemainderEvals counts full remainder evaluations (per-sample
-	// seeding plus candidates whose remainder input changed).
+	// RemainderEvals counts distinct remainder inputs (each sample's
+	// first candidate plus, below the last conv stage, every candidate
+	// whose remainder input changed).
 	RemainderEvals int64
-	// FCDeltaUpdates counts last-stage pooled bits applied to the
-	// classifier scores as exact per-column delta subtractions.
+	// FCDeltaUpdates counts last-stage pooled bits that turn off inside
+	// the candidate list.
 	FCDeltaUpdates int64
 }
 
@@ -141,7 +144,7 @@ func (s *SweepStats) add(o SweepStats) {
 // SearchReport is the outcome of Algorithm 1.
 type SearchReport struct {
 	Layers []LayerSearchResult
-	// Stats is the incremental engine's work accounting (zero when the
+	// Stats is the lane sweep's work accounting (zero when the
 	// reference sweep produced the report).
 	Stats SweepStats
 }
@@ -153,9 +156,8 @@ type SearchReport struct {
 type layerSweeper func(ts []float64) []int
 
 // sweeperFactory builds a layerSweeper for conv stage l over the
-// re-scaled stage outputs convOut. Implementations: the crossing-aware
-// incremental engine (engine.go) and the retained naive reference
-// below.
+// re-scaled stage outputs convOut. Implementations: the candidate-lane
+// sweep (engine.go) and the retained naive reference below.
 type sweeperFactory func(q *QuantizedNet, l int, convOut []*tensor.Tensor, labels []int, cfg SearchConfig, stats *SweepStats) layerSweeper
 
 // SearchThresholds runs Algorithm 1 on q in place: for each conv stage
@@ -165,19 +167,18 @@ type sweeperFactory func(q *QuantizedNet, l int, convOut []*tensor.Tensor, label
 // maximizes training accuracy through the *float* remainder of the
 // network (the layer-by-layer greedy strategy).
 //
-// Candidate scoring runs on the incremental crossing-aware engine
-// (engine.go); thresholds, accuracies and hardware-counter totals are
-// bit-identical to SearchThresholdsReference at every worker count.
+// Candidate scoring runs on the candidate-lane sweep (engine.go);
+// thresholds, accuracies and hardware-counter totals are bit-identical
+// to SearchThresholdsReference at every worker count.
 func SearchThresholds(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig) (*SearchReport, error) {
-	return searchThresholds(q, train, cfg, newIncrementalSweeper)
+	return searchThresholds(q, train, cfg, newLaneSweeper)
 }
 
 // SearchThresholdsReference runs Algorithm 1 with the retained naive
 // sweep: every candidate threshold re-binarizes every sample and runs
 // the full float remainder of the network. It is the verification
-// baseline the property tests and bench-reports/history/BENCH_PR5.json pin the incremental
-// engine against, and matches the pre-engine implementation
-// bit-for-bit.
+// baseline the property tests pin the lane sweep against, and matches
+// the pre-engine implementation bit-for-bit.
 func SearchThresholdsReference(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig) (*SearchReport, error) {
 	return searchThresholds(q, train, cfg, newNaiveSweeper)
 }
@@ -213,9 +214,10 @@ func searchThresholds(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig, f
 		convOut := make([]*tensor.Tensor, data.Len())
 		maxOut := par.MapReduceRec(cfg.Obs, cfg.Workers, data.Len(), par.DefaultChunkSize,
 			func(c par.Chunk) float64 {
+				var sc convScratch
 				m := 0.0
 				for i := c.Lo; i < c.Hi; i++ {
-					convOut[i] = floatConv(&q.Convs[l], entries[i])
+					convOut[i] = sc.floatConv(&q.Convs[l], entries[i])
 					if v := convOut[i].Max(); v > m {
 						m = v
 					}
@@ -332,13 +334,30 @@ func newNaiveSweeper(q *QuantizedNet, l int, convOut []*tensor.Tensor, labels []
 // floatConv computes the real-valued convolution of one stage on an
 // input map (no ReLU, no pooling): the "Output(L)" of Algorithm 1.
 func floatConv(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
+	var sc convScratch
+	return sc.floatConv(c, in)
+}
+
+// convScratch holds floatConv's unroll buffers, reused across calls
+// whose receptive-field geometry matches (every sample of one stage).
+type convScratch struct{ cols, colsT *tensor.Tensor }
+
+// floatConv is the package-level floatConv on the Into kernels: the
+// same Im2Col/Transpose2D/ikj MatMul accumulation, only the returned
+// output is freshly allocated.
+func (sc *convScratch) floatConv(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
 	kh, kw := c.W.Dim(2), c.W.Dim(3)
-	cols := tensor.Im2Col(in, kh, kw, c.Stride)
-	wmat := c.W.Reshape(c.Filters(), c.FanIn())
-	prod := tensor.MatMul(wmat, tensor.Transpose2D(cols))
-	h, w := in.Dim(1), in.Dim(2)
-	outH := (h-kh)/c.Stride + 1
-	outW := (w-kw)/c.Stride + 1
+	outH := (in.Dim(1)-kh)/c.Stride + 1
+	outW := (in.Dim(2)-kw)/c.Stride + 1
+	positions, fan := outH*outW, c.FanIn()
+	if sc.cols == nil || sc.cols.Dim(0) != positions || sc.cols.Dim(1) != fan {
+		sc.cols = tensor.New(positions, fan)
+		sc.colsT = tensor.New(fan, positions)
+	}
+	tensor.Im2ColInto(sc.cols, in, kh, kw, c.Stride)
+	tensor.Transpose2DInto(sc.colsT, sc.cols)
+	prod := tensor.New(c.Filters(), positions)
+	tensor.MatMulInto(prod, c.W.Reshape(c.Filters(), fan), sc.colsT)
 	return prod.Reshape(c.Filters(), outH, outW)
 }
 
@@ -369,19 +388,10 @@ func binarizeInto(dst, x *tensor.Tensor, t float64) *tensor.Tensor {
 // maxPool is float max pooling (used only in the float remainder of
 // the greedy search; the quantized pipeline uses orPool).
 func maxPool(x *tensor.Tensor, size int) *tensor.Tensor {
-	out := tensor.New(x.Dim(0), x.Dim(1)/size, x.Dim(2)/size)
-	maxPoolInto(out, x, size)
-	return out
-}
-
-// maxPoolInto writes the float max pool of x ([c,h,w]) into dst
-// ([c, h/size, w/size]) using direct Data() indexing — it sits inside
-// the hot remainder loop, where the bounds-checked At/Set accessors
-// cost more than the comparisons.
-func maxPoolInto(dst, x *tensor.Tensor, size int) {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := dst.Dim(1), dst.Dim(2)
-	xd, od := x.Data(), dst.Data()
+	oh, ow := h/size, w/size
+	out := tensor.New(c, oh, ow)
+	xd, od := x.Data(), out.Data()
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
 		for oy := 0; oy < oh; oy++ {
@@ -399,6 +409,7 @@ func maxPoolInto(dst, x *tensor.Tensor, size int) {
 			}
 		}
 	}
+	return out
 }
 
 // floatRemainder runs stages from (the input of conv stage `from`)
