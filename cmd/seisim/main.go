@@ -19,7 +19,7 @@
 //	timing      latency/throughput and the replica trade-off (Section 5.3)
 //	map         per-layer floorplan with measured-activity energy
 //	bounded     runtime activation-bound study: skip rates, energy
-//	noisy       packed non-ideal inference study: speedup, draw ledger, approx delta
+//	noisy       packed non-ideal inference study: speedup, draw ledger
 //	pareto      device precision/variation Pareto frontier
 //	vgg         VGG-19 motivation numbers (Section 2.3)
 //	verilog     golden digital RTL of the SEI stages (internal/hdl)

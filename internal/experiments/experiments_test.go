@@ -329,15 +329,12 @@ func TestNoisyStudy(t *testing.T) {
 	if !res.CellMatch {
 		t.Error("per-cell packed path diverged from the float path")
 	}
-	if res.CellDraws == 0 || res.AggDraws == 0 {
-		t.Errorf("draw ledger empty: cell %d agg %d", res.CellDraws, res.AggDraws)
-	}
-	if res.AggDraws >= res.CellDraws {
-		t.Errorf("aggregated mode drew %d >= exact %d", res.AggDraws, res.CellDraws)
+	if res.CellDraws == 0 {
+		t.Errorf("per-cell draw ledger empty")
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
-	if !strings.Contains(buf.String(), "IDENTICAL") || !strings.Contains(buf.String(), "aggregated") {
+	if !strings.Contains(buf.String(), "IDENTICAL") || !strings.Contains(buf.String(), "per-cell") {
 		t.Fatal("Print output missing expected lines")
 	}
 }

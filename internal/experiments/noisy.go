@@ -14,9 +14,8 @@ import (
 
 // NoisyResult reports the packed non-ideal inference study (DESIGN.md
 // §17): how much faster the packed path evaluates a Table-5-style
-// noisy design than the float path it is bit-identical to, and what
-// the opt-in aggregated-variance approximation buys (fewer RNG draws)
-// and costs (a measured accuracy delta) on per-cell noise models.
+// noisy design than the float path it is bit-identical to, for the
+// per-column and the per-cell noise models.
 type NoisyResult struct {
 	NetworkID int
 	Images    int
@@ -31,20 +30,14 @@ type NoisyResult struct {
 	ColPackedSec float64
 	ColSpeedup   float64
 
-	// Per-cell model: exact packed vs float (again bit-identical), and
-	// the aggregated-variance approximation with its draw savings.
+	// Per-cell model: packed vs float, again bit-identical.
 	CellFloatErr  float64
 	CellPackedErr float64
 	CellMatch     bool
 	CellFloatSec  float64
 	CellPackedSec float64
 	CellSpeedup   float64
-	CellDraws     int64 // exact per-cell draws over the run
-	AggDraws      int64 // aggregated-mode draws over the same run
-	AggErr        float64
-	AggDeltaPP    float64 // (AggErr − CellPackedErr) in percentage points
-	AggSec        float64
-	AggSpeedup    float64 // vs the per-cell float path
+	CellDraws     int64 // per-cell draws over the run
 }
 
 // noisyEval runs d over data on the current dispatch settings and
@@ -73,9 +66,7 @@ func noisyEval(d *seicore.SEIDesign, data *mnist.Dataset, workers int) ([]int, f
 // NoisyStudy measures the packed non-ideal path on one network: a
 // per-column read-noise design (the Table-5 robustness configuration)
 // and a per-cell design, each evaluated on the float path and the
-// packed path — which must agree bit for bit — plus the per-cell
-// aggregated-variance approximation with its measured accuracy delta.
-// This is the study behind Monte Carlo device-variation campaigns: the
+// packed path, which must agree bit for bit. This is the study behind Monte Carlo device-variation campaigns: the
 // speedup multiplies directly into how many noise samples a campaign
 // can afford.
 func NoisyStudy(c *Context, networkID int) (*NoisyResult, error) {
@@ -135,18 +126,6 @@ func NoisyStudy(c *Context, networkID int) (*NoisyResult, error) {
 	if packedSec > 0 {
 		res.CellSpeedup = floatSec / packedSec
 	}
-
-	c.logf("noisy study: per-cell aggregated-variance mode\n")
-	d.SetNoiseApprox(true)
-	_, aggErr, aggSec, aggDraws := noisyEval(d, c.Test, workers)
-	d.SetNoiseApprox(false)
-	res.AggErr = aggErr
-	res.AggDeltaPP = 100 * (aggErr - res.CellPackedErr)
-	res.AggSec = aggSec
-	res.AggDraws = aggDraws
-	if aggSec > 0 {
-		res.AggSpeedup = floatSec / aggSec
-	}
 	return res, nil
 }
 
@@ -165,15 +144,5 @@ func (r *NoisyResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  per-cell noise:   labels %s (err %.2f%%)\n", label(r.CellMatch), 100*r.CellPackedErr)
 	fmt.Fprintf(w, "    float %.2fs -> packed %.2fs  (%.1fx), %d draws\n",
 		r.CellFloatSec, r.CellPackedSec, r.CellSpeedup, r.CellDraws)
-	fmt.Fprintf(w, "  aggregated-variance mode: err %.2f%% (delta %+.2f pp), %d draws (%.1fx fewer), %.2fs (%.1fx vs float)\n",
-		100*r.AggErr, r.AggDeltaPP, r.AggDraws, safeRatio(float64(r.CellDraws), float64(r.AggDraws)), r.AggSec, r.AggSpeedup)
 	fmt.Fprintln(w, "  (speedups multiply directly into Monte Carlo campaign size: same noise statistics, more samples per budget)")
-}
-
-// safeRatio is a/b guarded against a zero denominator.
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

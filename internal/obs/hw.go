@@ -30,8 +30,7 @@ const (
 	// RNG-consumption ledger that lets two inference paths prove they
 	// replayed the same noise stream: equal totals at equal seeds mean
 	// identical stream prefixes. Per-column models draw one per column
-	// current; per-cell models one per selected cell; the aggregated
-	// approximation one per column from the summed variance.
+	// current; per-cell models one per selected cell.
 	SEINoiseDraws = "sei_noise_draws"
 )
 

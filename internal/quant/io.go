@@ -63,8 +63,8 @@ func Load(r io.Reader) (*QuantizedNet, error) {
 	if snap.Version != quantSnapshotVersion {
 		return nil, fmt.Errorf("quant: unsupported snapshot version %d", snap.Version)
 	}
-	if len(snap.Thresholds) != len(snap.Convs) {
-		return nil, fmt.Errorf("quant: %d thresholds for %d conv stages", len(snap.Thresholds), len(snap.Convs))
+	if err := snap.validate(); err != nil {
+		return nil, fmt.Errorf("quant: %w", err)
 	}
 	q := &QuantizedNet{
 		Name:       snap.Name,
@@ -80,6 +80,57 @@ func Load(r io.Reader) (*QuantizedNet, error) {
 		})
 	}
 	return q, nil
+}
+
+// validate checks a decoded snapshot's geometry before any tensor is
+// built from it: every shape positive and exactly as long as its data;
+// 4-D conv kernels chaining from the 3-D input shape (channels match,
+// kernels fit, stride ≥ 1, non-empty pooled maps, as convStage and
+// orPool compute them); one threshold per conv stage; and a 2-D FC
+// matrix [classes, flattened final map] with one bias per class.
+func (s *quantSnapshot) validate() error {
+	if len(s.Convs) == 0 || len(s.Thresholds) != len(s.Convs) {
+		return fmt.Errorf("%d thresholds for %d conv stages", len(s.Thresholds), len(s.Convs))
+	}
+	if len(s.InShape) != 3 || s.InShape[0] <= 0 || s.InShape[1] <= 0 || s.InShape[2] <= 0 {
+		return fmt.Errorf("input shape %v, want 3 positive dimensions", s.InShape)
+	}
+	c, h, w := s.InShape[0], s.InShape[1], s.InShape[2]
+	for l, cs := range s.Convs {
+		if len(cs.Shape) != 4 || !shapeHolds(cs.Shape, len(cs.Data)) {
+			return fmt.Errorf("conv stage %d: kernel shape %v for %d weights", l, cs.Shape, len(cs.Data))
+		}
+		kh, kw := cs.Shape[2], cs.Shape[3]
+		if cs.Shape[1] != c || kh > h || kw > w || cs.Stride < 1 || cs.PoolSize < 0 {
+			return fmt.Errorf("conv stage %d: kernel %v stride %d pool %d on a %d×%d×%d map", l, cs.Shape, cs.Stride, cs.PoolSize, c, h, w)
+		}
+		c, h, w = cs.Shape[0], (h-kh)/cs.Stride+1, (w-kw)/cs.Stride+1
+		if cs.PoolSize > 1 {
+			h, w = h/cs.PoolSize, w/cs.PoolSize
+		}
+		if h < 1 || w < 1 {
+			return fmt.Errorf("conv stage %d: pooling leaves an empty map", l)
+		}
+	}
+	if len(s.FCShape) != 2 || !shapeHolds(s.FCShape, len(s.FCData)) ||
+		!shapeHolds([]int{c, h, w}, s.FCShape[1]) || len(s.FCBias) != s.FCShape[0] {
+		return fmt.Errorf("FC shape %v with %d weights and %d biases after a %d×%d×%d map",
+			s.FCShape, len(s.FCData), len(s.FCBias), c, h, w)
+	}
+	return nil
+}
+
+// shapeHolds reports whether shape has positive dimensions whose
+// product is n, without overflowing on the way.
+func shapeHolds(shape []int, n int) bool {
+	p := 1
+	for _, d := range shape {
+		if d <= 0 || d > n/p {
+			return false
+		}
+		p *= d
+	}
+	return p == n
 }
 
 // SaveFile writes the quantized network to path, creating parents.

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -290,6 +291,54 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("Load accepted garbage")
+	}
+}
+
+// TestLoadRejectsInconsistentGeometry pins the snapshot checks that run
+// before any tensor is built: each corruption decodes cleanly, and
+// would otherwise panic in tensor.FromSlice or leave a net whose
+// stages do not chain.
+func TestLoadRejectsInconsistentGeometry(t *testing.T) {
+	q, _ := Extract(nn.NewTableNetwork(2, 1), []int{1, 28, 28})
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(*quantSnapshot)
+	}{
+		{"intact", func(*quantSnapshot) {}},
+		{"kernel-data-short", func(s *quantSnapshot) { s.Convs[0].Data = s.Convs[0].Data[1:] }},
+		{"kernel-zero-dim", func(s *quantSnapshot) { s.Convs[1].Shape[0] = 0 }},
+		{"kernel-overflowing-dims", func(s *quantSnapshot) {
+			s.Convs[0].Shape = []int{1 << 62, 1 << 2, 1, len(s.Convs[0].Data)}
+		}},
+		{"channels-mismatch", func(s *quantSnapshot) { s.InShape[0] = 2 }},
+		{"kernel-larger-than-map", func(s *quantSnapshot) { s.InShape[1] = 2 }},
+		{"stride-zero", func(s *quantSnapshot) { s.Convs[0].Stride = 0 }},
+		{"pool-empties-map", func(s *quantSnapshot) { s.Convs[1].PoolSize = 100 }},
+		{"fc-fan-in-mismatch", func(s *quantSnapshot) { s.InShape[2] = 40 }},
+		{"fc-bias-short", func(s *quantSnapshot) { s.FCBias = s.FCBias[1:] }},
+		{"thresholds-short", func(s *quantSnapshot) { s.Thresholds = s.Thresholds[1:] }},
+		{"no-conv-stages", func(s *quantSnapshot) { s.Convs, s.Thresholds = nil, nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap quantSnapshot
+			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&snap)
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&out)
+			if (err == nil) != (tc.name == "intact") {
+				t.Fatalf("Load error %v", err)
+			}
+		})
 	}
 }
 

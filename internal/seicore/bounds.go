@@ -130,17 +130,6 @@ func newColBounds(eff *tensor.Tensor) *colBounds {
 	return cb
 }
 
-// valid reports whether a table (possibly restored from a snapshot)
-// is structurally consistent with an n×m block.
-func (cb *colBounds) valid(n, m int) bool {
-	if cb == nil || cb.n != n || cb.m != m || cb.stride <= 0 {
-		return false
-	}
-	ncp := checkpoints(n, cb.stride)
-	return len(cb.sufPos) == ncp*m && len(cb.sufNeg) == ncp*m &&
-		len(cb.sufAbs) == ncp*m && len(cb.slackU) == ncp
-}
-
 // boundState is one block's bounded-scan outcome.
 type boundState struct {
 	fired1    uint64 // columns decided 1 by the bound
@@ -265,26 +254,15 @@ func (b *seiBlock) countOnes(in *bitvec.Vec) int {
 func (l *SEIConvLayer) boundable() bool { return l.M <= boundMaxCols }
 
 // initBounds builds the suffix tables for every block that can use
-// them (static dynamic-column-free blocks of mask-width layers on an
-// ideal read-out, the only place bounded mode runs) and validates any
-// tables restored from a snapshot, rebuilding stale ones. Tables
-// depend only on the programmed effective weights, so a rebuilt table
-// is identical to a persisted one.
+// them: dynamic-column-free blocks of mask-width layers on an ideal
+// read-out, the only place bounded mode runs. Tables depend only on
+// the programmed effective weights, so they are never persisted.
 func (d *SEIDesign) initBounds() {
 	for _, l := range d.Convs {
-		if !d.ideal || !l.boundable() {
-			for bi := range l.blocks {
-				l.blocks[bi].bnd = nil
-			}
-			continue
-		}
 		for bi := range l.blocks {
 			b := &l.blocks[bi]
-			if b.w0 != nil {
-				b.bnd = nil
-				continue
-			}
-			if !b.bnd.valid(len(b.inputs), l.M) {
+			b.bnd = nil
+			if d.ideal && l.boundable() && b.w0 == nil {
 				b.bnd = newColBounds(b.eff)
 			}
 		}

@@ -106,9 +106,9 @@ type SEIDesign struct {
 	// before the design is shared across goroutines.
 	packed, ideal, strip0 bool
 	scratch, sliced       *sync.Pool
-	// fastOff (SetFastPath), bounded (SetBounded) and approxNoise
-	// (SetNoiseApprox) are the mode toggles.
-	fastOff, bounded, approxNoise bool
+	// fastOff (SetFastPath) and bounded (SetBounded) are the mode
+	// toggles.
+	fastOff, bounded bool
 }
 
 // initFastPath caches the walkers' eligibility and static kernel facts
@@ -116,8 +116,8 @@ type SEIDesign struct {
 // (BuildSEI / LoadDesign). Bound tables are built for ideal designs,
 // but the bounded walk itself stays off until SetBounded.
 func (d *SEIDesign) initFastPath() {
-	d.packed = d.readoutAll(rram.ReadoutParams.Linear)
-	d.ideal = d.readoutAll(rram.ReadoutParams.Ideal)
+	d.packed = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Linear() })
+	d.ideal = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Ideal() })
 	if d.packed {
 		d.scratch = &sync.Pool{}
 	}
@@ -129,7 +129,6 @@ func (d *SEIDesign) initFastPath() {
 		l.word = l.wordWindowEligible()
 	}
 	d.initBounds()
-	d.initNoiseTables()
 }
 
 // SetFastPath enables (the default for eligible designs) or disables
@@ -150,39 +149,6 @@ func (d *SEIDesign) SetFastPath(on bool) { d.fastOff = !on }
 // drop, whose sums the bounds do not model. Not safe to call
 // concurrently with evaluation.
 func (d *SEIDesign) SetBounded(on bool) { d.bounded = on }
-
-// SetNoiseApprox enables the aggregated-variance noise approximation
-// on the packed walker (DESIGN.md §17): layers with per-cell read
-// noise draw one Gaussian per column per block, scaled by the summed
-// per-cell variance, instead of one per active cell. The per-column
-// draw distribution is identical to the exact pass (pinned by
-// noise_test.go's KS harness) but the draws are not bit-identical to
-// it — an explicit Monte Carlo throughput trade; cmd/seisim's noisy
-// study measures the accuracy delta. Layers with per-column noise are
-// unaffected (their exact pass is already one draw per column). Not
-// safe to call concurrently with evaluation.
-func (d *SEIDesign) SetNoiseApprox(on bool) { d.approxNoise = on }
-
-// initNoiseTables builds the squared-weight variance tables the
-// aggregated-noise approximation folds into the packed sum — only for
-// layers whose device model draws per-cell noise (the approximation
-// is an identity elsewhere). Tables are functions of the effective
-// weights, so they are derived at build/load time and never persisted.
-func (d *SEIDesign) initNoiseTables() {
-	for _, l := range d.Convs {
-		if l.cells == nil {
-			continue
-		}
-		for bi := range l.blocks {
-			l.blocks[bi].initSquares()
-		}
-	}
-	if d.FC.cells != nil {
-		for bi := range d.FC.blocks {
-			d.FC.blocks[bi].initSquares()
-		}
-	}
-}
 
 var _ quant.StageEval = (*SEIDesign)(nil)
 
@@ -304,7 +270,7 @@ func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 		}
 		for _, p := range par.MapChunksRec(cfg.Obs, cfg.Workers, len(samples), par.DefaultChunkSize,
 			func(c par.Chunk) onesPartial {
-				eval := layer.evalClone(layerSeed(calibSeedBase, c.Index))
+				eval := evalClone(layer, layerSeed(calibSeedBase, c.Index))
 				p := onesPartial{perBlock: make([]float64, layer.K)}
 				for i := c.Lo; i < c.Hi; i++ {
 					_, _, ones := eval.BlockSums(samples[i].In)

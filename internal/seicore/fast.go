@@ -16,7 +16,7 @@ package seicore
 // effective weights (matrix.go); IR drop is a per-column scale fixed
 // by the active-row count; per-column read noise is one draw per
 // column current; per-cell read noise is a second walk over the same
-// active rows in the same ascending order (noise.go). On an ideal
+// active rows in the same ascending order (readout.go). On an ideal
 // read-out those passes do nothing, so the ideal and the noisy designs
 // share the layer kernels. Only the sinh I-V transfer breaks the
 // separation (it distorts the analog input stage before the product);
@@ -40,7 +40,6 @@ import (
 
 	"sei/internal/bitvec"
 	"sei/internal/quant"
-	"sei/internal/rram"
 	"sei/internal/tensor"
 )
 
@@ -94,7 +93,6 @@ type seiScratch struct {
 	fired     []int       // per-column fired-block counts
 	scores    []float64   // FC classifier scores
 	gauss     []float64   // per-cell noise-draw block
-	varsum    []float64   // aggregated-noise per-column variances
 }
 
 // newSEIScratch sizes an arena for d.
@@ -124,23 +122,20 @@ func newSEIScratch(d *SEIDesign) *seiScratch {
 	s.fired = make([]int, maxM)
 	s.scores = make([]float64, d.FC.M)
 	s.gauss = make([]float64, maxM)
-	s.varsum = make([]float64, maxM)
 	return s
 }
 
-// readoutAll reports whether every stage's device read-out satisfies
-// ok — rram.ReadoutParams.Linear gates the packed walker,
-// rram.ReadoutParams.Ideal the sliced walker and bounded mode.
-func (d *SEIDesign) readoutAll(ok func(rram.ReadoutParams) bool) bool {
-	if !ok(d.Input.model.Readout()) || !ok(d.FC.model.Readout()) {
-		return false
+// anyReadout reports whether f holds for some stage's read-out.
+func (d *SEIDesign) anyReadout(f func(*readout) bool) bool {
+	if f(&d.Input.readout) || f(&d.FC.readout) {
+		return true
 	}
 	for _, l := range d.Convs {
-		if !ok(l.model.Readout()) {
-			return false
+		if f(&l.readout) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // stageKernel names the kernel one stage of a packed walker runs.
@@ -301,7 +296,6 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	// The pool-crop skip comes with bounded mode, which is exact only
 	// on ideal read-outs (a noisy window's draws must still be taken).
 	bounded := d.bounded && d.ideal
-	agg := d.approxNoise
 
 	// Stage 0 keeps the DAC+ADC organization (Section 3.2): float
 	// image windows through the merged input layer, binarized by the
@@ -340,7 +334,7 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 						cropSkip += int64(bits.OnesCount64(w))
 						continue
 					}
-					layer.evalCountsWord(w, fired, col, s.gauss, s.varsum, agg)
+					layer.evalCountsWord(w, fired, col)
 				} else {
 					gatherBitWindow(in, g, oy, ox, s.win)
 					if crop {
@@ -350,7 +344,7 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 					if kernel == kernelBounded {
 						layer.evalBoundedCounts(s.win, fired, col)
 					} else {
-						layer.evalCounts(s.win, fired, col, s.gauss, s.varsum, agg)
+						layer.evalCounts(s.win, fired, col, s.gauss)
 					}
 				}
 				for k, f := range fired {
@@ -370,7 +364,7 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	}
 
 	// FC stage: the flattened final map is already the packed input.
-	d.FC.evalInto(s.cur, s.scores, s.col[:d.FC.M], s.gauss, s.varsum, agg)
+	d.FC.evalInto(s.cur, s.scores, s.col[:d.FC.M], s.gauss)
 	best, bi := s.scores[0], 0
 	for i, v := range s.scores {
 		if v > best { // strict >: first maximum wins, as tensor.ArgMax
@@ -420,13 +414,15 @@ func (d *SEIDesign) stage0Gather(data []float64, g *stageGeom, s *seiScratch, ou
 // fixed window ox at stride 1, ascending pixel index means ascending
 // kernel column, so every window still accumulates its contributions
 // in exactly MatVecTInto's (ch, ky, kx) skip-zero order and the sums
-// stay bit-identical; the per-column noise pass then walks the strip
+// stay bit-identical; the read-out's column pass then walks the strip
 // in window order, preserving the RNG stream.
 func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, out *bitvec.Vec) {
 	in := d.Input
 	thr := d.Q.Thresholds[0]
 	eff, m := in.eff.Data(), in.M
-	sigma, rng := in.model.ReadNoiseSigma, in.readNoise
+	// The merged layer models no IR drop, and the kernel never runs
+	// with per-cell noise, so only per-column noise has column work.
+	noisy := in.noisy()
 	strip = strip[:g.outW*m]
 	for oy := 0; oy < g.outH; oy++ {
 		for i := range strip {
@@ -461,10 +457,8 @@ func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, o
 		}
 		for ox := 0; ox < g.outW; ox++ {
 			cw := strip[ox*m : ox*m+m]
-			if rng != nil {
-				for j := range cw {
-					cw[j] *= 1 + sigma*rng.NormFloat64()
-				}
+			if noisy {
+				in.columns(cw, 0)
 			}
 			for k, v := range cw {
 				if v > thr {
@@ -478,8 +472,10 @@ func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, o
 // evalCountsWord is evalCounts over a single-word window: each
 // contiguous block selects its rows by mask and walks set bits
 // lowest-first — the same ascending local order, sums, draws and
-// counters as the bitvec walk, with no window blit and no second pass.
-func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col, g, vs []float64, agg bool) {
+// counters as the bitvec walk, with no window blit and no second pass
+// (the kernel never runs with per-cell noise, so only the column-level
+// read-out applies).
+func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col []float64) {
 	for c := range fired {
 		fired[c] = 0
 	}
@@ -508,7 +504,7 @@ func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col, g, vs []floa
 			}
 		}
 		l.hw.ActiveInputs(int64(ones))
-		l.applyAnalogBits(b, nil, col, ones, g, vs, agg)
+		l.columns(col, ones)
 		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
 		for c, s := range col {
 			if s > ref {
@@ -528,7 +524,7 @@ func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col, g, vs []floa
 // hardware counters recorded at the same logical events. It fills
 // fired (len M, the per-column count of blocks whose SA fired); the
 // caller applies Eval's `>= DigitalThreshold` compare.
-func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g, vs []float64, agg bool) {
+func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g []float64) {
 	for c := range fired {
 		fired[c] = 0
 	}
@@ -536,7 +532,7 @@ func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g, vs []floa
 		b := &l.blocks[bi]
 		w0sum, ones := b.sumsBits(in, col)
 		l.hw.ActiveInputs(int64(ones))
-		l.applyAnalogBits(b, in, col, ones, g, vs, agg)
+		l.readBits(b, in, col, ones, g)
 		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
 		for c, s := range col {
 			if s > ref {
@@ -551,43 +547,17 @@ func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g, vs []floa
 	}
 }
 
-// applyAnalogBits is applyAnalog on a packed input window: the same
-// effect order (per-cell noise, IR scale, per-column noise), the same
-// draws. agg selects the aggregated-variance approximation for the
-// per-cell pass; vs is its variance scratch.
-func (l *SEIConvLayer) applyAnalogBits(b *seiBlock, in *bitvec.Vec, sums []float64, ones int, g, vs []float64, agg bool) {
-	if l.cells != nil {
-		if agg {
-			l.hw.NoiseDraws(int64(cellNoiseAggregated(l.cells, l.model.ReadNoiseSigma, b, in, sums, g, vs)))
-		} else {
-			l.hw.NoiseDraws(int64(cellNoiseBits(l.cells, l.model.ReadNoiseSigma, b, in, sums, g)))
-		}
-	}
-	if a := l.model.IRDropAlpha; a > 0 {
-		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
-		for c := range sums {
-			sums[c] *= scale
-		}
-	}
-	if l.noise != nil {
-		for c := range sums {
-			sums[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
-		}
-		l.hw.NoiseDraws(int64(len(sums)))
-	}
-}
-
 // evalInto is the packed twin of the FC Eval: scores are written into
-// out (len M) and col is a per-block column scratch (len M). Bias
-// copy, block order, effect order and the `s − w0sum` accumulation
-// all match Eval, so scores are bit-identical.
-func (l *SEIFCLayer) evalInto(in *bitvec.Vec, out, col, g, vs []float64, agg bool) {
+// out (len M), col is a per-block column scratch (len M) and g the
+// per-cell draw scratch. Bias copy, block order, read-out and the
+// `s − w0sum` accumulation all match Eval, so scores are bit-identical.
+func (l *SEIFCLayer) evalInto(in *bitvec.Vec, out, col, g []float64) {
 	copy(out, l.Bias)
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
 		w0sum, ones := b.sumsBits(in, col)
 		l.hw.ActiveInputs(int64(ones))
-		w0sum = l.applyAnalogFCBits(b, in, col, w0sum, ones, g, vs, agg)
+		w0sum *= l.readBits(b, in, col, ones, g)
 		for c, s := range col {
 			out[c] += s - w0sum
 		}
@@ -596,29 +566,4 @@ func (l *SEIFCLayer) evalInto(in *bitvec.Vec, out, col, g, vs []float64, agg boo
 		h.MVM(int64(l.K))
 		h.ColumnActivations(int64(l.K * l.M))
 	}
-}
-
-// applyAnalogFCBits is applyAnalogFC on a packed input window.
-func (l *SEIFCLayer) applyAnalogFCBits(b *seiBlock, in *bitvec.Vec, main []float64, w0sum float64, ones int, g, vs []float64, agg bool) float64 {
-	if l.cells != nil {
-		if agg {
-			l.hw.NoiseDraws(int64(cellNoiseAggregated(l.cells, l.model.ReadNoiseSigma, b, in, main, g, vs)))
-		} else {
-			l.hw.NoiseDraws(int64(cellNoiseBits(l.cells, l.model.ReadNoiseSigma, b, in, main, g)))
-		}
-	}
-	if a := l.model.IRDropAlpha; a > 0 {
-		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
-		for c := range main {
-			main[c] *= scale
-		}
-		w0sum *= scale
-	}
-	if l.noise != nil {
-		for c := range main {
-			main[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
-		}
-		l.hw.NoiseDraws(int64(len(main)))
-	}
-	return w0sum
 }

@@ -24,20 +24,14 @@ import (
 // buffers plus integer configuration, keeping files independent of
 // internal struct layout.
 
+// blockSnapshot is one block's programmed state. Version-2 files also
+// carry the block's activation-bound tables (BndStride, BndPos, BndNeg,
+// BndAbs, BndSlack); gob skips them, because the tables are a function
+// of Eff and initBounds rebuilds them at every load.
 type blockSnapshot struct {
 	Inputs []int
 	Eff    []float64 // row-major [len(Inputs), M]
 	W0     []float64 // per-local-row dynamic column; nil unless unipolar
-
-	// Runtime activation-bound suffix tables (version 2, bounds.go).
-	// Zero/nil on blocks that are not boundable and in version-1 files;
-	// initBounds rebuilds absent tables at load, so old snapshots stay
-	// loadable and predict identically.
-	BndStride int
-	BndPos    []float64 // [checkpoints, M] suffix positive sums
-	BndNeg    []float64 // [checkpoints, M] suffix negative sums
-	BndAbs    []float64 // [checkpoints, M] suffix absolute sums
-	BndSlack  []float64 // [checkpoints] float-safety slack factor
 }
 
 type seiLayerSnapshot struct {
@@ -72,8 +66,8 @@ type designSnapshot struct {
 	CalibResults map[int]CalibrationResult
 }
 
-// designSnapshotVersion 2 added the per-block bound tables; version-1
-// files load unchanged (tables rebuild from the effective weights).
+// designSnapshotVersion 2 added per-block bound tables, which loads now
+// ignore; version-1 and version-2 files load alike.
 const designSnapshotVersion = 2
 
 func snapshotBlocks(blocks []seiBlock) []blockSnapshot {
@@ -85,13 +79,6 @@ func snapshotBlocks(blocks []seiBlock) []blockSnapshot {
 		}
 		if b.w0 != nil {
 			out[i].W0 = append([]float64(nil), b.w0...)
-		}
-		if b.bnd != nil {
-			out[i].BndStride = b.bnd.stride
-			out[i].BndPos = append([]float64(nil), b.bnd.sufPos...)
-			out[i].BndNeg = append([]float64(nil), b.bnd.sufNeg...)
-			out[i].BndAbs = append([]float64(nil), b.bnd.sufAbs...)
-			out[i].BndSlack = append([]float64(nil), b.bnd.slackU...)
 		}
 	}
 	return out
@@ -108,6 +95,9 @@ func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
 	held := 0
 	blocks := make([]seiBlock, len(snaps))
 	for i, s := range snaps {
+		if len(s.Inputs) == 0 {
+			return nil, fmt.Errorf("seicore: block %d holds no inputs", i)
+		}
 		for _, j := range s.Inputs {
 			if j < 0 || j >= n || seen[j] {
 				return nil, fmt.Errorf("seicore: block %d input %d: block inputs are not a permutation of [0,%d)", i, j, n)
@@ -128,26 +118,43 @@ func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
 		if s.W0 != nil {
 			blocks[i].w0 = append([]float64(nil), s.W0...)
 		}
-		if s.BndStride > 0 {
-			cb := &colBounds{
-				n: len(s.Inputs), m: m, stride: s.BndStride,
-				sufPos: append([]float64(nil), s.BndPos...),
-				sufNeg: append([]float64(nil), s.BndNeg...),
-				sufAbs: append([]float64(nil), s.BndAbs...),
-				slackU: append([]float64(nil), s.BndSlack...),
-			}
-			// A malformed table is dropped, not fatal: initBounds
-			// rebuilds it from the effective weights at load.
-			if cb.valid(len(s.Inputs), m) {
-				blocks[i].bnd = cb
-			}
-		}
 		blocks[i].initFast()
 	}
 	if held != n {
 		return nil, fmt.Errorf("seicore: blocks hold %d of %d inputs", held, n)
 	}
 	return blocks, nil
+}
+
+// snapshot captures the array's mapping and device model.
+func (a *seiArray) snapshot() seiLayerSnapshot {
+	return seiLayerSnapshot{
+		N: a.N, M: a.M, K: a.K, Mode: int(a.Mode),
+		Model:  a.model,
+		Blocks: snapshotBlocks(a.blocks),
+	}
+}
+
+// restoreArray rebuilds an SEI stage's crossbar mapping from its
+// snapshot, checked against the quantized net's n×m stage matrix, with
+// its noise source anchored at seed.
+func restoreArray(ls seiLayerSnapshot, n, m int, seed int64) (seiArray, error) {
+	if err := ls.Model.Validate(); err != nil {
+		return seiArray{}, fmt.Errorf("device: %w", err)
+	}
+	if ls.N != n || ls.M != m {
+		return seiArray{}, fmt.Errorf("%d×%d matrix, quantized net has %d×%d", ls.N, ls.M, n, m)
+	}
+	mode := SignedMode(ls.Mode)
+	if mode != ModeBipolar && mode != ModeUnipolarDynamic {
+		return seiArray{}, fmt.Errorf("unknown signed mode %d", ls.Mode)
+	}
+	blocks, err := restoreBlocks(ls.Blocks, n, m, ls.K)
+	if err != nil {
+		return seiArray{}, err
+	}
+	ro := readout{model: ls.Model, irRows: mode.CellsPerWeightFor(ls.Model.Bits)}
+	return seiArray{N: n, M: m, K: ls.K, Mode: mode, blocks: blocks, readout: ro.seeded(seed)}, nil
 }
 
 // Save serializes the design — programmed effective weights, calibrated
@@ -165,25 +172,18 @@ func (d *SEIDesign) Save(w io.Writer) error {
 			Model: d.Input.model,
 			Eff:   append([]float64(nil), d.Input.eff.Data()...),
 		},
+		FC:           d.FC.snapshot(),
 		CalibResults: d.CalibResults,
 	}
+	snap.FC.Bias = append([]float64(nil), d.FC.Bias...)
 	for _, l := range d.Convs {
-		snap.Convs = append(snap.Convs, seiLayerSnapshot{
-			N: l.N, M: l.M, K: l.K, Mode: int(l.Mode),
-			Model:            l.model,
-			Blocks:           snapshotBlocks(l.blocks),
-			Threshold:        l.Threshold,
-			BaseThr:          append([]float64(nil), l.BaseThr...),
-			Gamma:            l.Gamma,
-			OnesMean:         append([]float64(nil), l.OnesMean...),
-			DigitalThreshold: l.DigitalThreshold,
-		})
-	}
-	snap.FC = seiLayerSnapshot{
-		N: d.FC.N, M: d.FC.M, K: d.FC.K, Mode: int(d.FC.Mode),
-		Model:  d.FC.model,
-		Blocks: snapshotBlocks(d.FC.blocks),
-		Bias:   append([]float64(nil), d.FC.Bias...),
+		ls := l.snapshot()
+		ls.Threshold = l.Threshold
+		ls.BaseThr = append([]float64(nil), l.BaseThr...)
+		ls.Gamma = l.Gamma
+		ls.OnesMean = append([]float64(nil), l.OnesMean...)
+		ls.DigitalThreshold = l.DigitalThreshold
+		snap.Convs = append(snap.Convs, ls)
 	}
 	return gob.NewEncoder(w).Encode(snap)
 }
@@ -192,7 +192,9 @@ func (d *SEIDesign) Save(w io.Writer) error {
 // noise streams of layers whose device model has ReadNoiseSigma > 0
 // (single-image predicts draw from them; dataset evaluation re-seeds
 // per chunk via CloneForEval regardless). Noise-free designs ignore it.
-// The loaded design is uninstrumented; attach counters with Instrument.
+// Every stage is checked against the nested quantized net's geometry,
+// so a snapshot that loads predicts within it. The loaded design is
+// uninstrumented; attach counters with Instrument.
 func LoadDesign(r io.Reader, seed int64) (*SEIDesign, error) {
 	var snap designSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -205,37 +207,33 @@ func LoadDesign(r io.Reader, seed int64) (*SEIDesign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seicore: nested quantized net: %w", err)
 	}
-	if err := snap.Input.Model.Validate(); err != nil {
+	if len(snap.Convs) != len(q.Convs)-1 {
+		return nil, fmt.Errorf("seicore: %d SEI conv stages, quantized net has %d", len(snap.Convs), len(q.Convs)-1)
+	}
+	in, c0 := snap.Input, &q.Convs[0]
+	if err := in.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("seicore: input stage device: %w", err)
 	}
-	if len(snap.Input.Eff) != snap.Input.N*snap.Input.M {
-		return nil, fmt.Errorf("seicore: input stage has %d effective weights, want %d×%d",
-			len(snap.Input.Eff), snap.Input.N, snap.Input.M)
+	if in.N != c0.FanIn() || in.M != c0.Filters() {
+		return nil, fmt.Errorf("seicore: input stage is %d×%d, quantized net has %d×%d", in.N, in.M, c0.FanIn(), c0.Filters())
+	}
+	if len(in.Eff) != in.N*in.M {
+		return nil, fmt.Errorf("seicore: input stage has %d effective weights, want %d×%d", len(in.Eff), in.N, in.M)
 	}
 	d := &SEIDesign{Q: q, CalibResults: snap.CalibResults}
 	if d.CalibResults == nil {
 		d.CalibResults = map[int]CalibrationResult{}
 	}
 	d.Input = &MergedLayer{
-		N: snap.Input.N, M: snap.Input.M,
-		model: snap.Input.Model,
-		eff:   tensor.FromSlice(append([]float64(nil), snap.Input.Eff...), snap.Input.N, snap.Input.M),
-	}
-	rngIdx := 0
-	if snap.Input.Model.ReadNoiseSigma > 0 {
-		if snap.Input.Model.ReadNoisePerCell {
-			d.Input.cells = newNoiseStream(layerSeed(seed, rngIdx))
-		} else {
-			d.Input.readNoise = layerRNG(seed, rngIdx)
-		}
-	}
-	rngIdx++
-	if len(snap.Convs) != len(q.Convs)-1 {
-		return nil, fmt.Errorf("seicore: %d SEI conv stages, quantized net has %d", len(snap.Convs), len(q.Convs)-1)
+		N: in.N, M: in.M,
+		eff:     tensor.FromSlice(append([]float64(nil), in.Eff...), in.N, in.M),
+		readout: readout{model: in.Model}.seeded(layerSeed(seed, 0)),
 	}
 	for i, ls := range snap.Convs {
-		if err := ls.Model.Validate(); err != nil {
-			return nil, fmt.Errorf("seicore: conv stage %d device: %w", i+1, err)
+		c := &q.Convs[i+1]
+		a, err := restoreArray(ls, c.FanIn(), c.Filters(), layerSeed(seed, 1+i))
+		if err != nil {
+			return nil, fmt.Errorf("seicore: conv stage %d: %w", i+1, err)
 		}
 		if len(ls.BaseThr) != ls.K || len(ls.OnesMean) != ls.K {
 			return nil, fmt.Errorf("seicore: conv stage %d has %d base thresholds and %d ones means, want K=%d",
@@ -244,57 +242,29 @@ func LoadDesign(r io.Reader, seed int64) (*SEIDesign, error) {
 		if ls.DigitalThreshold < 1 || ls.DigitalThreshold > ls.K {
 			return nil, fmt.Errorf("seicore: conv stage %d digital threshold %d outside [1,%d]", i+1, ls.DigitalThreshold, ls.K)
 		}
-		blocks, err := restoreBlocks(ls.Blocks, ls.N, ls.M, ls.K)
-		if err != nil {
-			return nil, fmt.Errorf("seicore: conv stage %d: %w", i+1, err)
-		}
-		l := &SEIConvLayer{
-			N: ls.N, M: ls.M, K: ls.K, Mode: SignedMode(ls.Mode),
-			blocks:           blocks,
-			model:            ls.Model,
+		d.Convs = append(d.Convs, &SEIConvLayer{
+			seiArray:         a,
 			Threshold:        ls.Threshold,
 			BaseThr:          ls.BaseThr,
 			Gamma:            ls.Gamma,
 			OnesMean:         ls.OnesMean,
 			DigitalThreshold: ls.DigitalThreshold,
-		}
-		if ls.Model.ReadNoiseSigma > 0 {
-			if ls.Model.ReadNoisePerCell {
-				l.cells = newNoiseStream(layerSeed(seed, rngIdx+i))
-			} else {
-				l.noise = layerRNG(seed, rngIdx+i)
-			}
-		}
-		d.Convs = append(d.Convs, l)
+		})
 	}
-	rngIdx += len(snap.Convs)
-	if err := snap.FC.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("seicore: FC stage device: %w", err)
-	}
-	if len(snap.FC.Bias) != snap.FC.M {
-		return nil, fmt.Errorf("seicore: FC bias length %d, want %d", len(snap.FC.Bias), snap.FC.M)
-	}
-	fcBlocks, err := restoreBlocks(snap.FC.Blocks, snap.FC.N, snap.FC.M, snap.FC.K)
+	geom := fastGeometry(q)
+	last := geom[len(geom)-1]
+	fc, err := restoreArray(snap.FC, last.filters*last.pooledH*last.pooledW, len(q.FC.B), layerSeed(seed, 1+len(snap.Convs)))
 	if err != nil {
 		return nil, fmt.Errorf("seicore: FC stage: %w", err)
 	}
-	d.FC = &SEIFCLayer{
-		N: snap.FC.N, M: snap.FC.M, K: snap.FC.K, Mode: SignedMode(snap.FC.Mode),
-		blocks: fcBlocks,
-		model:  snap.FC.Model,
-		Bias:   snap.FC.Bias,
+	if len(snap.FC.Bias) != fc.M {
+		return nil, fmt.Errorf("seicore: FC bias length %d, want %d", len(snap.FC.Bias), fc.M)
 	}
-	if snap.FC.Model.ReadNoiseSigma > 0 {
-		if snap.FC.Model.ReadNoisePerCell {
-			d.FC.cells = newNoiseStream(layerSeed(seed, rngIdx))
-		} else {
-			d.FC.noise = layerRNG(seed, rngIdx)
-		}
-	}
+	d.FC = &SEIFCLayer{seiArray: fc, Bias: snap.FC.Bias}
 	// Snapshots store only programmed state; re-derive the fast-path
-	// eligibility and scratch arena so a loaded design predicts on the
-	// same path (and with the same zero-allocation profile) as the
-	// design that was saved.
+	// eligibility, bound tables and scratch arena so a loaded design
+	// predicts on the same path (and with the same zero-allocation
+	// profile) as the design that was saved.
 	d.initFastPath()
 	return d, nil
 }

@@ -6,9 +6,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sei/internal/nn"
+	"sei/internal/quant"
+	"sei/internal/rram"
+	"sei/internal/tensor"
 )
 
 func TestDesignSaveLoadRoundTrip(t *testing.T) {
@@ -100,11 +104,48 @@ func TestDesignSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestDesignSaveLoadBoundTables pins version-2 persistence of the
-// runtime activation-bound tables: a round-tripped design carries the
-// exact suffix tables that were saved, and a version-1 snapshot (no
-// tables) still loads and reproduces identical bounded behavior by
-// rebuilding them from the effective weights.
+// legacyBlock is blockSnapshot as version-2 files wrote it: with the
+// activation-bound tables that loads now ignore.
+type legacyBlock struct {
+	Inputs    []int
+	Eff, W0   []float64
+	BndStride int
+	BndPos    []float64
+	BndNeg    []float64
+	BndAbs    []float64
+	BndSlack  []float64
+}
+
+// legacyLayer is seiLayerSnapshot with legacy blocks.
+type legacyLayer struct {
+	N, M, K          int
+	Mode             int
+	Model            rram.DeviceModel
+	Blocks           []legacyBlock
+	Threshold        float64
+	BaseThr          []float64
+	Gamma            float64
+	OnesMean         []float64
+	DigitalThreshold int
+	Bias             []float64
+}
+
+// legacyDesign is designSnapshot with legacy layers.
+type legacyDesign struct {
+	Version      int
+	Quant        []byte
+	Input        mergedLayerSnapshot
+	Convs        []legacyLayer
+	FC           legacyLayer
+	CalibResults map[int]CalibrationResult
+}
+
+// TestDesignSaveLoadBoundTables pins that activation-bound tables are
+// rebuilt from the effective weights at every load, never trusted from
+// the file: a round-tripped design's tables equal the built design's,
+// a version-2 file whose tables were tampered with (well-shaped but
+// wrong) predicts exactly like the saved design, and a version-1 file
+// (no tables) still loads and does too.
 func TestDesignSaveLoadBoundTables(t *testing.T) {
 	f := getFixture(t)
 	cfg := DefaultSEIBuildConfig()
@@ -122,55 +163,66 @@ func TestDesignSaveLoadBoundTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := 0
 	for li, l := range design.Convs {
 		for bi := range l.blocks {
 			want, got := l.blocks[bi].bnd, loaded.Convs[li].blocks[bi].bnd
-			if (want == nil) != (got == nil) {
-				t.Fatalf("conv %d block %d: bound table presence changed across round trip", li, bi)
+			if want != nil {
+				tables++
 			}
-			if want != nil && !reflect.DeepEqual(want, got) {
-				t.Fatalf("conv %d block %d: bound tables diverge across round trip", li, bi)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("conv %d block %d: rebuilt bound table differs from the built design's", li, bi)
 			}
 		}
+	}
+	if tables == 0 {
+		t.Fatal("design has no bound tables; the test exercises nothing")
 	}
 	sub := f.test.Subset(60)
 	wantLabels, wantCounters := evalBounded(t, design, sub, 2)
-
-	// The loaded design's bounded run must match bit-for-bit — labels
-	// and every counter.
-	gotLabels, gotCounters := evalBounded(t, loaded, sub, 2)
-	if !reflect.DeepEqual(gotLabels, wantLabels) {
-		t.Error("loaded design's bounded labels diverge from the saved design")
-	}
-	if !reflect.DeepEqual(gotCounters, wantCounters) {
-		t.Errorf("loaded design's bounded counters diverge:\n got  %v\n want %v", gotCounters, wantCounters)
-	}
-
-	// Version-1 compatibility: strip the tables, mark the snapshot v1,
-	// and confirm the load rebuilds them with identical behavior.
-	var snap designSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Version = 1
-	for ci := range snap.Convs {
-		for bi := range snap.Convs[ci].Blocks {
-			b := &snap.Convs[ci].Blocks[bi]
-			b.BndStride, b.BndPos, b.BndNeg, b.BndAbs, b.BndSlack = 0, nil, nil, nil, nil
+	check := func(name string, version int, tamper bool) {
+		t.Helper()
+		var snap legacyDesign
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		snap.Version = version
+		for ci := range snap.Convs {
+			m := snap.Convs[ci].M
+			for bi := range snap.Convs[ci].Blocks {
+				b := &snap.Convs[ci].Blocks[bi]
+				if !tamper {
+					continue
+				}
+				// Well-shaped tables that claim no column can ever fire.
+				ncp := checkpoints(len(b.Inputs), boundStride)
+				b.BndStride = boundStride
+				b.BndPos, b.BndNeg = make([]float64, ncp*m), make([]float64, ncp*m)
+				for i := range b.BndPos {
+					b.BndPos[i], b.BndNeg[i] = -1e9, -1e9
+				}
+				b.BndAbs, b.BndSlack = make([]float64, ncp*m), make([]float64, ncp)
+			}
+		}
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		d, err := LoadDesign(&out, 1)
+		if err != nil {
+			t.Fatalf("%s: snapshot rejected: %v", name, err)
+		}
+		labels, counters := evalBounded(t, d, sub, 2)
+		if !reflect.DeepEqual(labels, wantLabels) {
+			t.Errorf("%s: bounded labels diverge from the saved design", name)
+		}
+		if !reflect.DeepEqual(counters, wantCounters) {
+			t.Errorf("%s: bounded counters diverge:\n got  %v\n want %v", name, counters, wantCounters)
 		}
 	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	v1Loaded, err := LoadDesign(bytes.NewReader(v1.Bytes()), 1)
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	v1Labels, v1Counters := evalBounded(t, v1Loaded, sub, 2)
-	if !reflect.DeepEqual(v1Labels, wantLabels) || !reflect.DeepEqual(v1Counters, wantCounters) {
-		t.Error("version-1 load (rebuilt tables) diverges from the saved design's bounded run")
-	}
+	check("round trip", designSnapshotVersion, false)
+	check("v2 tampered tables", 2, true)
+	check("v1", 1, false)
 }
 
 func TestLoadDesignRejectsGarbage(t *testing.T) {
@@ -212,25 +264,13 @@ func TestLoadDesignRejectsCorruptSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func(corrupt func(*designSnapshot)) error {
-		var snap designSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		corrupt(&snap)
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadDesign(&out, 1)
+		_, err := LoadDesign(bytes.NewReader(corruptSnapshot(t, buf.Bytes(), corrupt)), 1)
 		return err
 	}
 	if err := load(func(*designSnapshot) {}); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
 	}
-	cases := []struct {
-		name    string
-		corrupt func(*designSnapshot)
-	}{
+	cases := []snapshotCorruption{
 		{"conv-base-thr-nil", func(s *designSnapshot) { s.Convs[0].BaseThr = nil }},
 		{"conv-ones-mean-short", func(s *designSnapshot) { s.Convs[0].OnesMean = s.Convs[0].OnesMean[1:] }},
 		{"conv-block-count", func(s *designSnapshot) { s.Convs[0].Blocks = s.Convs[0].Blocks[1:] }},
@@ -244,6 +284,7 @@ func TestLoadDesignRejectsCorruptSnapshots(t *testing.T) {
 		{"fc-bias-short", func(s *designSnapshot) { s.FC.Bias = s.FC.Bias[1:] }},
 		{"fc-input-out-of-range", func(s *designSnapshot) { s.FC.Blocks[0].Inputs[0] = -1 }},
 	}
+	cases = append(cases, geometryCorruptions...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := load(tc.corrupt); err == nil {
@@ -251,4 +292,133 @@ func TestLoadDesignRejectsCorruptSnapshots(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snapshotCorruption is one structural corruption of a saved design.
+type snapshotCorruption struct {
+	name    string
+	corrupt func(*designSnapshot)
+}
+
+// geometryCorruptions resize a stage so that the snapshot stays
+// self-consistent (weights, blocks and bias agree with the new N or M)
+// but no longer matches the nested quantized net: each loaded without
+// error before LoadDesign checked stage geometry, and then panicked,
+// predicted silently or returned an out-of-range label.
+var geometryCorruptions = []snapshotCorruption{
+	{"input-fan-in-short", func(s *designSnapshot) {
+		s.Input.N--
+		s.Input.Eff = s.Input.Eff[:s.Input.N*s.Input.M]
+	}},
+	{"conv-fan-in-short", func(s *designSnapshot) { dropInputs(&s.Convs[0], s.Convs[0].N-4) }},
+	{"fc-extra-class", func(s *designSnapshot) {
+		fc := &s.FC
+		for bi := range fc.Blocks {
+			b := &fc.Blocks[bi]
+			var eff []float64
+			for local := range b.Inputs {
+				eff = append(eff, b.Eff[local*fc.M:(local+1)*fc.M]...)
+				eff = append(eff, 0)
+			}
+			b.Eff = eff
+		}
+		fc.M++
+		fc.Bias = append(fc.Bias, 0)
+	}},
+}
+
+// dropInputs shrinks a layer snapshot to its first n logical inputs,
+// removing the other inputs' rows from every block.
+func dropInputs(ls *seiLayerSnapshot, n int) {
+	for bi := range ls.Blocks {
+		b := &ls.Blocks[bi]
+		var inputs []int
+		var eff, w0 []float64
+		for local, j := range b.Inputs {
+			if j >= n {
+				continue
+			}
+			inputs = append(inputs, j)
+			eff = append(eff, b.Eff[local*ls.M:(local+1)*ls.M]...)
+			if b.W0 != nil {
+				w0 = append(w0, b.W0[local])
+			}
+		}
+		b.Inputs, b.Eff, b.W0 = inputs, eff, w0
+	}
+	ls.N = n
+}
+
+// corruptSnapshot re-encodes the saved design data after corrupt.
+func corruptSnapshot(t testing.TB, data []byte, corrupt func(*designSnapshot)) []byte {
+	t.Helper()
+	var snap designSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(&snap)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// FuzzLoadDesign pins LoadDesign's contract on arbitrary input: it
+// either returns an error, or a design whose Predict classifies a
+// valid 28×28 image into one of its M classes without panicking. The
+// seed corpus is a valid snapshot of a small random net plus the
+// geometry corruptions above; plain go test runs only the corpus.
+func FuzzLoadDesign(f *testing.F) {
+	// Two conv stages and four classes keep the snapshot to a few
+	// kilobytes, so the fuzzer minimizes new inputs in well under a
+	// second. The loader does not care how good the weights are.
+	rng := rand.New(rand.NewSource(1))
+	random := func(shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data() {
+			w.Data()[i] = rng.NormFloat64()
+		}
+		return w
+	}
+	q := &quant.QuantizedNet{
+		Convs: []quant.ConvSpec{
+			{W: random(2, 1, 5, 5), Stride: 1, PoolSize: 4}, // 28 → 24 → 6
+			{W: random(3, 2, 3, 3), Stride: 1, PoolSize: 2}, // 6 → 4 → 2
+		},
+		FC:         quant.FCSpec{W: random(4, 12), B: make([]float64, 4)},
+		Thresholds: []float64{0.5, 0.5},
+		InShape:    []int{1, 28, 28},
+	}
+	cfg := DefaultSEIBuildConfig()
+	cfg.DynamicThreshold = false
+	cfg.Layer.MaxCrossbar = 32 // several blocks per SEI stage
+	design, err := BuildSEI(q, nil, cfg, rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := design.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, c := range geometryCorruptions {
+		f.Add(corruptSnapshot(f, buf.Bytes(), c.corrupt))
+	}
+	img := tensor.New(1, 28, 28)
+	for i := range img.Data() {
+		img.Data()[i] = float64(i%7) / 6
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := LoadDesign(bytes.NewReader(data), 1)
+		if err != nil {
+			return
+		}
+		if !slices.Equal(d.Q.InShape, img.Shape()) {
+			return // a design for another input shape has no 28×28 image to classify
+		}
+		if label := d.Predict(img); label < 0 || label >= d.FC.M {
+			t.Fatalf("Predict returned label %d outside [0,%d)", label, d.FC.M)
+		}
+	})
 }

@@ -20,16 +20,9 @@ import (
 type MergedLayer struct {
 	N, M int
 
-	eff   *tensor.Tensor // [N, M] effective real weights
-	model rram.DeviceModel
-	// readNoise/cells: per-column read-noise RNG or per-cell draw
-	// stream (see SEIConvLayer); at most one is non-nil. The DAC-driven
-	// input stage carries analog values, so per-cell noise scales with
-	// the driven input level (σ·x·w·g per cell).
-	readNoise *rand.Rand
-	cells     *noiseStream
-	hw        *obs.HW     // hardware-event counters; nil = not instrumented
-	skip      *obs.SkipHW // bounded-mode skip counters (stage 0 pool-crop skips)
+	eff *tensor.Tensor // [N, M] effective real weights
+	readout
+	skip *obs.SkipHW // bounded-mode skip counters (stage 0 pool-crop skips)
 }
 
 // NewMergedLayer programs the matrix w [N,M] into the baseline
@@ -40,15 +33,7 @@ func NewMergedLayer(w *tensor.Tensor, model rram.DeviceModel, rng *rand.Rand) (*
 	if err != nil {
 		return nil, err
 	}
-	l := &MergedLayer{N: w.Dim(0), M: w.Dim(1), eff: eff, model: model}
-	if model.ReadNoiseSigma > 0 {
-		if model.ReadNoisePerCell {
-			l.cells = newNoiseStream(int64(rng.Uint64()))
-		} else {
-			l.readNoise = rng
-		}
-	}
-	return l, nil
+	return &MergedLayer{N: w.Dim(0), M: w.Dim(1), eff: eff, readout: newReadout(model, 0, rng)}, nil
 }
 
 // Eval computes the merged outputs for one input vector (real-valued
@@ -80,50 +65,15 @@ func (l *MergedLayer) Eval(in []float64) []float64 {
 		in = nv
 	}
 	out := tensor.MatVecT(l.eff, in)
-	l.applyReadNoise(in, out, nil)
+	l.readFloat(l.eff.Data(), nil, in, out, 0, nil)
 	return out
-}
-
-// applyReadNoise perturbs one evaluation's outputs with the model's
-// read noise: per-cell draws over the active rows in ascending order
-// (noise.go), or the original per-column multiplicative draws. g is
-// the per-cell draw scratch (len ≥ M); nil lets the float path
-// allocate one on demand.
-func (l *MergedLayer) applyReadNoise(in, out, g []float64) {
-	if l.cells != nil {
-		if g == nil {
-			g = make([]float64, l.M)
-		}
-		sigma := l.model.ReadNoiseSigma
-		data := l.eff.Data()
-		draws := 0
-		for j, x := range in {
-			if x == 0 {
-				continue
-			}
-			l.cells.block(g[:l.M])
-			draws += l.M
-			row := data[j*l.M : (j+1)*l.M]
-			for c, v := range row {
-				out[c] += sigma * x * v * g[c]
-			}
-		}
-		l.hw.NoiseDraws(int64(draws))
-		return
-	}
-	if l.readNoise != nil {
-		for k := range out {
-			out[k] *= 1 + l.model.ReadNoiseSigma*l.readNoise.NormFloat64()
-		}
-		l.hw.NoiseDraws(int64(len(out)))
-	}
 }
 
 // evalInto is the allocation-free variant of Eval for a linear
 // read-out (no I-V nonlinearity — guaranteed by the packed walker's
-// dispatch): MatVecTInto produces the bit-identical product, then
-// applyReadNoise draws exactly the draws Eval draws, in the same
-// order, from the caller's scratch g (a no-op on an ideal read-out).
+// dispatch): MatVecTInto produces the bit-identical product, then the
+// read-out draws exactly the draws Eval draws, in the same order, from
+// the caller's scratch g (a no-op on an ideal read-out).
 // Hardware counters are recorded exactly as Eval records them. Returns
 // the active-input count for bounded mode's row accounting (0 when
 // uninstrumented, where nothing reads it).
@@ -140,7 +90,7 @@ func (l *MergedLayer) evalInto(in, out, g []float64) int {
 		h.ActiveInputs(int64(ones))
 	}
 	tensor.MatVecTInto(out, l.eff, in)
-	l.applyReadNoise(in, out, g)
+	l.readFloat(l.eff.Data(), nil, in, out, 0, g)
 	return ones
 }
 

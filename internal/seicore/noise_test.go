@@ -2,13 +2,10 @@ package seicore
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
-	"sei/internal/bitvec"
 	"sei/internal/nn"
 	"sei/internal/obs"
 	"sei/internal/rram"
@@ -166,202 +163,38 @@ func TestNoisyPackedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAggregatedNoiseDistribution is the KS harness pinning the
-// aggregated-variance approximation: for a fixed active-row set, the
-// exact per-cell pass perturbs column c by σ·Σ w·g — a zero-mean
-// Gaussian with variance σ²·Σw² — and the aggregated pass samples that
-// distribution directly. Normalized by σ·√(Σw²), both must be standard
-// normal: we check first/second moments and run a two-sample
-// Kolmogorov–Smirnov test at α ≈ 0.001.
-func TestAggregatedNoiseDistribution(t *testing.T) {
-	f := getFixture(t)
-	cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
-		m.ReadNoiseSigma = 0.05
-		m.ReadNoisePerCell = true
-	})
-	cfg.Layer.MaxCrossbar = 16
-	d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	layer := d.Convs[0]
-	b := &layer.blocks[0]
-	if b.sq == nil {
-		t.Fatal("per-cell layer block has no squared-weight table")
-	}
-	m := layer.M
-	const sigma = 0.05
-
-	// Activate about two thirds of the layer's inputs.
-	in := bitvec.New(layer.N)
-	ones := 0
-	for j := 0; j < layer.N; j++ {
-		if j%3 != 0 {
-			in.Set(j)
-		}
-	}
-	for _, j := range b.inputs {
-		if in.Get(j) {
-			ones++
-		}
-	}
-	if ones == 0 {
-		t.Fatal("no active rows in block")
-	}
-
-	// Per-column normalizers from the variance table.
-	norm := make([]float64, m)
-	sq := b.sq.Data()
-	for local, j := range b.inputs {
-		if !in.Get(j) {
-			continue
-		}
-		for c, v := range sq[local*m : (local+1)*m] {
-			norm[c] += v
-		}
-	}
-	for c := range norm {
-		norm[c] = sigma * math.Sqrt(norm[c])
-	}
-
-	const trials = 400
-	g := make([]float64, m)
-	vs := make([]float64, m)
-	var exact, agg []float64
-	for i := 0; i < trials; i++ {
-		main := make([]float64, m)
-		st := newNoiseStream(int64(1000 + i))
-		if draws := cellNoiseBits(st, sigma, b, in, main, g); draws != ones*m {
-			t.Fatalf("exact pass consumed %d draws, want %d", draws, ones*m)
-		}
-		for c, v := range main {
-			if norm[c] > 0 {
-				exact = append(exact, v/norm[c])
-			}
-		}
-		main = make([]float64, m)
-		st = newNoiseStream(int64(500000 + i))
-		if draws := cellNoiseAggregated(st, sigma, b, in, main, g, vs); draws != m {
-			t.Fatalf("aggregated pass consumed %d draws, want %d", draws, m)
-		}
-		for c, v := range main {
-			if norm[c] > 0 {
-				agg = append(agg, v/norm[c])
-			}
-		}
-	}
-
-	checkStdNormal := func(name string, xs []float64) {
-		t.Helper()
-		var mean, v float64
-		for _, x := range xs {
-			mean += x
-		}
-		mean /= float64(len(xs))
-		for _, x := range xs {
-			v += (x - mean) * (x - mean)
-		}
-		v /= float64(len(xs))
-		if math.Abs(mean) > 0.05 {
-			t.Errorf("%s: normalized mean %.4f, want ≈ 0", name, mean)
-		}
-		if math.Abs(v-1) > 0.1 {
-			t.Errorf("%s: normalized variance %.4f, want ≈ 1", name, v)
-		}
-	}
-	checkStdNormal("exact", exact)
-	checkStdNormal("aggregated", agg)
-
-	if d := ksStatistic(exact, agg); d > 1.95*math.Sqrt(float64(len(exact)+len(agg))/float64(len(exact)*len(agg))) {
-		t.Errorf("KS statistic %.4f exceeds the α≈0.001 critical value for n=%d m=%d", d, len(exact), len(agg))
-	}
-}
-
-// ksStatistic computes the two-sample Kolmogorov–Smirnov statistic
-// sup|F₁−F₂|. Both inputs are sorted in place.
-func ksStatistic(a, b []float64) float64 {
-	sort.Float64s(a)
-	sort.Float64s(b)
-	var i, j int
-	var d float64
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			i++
-		} else {
-			j++
-		}
-		if diff := math.Abs(float64(i)/float64(len(a)) - float64(j)/float64(len(b))); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// TestNoiseApproxPrecedence pins how the two approximation-related
-// toggles interact on a noisy design (DESIGN.md §17):
-//
-//   - SetBounded never applies there (bounds model exact sums only), so
-//     with both toggles on, the noise approximation is what runs: on a
-//     per-column design, where it is an identity, the packed walker
-//     reproduces the plain packed run and records no bound activity.
-//   - SetNoiseApprox changes a per-cell design's draws: fewer of them,
-//     deterministic across runs.
+// TestNoiseApproxPrecedence pins that read noise takes precedence
+// over SetBounded: bounds model exact sums only, so on a noisy design
+// the bounded toggle is ignored — the noise path wins, and the packed
+// walker reproduces the plain packed run, labels and counters, and
+// records no bound activity.
 func TestNoiseApproxPrecedence(t *testing.T) {
 	f := getFixture(t)
 	sub := f.test.Subset(40)
-
-	build := func(t *testing.T, perCell bool) *SEIDesign {
-		t.Helper()
-		cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
-			m.ReadNoiseSigma = 0.05
-			m.ReadNoisePerCell = perCell
-		})
-		cfg.Layer.MaxCrossbar = 16 // split blocks
-		d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(10)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	run := func(t *testing.T, d *SEIDesign, bounded, noiseApprox bool) ([]int, map[string]int64) {
-		t.Helper()
-		d.SetBounded(bounded)
-		d.SetNoiseApprox(noiseApprox)
-		defer func() {
-			d.SetBounded(false)
-			d.SetNoiseApprox(false)
-		}()
-		return evalBothPaths(t, d, f.q, sub, true, 2)
-	}
-
 	t.Run("noise-approx-wins", func(t *testing.T) {
-		d := build(t, false)
-		bothLabels, bothCounters := run(t, d, true, true)
-		packedLabels, packedCounters := run(t, d, false, false)
-		if !reflect.DeepEqual(bothLabels, packedLabels) {
-			t.Errorf("noiseApprox+bounded diverges from the plain packed run")
-		}
-		if !reflect.DeepEqual(bothCounters, packedCounters) {
-			t.Errorf("counters diverge:\n both   %v\n packed %v", bothCounters, packedCounters)
-		}
-		if bothCounters[obs.SEIRowsSkipped] != 0 || bothCounters[obs.SEIColsEarlyExit] != 0 {
-			t.Errorf("noisy run recorded bound activity; the bounded walk ran on a noisy design")
-		}
-	})
-
-	t.Run("per-cell-noise-approx-changes-draws", func(t *testing.T) {
-		d := build(t, true)
-		_, exactCounters := run(t, d, false, false)
-		aggLabels, aggCounters := run(t, d, false, true)
-		if aggCounters[obs.SEINoiseDraws] >= exactCounters[obs.SEINoiseDraws] {
-			t.Errorf("aggregated mode drew %d ≥ exact %d; approximation saved nothing",
-				aggCounters[obs.SEINoiseDraws], exactCounters[obs.SEINoiseDraws])
-		}
-		// Labels are expected to be *close* to the exact run's but not
-		// necessarily equal; require only determinism.
-		again, _ := run(t, d, false, true)
-		if !reflect.DeepEqual(aggLabels, again) {
-			t.Errorf("aggregated mode is not deterministic across runs")
+		for _, perCell := range []bool{false, true} {
+			cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
+				m.ReadNoiseSigma = 0.05
+				m.ReadNoisePerCell = perCell
+			})
+			cfg.Layer.MaxCrossbar = 16 // split blocks
+			d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(10)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetBounded(true)
+			boundedLabels, boundedCounters := evalBothPaths(t, d, f.q, sub, true, 2)
+			d.SetBounded(false)
+			packedLabels, packedCounters := evalBothPaths(t, d, f.q, sub, true, 2)
+			if !reflect.DeepEqual(boundedLabels, packedLabels) {
+				t.Errorf("perCell=%v: bounded run diverges from the plain packed run", perCell)
+			}
+			if !reflect.DeepEqual(boundedCounters, packedCounters) {
+				t.Errorf("perCell=%v: counters diverge:\n bounded %v\n packed  %v", perCell, boundedCounters, packedCounters)
+			}
+			if boundedCounters[obs.SEIRowsSkipped] != 0 || boundedCounters[obs.SEIColsEarlyExit] != 0 {
+				t.Errorf("perCell=%v: noisy run recorded bound activity; the bounded walk ran on a noisy design", perCell)
+			}
 		}
 	})
 }

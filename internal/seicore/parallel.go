@@ -1,18 +1,16 @@
 package seicore
 
 import (
-	"math/rand"
-
 	"sei/internal/nn"
 	"sei/internal/par"
 )
 
-// The SEI simulators carry mutable state only in their read-noise RNGs
-// (l.noise / l.readNoise); everything else an Eval touches is
+// The SEI simulators carry mutable state only in their read-outs'
+// noise sources (readout.go); everything else an Eval touches is
 // read-only. Noise-free designs (the default device model) are
 // therefore safe to share across goroutines as-is, and noisy designs
-// hand out value clones whose RNGs are re-seeded per chunk so results
-// stay bit-identical for every worker count.
+// hand out value clones whose noise sources are re-seeded per chunk
+// (evalClone) so results stay bit-identical for every worker count.
 //
 // The bit-packed fast path adds per-goroutine mutable scratch, but it
 // never lives on the shared design: Predict borrows an arena from the
@@ -21,148 +19,70 @@ import (
 // allocations are gone and CloneForEval can keep returning the shared
 // receiver for noise-free designs.
 
-// evalClone returns a copy sharing the blocks and threshold slices but
-// owning its noise source, re-anchored at seed: a fresh per-column RNG
-// or a fresh per-cell stream, whichever the layer carries. Noise-free
-// layers clone with both sources nil.
-func (l *SEIConvLayer) evalClone(seed int64) *SEIConvLayer {
-	clone := *l
-	if l.noise != nil {
-		clone.noise = rand.New(rand.NewSource(seed))
-	}
-	if l.cells != nil {
-		clone.cells = newNoiseStream(seed)
-	}
-	return &clone
-}
-
-// evalClone returns a copy sharing the blocks but owning its noise
-// source (see SEIConvLayer.evalClone).
-func (l *SEIFCLayer) evalClone(seed int64) *SEIFCLayer {
-	clone := *l
-	if l.noise != nil {
-		clone.noise = rand.New(rand.NewSource(seed))
-	}
-	if l.cells != nil {
-		clone.cells = newNoiseStream(seed)
-	}
-	return &clone
-}
-
-// evalClone returns a copy sharing the effective weights but owning
-// its noise source (see SEIConvLayer.evalClone).
-func (l *MergedLayer) evalClone(seed int64) *MergedLayer {
-	clone := *l
-	if l.readNoise != nil {
-		clone.readNoise = rand.New(rand.NewSource(seed))
-	}
-	if l.cells != nil {
-		clone.cells = newNoiseStream(seed)
-	}
-	return &clone
-}
-
-// noisy reports whether any layer of the design draws read noise.
-func (d *SEIDesign) noisy() bool {
-	if d.Input.readNoise != nil || d.Input.cells != nil {
-		return true
-	}
-	for _, l := range d.Convs {
-		if l.noise != nil || l.cells != nil {
-			return true
-		}
-	}
-	return d.FC.noise != nil || d.FC.cells != nil
-}
-
 // layerSeed derives layer idx's noise-source seed for one evaluation
 // clone. The per-column RNG built on it (rand.New(rand.NewSource)) is
 // exactly the stream the pre-per-cell code derived, so existing noisy
-// evaluations reproduce bit for bit.
+// evaluations reproduce bit for bit. Layers are indexed in stage
+// order: the input stage 0, then the conv stages, then the FC stage.
 func layerSeed(seed int64, idx int) int64 {
 	return par.ChunkSeed(seed, idx)
 }
 
-// layerRNG is layerSeed materialized as a per-column RNG — the load
-// path's anchor for snapshot designs (io.go).
-func layerRNG(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(layerSeed(seed, idx)))
-}
-
 // CloneForEval implements nn.ParallelClassifier. Noise-free designs
 // are read-only under Predict and return the receiver; noisy designs
-// return a clone whose per-layer noise streams are re-seeded from
+// return a clone whose per-layer noise sources are re-seeded from
 // seed, so evaluation is deterministic for every worker count.
 func (d *SEIDesign) CloneForEval(seed int64) nn.Classifier {
-	if !d.noisy() {
+	if !d.anyReadout((*readout).noisy) {
 		return d
 	}
 	clone := *d
-	idx := 0
-	if d.Input.readNoise != nil || d.Input.cells != nil {
-		clone.Input = d.Input.evalClone(layerSeed(seed, idx))
-	}
-	idx++
+	clone.Input = evalClone(d.Input, layerSeed(seed, 0))
 	clone.Convs = make([]*SEIConvLayer, len(d.Convs))
 	for i, l := range d.Convs {
-		if l.noise != nil || l.cells != nil {
-			clone.Convs[i] = l.evalClone(layerSeed(seed, idx+i))
-		} else {
-			clone.Convs[i] = l
-		}
+		clone.Convs[i] = evalClone(l, layerSeed(seed, 1+i))
 	}
-	idx += len(d.Convs)
-	if d.FC.noise != nil || d.FC.cells != nil {
-		clone.FC = d.FC.evalClone(layerSeed(seed, idx))
-	}
+	clone.FC = evalClone(d.FC, layerSeed(seed, 1+len(d.Convs)))
 	return &clone
+}
+
+// cloneStages re-seeds an all-merged design's stages and FC stage for
+// one evaluation chunk; noisy is false, and nothing is copied, when no
+// stage draws noise.
+func cloneStages(stages []*MergedLayer, fc *MergedLayer, seed int64) (_ []*MergedLayer, _ *MergedLayer, noisy bool) {
+	noisy = fc.noisy()
+	for _, l := range stages {
+		noisy = noisy || l.noisy()
+	}
+	if !noisy {
+		return stages, fc, false
+	}
+	clones := make([]*MergedLayer, len(stages))
+	for i, l := range stages {
+		clones[i] = evalClone(l, layerSeed(seed, i))
+	}
+	return clones, evalClone(fc, layerSeed(seed, len(stages))), true
 }
 
 // CloneForEval implements nn.ParallelClassifier (see SEIDesign).
 func (d *MergedDesign) CloneForEval(seed int64) nn.Classifier {
-	noisy := d.FC.readNoise != nil || d.FC.cells != nil
-	for _, l := range d.Stages {
-		noisy = noisy || l.readNoise != nil || l.cells != nil
-	}
+	stages, fc, noisy := cloneStages(d.Stages, d.FC, seed)
 	if !noisy {
 		return d
 	}
 	clone := *d
-	clone.Stages = make([]*MergedLayer, len(d.Stages))
-	for i, l := range d.Stages {
-		if l.readNoise != nil || l.cells != nil {
-			clone.Stages[i] = l.evalClone(layerSeed(seed, i))
-		} else {
-			clone.Stages[i] = l
-		}
-	}
-	if d.FC.readNoise != nil || d.FC.cells != nil {
-		clone.FC = d.FC.evalClone(layerSeed(seed, len(d.Stages)))
-	}
+	clone.Stages, clone.FC = stages, fc
 	return &clone
 }
 
 // CloneForEval implements nn.ParallelClassifier (see SEIDesign).
 func (d *FloatDesign) CloneForEval(seed int64) nn.Classifier {
-	noisy := d.fc.readNoise != nil || d.fc.cells != nil
-	for _, l := range d.conv {
-		noisy = noisy || l.readNoise != nil || l.cells != nil
-	}
+	conv, fc, noisy := cloneStages(d.conv, d.fc, seed)
 	if !noisy {
 		return d
 	}
 	clone := *d
-	clone.conv = make([]*MergedLayer, len(d.conv))
-	for i, l := range d.conv {
-		if l.readNoise != nil || l.cells != nil {
-			clone.conv[i] = l.evalClone(layerSeed(seed, i))
-		} else {
-			clone.conv[i] = l
-		}
-	}
-	if d.fc.readNoise != nil || d.fc.cells != nil {
-		clone.fc = d.fc.evalClone(layerSeed(seed, len(d.conv)))
-	}
+	clone.conv, clone.fc = conv, fc
 	return &clone
 }
 

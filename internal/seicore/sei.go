@@ -107,28 +107,8 @@ type seiBlock struct {
 	contig bool
 	// bnd is the runtime activation-bound suffix table (bounds.go);
 	// nil when the block can't be bounded (dynamic w0 column, too many
-	// columns). Built by SEIDesign.initBounds or restored from a
-	// snapshot; a function of eff only.
+	// columns). Built by SEIDesign.initBounds from eff alone.
 	bnd *colBounds
-	// sq is eff with every entry squared — the per-column variance
-	// table of the aggregated-noise approximation (noise.go). Built by
-	// initNoiseTables only for layers with per-cell read noise; a
-	// function of eff only, so never persisted.
-	sq *tensor.Tensor
-}
-
-// initSquares builds the block's squared-weight table (sq), the
-// per-column variance source of the aggregated-noise approximation.
-// Idempotent; a function of eff only.
-func (b *seiBlock) initSquares() {
-	if b.sq != nil {
-		return
-	}
-	sq := tensor.New(b.eff.Shape()...)
-	for i, v := range b.eff.Data() {
-		sq.Data()[i] = v * v
-	}
-	b.sq = sq
 }
 
 // initFast derives the fast-path metadata from the block's input list.
@@ -145,7 +125,7 @@ func (b *seiBlock) initFast() {
 // sums accumulates the block's analog column outputs for one input
 // vector: the main column sums, the dynamic-threshold column sum, and
 // the number of active inputs. IR drop and read noise are applied by
-// the caller, which owns the device model.
+// the caller's read-out.
 func (b *seiBlock) sums(in []float64, m int) (main []float64, w0sum float64, ones int) {
 	main = make([]float64, m)
 	for local, j := range b.inputs {
@@ -212,25 +192,70 @@ func (b *seiBlock) sumsBits(in *bitvec.Vec, main []float64) (w0sum float64, ones
 	return w0sum, ones
 }
 
+// seiArray is the crossbar mapping the SEI conv and FC stages share:
+// an N×M logical matrix split over K blocks, and the blocks' read-out.
+type seiArray struct {
+	N, M, K int
+	Mode    SignedMode
+
+	blocks []seiBlock
+	readout
+}
+
+// newSEIArray programs the logical matrix w [N inputs, M outputs] onto
+// SEI crossbars: the effective matrix (drawing programming variation
+// from rng), split in opt.Order into K balanced blocks, then the
+// read-out, whose noise source is drawn from rng last.
+func newSEIArray(w *tensor.Tensor, opt LayerOptions, rng *rand.Rand) (seiArray, error) {
+	n, m := w.Dim(0), w.Dim(1)
+	if err := opt.validate(n, m); err != nil {
+		return seiArray{}, err
+	}
+	var (
+		eff *tensor.Tensor
+		w0  []float64
+		err error
+	)
+	if opt.Mode == ModeUnipolarDynamic {
+		eff, w0, err = EffectiveUnipolarMatrix(w, opt.Model, rng)
+	} else {
+		eff, _, err = EffectiveSignedMatrix(w, opt.Model, rng)
+	}
+	if err != nil {
+		return seiArray{}, err
+	}
+	order := opt.Order
+	if order == nil {
+		order = NaturalOrder(n)
+	}
+	cells := opt.Mode.CellsPerWeightFor(opt.Model.Bits)
+	k := BlocksFor(n, cells, opt.MaxCrossbar)
+	a := seiArray{N: n, M: m, K: k, Mode: opt.Mode, readout: newReadout(opt.Model, cells, rng)}
+	for _, rows := range SplitOrder(order, k) {
+		b := seiBlock{
+			inputs: append([]int(nil), rows...),
+			eff:    gatherRows(eff, rows),
+		}
+		if w0 != nil {
+			b.w0 = make([]float64, len(rows))
+			for i, j := range rows {
+				b.w0[i] = w0[j]
+			}
+		}
+		b.initFast()
+		a.blocks = append(a.blocks, b)
+	}
+	return a, nil
+}
+
 // SEIConvLayer is one conv stage mapped on SEI crossbars with sense-
 // amplifier threshold readout: outputs are bits. Splitting produces K
 // blocks, each thresholding locally (BaseThr + dynamic compensation);
 // the final bit fires when at least DigitalThreshold blocks fire
 // (Section 4.3, Fig. 2d).
 type SEIConvLayer struct {
-	N, M, K int
-	Mode    SignedMode
-
-	blocks []seiBlock
-	model  rram.DeviceModel
-	// noise is the per-column read-noise RNG (one multiplicative draw
-	// per column current); cells is the per-cell draw stream (one draw
-	// per selected cell, noise.go). At most one is non-nil, selected by
-	// the device model's ReadNoisePerCell flag.
-	noise *rand.Rand
-	cells *noiseStream
-	hw    *obs.HW     // hardware-event counters; nil = not instrumented
-	skip  *obs.SkipHW // activation-bound skip counters; nil = not instrumented
+	seiArray
+	skip *obs.SkipHW // activation-bound skip counters; nil = not instrumented
 	// word caches wordWindowEligible for the packed walker's kernel
 	// choice (convKernel); set by initFastPath.
 	word bool
@@ -253,59 +278,19 @@ type SEIConvLayer struct {
 // NewSEIConvLayer maps the real weight matrix w [N inputs, M kernels]
 // with binarization threshold thr onto SEI crossbars.
 func NewSEIConvLayer(w *tensor.Tensor, thr float64, opt LayerOptions, rng *rand.Rand) (*SEIConvLayer, error) {
-	n, m := w.Dim(0), w.Dim(1)
-	if err := opt.validate(n, m); err != nil {
-		return nil, err
-	}
-	var (
-		eff *tensor.Tensor
-		w0  []float64
-		err error
-	)
-	if opt.Mode == ModeUnipolarDynamic {
-		eff, w0, err = EffectiveUnipolarMatrix(w, opt.Model, rng)
-	} else {
-		eff, _, err = EffectiveSignedMatrix(w, opt.Model, rng)
-	}
+	a, err := newSEIArray(w, opt, rng)
 	if err != nil {
 		return nil, err
 	}
-	order := opt.Order
-	if order == nil {
-		order = NaturalOrder(n)
-	}
-	k := BlocksFor(n, opt.Mode.CellsPerWeightFor(opt.Model.Bits), opt.MaxCrossbar)
 	l := &SEIConvLayer{
-		N: n, M: m, K: k, Mode: opt.Mode,
-		model:            opt.Model,
+		seiArray:         a,
 		Threshold:        thr,
-		BaseThr:          make([]float64, k),
-		OnesMean:         make([]float64, k),
-		DigitalThreshold: (k + 2) / 2, // majority: ceil((K+1)/2)
-	}
-	if opt.Model.ReadNoiseSigma > 0 {
-		if opt.Model.ReadNoisePerCell {
-			l.cells = newNoiseStream(int64(rng.Uint64()))
-		} else {
-			l.noise = rng
-		}
-	}
-	for _, blockInputs := range SplitOrder(order, k) {
-		b := seiBlock{
-			inputs: append([]int(nil), blockInputs...),
-			eff:    gatherRows(eff, blockInputs),
-		}
-		if w0 != nil {
-			b.w0 = make([]float64, len(blockInputs))
-			for i, j := range blockInputs {
-				b.w0[i] = w0[j]
-			}
-		}
-		b.initFast()
-		l.blocks = append(l.blocks, b)
+		BaseThr:          make([]float64, a.K),
+		OnesMean:         make([]float64, a.K),
+		DigitalThreshold: (a.K + 2) / 2, // majority: ceil((K+1)/2)
 	}
 	for bi, b := range l.blocks {
-		l.BaseThr[bi] = thr * float64(len(b.inputs)) / float64(n)
+		l.BaseThr[bi] = thr * float64(len(b.inputs)) / float64(a.N)
 	}
 	return l, nil
 }
@@ -326,15 +311,11 @@ func (l *SEIConvLayer) Eval(in []float64) []bool {
 		panic(fmt.Sprintf("seicore: SEIConvLayer input length %d, want %d", len(in), l.N))
 	}
 	fired := make([]int, l.M)
-	var g []float64
-	if l.cells != nil {
-		g = make([]float64, l.M)
-	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
 		main, w0sum, ones := b.sums(in, l.M)
 		l.hw.ActiveInputs(int64(ones))
-		l.applyAnalog(b, in, main, ones, g)
+		l.readFloat(b.eff.Data(), b.inputs, in, main, ones, nil)
 		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
 		for c, s := range main {
 			if s > ref {
@@ -360,15 +341,11 @@ func (l *SEIConvLayer) BlockSums(in []float64) (main [][]float64, w0 []float64, 
 	main = make([][]float64, l.K)
 	w0 = make([]float64, l.K)
 	ones = make([]int, l.K)
-	var g []float64
-	if l.cells != nil {
-		g = make([]float64, l.M)
-	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
 		m, w, o := b.sums(in, l.M)
 		l.hw.ActiveInputs(int64(o))
-		l.applyAnalog(b, in, m, o, g)
+		l.readFloat(b.eff.Data(), b.inputs, in, m, o, nil)
 		main[bi], w0[bi], ones[bi] = m, w, o
 	}
 	if h := l.hw; h != nil {
@@ -378,108 +355,27 @@ func (l *SEIConvLayer) BlockSums(in []float64) (main [][]float64, w0 []float64, 
 	return main, w0, ones
 }
 
-// applyAnalog applies the model's read-time effects to one block's
-// column sums. Per-cell read noise perturbs the raw cell currents
-// first (noise.go, ascending active rows — g is the caller's length-M
-// draw scratch, unused when l.cells is nil), then the IR-drop factor
-// scales the column current, then per-column read noise multiplies
-// the scaled sum (the original ordering — per-column and per-cell are
-// mutually exclusive by construction). The sinh I-V nonlinearity does
-// not appear here: SEI inputs are 0 or full swing, and the full-swing
-// gain is removed by one-point calibration (rram.TransferCalibrated),
-// so 1-bit layers are exactly immune to it.
-func (l *SEIConvLayer) applyAnalog(b *seiBlock, in []float64, sums []float64, ones int, g []float64) {
-	if l.cells != nil {
-		l.hw.NoiseDraws(int64(cellNoiseFloat(l.cells, l.model.ReadNoiseSigma, b, in, sums, g)))
-	}
-	if a := l.model.IRDropAlpha; a > 0 {
-		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
-		for c := range sums {
-			sums[c] *= scale
-		}
-	}
-	if l.noise != nil {
-		for c := range sums {
-			sums[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
-		}
-		l.hw.NoiseDraws(int64(len(sums)))
-	}
-}
-
 // SEIFCLayer is the final fully-connected stage on SEI crossbars. Its
 // outputs feed the classifier's argmax rather than a threshold, so
 // each block's columns are read out once per picture (M·K conversions
 // — e.g. 10×3 for Network 3, a negligible interface cost accounted by
 // package arch) and summed digitally, with the bias added digitally.
 type SEIFCLayer struct {
-	N, M, K int
-	Mode    SignedMode
-
-	blocks []seiBlock
-	model  rram.DeviceModel
-	// noise/cells: per-column RNG or per-cell draw stream, as on
-	// SEIConvLayer; at most one is non-nil.
-	noise *rand.Rand
-	cells *noiseStream
-	hw    *obs.HW // hardware-event counters; nil = not instrumented
-	Bias  []float64
+	seiArray
+	Bias []float64
 }
 
 // NewSEIFCLayer maps the FC matrix w [N inputs, M classes] and bias
 // onto SEI crossbars.
 func NewSEIFCLayer(w *tensor.Tensor, bias []float64, opt LayerOptions, rng *rand.Rand) (*SEIFCLayer, error) {
-	n, m := w.Dim(0), w.Dim(1)
-	if len(bias) != m {
+	if m := w.Dim(1); len(bias) != m {
 		return nil, fmt.Errorf("seicore: FC bias length %d, want %d", len(bias), m)
 	}
-	if err := opt.validate(n, m); err != nil {
-		return nil, err
-	}
-	var (
-		eff *tensor.Tensor
-		w0  []float64
-		err error
-	)
-	if opt.Mode == ModeUnipolarDynamic {
-		eff, w0, err = EffectiveUnipolarMatrix(w, opt.Model, rng)
-	} else {
-		eff, _, err = EffectiveSignedMatrix(w, opt.Model, rng)
-	}
+	a, err := newSEIArray(w, opt, rng)
 	if err != nil {
 		return nil, err
 	}
-	order := opt.Order
-	if order == nil {
-		order = NaturalOrder(n)
-	}
-	k := BlocksFor(n, opt.Mode.CellsPerWeightFor(opt.Model.Bits), opt.MaxCrossbar)
-	l := &SEIFCLayer{
-		N: n, M: m, K: k, Mode: opt.Mode,
-		model: opt.Model,
-		Bias:  append([]float64(nil), bias...),
-	}
-	if opt.Model.ReadNoiseSigma > 0 {
-		if opt.Model.ReadNoisePerCell {
-			l.cells = newNoiseStream(int64(rng.Uint64()))
-		} else {
-			l.noise = rng
-		}
-	}
-	for _, blockInputs := range SplitOrder(order, k) {
-		b := seiBlock{
-			inputs: append([]int(nil), blockInputs...),
-			eff:    gatherRows(eff, blockInputs),
-		}
-		if w0 != nil {
-			b.w0 = make([]float64, len(blockInputs))
-			for i, j := range blockInputs {
-				b.w0[i] = w0[j]
-			}
-		}
-		b.initFast()
-		l.blocks = append(l.blocks, b)
-	}
-	return l, nil
+	return &SEIFCLayer{seiArray: a, Bias: append([]float64(nil), bias...)}, nil
 }
 
 // Eval computes the classifier scores for one 0/1 input vector.
@@ -488,15 +384,13 @@ func (l *SEIFCLayer) Eval(in []float64) []float64 {
 		panic(fmt.Sprintf("seicore: SEIFCLayer input length %d, want %d", len(in), l.N))
 	}
 	out := append([]float64(nil), l.Bias...)
-	var g []float64
-	if l.cells != nil {
-		g = make([]float64, l.M)
-	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
 		main, w0sum, ones := b.sums(in, l.M)
 		l.hw.ActiveInputs(int64(ones))
-		w0sum = l.applyAnalogFC(b, in, main, w0sum, ones, g)
+		// Only the FC stage IR-scales its dynamic column; it carries no
+		// read noise.
+		w0sum *= l.readFloat(b.eff.Data(), b.inputs, in, main, ones, nil)
 		for c, s := range main {
 			out[c] += s - w0sum
 		}
@@ -506,30 +400,4 @@ func (l *SEIFCLayer) Eval(in []float64) []float64 {
 		h.ColumnActivations(int64(l.K * l.M))
 	}
 	return out
-}
-
-// applyAnalogFC applies the model's read-time effects to one FC
-// block's column sums, in the same order as SEIConvLayer.applyAnalog:
-// per-cell noise on the raw sums, IR drop on main and the dynamic
-// column, per-column noise on main. Returns the (possibly IR-scaled)
-// w0 sum — the dynamic column carries no read noise in either mode,
-// matching the original per-column behaviour.
-func (l *SEIFCLayer) applyAnalogFC(b *seiBlock, in []float64, main []float64, w0sum float64, ones int, g []float64) float64 {
-	if l.cells != nil {
-		l.hw.NoiseDraws(int64(cellNoiseFloat(l.cells, l.model.ReadNoiseSigma, b, in, main, g)))
-	}
-	if a := l.model.IRDropAlpha; a > 0 {
-		scale := 1 - a*float64(ones*l.Mode.CellsPerWeightFor(l.model.Bits))/float64(rram.MaxCrossbarSize)
-		for c := range main {
-			main[c] *= scale
-		}
-		w0sum *= scale
-	}
-	if l.noise != nil {
-		for c := range main {
-			main[c] *= 1 + l.model.ReadNoiseSigma*l.noise.NormFloat64()
-		}
-		l.hw.NoiseDraws(int64(len(main)))
-	}
-	return w0sum
 }
