@@ -80,6 +80,7 @@ ci:
 	$(GO) test ./...
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
+	$(GO) test -race -run TestTable4SplittingStudy ./internal/experiments
 	$(GO) test -race -short ./internal/quant
 	$(GO) test -run=NONE -fuzz=FuzzLoadDesign -fuzztime=10s -fuzzminimizetime=100x ./internal/seicore
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve

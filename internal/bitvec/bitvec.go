@@ -4,7 +4,7 @@
 // MVM degenerates to summing the effective-weight rows whose input bit
 // is set and max pooling degenerates to OR — both operations this
 // package supports directly with word-parallel kernels (popcount,
-// word-wise OR, ordered set-bit iteration, bit-range blits).
+// word-wise OR, ordered set-bit iteration).
 //
 // A Vec is a fixed-capacity scratch object: Reset re-sizes and clears
 // it without allocating when the new length fits the existing word
@@ -120,51 +120,4 @@ func (v *Vec) SetFloats(xs []float64) {
 			v.w[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-}
-
-// CopyRange copies n bits from src starting at srcOff into dst
-// starting at dstOff, overwriting the destination range. It is the
-// im2col primitive of the fast path: a receptive-field window is a
-// sequence of kw-bit row segments blitted out of the packed activation
-// map. src and dst must not alias overlapping ranges.
-func CopyRange(dst *Vec, dstOff int, src *Vec, srcOff, n int) {
-	if n < 0 || srcOff < 0 || dstOff < 0 || srcOff+n > src.n || dstOff+n > dst.n {
-		panic("bitvec: CopyRange out of bounds")
-	}
-	for n > 0 {
-		sb := uint(srcOff) & 63
-		chunk := wordBits - int(sb)
-		if chunk > n {
-			chunk = n
-		}
-		w := src.w[srcOff>>6] >> sb
-		if chunk < wordBits {
-			w &= 1<<uint(chunk) - 1
-		}
-		writeBits(dst, dstOff, w, chunk)
-		srcOff += chunk
-		dstOff += chunk
-		n -= chunk
-	}
-}
-
-// writeBits overwrites n ≤ 64 bits of dst at off with the low n bits
-// of w.
-func writeBits(dst *Vec, off int, w uint64, n int) {
-	di := off >> 6
-	db := uint(off) & 63
-	space := wordBits - int(db)
-	mask := ^uint64(0)
-	if n < wordBits {
-		mask = 1<<uint(n) - 1
-	}
-	if n <= space {
-		dst.w[di] = dst.w[di]&^(mask<<db) | w<<db
-		return
-	}
-	low := uint64(1)<<uint(space) - 1
-	dst.w[di] = dst.w[di]&^(low<<db) | (w&low)<<db
-	hiN := n - space
-	hiMask := uint64(1)<<uint(hiN) - 1
-	dst.w[di+1] = dst.w[di+1]&^hiMask | w>>uint(space)
 }

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// naive mirrors a Vec as []bool for cross-checking.
-func toBools(v *Vec) []bool {
-	out := make([]bool, v.Len())
-	for i := range out {
-		out[i] = v.Get(i)
-	}
-	return out
-}
-
 func TestSetGetUnset(t *testing.T) {
 	v := New(131) // crosses two word boundaries
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 130} {
@@ -121,53 +112,6 @@ func TestSetFloats(t *testing.T) {
 	}
 }
 
-// TestCopyRangeRandom cross-checks the word-blit against a naive
-// bit-by-bit copy over random offsets, including unaligned,
-// word-crossing and full-word cases.
-func TestCopyRangeRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 300; trial++ {
-		srcN := 1 + rng.Intn(400)
-		dstN := 1 + rng.Intn(400)
-		src, dst := New(srcN), New(dstN)
-		for i := 0; i < srcN; i++ {
-			if rng.Intn(2) == 0 {
-				src.Set(i)
-			}
-		}
-		for i := 0; i < dstN; i++ {
-			if rng.Intn(2) == 0 {
-				dst.Set(i)
-			}
-		}
-		n := rng.Intn(min(srcN, dstN) + 1)
-		srcOff := rng.Intn(srcN - n + 1)
-		dstOff := rng.Intn(dstN - n + 1)
-
-		want := toBools(dst)
-		for i := 0; i < n; i++ {
-			want[dstOff+i] = src.Get(srcOff + i)
-		}
-		CopyRange(dst, dstOff, src, srcOff, n)
-		got := toBools(dst)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (srcOff=%d dstOff=%d n=%d): bit %d = %v, want %v",
-					trial, srcOff, dstOff, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCopyRangeBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-bounds CopyRange did not panic")
-		}
-	}()
-	CopyRange(New(10), 5, New(10), 0, 8)
-}
-
 func BenchmarkNextSetSparse(b *testing.B) {
 	v := New(4096)
 	for i := 0; i < 4096; i += 97 {
@@ -178,16 +122,5 @@ func BenchmarkNextSetSparse(b *testing.B) {
 		for j := v.NextSet(0); j >= 0; j = v.NextSet(j + 1) {
 			_ = j
 		}
-	}
-}
-
-func BenchmarkCopyRange(b *testing.B) {
-	src, dst := New(4096), New(4096)
-	for i := 0; i < 4096; i += 3 {
-		src.Set(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CopyRange(dst, 7, src, 13, 4000)
 	}
 }

@@ -51,7 +51,6 @@ import (
 	"math"
 	"math/bits"
 
-	"sei/internal/bitvec"
 	"sei/internal/tensor"
 	"sei/internal/vecf"
 )
@@ -157,19 +156,16 @@ func colMask(m int) uint64 {
 // sumsBits values bit for bit, because the walk only ever stops once
 // no compare depends on the sums. Only called for blocks with a static
 // reference (w0 == nil) and a built table.
-func (b *seiBlock) sumsBitsBounded(in *bitvec.Vec, main []float64, ref float64) boundState {
-	for c := range main {
-		main[c] = 0
-	}
+func (b *seiBlock) sumsBitsBounded(win []uint64, main []float64, ref float64) boundState {
+	clear(main)
 	m := len(main)
 	cb := b.bnd
 	st := boundState{undecided: colMask(m)}
 	lastCp := -1
-	data := b.eff.Data()
-	if b.contig {
-		lo := b.inputs[0]
-		hi := lo + len(b.inputs)
-		for j := in.NextSet(lo); j >= 0 && j < hi; j = in.NextSet(j + 1) {
+	data, lo, hi := b.eff.Data(), b.lo, b.hi
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for w := rangeWord(win, wi, lo, hi); w != 0; w &= w - 1 {
+			j := wi<<6 + bits.TrailingZeros64(w)
 			local := j - lo
 			if cp := local / cb.stride; cp > lastCp {
 				lastCp = cp
@@ -181,9 +177,7 @@ func (b *seiBlock) sumsBitsBounded(in *bitvec.Vec, main []float64, ref float64) 
 				st.fired1 |= dec1
 				st.undecided &^= dec0 | dec1
 				if st.undecided == 0 {
-					for ; j >= 0 && j < hi; j = in.NextSet(j + 1) {
-						st.skipped++
-					}
+					st.skipped = onesIn(win, j, hi)
 					return st
 				}
 			}
@@ -193,64 +187,13 @@ func (b *seiBlock) sumsBitsBounded(in *bitvec.Vec, main []float64, ref float64) 
 				main[c] += v
 			}
 		}
-		return st
-	}
-	for local, j := range b.inputs {
-		if !in.Get(j) {
-			continue
-		}
-		if cp := local / cb.stride; cp > lastCp {
-			lastCp = cp
-			st.evals += bits.OnesCount64(st.undecided)
-			base := cp * m
-			dec0, dec1 := vecf.BoundCols(main,
-				cb.sufPos[base:base+m], cb.sufNeg[base:base+m], cb.sufAbs[base:base+m],
-				cb.slackU[cp], ref, st.undecided)
-			st.fired1 |= dec1
-			st.undecided &^= dec0 | dec1
-			if st.undecided == 0 {
-				for _, jj := range b.inputs[local:] {
-					if in.Get(jj) {
-						st.skipped++
-					}
-				}
-				return st
-			}
-		}
-		st.ones++
-		row := data[local*m : (local+1)*m]
-		for c, v := range row {
-			main[c] += v
-		}
 	}
 	return st
 }
 
-// countOnes counts the block's active rows without driving them — the
-// skipped-row accounting for blocks the cross-block digital-threshold
-// logic skips wholesale.
-func (b *seiBlock) countOnes(in *bitvec.Vec) int {
-	if b.contig {
-		lo := b.inputs[0]
-		hi := lo + len(b.inputs)
-		n := 0
-		for j := in.NextSet(lo); j >= 0 && j < hi; j = in.NextSet(j + 1) {
-			n++
-		}
-		return n
-	}
-	n := 0
-	for _, j := range b.inputs {
-		if in.Get(j) {
-			n++
-		}
-	}
-	return n
-}
-
 // boundable reports whether the layer's columns fit the undecided mask;
-// wider layers keep the unbounded kernels even in bounded mode
-// (convKernel).
+// wider layers keep the unbounded walk even in bounded mode
+// (boundedAt).
 func (l *SEIConvLayer) boundable() bool { return l.M <= boundMaxCols }
 
 // initBounds builds the suffix tables for every block that can use
@@ -278,10 +221,8 @@ func (d *SEIDesign) initBounds() {
 // DigitalThreshold by the caller — are bit-identical to evalCounts;
 // counter totals shrink exactly where work was skipped, with the
 // skipped work recorded on the sei_* skip counters instead.
-func (l *SEIConvLayer) evalBoundedCounts(in *bitvec.Vec, fired []int, col []float64) {
-	for c := range fired {
-		fired[c] = 0
-	}
+func (l *SEIConvLayer) evalBoundedCounts(win []uint64, fired []int, col []float64) {
+	clear(fired)
 	full := colMask(l.M)
 	outUndec := full // output columns the digital threshold hasn't resolved
 	var mvms, saCmps, driven, skipped, colsEarly, evals, blocksSkipped int64
@@ -291,12 +232,12 @@ func (l *SEIConvLayer) evalBoundedCounts(in *bitvec.Vec, fired []int, col []floa
 			// Every output is resolved: the remaining blocks' rows are
 			// never driven.
 			blocksSkipped++
-			skipped += int64(b.countOnes(in))
+			skipped += int64(onesIn(win, b.lo, b.hi))
 			continue
 		}
 		if b.bnd != nil && l.Gamma == 0 {
 			ref := l.BaseThr[bi]
-			st := b.sumsBitsBounded(in, col, ref)
+			st := b.sumsBitsBounded(win, col, ref)
 			l.hw.ActiveInputs(int64(st.ones))
 			mvms++
 			driven += int64(st.ones)
@@ -318,7 +259,7 @@ func (l *SEIConvLayer) evalBoundedCounts(in *bitvec.Vec, fired []int, col []floa
 			// Dynamic reference (Gamma slope or unipolar w0 column): the
 			// reference depends on unscanned rows, so the block scans in
 			// full — cross-block skipping still applies.
-			w0sum, ones := b.sumsBits(in, col)
+			w0sum, ones := b.sumsBits(win, col)
 			l.hw.ActiveInputs(int64(ones))
 			mvms++
 			driven += int64(ones)

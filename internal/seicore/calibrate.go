@@ -1,17 +1,5 @@
 package seicore
 
-import (
-	"fmt"
-)
-
-// CalibrationSample is one observation for split-threshold
-// calibration: a binary receptive field and the digital reference bits
-// the hardware should reproduce.
-type CalibrationSample struct {
-	In  []float64
-	Ref []bool
-}
-
 // CalibrationConfig controls the dynamic-threshold optimization of
 // Section 4.3 ("we use the Training Set to optimize the interval of
 // dynamic threshold").
@@ -40,100 +28,7 @@ type CalibrationResult struct {
 	Gamma            float64
 	DigitalThreshold int
 	OnesMean         []float64
-	// AgreementBefore/After are the fractions of output bits matching
-	// the digital reference with static majority settings vs the chosen
-	// settings.
+	// AgreementBefore/After are the calibration images' classification
+	// accuracies with static majority settings vs the chosen settings.
 	AgreementBefore, AgreementAfter float64
-}
-
-// Calibrate fits the layer's dynamic-threshold slope γ, per-block mean
-// active counts, and digital count threshold D to maximize agreement
-// with the digital reference bits over the samples. It mutates the
-// layer in place and returns what was chosen. With K == 1 there is
-// nothing to calibrate beyond the (exact) single threshold.
-func (l *SEIConvLayer) Calibrate(samples []CalibrationSample, cfg CalibrationConfig) (CalibrationResult, error) {
-	if len(samples) == 0 {
-		return CalibrationResult{}, fmt.Errorf("seicore: no calibration samples")
-	}
-	if len(cfg.GammaFactors) == 0 {
-		return CalibrationResult{}, fmt.Errorf("seicore: empty gamma grid")
-	}
-	type precomp struct {
-		main [][]float64
-		w0   []float64
-		ones []int
-		ref  []bool
-	}
-	pre := make([]precomp, len(samples))
-	onesMean := make([]float64, l.K)
-	totalOnes := 0.0
-	for i, s := range samples {
-		if len(s.In) != l.N || len(s.Ref) != l.M {
-			return CalibrationResult{}, fmt.Errorf("seicore: sample %d has lengths %d/%d, want %d/%d",
-				i, len(s.In), len(s.Ref), l.N, l.M)
-		}
-		main, w0, ones := l.BlockSums(s.In)
-		pre[i] = precomp{main: main, w0: w0, ones: ones, ref: s.Ref}
-		for b, o := range ones {
-			onesMean[b] += float64(o)
-			totalOnes += float64(o)
-		}
-	}
-	for b := range onesMean {
-		onesMean[b] /= float64(len(samples))
-	}
-
-	// γ unit: the layer threshold spread across the mean number of
-	// active inputs — the natural scale of one input's contribution.
-	meanOnes := totalOnes / float64(len(samples))
-	gammaUnit := 0.0
-	if meanOnes > 0 {
-		gammaUnit = l.Threshold / meanOnes
-	}
-
-	agreement := func(gamma float64, d int) float64 {
-		match := 0
-		for i := range pre {
-			p := &pre[i]
-			for c := 0; c < l.M; c++ {
-				fired := 0
-				for b := 0; b < l.K; b++ {
-					ref := l.BaseThr[b] + gamma*(float64(p.ones[b])-onesMean[b]) + p.w0[b]
-					if p.main[b][c] > ref {
-						fired++
-					}
-				}
-				if (fired >= d) == p.ref[c] {
-					match++
-				}
-			}
-		}
-		return float64(match) / float64(len(pre)*l.M)
-	}
-
-	defaultD := (l.K + 2) / 2
-	before := agreement(0, defaultD)
-	bestGamma, bestD, bestAcc := 0.0, defaultD, before
-	dLo, dHi := defaultD, defaultD
-	if cfg.SearchDigital {
-		dLo, dHi = 1, l.K
-	}
-	for _, f := range cfg.GammaFactors {
-		gamma := f * gammaUnit
-		for d := dLo; d <= dHi; d++ {
-			if acc := agreement(gamma, d); acc > bestAcc {
-				bestGamma, bestD, bestAcc = gamma, d, acc
-			}
-		}
-	}
-	l.Gamma = bestGamma
-	l.OnesMean = onesMean
-	l.DigitalThreshold = bestD
-	return CalibrationResult{
-		Gamma:            bestGamma,
-		DigitalThreshold: bestD,
-		OnesMean:         onesMean,
-		AgreementBefore:  before,
-		AgreementAfter:   bestAcc,
-	}, nil
 }

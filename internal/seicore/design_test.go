@@ -128,59 +128,6 @@ func TestDeviceVariationDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestCalibrateImprovesAgreementOnSplitLayer(t *testing.T) {
-	// Force conv2 of Network 2 to split by shrinking the crossbar, then
-	// verify calibration does not reduce bit agreement.
-	f := getFixture(t)
-	opt := DefaultLayerOptions()
-	opt.Model = rram.IdealDeviceModel(4)
-	opt.MaxCrossbar = 48 // 36×4 = 144 rows → K = ceil(36/12) = 3
-	rng := rand.New(rand.NewSource(6))
-	layer, err := NewSEIConvLayer(f.q.ConvMatrix(1), f.q.Thresholds[1], opt, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layer.K != 3 {
-		t.Fatalf("K = %d, want 3", layer.K)
-	}
-	// Collect calibration samples through the design helper.
-	d := &SEIDesign{Q: f.q}
-	samples := d.collectCalibration(1, f.train.Images[:40], 16, 0, nil)
-	if len(samples) == 0 {
-		t.Fatal("no calibration samples")
-	}
-	res, err := layer.Calibrate(samples, DefaultCalibrationConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("agreement %.4f → %.4f (gamma %.4g, D %d)", res.AgreementBefore, res.AgreementAfter, res.Gamma, res.DigitalThreshold)
-	if res.AgreementAfter < res.AgreementBefore {
-		t.Fatalf("calibration reduced agreement: %.4f → %.4f", res.AgreementBefore, res.AgreementAfter)
-	}
-	if res.AgreementAfter < 0.8 {
-		t.Fatalf("post-calibration agreement %.4f too low", res.AgreementAfter)
-	}
-}
-
-func TestCalibrateRejectsBadInput(t *testing.T) {
-	f := getFixture(t)
-	opt := DefaultLayerOptions()
-	opt.MaxCrossbar = 48
-	layer, err := NewSEIConvLayer(f.q.ConvMatrix(1), f.q.Thresholds[1], opt, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := layer.Calibrate(nil, DefaultCalibrationConfig()); err == nil {
-		t.Fatal("accepted empty samples")
-	}
-	if _, err := layer.Calibrate([]CalibrationSample{{In: make([]float64, 3), Ref: make([]bool, 8)}}, DefaultCalibrationConfig()); err == nil {
-		t.Fatal("accepted wrong-length sample")
-	}
-	if _, err := layer.Calibrate([]CalibrationSample{{In: make([]float64, 36), Ref: make([]bool, 8)}}, CalibrationConfig{}); err == nil {
-		t.Fatal("accepted empty gamma grid")
-	}
-}
-
 func TestBuildSEIWithDynamicThresholdEndToEnd(t *testing.T) {
 	f := getFixture(t)
 	cfg := DefaultSEIBuildConfig()

@@ -87,6 +87,8 @@ func DefaultSEIBuildConfig() SEIBuildConfig {
 // crossbars with SA readout; the FC stage is SEI with per-block
 // digital summation feeding the argmax.
 type SEIDesign struct {
+	// Q is the design's own shallow view of the quantized net: it
+	// shares the net's weights but has its own counter hook.
 	Q     *quant.QuantizedNet
 	Input *MergedLayer // conv stage 0 (DAC-driven)
 	Convs []*SEIConvLayer
@@ -98,23 +100,22 @@ type SEIDesign struct {
 	// packed caches whether every stage reads out linearly, which lets
 	// the packed walker (fast.go) reproduce the float path; ideal
 	// whether every read-out is exact, which the sliced walker
-	// (sliced.go) and bounded mode need. strip0 caches the static half
-	// of the stage-0 kernel choice (stage0Kernel). scratch holds the
-	// packed walker's *seiScratch arena pool (nil unless packed) and
-	// sliced the sliced walker's *slicedScratch pool (nil unless
-	// ideal). All are set once by initFastPath at build/load time,
-	// before the design is shared across goroutines.
-	packed, ideal, strip0 bool
-	scratch, sliced       *sync.Pool
+	// (sliced.go) and bounded mode need. scratch holds the packed
+	// walker's *seiScratch arena pool (nil unless packed) and sliced the
+	// sliced walker's *slicedScratch pool (nil unless ideal). All are
+	// set once by initFastPath at build/load time, before the design is
+	// shared across goroutines.
+	packed, ideal   bool
+	scratch, sliced *sync.Pool
 	// fastOff (SetFastPath) and bounded (SetBounded) are the mode
 	// toggles.
 	fastOff, bounded bool
 }
 
-// initFastPath caches the walkers' eligibility and static kernel facts
-// and creates the scratch arena pools. Called once at construction
-// (BuildSEI / LoadDesign). Bound tables are built for ideal designs,
-// but the bounded walk itself stays off until SetBounded.
+// initFastPath caches the walkers' eligibility and creates the scratch
+// arena pools. Called once at construction (BuildSEI / LoadDesign).
+// Bound tables are built for ideal designs, but the bounded walk itself
+// stays off until SetBounded.
 func (d *SEIDesign) initFastPath() {
 	d.packed = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Linear() })
 	d.ideal = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Ideal() })
@@ -123,10 +124,6 @@ func (d *SEIDesign) initFastPath() {
 	}
 	if d.ideal {
 		d.sliced = &sync.Pool{}
-	}
-	d.strip0 = d.Input.cells == nil && d.Q.Convs[0].Stride == 1
-	for _, l := range d.Convs {
-		l.word = l.wordWindowEligible()
 	}
 	d.initBounds()
 }
@@ -162,7 +159,10 @@ func BuildSEI(q *quant.QuantizedNet, train *mnist.Dataset, cfg SEIBuildConfig, r
 	if err := par.Validate(cfg.Workers); err != nil {
 		return nil, fmt.Errorf("seicore: build config: %w", err)
 	}
-	d := &SEIDesign{Q: q, CalibResults: map[int]CalibrationResult{}}
+	// The design keeps its own shallow view of q, so instrumenting it
+	// never writes a net that another build from q reads.
+	view := *q
+	d := &SEIDesign{Q: &view, CalibResults: map[int]CalibrationResult{}}
 
 	input, err := NewMergedLayer(q.ConvMatrix(0), cfg.Layer.Model, rng)
 	if err != nil {
@@ -231,8 +231,8 @@ func (d *SEIDesign) Instrument(rec *obs.Recorder) {
 // every split SEI conv stage. The paper optimizes "the interval of
 // dynamic threshold" on the training set; we grid-search each split
 // layer's slope γ and digital count threshold D directly against
-// classification accuracy on the calibration images (the per-bit
-// agreement objective of SEIConvLayer.Calibrate is too flat to
+// classification accuracy on the calibration images (a per-bit
+// agreement objective against the digital reference is too flat to
 // discriminate D choices reliably).
 func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 	data := train
@@ -273,7 +273,7 @@ func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 				eval := evalClone(layer, layerSeed(calibSeedBase, c.Index))
 				p := onesPartial{perBlock: make([]float64, layer.K)}
 				for i := c.Lo; i < c.Hi; i++ {
-					_, _, ones := eval.BlockSums(samples[i].In)
+					_, _, ones := eval.BlockSums(samples[i])
 					for b, o := range ones {
 						p.perBlock[b] += float64(o)
 						p.total += float64(o)
@@ -330,15 +330,14 @@ func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 // reproducible and worker-count independent.
 const calibSeedBase int64 = 0xCA11B
 
-// collectCalibration gathers (receptive field, digital reference bits)
-// pairs for one conv stage from training images, using the exact
-// digital pipeline for both the stage inputs and the reference. Images
-// are processed in parallel; per-image sample lists concatenate in
-// image order, so the result is independent of the worker count.
-func (d *SEIDesign) collectCalibration(stage int, images []*tensor.Tensor, maxPositions, workers int, rec *obs.Recorder) []CalibrationSample {
+// collectCalibration gathers binary receptive fields for one conv
+// stage from training images, computing the stage inputs with the
+// exact digital pipeline. Images are processed in parallel; per-image
+// field lists concatenate in image order, so the result is independent
+// of the worker count.
+func (d *SEIDesign) collectCalibration(stage int, images []*tensor.Tensor, maxPositions, workers int, rec *obs.Recorder) [][]float64 {
 	q := d.Q
-	digital := q.Digital()
-	perImage := make([][]CalibrationSample, len(images))
+	perImage := make([][][]float64, len(images))
 	par.ForEachRec(rec, workers, len(images), func(i int) {
 		acts := q.BinaryActivations(images[i])
 		in := acts[stage-1] // activation map entering this stage
@@ -352,14 +351,10 @@ func (d *SEIDesign) collectCalibration(stage int, images []*tensor.Tensor, maxPo
 			step = positions / maxPositions
 		}
 		for p := 0; p < positions; p += step {
-			field := append([]float64(nil), cols.Data()[p*fan:(p+1)*fan]...)
-			perImage[i] = append(perImage[i], CalibrationSample{
-				In:  field,
-				Ref: digital.EvalConv(stage, field),
-			})
+			perImage[i] = append(perImage[i], append([]float64(nil), cols.Data()[p*fan:(p+1)*fan]...))
 		}
 	})
-	var samples []CalibrationSample
+	var samples [][]float64
 	for _, s := range perImage {
 		samples = append(samples, s...)
 	}

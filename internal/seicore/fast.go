@@ -22,22 +22,23 @@ package seicore
 // separation (it distorts the analog input stage before the product);
 // those designs keep the float path, selected in SEIDesign.Predict.
 //
-// Each stage's kernel is picked from facts about that layer
-// (stage0Kernel, convKernel): the row-strip or gather kernel at stage
-// 0; the bounded, single-word or bitvec kernel at the SEI stages.
+// Each stage has one kernel. Stage 0 is the row strip (stage0). An SEI
+// stage gathers each window into words once, moves it into the layer's
+// block order when the blocks are permuted (seiArray.local), and walks
+// every block's bit range lowest-first; bounded mode (boundedAt) swaps
+// in the bounded row walk.
 //
 // Contract (pinned by determinism_test.go, fast_test.go and
 // noise_test.go): the walker is bit-identical to the float path in
 // predictions, hardware-counter totals and noise draws. Every float
 // accumulation visits rows in the exact order of the float path's
-// skip-zero loops, every counter is recorded at the same logical
-// event, and the fused OR pool writes the same output bits as
-// quant.orPool (OR is order-independent on bits). Bounded mode keeps
+// skip-zero loops, every counter total matches (stage 0 charges its
+// counters from pixel coverage, as the sliced walker does), and the
+// fused OR pool writes the same output bits as quant.orPool (OR is
+// order-independent on bits). Bounded mode keeps
 // labels and records only the work actually performed (bounds.go).
 
 import (
-	"math/bits"
-
 	"sei/internal/bitvec"
 	"sei/internal/quant"
 	"sei/internal/tensor"
@@ -86,42 +87,51 @@ func fastGeometry(q *quant.QuantizedNet) []stageGeom {
 type seiScratch struct {
 	geom      []stageGeom
 	cur, next *bitvec.Vec // packed activation maps, ping-pong
-	win       *bitvec.Vec // packed receptive-field window
-	field     []float64   // stage-0 float im2col window (DAC-driven)
-	strip     []float64   // stage-0 output-row column sums (row-strip kernel)
+	win       []uint64    // packed receptive-field window, logical order
+	local     []uint64    // the window (or FC input) in layer-local order
+	strip     []float64   // stage-0 output-row column sums
 	col       []float64   // per-block column sums
 	fired     []int       // per-column fired-block counts
 	scores    []float64   // FC classifier scores
 	gauss     []float64   // per-cell noise-draw block
+	// cover and coverLive count, per stage-0 input pixel, the windows
+	// and the pool-covered windows reading it (coverage); first and last
+	// give, per stage-0 image column, the first and last window columns
+	// reading it (first > last when none does), so the row strip does
+	// no division per pixel.
+	cover, coverLive []int32
+	first, last      []int
 }
 
 // newSEIScratch sizes an arena for d.
 func newSEIScratch(d *SEIDesign) *seiScratch {
 	s := &seiScratch{geom: fastGeometry(d.Q)}
-	maxMap, maxFan, maxM := 0, 0, 0
+	maxMap, maxFan, maxM := 0, d.FC.N, d.FC.M
 	for l, g := range s.geom {
-		if n := g.filters * g.pooledH * g.pooledW; n > maxMap {
-			maxMap = n
+		maxMap = max(maxMap, g.filters*g.pooledH*g.pooledW)
+		if l > 0 {
+			maxFan = max(maxFan, g.fan)
 		}
-		if l > 0 && g.fan > maxFan {
-			maxFan = g.fan
-		}
-		if g.filters > maxM {
-			maxM = g.filters
-		}
+		maxM = max(maxM, g.filters)
 	}
-	if d.FC.M > maxM {
-		maxM = d.FC.M
-	}
+	g := &s.geom[0]
 	s.cur = bitvec.New(maxMap)
 	s.next = bitvec.New(maxMap)
-	s.win = bitvec.New(maxFan)
-	s.field = make([]float64, s.geom[0].fan)
-	s.strip = make([]float64, s.geom[0].outW*s.geom[0].filters)
+	s.win = make([]uint64, (maxFan+63)/64)
+	s.local = make([]uint64, (maxFan+63)/64)
+	s.strip = make([]float64, g.outW*g.filters)
 	s.col = make([]float64, maxM)
 	s.fired = make([]int, maxM)
 	s.scores = make([]float64, d.FC.M)
 	s.gauss = make([]float64, maxM)
+	s.cover, s.coverLive = g.coverage()
+	s.first, s.last = make([]int, g.inW), make([]int, g.inW)
+	for x := range s.first {
+		if x >= g.kw {
+			s.first[x] = (x-g.kw)/g.stride + 1
+		}
+		s.last[x] = min(x/g.stride, g.outW-1)
+	}
 	return s
 }
 
@@ -138,122 +148,57 @@ func (d *SEIDesign) anyReadout(f func(*readout) bool) bool {
 	return false
 }
 
-// stageKernel names the kernel one stage of a packed walker runs.
-type stageKernel int
-
-const (
-	// kernelStrip scans each image row once per output row and scatters
-	// its pixels into a strip of per-window column sums (stage 0).
-	kernelStrip stageKernel = iota
-	// kernelGather gathers each float window, runs MatVecTInto and the
-	// read-noise pass, and records counters (stage 0).
-	kernelGather
-	// kernelBounded is the activation-bound row walk (SEI stages).
-	kernelBounded
-	// kernelWord walks a receptive field packed into one machine word
-	// (SEI stages).
-	kernelWord
-	// kernelBitvec walks a bitvec window (SEI stages).
-	kernelBitvec
-)
-
-func (k stageKernel) String() string {
-	return [...]string{"strip", "gather", "bounded", "word", "bitvec"}[k]
+// boundedAt reports whether an SEI conv stage runs the bounded row
+// walk: bounds are exact only on ideal read-outs and need the columns
+// to fit the undecided mask.
+func (d *SEIDesign) boundedAt(l *SEIConvLayer) bool {
+	return d.bounded && d.ideal && l.boundable()
 }
 
-// stage0Kernel picks the input stage's kernel. The row strip needs
-// stride 1 and no per-cell noise (cached in strip0), and records no
-// counters, so an instrumented design gathers.
-func (d *SEIDesign) stage0Kernel() stageKernel {
-	if d.strip0 && d.Input.hw == nil {
-		return kernelStrip
-	}
-	return kernelGather
-}
-
-// convKernel picks an SEI conv stage's kernel. Bounds are exact only
-// on ideal read-outs and need the columns to fit the undecided mask;
-// the single-word window needs the fan-in in one word, contiguous
-// blocks and no per-cell noise (cached in l.word).
-func (d *SEIDesign) convKernel(l *SEIConvLayer) stageKernel {
-	switch {
-	case d.bounded && d.ideal && l.boundable():
-		return kernelBounded
-	case l.word:
-		return kernelWord
-	default:
-		return kernelBitvec
-	}
-}
-
-// wordWindowEligible reports whether the layer's receptive field fits
-// in 64 bits and every block holds a contiguous ascending input range,
-// so block-local rows are bit positions and the row walk is a
-// TrailingZeros loop. Per-cell noise keeps the bitvec window (its draw
-// walk consumes one).
-func (l *SEIConvLayer) wordWindowEligible() bool {
-	if l.N > 64 || l.cells != nil {
-		return false
-	}
-	for bi := range l.blocks {
-		if !l.blocks[bi].contig {
-			return false
-		}
-	}
-	return true
-}
-
-// gatherFloatWindow copies one receptive-field window out of the float
-// input map into dst, in exactly tensor.Im2Col's element order
-// (channel-major, then kernel row, then kernel column).
-func gatherFloatWindow(data []float64, g *stageGeom, oy, ox int, dst []float64) {
-	di := 0
-	for ch := 0; ch < g.inC; ch++ {
-		base := ch * g.inH * g.inW
-		for ky := 0; ky < g.kh; ky++ {
-			src := base + (oy*g.stride+ky)*g.inW + ox*g.stride
-			copy(dst[di:di+g.kw], data[src:src+g.kw])
-			di += g.kw
-		}
-	}
-}
-
-// gatherBitWindow is gatherFloatWindow on a packed activation map:
-// each kernel row is a kw-bit blit, so a window costs O(fan/64 + rows)
-// word operations instead of fan float copies.
-func gatherBitWindow(in *bitvec.Vec, g *stageGeom, oy, ox int, dst *bitvec.Vec) {
-	di := 0
-	for ch := 0; ch < g.inC; ch++ {
-		base := ch * g.inH * g.inW
-		for ky := 0; ky < g.kh; ky++ {
-			src := base + (oy*g.stride+ky)*g.inW + ox*g.stride
-			bitvec.CopyRange(dst, di, in, src, g.kw)
-			di += g.kw
-		}
-	}
-}
-
-// gatherWindowWord packs one receptive-field window (fan ≤ 64) into a
-// single machine word, in gatherBitWindow's bit order: kernel-row
-// segments of the map, concatenated channel-major.
-func gatherWindowWord(in *bitvec.Vec, g *stageGeom, oy, ox int) uint64 {
-	words := in.Words()
-	var win uint64
-	di := 0
-	for ch := 0; ch < g.inC; ch++ {
-		base := ch * g.inH * g.inW
-		for ky := 0; ky < g.kh; ky++ {
-			src := base + (oy*g.stride+ky)*g.inW + ox*g.stride
-			off := uint(src) & 63
-			w := words[src>>6] >> off
-			if rem := 64 - int(off); rem < g.kw {
-				w |= words[(src>>6)+1] << uint(rem)
+// gatherWindow packs one receptive-field window of the packed map in
+// into dst (len ⌈fan/64⌉), in tensor.Im2Col's column order
+// (channel-major, then kernel row, then kernel column), so a window bit
+// is the float path's im2col column. Each kernel row is a kw-bit
+// segment of the map, shifted out of its word (and the next, when it
+// straddles one) and OR-ed into a register at the running offset; a
+// filled register is stored and its spill starts the next word.
+func gatherWindow(in []uint64, g *stageGeom, oy, ox int, dst []uint64) {
+	inC, kh, kw, inW := g.inC, g.kh, g.kw, g.inW
+	plane, corner := g.inH*inW, (oy*inW+ox)*g.stride // corner: the window's top-left bit
+	var acc uint64
+	wi, off := 0, uint(0)
+	for ch := 0; ch < inC; ch++ {
+		top := ch*plane + corner
+		for src := top; src < top+kh*inW; src += inW {
+			for k := 0; k < kw; k += 64 {
+				n := uint(min(kw-k, 64))
+				w := bitsAt(in, src+k, n)
+				acc |= w << off
+				if off+n >= 64 {
+					dst[wi] = acc
+					wi++
+					acc = w >> (64 - off)
+				}
+				off = (off + n) & 63
 			}
-			win |= (w & (1<<uint(g.kw) - 1)) << uint(di)
-			di += g.kw
 		}
 	}
-	return win
+	if off != 0 {
+		dst[wi] = acc
+	}
+}
+
+// bitsAt returns the n ≤ 64 bits of words starting at bit off.
+func bitsAt(words []uint64, off int, n uint) uint64 {
+	sh := uint(off) & 63
+	w := words[off>>6] >> sh
+	if 64-sh < n {
+		w |= words[off>>6+1] << (64 - sh)
+	}
+	if n < 64 {
+		w &= 1<<n - 1
+	}
+	return w
 }
 
 // poolSet writes one fired output bit into the (pool-fused) output
@@ -289,6 +234,75 @@ func (g *stageGeom) live() (h, w int) {
 	return g.outH, g.outW
 }
 
+// coverage counts, per input pixel (y·inW + x), the windows reading it
+// (cover) and the pool-covered ones (live). Coverage is separable:
+// cover(y,x) = rows(y)·cols(x), the per-axis counts of kernel
+// placements reading that coordinate, and a window is live iff both
+// its axes are.
+func (g *stageGeom) coverage() (cover, live []int32) {
+	liveH, liveW := g.live()
+	rows := coverage1D(g.inH, g.kh, g.stride, g.outH)
+	cols := coverage1D(g.inW, g.kw, g.stride, g.outW)
+	liveRows := coverage1D(g.inH, g.kh, g.stride, liveH)
+	liveCols := coverage1D(g.inW, g.kw, g.stride, liveW)
+	cover = make([]int32, g.inH*g.inW)
+	live = make([]int32, g.inH*g.inW)
+	for y := 0; y < g.inH; y++ {
+		for x := 0; x < g.inW; x++ {
+			cover[y*g.inW+x] = rows[y] * cols[x]
+			live[y*g.inW+x] = liveRows[y] * liveCols[x]
+		}
+	}
+	return cover, live
+}
+
+// coverage1D counts, per input coordinate, how many of the first outN
+// kernel placements along one axis read it.
+func coverage1D(in, k, stride, outN int) []int32 {
+	c := make([]int32, in)
+	for o := 0; o < outN; o++ {
+		for d := 0; d < k; d++ {
+			c[o*stride+d]++
+		}
+	}
+	return c
+}
+
+// recordStage0 records the input stage's counters for a batch of
+// images as totals of the per-window events: each window is one MVM
+// over M columns whose active inputs are its nonzero pixels, so a
+// nonzero pixel counts once per window reading it. nz(p) is the number
+// of images whose pixel p is nonzero. Bounded runs charge only the
+// pool-covered windows and record the cropped ones' active inputs as
+// skipped.
+func (d *SEIDesign) recordStage0(g *stageGeom, cover, coverLive []int32, images int64, bounded bool, nz func(p int) int64) {
+	in := d.Input
+	if in.hw == nil && in.skip == nil {
+		return
+	}
+	positions, charged := int64(g.outH*g.outW), cover
+	if bounded {
+		liveH, liveW := g.live()
+		positions, charged = int64(liveH*liveW), coverLive
+	}
+	plane := g.inH * g.inW
+	var driven, skipped int64
+	for p := 0; p < g.inC*plane; p++ {
+		if n := nz(p); n != 0 {
+			driven += n * int64(charged[p%plane])
+			skipped += n * int64(cover[p%plane]-charged[p%plane])
+		}
+	}
+	if h := in.hw; h != nil {
+		h.MVM(positions * images)
+		h.ColumnActivations(positions * int64(g.filters) * images)
+		h.ActiveInputs(driven)
+	}
+	if bounded {
+		in.skip.Record(driven, skipped, 0, 0, 0)
+	}
+}
+
 // predictPacked classifies one image on the packed walker. The caller
 // owns s for the duration of the call.
 func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
@@ -303,11 +317,14 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	g := &s.geom[0]
 	out := s.cur
 	out.Reset(g.filters * g.pooledH * g.pooledW)
-	if d.stage0Kernel() == kernelStrip {
-		d.stage0Strip(img.Data(), g, s.strip, out)
-	} else {
-		d.stage0Gather(img.Data(), g, s, out, bounded)
-	}
+	data := img.Data()
+	d.stage0(data, g, s, out)
+	d.recordStage0(g, s.cover, s.coverLive, 1, bounded, func(p int) int64 {
+		if data[p] != 0 {
+			return 1
+		}
+		return 0
+	})
 	if g.pool > 1 {
 		q.CountORPool(int64(g.filters * g.pooledH * g.pooledW))
 	}
@@ -316,36 +333,27 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	// threshold counts out, OR-fused pooling.
 	for l := 1; l < len(q.Convs); l++ {
 		layer := d.Convs[l-1]
-		kernel := d.convKernel(layer)
+		bnd := d.boundedAt(layer)
 		g := &s.geom[l]
 		in := s.cur
 		out := s.next
 		out.Reset(g.filters * g.pooledH * g.pooledW)
-		s.win.Reset(g.fan)
+		win := s.win[:(g.fan+63)/64]
 		fired := s.fired[:layer.M]
 		col := s.col[:layer.M]
 		var cropSkip int64
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
-				crop := bounded && g.croppedAt(oy, ox)
-				if kernel == kernelWord {
-					w := gatherWindowWord(in, g, oy, ox)
-					if crop {
-						cropSkip += int64(bits.OnesCount64(w))
-						continue
-					}
-					layer.evalCountsWord(w, fired, col)
+				gatherWindow(in.Words(), g, oy, ox, win)
+				if bounded && g.croppedAt(oy, ox) {
+					cropSkip += int64(onesIn(win, 0, g.fan))
+					continue
+				}
+				lw := layer.local(win, s.local)
+				if bnd {
+					layer.evalBoundedCounts(lw, fired, col)
 				} else {
-					gatherBitWindow(in, g, oy, ox, s.win)
-					if crop {
-						cropSkip += int64(s.win.OnesCount())
-						continue
-					}
-					if kernel == kernelBounded {
-						layer.evalBoundedCounts(s.win, fired, col)
-					} else {
-						layer.evalCounts(s.win, fired, col, s.gauss)
-					}
+					layer.evalCounts(lw, fired, col, s.gauss)
 				}
 				for k, f := range fired {
 					if f >= layer.DigitalThreshold {
@@ -364,7 +372,7 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	}
 
 	// FC stage: the flattened final map is already the packed input.
-	d.FC.evalInto(s.cur, s.scores, s.col[:d.FC.M], s.gauss)
+	d.FC.evalInto(d.FC.local(s.cur.Words(), s.local), s.scores, s.col[:d.FC.M], s.gauss)
 	best, bi := s.scores[0], 0
 	for i, v := range s.scores {
 		if v > best { // strict >: first maximum wins, as tensor.ArgMax
@@ -374,89 +382,70 @@ func (d *SEIDesign) predictPacked(img *tensor.Tensor, s *seiScratch) int {
 	return bi
 }
 
-// stage0Gather is the gather kernel: each window goes through the
-// merged layer's evalInto, which records the counters and feeds the
-// per-cell noise walk its input values. In bounded mode pool-cropped
-// windows skip the MVM, their active inputs counted skipped (the
-// merged layer has no threshold readout to bound rows against).
-func (d *SEIDesign) stage0Gather(data []float64, g *stageGeom, s *seiScratch, out *bitvec.Vec, bounded bool) {
-	thr := d.Q.Thresholds[0]
-	col := s.col[:g.filters]
-	var driven, skipped int64
-	for oy := 0; oy < g.outH; oy++ {
-		for ox := 0; ox < g.outW; ox++ {
-			gatherFloatWindow(data, g, oy, ox, s.field)
-			if bounded && g.croppedAt(oy, ox) {
-				for _, v := range s.field {
-					if v != 0 {
-						skipped++
-					}
-				}
-				continue
-			}
-			driven += int64(d.Input.evalInto(s.field, col, s.gauss))
-			for k, v := range col {
-				if v > thr {
-					poolSet(out, g, k, oy, ox)
-				}
-			}
-		}
-	}
-	if bounded {
-		d.Input.skip.Record(driven, skipped, 0, 0, 0)
-	}
-}
-
-// stage0Strip is the row-strip kernel: the windows are evaluated one
-// output row at a time, each image row scanned once per (oy, ky) and
-// its nonzero pixels scattered into the strip of per-window column
-// sums, so a pixel is read kh times instead of kh·kw times. For a
-// fixed window ox at stride 1, ascending pixel index means ascending
-// kernel column, so every window still accumulates its contributions
-// in exactly MatVecTInto's (ch, ky, kx) skip-zero order and the sums
-// stay bit-identical; the read-out's column pass then walks the strip
-// in window order, preserving the RNG stream.
-func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, out *bitvec.Vec) {
+// stage0 is the input stage's row-strip kernel: the windows are
+// evaluated one output row at a time, each image row scanned once per
+// (oy, ky) and its nonzero pixels scattered into the strip of
+// per-window column sums, so a pixel is read kh times instead of kh·kw
+// times. For a fixed window ox, ascending pixel index means ascending
+// kernel column at any stride, so every window accumulates its
+// contributions in exactly MatVecTInto's (ch, ky, kx) skip-zero order
+// and the sums are bit-identical to the float path's. The read-out then
+// runs per window, in window order: the per-cell draws walk the
+// window's nonzero pixels in the same (ch, ky, kx) order as
+// readFloat, then the column pass draws per-column noise — the RNG
+// stream stays exact. A noise-free read-out leaves pool-cropped
+// windows out: their outputs are never read, and recordStage0 charges
+// the counters from pixel coverage alone.
+func (d *SEIDesign) stage0(data []float64, g *stageGeom, s *seiScratch, out *bitvec.Vec) {
 	in := d.Input
 	thr := d.Q.Thresholds[0]
 	eff, m := in.eff.Data(), in.M
-	// The merged layer models no IR drop, and the kernel never runs
-	// with per-cell noise, so only per-column noise has column work.
 	noisy := in.noisy()
-	strip = strip[:g.outW*m]
-	for oy := 0; oy < g.outH; oy++ {
-		for i := range strip {
-			strip[i] = 0
-		}
+	outH, outW := g.outH, g.outW
+	if !noisy {
+		outH, outW = g.live()
+	}
+	strip := s.strip[:outW*m]
+	stride, inW, first, last, cells := g.stride, g.inW, s.first, s.last, in.cells != nil
+	for oy := 0; oy < outH; oy++ {
+		clear(strip)
 		for ch := 0; ch < g.inC; ch++ {
-			base := ch * g.inH * g.inW
 			for ky := 0; ky < g.kh; ky++ {
-				row := data[base+(oy+ky)*g.inW : base+(oy+ky+1)*g.inW]
+				y := ch*g.inH + oy*stride + ky
 				kbase := (ch*g.kh + ky) * g.kw
-				for ix, x := range row {
+				for ix, x := range data[y*inW : (y+1)*inW] {
 					if x == 0 {
 						continue
 					}
-					lo := ix - g.kw + 1
-					if lo < 0 {
-						lo = 0
-					}
-					hi := ix
-					if hi >= g.outW {
-						hi = g.outW - 1
-					}
-					for ox := lo; ox <= hi; ox++ {
-						w := eff[(kbase+ix-ox)*m : (kbase+ix-ox+1)*m]
+					// Window ox reads the pixel through kernel row r.
+					ox, hi := first[ix], min(last[ix], outW-1)
+					for r := kbase + ix - ox*stride; ox <= hi; ox, r = ox+1, r-stride {
 						dst := strip[ox*m : ox*m+m]
-						for j, v := range w {
+						for j, v := range eff[r*m : r*m+m] {
 							dst[j] += v * x
 						}
 					}
 				}
 			}
 		}
-		for ox := 0; ox < g.outW; ox++ {
+		for ox := 0; ox < outW; ox++ {
 			cw := strip[ox*m : ox*m+m]
+			if cells {
+				draws, r := 0, 0
+				for ch := 0; ch < g.inC; ch++ {
+					for ky := 0; ky < g.kh; ky++ {
+						src := (ch*g.inH+oy*g.stride+ky)*g.inW + ox*g.stride
+						for _, x := range data[src : src+g.kw] {
+							if x != 0 {
+								in.cellRow(eff[r*m:r*m+m], x, cw, s.gauss)
+								draws += m
+							}
+							r++
+						}
+					}
+				}
+				in.hw.NoiseDraws(int64(draws))
+			}
 			if noisy {
 				in.columns(cw, 0)
 			}
@@ -469,42 +458,19 @@ func (d *SEIDesign) stage0Strip(data []float64, g *stageGeom, strip []float64, o
 	}
 }
 
-// evalCountsWord is evalCounts over a single-word window: each
-// contiguous block selects its rows by mask and walks set bits
-// lowest-first — the same ascending local order, sums, draws and
-// counters as the bitvec walk, with no window blit and no second pass
-// (the kernel never runs with per-cell noise, so only the column-level
-// read-out applies).
-func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col []float64) {
-	for c := range fired {
-		fired[c] = 0
-	}
-	m := len(col)
+// evalCounts is the packed twin of the float Eval over a window in
+// layer-local order: bit-summed blocks, the read-out effects applied
+// per block, the same sense-amp compare, hardware counters recorded at
+// the same logical events. It fills fired (len M, the per-column count
+// of blocks whose SA fired); the caller applies Eval's
+// `>= DigitalThreshold` compare.
+func (l *SEIConvLayer) evalCounts(win []uint64, fired []int, col, g []float64) {
+	clear(fired)
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		w := win >> uint(b.inputs[0])
-		if n := len(b.inputs); n < 64 {
-			w &= 1<<uint(n) - 1
-		}
-		for c := range col {
-			col[c] = 0
-		}
-		data := b.eff.Data()
-		ones := 0
-		w0sum := 0.0
-		for bs := w; bs != 0; bs &= bs - 1 {
-			local := bits.TrailingZeros64(bs)
-			ones++
-			row := data[local*m : (local+1)*m]
-			for c, v := range row {
-				col[c] += v
-			}
-			if b.w0 != nil {
-				w0sum += b.w0[local]
-			}
-		}
+		w0sum, ones := b.sumsBits(win, col)
 		l.hw.ActiveInputs(int64(ones))
-		l.columns(col, ones)
+		l.readBits(b, win, col, ones, g)
 		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
 		for c, s := range col {
 			if s > ref {
@@ -519,45 +485,18 @@ func (l *SEIConvLayer) evalCountsWord(win uint64, fired []int, col []float64) {
 	}
 }
 
-// evalCounts is the packed twin of the float Eval: bit-summed blocks,
-// the read-out effects applied per block, the same sense-amp compare,
-// hardware counters recorded at the same logical events. It fills
-// fired (len M, the per-column count of blocks whose SA fired); the
-// caller applies Eval's `>= DigitalThreshold` compare.
-func (l *SEIConvLayer) evalCounts(in *bitvec.Vec, fired []int, col, g []float64) {
-	for c := range fired {
-		fired[c] = 0
-	}
-	for bi := range l.blocks {
-		b := &l.blocks[bi]
-		w0sum, ones := b.sumsBits(in, col)
-		l.hw.ActiveInputs(int64(ones))
-		l.readBits(b, in, col, ones, g)
-		ref := l.BaseThr[bi] + l.Gamma*(float64(ones)-l.OnesMean[bi]) + w0sum
-		for c, s := range col {
-			if s > ref {
-				fired[c]++
-			}
-		}
-	}
-	if h := l.hw; h != nil {
-		h.MVM(int64(l.K))
-		h.SACompares(int64(l.K * l.M))
-		h.ColumnActivations(int64(l.K * l.M))
-	}
-}
-
-// evalInto is the packed twin of the FC Eval: scores are written into
-// out (len M), col is a per-block column scratch (len M) and g the
-// per-cell draw scratch. Bias copy, block order, read-out and the
-// `s − w0sum` accumulation all match Eval, so scores are bit-identical.
-func (l *SEIFCLayer) evalInto(in *bitvec.Vec, out, col, g []float64) {
+// evalInto is the packed twin of the FC Eval over its input in
+// layer-local order: scores are written into out (len M), col is a
+// per-block column scratch (len M) and g the per-cell draw scratch.
+// Bias copy, block order, read-out and the `s − w0sum` accumulation
+// all match Eval, so scores are bit-identical.
+func (l *SEIFCLayer) evalInto(win []uint64, out, col, g []float64) {
 	copy(out, l.Bias)
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		w0sum, ones := b.sumsBits(in, col)
+		w0sum, ones := b.sumsBits(win, col)
 		l.hw.ActiveInputs(int64(ones))
-		w0sum *= l.readBits(b, in, col, ones, g)
+		w0sum *= l.readBits(b, win, col, ones, g)
 		for c, s := range col {
 			out[c] += s - w0sum
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sei/internal/bitvec"
 	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/obs"
@@ -188,10 +189,11 @@ func TestFastPathSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-// TestKernelSelection pins which kernel the packed walkers pick at
-// stage 0 and at the SEI conv stage for each design configuration, so a
-// change to a selection rule shows up here and not only as a benchmark
-// delta. The fixture's conv stage has fan-in 36: one machine word.
+// TestKernelSelection pins the one kernel choice the packed walkers
+// make: an SEI conv stage runs the bounded row walk iff bounded mode is
+// on and the design is ideal. Block permutation, per-cell noise and
+// instrumentation change no kernel, so they are inputs here, not
+// choices; the fixture's conv stage has fan-in 36 and 8 columns.
 func TestKernelSelection(t *testing.T) {
 	f := getFixture(t)
 	perm := rand.New(rand.NewSource(11)).Perm(36)
@@ -210,20 +212,20 @@ func TestKernelSelection(t *testing.T) {
 		name                string
 		mod                 func(*SEIBuildConfig)
 		bounded, instrument bool
-		stage0, conv        stageKernel
+		want                bool
 	}{
-		{"ideal", nil, false, false, kernelStrip, kernelWord},
-		{"ideal-bounded", nil, true, false, kernelStrip, kernelBounded},
-		{"ideal-instrumented", nil, false, true, kernelGather, kernelWord},
-		{"ideal-bounded-instrumented", nil, true, true, kernelGather, kernelBounded},
-		{"per-column-noise", colNoise, false, false, kernelStrip, kernelWord},
-		{"per-column-noise-bounded", colNoise, true, false, kernelStrip, kernelWord},
-		{"per-column-noise-instrumented", colNoise, false, true, kernelGather, kernelWord},
-		{"per-cell-noise", cellNoise, false, false, kernelGather, kernelBitvec},
-		{"ir-drop-bounded", irDrop, true, false, kernelStrip, kernelWord},
-		{"split-contiguous", split, false, false, kernelStrip, kernelWord},
-		{"split-permuted", permuted, false, false, kernelStrip, kernelBitvec},
-		{"split-permuted-bounded", permuted, true, false, kernelStrip, kernelBounded},
+		{"ideal", nil, false, false, false},
+		{"ideal-bounded", nil, true, false, true},
+		{"ideal-instrumented", nil, false, true, false},
+		{"ideal-bounded-instrumented", nil, true, true, true},
+		{"per-column-noise", colNoise, false, false, false},
+		{"per-column-noise-bounded", colNoise, true, false, false},
+		{"per-column-noise-instrumented", colNoise, false, true, false},
+		{"per-cell-noise", cellNoise, false, false, false},
+		{"ir-drop-bounded", irDrop, true, false, false},
+		{"split-contiguous", split, false, false, false},
+		{"split-permuted", permuted, false, false, false},
+		{"split-permuted-bounded", permuted, true, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,12 +242,50 @@ func TestKernelSelection(t *testing.T) {
 			if tc.instrument {
 				d.Instrument(obs.New())
 			}
-			if got := d.stage0Kernel(); got != tc.stage0 {
-				t.Errorf("stage 0 kernel %v, want %v", got, tc.stage0)
-			}
-			if got := d.convKernel(d.Convs[0]); got != tc.conv {
-				t.Errorf("conv stage kernel %v, want %v", got, tc.conv)
+			if got := d.boundedAt(d.Convs[0]); got != tc.want {
+				t.Errorf("bounded row walk %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestGatherWindowMatchesIm2Col cross-checks the packed window gather
+// against a bit-by-bit im2col over random maps and geometries: strides
+// 1–3, kernel rows that straddle map words and window words, kernel
+// widths past one word, and a destination full of stale bits.
+func TestGatherWindowMatchesIm2Col(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		g := stageGeom{inC: 1 + rng.Intn(3), kh: 1 + rng.Intn(4), kw: 1 + rng.Intn(70), stride: 1 + rng.Intn(3)}
+		g.inH, g.inW = g.kh+rng.Intn(8), g.kw+rng.Intn(8)
+		g.outH, g.outW = (g.inH-g.kh)/g.stride+1, (g.inW-g.kw)/g.stride+1
+		g.fan = g.inC * g.kh * g.kw
+		in := bitvec.New(g.inC * g.inH * g.inW)
+		for i := 0; i < in.Len(); i++ {
+			if rng.Intn(2) == 0 {
+				in.Set(i)
+			}
+		}
+		win := make([]uint64, (g.fan+63)/64)
+		for i := range win {
+			win[i] = rng.Uint64()
+		}
+		oy, ox := rng.Intn(g.outH), rng.Intn(g.outW)
+		gatherWindow(in.Words(), &g, oy, ox, win)
+		di := 0
+		for ch := 0; ch < g.inC; ch++ {
+			for ky := 0; ky < g.kh; ky++ {
+				for kx := 0; kx < g.kw; kx++ {
+					want := in.Get((ch*g.inH+oy*g.stride+ky)*g.inW + ox*g.stride + kx)
+					if got := win[di>>6]>>uint(di&63)&1 == 1; got != want {
+						t.Fatalf("trial %d %+v at (%d,%d): window bit %d = %v, want %v", trial, g, oy, ox, di, got, want)
+					}
+					di++
+				}
+			}
+		}
+		if n, m := onesIn(win, 0, len(win)*64), onesIn(win, 0, g.fan); n != m {
+			t.Fatalf("trial %d: %d bits set past the fan-in", trial, n-m)
+		}
 	}
 }

@@ -118,7 +118,6 @@ func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
 		if s.W0 != nil {
 			blocks[i].w0 = append([]float64(nil), s.W0...)
 		}
-		blocks[i].initFast()
 	}
 	if held != n {
 		return nil, fmt.Errorf("seicore: blocks hold %d of %d inputs", held, n)
@@ -154,7 +153,9 @@ func restoreArray(ls seiLayerSnapshot, n, m int, seed int64) (seiArray, error) {
 		return seiArray{}, err
 	}
 	ro := readout{model: ls.Model, irRows: mode.CellsPerWeightFor(ls.Model.Bits)}
-	return seiArray{N: n, M: m, K: ls.K, Mode: mode, blocks: blocks, readout: ro.seeded(seed)}, nil
+	a := seiArray{N: n, M: m, K: ls.K, Mode: mode, blocks: blocks, readout: ro.seeded(seed)}
+	a.layout()
+	return a, nil
 }
 
 // Save serializes the design — programmed effective weights, calibrated

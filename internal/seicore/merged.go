@@ -69,35 +69,6 @@ func (l *MergedLayer) Eval(in []float64) []float64 {
 	return out
 }
 
-// evalInto is the allocation-free variant of Eval for a linear
-// read-out (no I-V nonlinearity — guaranteed by the packed walker's
-// dispatch): MatVecTInto produces the bit-identical product, then the
-// read-out draws exactly the draws Eval draws, in the same order, from
-// the caller's scratch g (a no-op on an ideal read-out).
-// Hardware counters are recorded exactly as Eval records them. Returns
-// the active-input count for bounded mode's row accounting (0 when
-// uninstrumented, where nothing reads it).
-func (l *MergedLayer) evalInto(in, out, g []float64) int {
-	ones := 0
-	if h := l.hw; h != nil {
-		for _, x := range in {
-			if x != 0 {
-				ones++
-			}
-		}
-		h.MVM(1)
-		h.ColumnActivations(int64(l.M))
-		h.ActiveInputs(int64(ones))
-	}
-	tensor.MatVecTInto(out, l.eff, in)
-	l.readFloat(l.eff.Data(), nil, in, out, 0, g)
-	return ones
-}
-
-// EffectiveWeights exposes the programmed effective matrix for
-// inspection and tests.
-func (l *MergedLayer) EffectiveWeights() *tensor.Tensor { return l.eff }
-
 // BlocksFor returns how many row blocks a logical matrix needs when
 // each logical input occupies cellsPerInput physical rows and the
 // crossbar is limited to maxRows physical rows.

@@ -2,12 +2,14 @@ package seicore
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"sei/internal/nn"
 	"sei/internal/obs"
+	"sei/internal/quant"
 	"sei/internal/rram"
 )
 
@@ -31,30 +33,34 @@ func TestNoisyPackedMatchesFloatPath(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func() SEIBuildConfig
+		// q, when set, replaces the shared fixture's quantized net; post
+		// transforms the built design.
+		q    func(*testing.T) *quant.QuantizedNet
+		post func(*testing.T, *SEIDesign) *SEIDesign
 	}{
-		{"per-column", func() SEIBuildConfig {
+		{name: "per-column", cfg: func() SEIBuildConfig {
 			return noisyBuildConfig(func(m *rram.DeviceModel) { m.ReadNoiseSigma = 0.05 })
 		}},
-		{"per-cell", func() SEIBuildConfig {
+		{name: "per-cell", cfg: func() SEIBuildConfig {
 			return noisyBuildConfig(func(m *rram.DeviceModel) {
 				m.ReadNoiseSigma = 0.05
 				m.ReadNoisePerCell = true
 			})
 		}},
-		{"per-cell-ir-drop", func() SEIBuildConfig {
+		{name: "per-cell-ir-drop", cfg: func() SEIBuildConfig {
 			return noisyBuildConfig(func(m *rram.DeviceModel) {
 				m.ReadNoiseSigma = 0.05
 				m.ReadNoisePerCell = true
 				m.IRDropAlpha = 0.1
 			})
 		}},
-		{"per-column-split-permuted", func() SEIBuildConfig {
+		{name: "per-column-split-permuted", cfg: func() SEIBuildConfig {
 			cfg := noisyBuildConfig(func(m *rram.DeviceModel) { m.ReadNoiseSigma = 0.05 })
 			cfg.Layer.MaxCrossbar = 16
 			cfg.Orders = [][]int{nil, perm}
 			return cfg
 		}},
-		{"per-cell-split", func() SEIBuildConfig {
+		{name: "per-cell-split", cfg: func() SEIBuildConfig {
 			cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
 				m.ReadNoiseSigma = 0.05
 				m.ReadNoisePerCell = true
@@ -62,7 +68,7 @@ func TestNoisyPackedMatchesFloatPath(t *testing.T) {
 			cfg.Layer.MaxCrossbar = 16
 			return cfg
 		}},
-		{"unipolar-per-cell", func() SEIBuildConfig {
+		{name: "unipolar-per-cell", cfg: func() SEIBuildConfig {
 			cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
 				m.ReadNoiseSigma = 0.05
 				m.ReadNoisePerCell = true
@@ -70,19 +76,40 @@ func TestNoisyPackedMatchesFloatPath(t *testing.T) {
 			cfg.Layer.Mode = ModeUnipolarDynamic
 			return cfg
 		}},
+		{name: "per-cell-stride2", q: stride2Net, cfg: func() SEIBuildConfig {
+			return noisyBuildConfig(func(m *rram.DeviceModel) {
+				m.ReadNoiseSigma = 0.05
+				m.ReadNoisePerCell = true
+			})
+		}},
+		{name: "per-cell-split-permuted-fc-snapshot", post: permuteFC, cfg: func() SEIBuildConfig {
+			cfg := noisyBuildConfig(func(m *rram.DeviceModel) {
+				m.ReadNoiseSigma = 0.05
+				m.ReadNoisePerCell = true
+			})
+			cfg.Layer.MaxCrossbar = 16
+			return cfg
+		}},
 	}
 	sub := f.test.Subset(50)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := BuildSEI(f.q, nil, tc.cfg(), rand.New(rand.NewSource(7)))
+			q := f.q
+			if tc.q != nil {
+				q = tc.q(t)
+			}
+			d, err := BuildSEI(q, nil, tc.cfg(), rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.post != nil {
+				d = tc.post(t, d)
 			}
 			if d.ideal || !d.packed {
 				t.Fatalf("ideal=%v packed=%v, want the packed non-ideal path", d.ideal, d.packed)
 			}
-			packedLabels, packedCounters := evalBothPaths(t, d, f.q, sub, true, 2)
-			floatLabels, floatCounters := evalBothPaths(t, d, f.q, sub, false, 2)
+			packedLabels, packedCounters := evalBothPaths(t, d, d.Q, sub, true, 2)
+			floatLabels, floatCounters := evalBothPaths(t, d, d.Q, sub, false, 2)
 			if !reflect.DeepEqual(packedLabels, floatLabels) {
 				t.Errorf("packed noisy labels diverge from float path")
 			}
@@ -96,10 +123,81 @@ func TestNoisyPackedMatchesFloatPath(t *testing.T) {
 	}
 }
 
+// stride2Net quantizes a small network whose input stage has a 4×4
+// kernel at stride 2, a shape none of the paper's networks has: its
+// 13×13 output grid also leaves a pool-cropped edge row and column.
+func stride2Net(t *testing.T) *quant.QuantizedNet {
+	t.Helper()
+	f := getFixture(t)
+	rng := rand.New(rand.NewSource(21))
+	net := &nn.Network{Name: "Stride2", Layers: []nn.Layer{
+		nn.NewConv2D(4, 1, 4, 4, 2, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
+		nn.NewConv2D(8, 4, 3, 3, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
+		nn.NewFlatten(), nn.NewDense(32, 10, rng),
+	}}
+	train := f.train.Subset(600)
+	tcfg := nn.DefaultTrainConfig()
+	tcfg.Epochs = 1
+	nn.Train(net, train, tcfg)
+	scfg := quant.DefaultSearchConfig()
+	scfg.Samples = 200
+	q, _, err := quant.QuantizeNetwork(net, train, []int{1, 28, 28}, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Convs[0].Stride != 2 {
+		t.Fatalf("input stage stride %d, want 2", q.Convs[0].Stride)
+	}
+	return q
+}
+
+// permuteFC saves d, deals the FC layer's inputs across its blocks in
+// a random order (each block keeps its size and carries its inputs'
+// effective-weight rows) and loads the result: a permuted FC layer,
+// which only a snapshot can produce.
+func permuteFC(t *testing.T, d *SEIDesign) *SEIDesign {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap designSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	fc := &snap.FC
+	rows := make([][]float64, fc.N) // effective-weight row per logical input
+	for _, b := range fc.Blocks {
+		for i, j := range b.Inputs {
+			rows[j] = b.Eff[i*fc.M : (i+1)*fc.M]
+		}
+	}
+	order := rand.New(rand.NewSource(13)).Perm(fc.N)
+	for bi := range fc.Blocks {
+		b := &fc.Blocks[bi]
+		b.Inputs, order = order[:len(b.Inputs)], order[len(b.Inputs):]
+		b.Eff = nil
+		for _, j := range b.Inputs {
+			b.Eff = append(b.Eff, rows[j]...)
+		}
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDesign(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.FC.K < 2 || loaded.FC.perm == nil {
+		t.Fatalf("FC K=%d perm=%v, want permuted split blocks", loaded.FC.K, loaded.FC.perm != nil)
+	}
+	return loaded
+}
+
 // TestNoisyPackedUninstrumentedMatchesFloat pins the campaign
-// configuration — no Recorder attached — where stage 0 takes the
-// row-strip kernel, which the instrumented parity tests above never
-// reach: labels must still be bit-identical to the float path run
+// configuration — no Recorder attached, so the stage-0 counter pass is
+// skipped: labels must still be bit-identical to the float path run
 // uninstrumented over the same per-chunk noise clones, on a noisy and
 // on an ideal design (whose strip pass draws nothing).
 func TestNoisyPackedUninstrumentedMatchesFloat(t *testing.T) {
@@ -110,9 +208,6 @@ func TestNoisyPackedUninstrumentedMatchesFloat(t *testing.T) {
 		d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if k := d.stage0Kernel(); k != kernelStrip {
-			t.Fatalf("sigma=%v: stage-0 kernel %v, want strip", sigma, k)
 		}
 		// The wrapper hides the sliced walker, so every image goes
 		// through Predict.

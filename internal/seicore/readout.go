@@ -30,16 +30,16 @@ package seicore
 // generator state.
 //
 // Both paths visit a block's active rows in ascending local order — the
-// float path's skip-zero loop and the packed path's NextSet walk
+// float path's skip-zero loop and the packed path's trailing-zeros walk
 // enumerate the same rows in the same order — and draw one length-M
 // block per active row, so the stream position after any prefix of the
 // work is identical on both paths. That is the whole bit-identity
 // argument; determinism_test.go pins it end to end.
 
 import (
+	"math/bits"
 	"math/rand"
 
-	"sei/internal/bitvec"
 	"sei/internal/obs"
 	"sei/internal/rram"
 	"sei/internal/vecf"
@@ -147,24 +147,17 @@ func (r *readout) readFloat(data []float64, rows []int, in, sums []float64, ones
 	return r.columns(sums, ones)
 }
 
-// readBits is readFloat on a packed input window: the same rows in the
-// same ascending order (sumsBits's walk), the same draws, the same
-// accumulation — bit-identical column sums.
-func (r *readout) readBits(b *seiBlock, in *bitvec.Vec, sums []float64, ones int, g []float64) float64 {
+// readBits is readFloat on a packed window in layer-local order: the
+// same rows in the same ascending order (sumsBits's walk), the same
+// draws, the same accumulation — bit-identical column sums.
+func (r *readout) readBits(b *seiBlock, win []uint64, sums []float64, ones int, g []float64) float64 {
 	if r.cells != nil {
 		m := len(sums)
 		data := b.eff.Data()
-		if b.contig {
-			lo := b.inputs[0]
-			hi := lo + len(b.inputs)
-			for j := in.NextSet(lo); j >= 0 && j < hi; j = in.NextSet(j + 1) {
-				r.cellRow(data[(j-lo)*m:(j-lo+1)*m], 1, sums, g)
-			}
-		} else {
-			for local, j := range b.inputs {
-				if in.Get(j) {
-					r.cellRow(data[local*m:(local+1)*m], 1, sums, g)
-				}
+		for wi := b.lo >> 6; wi<<6 < b.hi; wi++ {
+			for w := rangeWord(win, wi, b.lo, b.hi); w != 0; w &= w - 1 {
+				local := wi<<6 + bits.TrailingZeros64(w) - b.lo
+				r.cellRow(data[local*m:(local+1)*m], 1, sums, g)
 			}
 		}
 		r.hw.NoiseDraws(int64(ones * m))

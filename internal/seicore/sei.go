@@ -2,9 +2,9 @@ package seicore
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
-	"sei/internal/bitvec"
 	"sei/internal/obs"
 	"sei/internal/rram"
 	"sei/internal/tensor"
@@ -97,29 +97,13 @@ func (o LayerOptions) validate(n, m int) error {
 // (permuted) logical inputs.
 type seiBlock struct {
 	inputs []int          // logical input indices stored in this block
+	lo, hi int            // the layer-local range the inputs occupy (seiArray.layout)
 	eff    *tensor.Tensor // [len(inputs), M] effective weights
 	w0     []float64      // per-local-row dynamic column (unipolar mode), nil otherwise
-	// contig marks blocks whose inputs are consecutive ascending
-	// logical indices (the natural-order split). The bit-packed fast
-	// path then iterates set bits of the input word directly instead of
-	// testing one bit per row. Derived from inputs at construction and
-	// load; see initFast.
-	contig bool
 	// bnd is the runtime activation-bound suffix table (bounds.go);
 	// nil when the block can't be bounded (dynamic w0 column, too many
 	// columns). Built by SEIDesign.initBounds from eff alone.
 	bnd *colBounds
-}
-
-// initFast derives the fast-path metadata from the block's input list.
-func (b *seiBlock) initFast() {
-	b.contig = len(b.inputs) > 0
-	for i, j := range b.inputs {
-		if j != b.inputs[0]+i {
-			b.contig = false
-			break
-		}
-	}
 }
 
 // sums accumulates the block's analog column outputs for one input
@@ -144,52 +128,54 @@ func (b *seiBlock) sums(in []float64, m int) (main []float64, w0sum float64, one
 	return main, w0sum, ones
 }
 
-// sumsBits is the bit-packed, allocation-free variant of sums: the
-// active inputs arrive as a packed bit vector indexed in the block's
-// logical input space and the column sums are accumulated into the
-// caller's scratch slice main (len M, zeroed here). Rows are visited
-// in ascending local order — exactly the order of sums's skip-zero
-// loop — so the float accumulation is bit-identical to the float path
-// (the determinism goldens depend on this; see DESIGN.md §11).
-func (b *seiBlock) sumsBits(in *bitvec.Vec, main []float64) (w0sum float64, ones int) {
-	for c := range main {
-		main[c] = 0
-	}
+// sumsBits is the bit-packed, allocation-free variant of sums: win is
+// the window in layer-local order (seiArray.local), so the block's
+// rows are its bits [lo, hi), and the column sums are
+// accumulated into the caller's scratch slice main (len M, zeroed
+// here). Rows are visited in ascending local order — exactly the order
+// of sums's skip-zero loop — so the float accumulation is bit-identical
+// to the float path (the determinism goldens depend on this; see
+// DESIGN.md §11).
+func (b *seiBlock) sumsBits(win []uint64, main []float64) (w0sum float64, ones int) {
+	clear(main)
 	m := len(main)
-	data := b.eff.Data()
-	if b.contig {
-		// Consecutive ascending inputs: walk the set bits of the
-		// block's window range word-wise, skipping 64 inactive rows per
-		// word test. Ascending logical order is ascending local order.
-		lo := b.inputs[0]
-		hi := lo + len(b.inputs)
-		for j := in.NextSet(lo); j >= 0 && j < hi; j = in.NextSet(j + 1) {
-			local := j - lo
+	data, w0, lo, hi := b.eff.Data(), b.w0, b.lo, b.hi
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for w := rangeWord(win, wi, lo, hi); w != 0; w &= w - 1 {
+			local := wi<<6 + bits.TrailingZeros64(w) - lo
 			ones++
 			row := data[local*m : (local+1)*m]
 			for c, v := range row {
 				main[c] += v
 			}
-			if b.w0 != nil {
-				w0sum += b.w0[local]
+			if w0 != nil {
+				w0sum += w0[local]
 			}
-		}
-		return w0sum, ones
-	}
-	for local, j := range b.inputs {
-		if !in.Get(j) {
-			continue
-		}
-		ones++
-		row := data[local*m : (local+1)*m]
-		for c, v := range row {
-			main[c] += v
-		}
-		if b.w0 != nil {
-			w0sum += b.w0[local]
 		}
 	}
 	return w0sum, ones
+}
+
+// rangeWord returns word wi of win with the bits outside [lo, hi)
+// cleared.
+func rangeWord(win []uint64, wi, lo, hi int) uint64 {
+	w := win[wi]
+	if base := wi << 6; lo > base {
+		w &= ^uint64(0) << uint(lo-base)
+	}
+	if end := (wi + 1) << 6; hi < end {
+		w &= ^uint64(0) >> uint(end-hi)
+	}
+	return w
+}
+
+// onesIn counts the set bits of win in [lo, hi).
+func onesIn(win []uint64, lo, hi int) int {
+	n := 0
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		n += bits.OnesCount64(rangeWord(win, wi, lo, hi))
+	}
+	return n
 }
 
 // seiArray is the crossbar mapping the SEI conv and FC stages share:
@@ -199,7 +185,48 @@ type seiArray struct {
 	Mode    SignedMode
 
 	blocks []seiBlock
+	// perm maps a logical input to its layer-local position, the
+	// concatenation of the blocks' inputs; nil when that order is the
+	// identity, as for every natural-order split.
+	perm []int
 	readout
+}
+
+// layout places the blocks at consecutive layer-local ranges and
+// derives perm from their inputs.
+func (a *seiArray) layout() {
+	a.perm = make([]int, a.N)
+	identity, lo := true, 0
+	for bi := range a.blocks {
+		b := &a.blocks[bi]
+		b.lo = lo
+		for _, j := range b.inputs {
+			a.perm[j] = lo
+			identity = identity && j == lo
+			lo++
+		}
+		b.hi = lo
+	}
+	if identity {
+		a.perm = nil
+	}
+}
+
+// local returns the window win (logical input order) in layer-local
+// order: win itself when perm is nil, else its bits moved into dst.
+func (a *seiArray) local(win, dst []uint64) []uint64 {
+	if a.perm == nil {
+		return win
+	}
+	dst = dst[:len(win)]
+	clear(dst)
+	for wi, w := range win {
+		for ; w != 0; w &= w - 1 {
+			i := a.perm[wi<<6+bits.TrailingZeros64(w)]
+			dst[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return dst
 }
 
 // newSEIArray programs the logical matrix w [N inputs, M outputs] onto
@@ -242,9 +269,9 @@ func newSEIArray(w *tensor.Tensor, opt LayerOptions, rng *rand.Rand) (seiArray, 
 				b.w0[i] = w0[j]
 			}
 		}
-		b.initFast()
 		a.blocks = append(a.blocks, b)
 	}
+	a.layout()
 	return a, nil
 }
 
@@ -256,9 +283,6 @@ func newSEIArray(w *tensor.Tensor, opt LayerOptions, rng *rand.Rand) (seiArray, 
 type SEIConvLayer struct {
 	seiArray
 	skip *obs.SkipHW // activation-bound skip counters; nil = not instrumented
-	// word caches wordWindowEligible for the packed walker's kernel
-	// choice (convKernel); set by initFastPath.
-	word bool
 
 	// Threshold is the layer's logical binarization threshold (from
 	// Algorithm 1), in weight·input units.

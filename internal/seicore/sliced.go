@@ -43,7 +43,7 @@ package seicore
 // gathers and pooling over 64 lanes, not from reassociating sums.
 //
 // Bounded mode (SetBounded) runs the same walk with the per-lane
-// activation-bound kernel on stages convKernel picks it for, and skips
+// activation-bound kernel on stages boundedAt picks, and skips
 // pool-cropped windows wholesale; labels, hw_* and sei_* counter
 // totals stay bit-identical to per-image bounded Predict (pinned by
 // TestBoundedSlicedMatchesBoundedFast). The per-lane walk mirrors
@@ -103,7 +103,7 @@ type slicedScratch struct {
 }
 
 // newSlicedScratch sizes an arena for d and precomputes the stage-0
-// coverage table.
+// coverage tables.
 func newSlicedScratch(d *SEIDesign) *slicedScratch {
 	s := &slicedScratch{geom: fastGeometry(d.Q)}
 	maxMap, maxFan, maxM := 0, 0, 0
@@ -145,40 +145,12 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 			}
 		}
 	}
-	// Window coverage is separable: cover(y,x) = rows(y)·cols(x), the
-	// per-axis counts of kernel placements reading that coordinate;
-	// coverLive counts only the placements the pool grid keeps (a
-	// window is live iff both its axes are).
-	liveH, liveW := g.live()
-	rows := coverage1D(g.inH, g.kh, g.stride, g.outH)
-	cols := coverage1D(g.inW, g.kw, g.stride, g.outW)
-	liveRows := coverage1D(g.inH, g.kh, g.stride, liveH)
-	liveCols := coverage1D(g.inW, g.kw, g.stride, liveW)
-	s.cover = make([]int32, g.inH*g.inW)
-	s.coverLive = make([]int32, g.inH*g.inW)
-	for y := 0; y < g.inH; y++ {
-		for x := 0; x < g.inW; x++ {
-			s.cover[y*g.inW+x] = rows[y] * cols[x]
-			s.coverLive[y*g.inW+x] = liveRows[y] * liveCols[x]
-		}
-	}
+	s.cover, s.coverLive = g.coverage()
 	s.undec = make([]uint64, lanes)
 	s.fired1 = make([]uint64, lanes)
 	s.lastCp = make([]int32, lanes)
 	s.outUndec = make([]uint64, lanes)
 	return s
-}
-
-// coverage1D counts, per input coordinate, how many of the first outN
-// kernel placements along one axis read it.
-func coverage1D(in, k, stride, outN int) []int32 {
-	c := make([]int32, in)
-	for o := 0; o < outN; o++ {
-		for d := 0; d < k; d++ {
-			c[o*stride+d]++
-		}
-	}
-	return c
 }
 
 // SlicedBatchEligible implements nn.SlicedBatchPredictor: the sliced
@@ -247,30 +219,10 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 		cur[i] = 0
 	}
 	d.slicedStage0(imgs, s, cur)
-	positions, cover := int64(g.outH*g.outW), s.cover
-	if d.bounded {
-		liveH, liveW := g.live()
-		positions, cover = int64(liveH*liveW), s.coverLive
-	}
-	// Active inputs: each nonzero pixel counted once per window covering
-	// it — the sum of the per-image walker's per-window counts.
-	plane := g.inH * g.inW
-	var driven0, skipped0 int64
-	for p, w := range s.nz[:g.inC*plane] {
-		if w != 0 {
-			cnt := int64(bits.OnesCount64(w))
-			driven0 += cnt * int64(cover[p%plane])
-			skipped0 += cnt * int64(s.cover[p%plane]-cover[p%plane])
-		}
-	}
-	if h := d.Input.hw; h != nil {
-		h.MVM(positions * int64(lanes))
-		h.ColumnActivations(positions * int64(g.filters) * int64(lanes))
-		h.ActiveInputs(driven0)
-	}
-	if d.bounded {
-		d.Input.skip.Record(driven0, skipped0, 0, 0, 0)
-	}
+	nz := s.nz
+	d.recordStage0(g, s.cover, s.coverLive, int64(lanes), d.bounded, func(p int) int64 {
+		return int64(bits.OnesCount64(nz[p]))
+	})
 	if g.pool > 1 {
 		q.CountORPool(int64(lanes) * int64(mapLen))
 	}
@@ -279,7 +231,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 	// threshold counts per lane out, OR-fused pooling as word ORs.
 	for l := 1; l < len(q.Convs); l++ {
 		layer := d.Convs[l-1]
-		bnd := d.convKernel(layer) == kernelBounded
+		bnd := d.boundedAt(layer)
 		g := &s.geom[l]
 		in := s.cur
 		outMap := s.next[:g.filters*g.pooledH*g.pooledW]
@@ -673,7 +625,7 @@ func (b *seiBlock) slicedSums(win []uint64, part, nonPart uint64, needOnes bool,
 // per participating lane the same blocks are bounded, full-scanned or
 // skipped wholesale, and every counter — hw_* and sei_* — aggregates
 // the per-lane events the per-image walker would record. Only run on
-// layers convKernel picks the bounded kernel for.
+// layers boundedAt picks.
 func (l *SEIConvLayer) slicedCountsBounded(win []uint64, lanes int, batchMask uint64, s *slicedScratch) {
 	m := l.M
 	full := colMask(m)
