@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-quant bench-smoke bench-scaling bench-report vet staticcheck fmt ci
+.PHONY: build test race bench bench-smoke bench-scaling bench-report vet staticcheck fmt ci
 
 build:
 	$(GO) build ./...
@@ -21,31 +21,19 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Machine-readable record of the inference fast paths. Pure alias for
-# the seibench front door: one trend-gated report under bench-reports/
-# replaces the retired ad-hoc BENCH_PR*.json flow (the recorded files
-# live in bench-reports/history/ and are not regenerated).
-bench-json:
-	$(GO) run ./cmd/seibench run inference
-
-# Machine-readable record of the calibration fast path, through the
-# same seibench front door (search suite: threshold-search ns/op and
-# allocs/op land in the report's gated metrics).
-bench-quant:
-	$(GO) run ./cmd/seibench run search
-
 # One iteration of every benchmark in every package — including the
-# quant calibration benches above: a compile-and-run smoke that keeps
+# quant calibration benches: a compile-and-run smoke that keeps
 # the bench suite from rotting without paying full measurement time.
 # CI runs this on every push.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# The observability front door: run every seibench suite (inference,
-# search, serve-under-load, counter-derived energy) at full measurement
-# time and write bench-reports/<date>-<sha>.json, then diff against the
-# previous comparable report. `seibench gate` turns the same diff into
-# an exit code; CI runs the quick variant on every push.
+# The benchmark front door: run every BENCHMARK.json workload through
+# perfbench (untraced and traced, BENCHMARK.json's run_seconds each),
+# write bench-reports/<date>-<sha>.json, then diff it against the most
+# recent report from this machine with the same -seconds. `seibench
+# gate` checks the same report against cmd/seibench/expected.json; CI
+# runs it after a 1-second run on every push.
 bench-report:
 	$(GO) run ./cmd/seibench run
 	$(GO) run ./cmd/seibench compare
@@ -80,10 +68,10 @@ ci:
 	$(GO) test ./...
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
-	$(GO) test -race -run TestTable4SplittingStudy ./internal/experiments
+	$(GO) test -race ./internal/experiments
 	$(GO) test -race -short ./internal/quant
 	$(GO) test -run=NONE -fuzz=FuzzLoadDesign -fuzztime=10s -fuzzminimizetime=100x ./internal/seicore
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/seibench run -quick
-	$(GO) run ./cmd/seibench gate -tolerance 10
+	$(GO) run ./cmd/seibench run -seconds 1
+	$(GO) run ./cmd/seibench gate

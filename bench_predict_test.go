@@ -110,8 +110,8 @@ func BenchmarkSEIPredictBatchSliced(b *testing.B) {
 // activation bounds on (DESIGN.md §16): the same labels, with crossbar
 // rows and sense-amp compares skipped when the suffix bound decides a
 // column early. The delta against BenchmarkSEIPredict is the bound
-// machinery's CPU cost or saving; the energy effect is what the
-// seibench energy suite gates.
+// machinery's CPU cost or saving; the energy effect shows in
+// perfbench's net1-bounded pj_per_inference.
 func BenchmarkSEIPredictBounded(b *testing.B) {
 	d := benchSEIDesign(b)
 	d.SetBounded(true)
@@ -172,8 +172,7 @@ func benchNoisySEIDesign(b testing.TB) *seicore.SEIDesign {
 // BenchmarkSEIPredictNoisy measures the packed non-ideal path: column
 // popcount sums with read noise applied as a separate vectorized pass.
 // Bit-identical to BenchmarkSEIPredictNoisyFloat's labels; the ratio
-// of the two is the Monte Carlo campaign speedup the seibench noisy
-// suite gates as sei_noisy_speedup_x.
+// of the two is the Monte Carlo campaign speedup.
 func BenchmarkSEIPredictNoisy(b *testing.B) {
 	d := benchNoisySEIDesign(b)
 	img := benchContext(b).Test.Images[0]

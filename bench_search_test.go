@@ -5,8 +5,7 @@ package sei
 // SearchThresholds/SearchThresholdsNaive pair measures the same
 // Algorithm-1 search through the lane sweep and the retained
 // pre-engine reference on the bench context's Network 2 (the network
-// the Table 4/5 benches run), so the ratio is the engine speedup;
-// `make bench-quant` records all three plus allocs/op through seibench.
+// the Table 4/5 benches run), so the ratio is the engine speedup.
 
 import (
 	"testing"

@@ -1,176 +1,185 @@
 package main
 
 import (
+	_ "embed"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"os"
 )
 
-// direction says which way a metric improves.
-type direction int8
+// benchmarkFile is the benchmark declaration, read from the checkout
+// root seibench runs in.
+var benchmarkFile = "BENCHMARK.json"
 
-const (
-	higherIsBetter direction = 1
-	lowerIsBetter  direction = -1
-)
-
-// headlineMetric is one gated metric: a key into Report.Metrics plus
-// the direction a change must move to count as a regression.
-type headlineMetric struct {
-	Name string
-	Dir  direction
-	Unit string
+// metricDecl is one metric of BENCHMARK.json. Bound is the share by
+// which an end-to-end metric may worsen; per-layer metrics have none.
+type metricDecl struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
-// headlineMetrics are the trend-gated numbers: batch throughput,
-// single-image latency and allocation count, calibration search cost
-// and allocations, tail latency under open-loop load, counter-derived
-// energy per inference (bounded mode), and the bounded run's skip
-// rate. Everything else in Report.Metrics is informational. Reports
-// from before a metric existed simply lack the key, and the gate's
-// missing⇒warn rule phases each new metric in: warn-only on the first
-// run against an old baseline, gated thereafter.
-var headlineMetrics = []headlineMetric{
-	{"images_per_sec", higherIsBetter, "images/sec"},
-	{"predict_ns_per_op", lowerIsBetter, "ns/op"},
-	{"predict_allocs_per_op", lowerIsBetter, "allocs/op"},
-	{"search_ns_per_op", lowerIsBetter, "ns/op"},
-	{"search_allocs_per_op", lowerIsBetter, "allocs/op"},
-	{"serve_p99_ms", lowerIsBetter, "ms"},
-	{"pj_per_inference", lowerIsBetter, "pJ"},
-	{"sei_skip_rate", higherIsBetter, "ratio"},
-	{"noisy_images_per_sec", higherIsBetter, "images/sec"},
-	{"sei_noisy_speedup_x", higherIsBetter, "x"},
-	{"pj_per_inference_noisy", lowerIsBetter, "pJ"},
+// benchmark is the part of BENCHMARK.json seibench uses.
+type benchmark struct {
+	Command    []string `json:"command"`
+	RunSeconds float64  `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricDecl `json:"end_to_end"`
+	PerLayer []metricDecl `json:"per_layer"`
 }
 
-// findingStatus classifies one metric's base→current movement.
-type findingStatus string
-
-const (
-	statusOK        findingStatus = "ok"
-	statusImproved  findingStatus = "improved"
-	statusRegressed findingStatus = "regressed"
-	// statusMissing means the metric is absent from one side (suite not
-	// run, older schema). Missing data is a warning, not a regression —
-	// failing the gate on it would punish partial runs.
-	statusMissing findingStatus = "missing"
-)
-
-// finding is one gated metric's verdict.
-type finding struct {
-	Metric   string
-	Unit     string
-	Base     float64
-	Cur      float64
-	DeltaPct float64 // signed raw change, (cur-base)/base*100
-	Status   findingStatus
+// metrics is every declared metric, end-to-end first.
+func (b *benchmark) metrics() []metricDecl {
+	return append(append([]metricDecl{}, b.EndToEnd...), b.PerLayer...)
 }
 
-// evaluateGate scores cur against base for every headline metric.
-// A metric regresses only when it moves in its bad direction by
-// strictly more than tolerancePct percent of the baseline value: the
-// gate is ">10 %", so a change of exactly the tolerance passes. The
-// comparison is done in multiplicative form (worsening > base·tol/100)
-// rather than on a computed percentage, so the boundary is exact and
-// free of the rounding a divide-then-compare would introduce.
-func evaluateGate(base, cur *Report, tolerancePct float64) []finding {
-	findings := make([]finding, 0, len(headlineMetrics))
-	for _, hm := range headlineMetrics {
-		f := finding{Metric: hm.Name, Unit: hm.Unit}
-		bv, bok := base.Metrics[hm.Name]
-		cv, cok := cur.Metrics[hm.Name]
-		f.Base, f.Cur = bv, cv
-		if !bok || !cok {
-			f.Status = statusMissing
-			findings = append(findings, f)
+func loadBenchmark() (*benchmark, error) {
+	data, err := os.ReadFile(benchmarkFile)
+	if err != nil {
+		return nil, fmt.Errorf("%w (run seibench from the checkout root)", err)
+	}
+	b := &benchmark{}
+	if err := json.Unmarshal(data, b); err != nil || len(b.Command) == 0 || len(b.Workloads) == 0 {
+		return nil, fmt.Errorf("%s: no command or no workloads (%v)", benchmarkFile, err)
+	}
+	return b, nil
+}
+
+// expected.json holds every workload's seed-1 digest and the metrics
+// that do not depend on the host (pJ, error rate), measured on GOARCH.
+// Other architectures may fuse multiply-adds and legitimately print
+// other digests, so gate cannot check them.
+//
+//go:embed expected.json
+var expectedJSON []byte
+
+var expected = func() (e struct {
+	GOARCH    string `json:"goarch"`
+	Workloads map[string]struct {
+		Digest  string             `json:"digest"`
+		Metrics map[string]float64 `json:"metrics"`
+	} `json:"workloads"`
+}) {
+	if err := json.Unmarshal(expectedJSON, &e); err != nil {
+		panic("seibench: expected.json: " + err.Error())
+	}
+	return e
+}()
+
+// errGateFailed distinguishes "the gate found a difference" (exit 1,
+// the signal CI keys on) from operational errors and reports the gate
+// cannot check (exit 2).
+var errGateFailed = errors.New("gate failed")
+
+// beyondBound reports whether cur is worse than base by strictly more
+// than m's bound. The limit is computed as base·(1±bound), so a metric
+// worse by exactly the bound passes.
+func beyondBound(m metricDecl, base, cur float64) bool {
+	if m.Better == "higher" {
+		return cur < base*(1-m.Bound)
+	}
+	return cur > base*(1+m.Bound)
+}
+
+// gate checks cur against expected.json and, when base is non-nil,
+// cur's host-time end-to-end metrics against base with BENCHMARK.json's
+// bounds. It prints one line per check.
+func gate(stdout, stderr io.Writer, b *benchmark, base, cur *Report) error {
+	if cur.Machine.GOARCH != expected.GOARCH {
+		return fmt.Errorf("cannot check %s: expected.json holds %s values and %s may round differently",
+			cur.path, expected.GOARCH, cur.Machine.GOARCH)
+	}
+	fmt.Fprintf(stdout, "current: %s\n", describe(cur))
+	failed := 0
+	check := func(ok bool, format string, args ...any) {
+		status := "ok  "
+		if !ok {
+			status = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(stdout, "%s %s\n", status, fmt.Sprintf(format, args...))
+	}
+	for _, w := range b.Workloads {
+		o, want := cur.outs[w.Name], expected.Workloads[w.Name]
+		switch {
+		case want.Digest == "":
+			return fmt.Errorf("cannot check %s: not in expected.json", w.Name)
+		case o == nil:
+			check(false, "%s: missing from the report", w.Name)
 			continue
 		}
-		if bv != 0 {
-			f.DeltaPct = (cv - bv) / bv * 100
+		check(o.digest == want.Digest, "%s: digest %s (expected %s)", w.Name, o.digest, want.Digest)
+		for _, m := range b.metrics() {
+			if v, exact := want.Metrics[m.Name]; exact {
+				got, ok := o.metrics[m.Name]
+				check(ok && got == v, "%s: %s %v (expected %v)", w.Name, m.Name, got, v)
+			}
 		}
-		worsening := cv - bv // lower-is-better: growth is bad
-		if hm.Dir == higherIsBetter {
-			worsening = bv - cv
-		}
-		allowance := bv * tolerancePct / 100
-		if allowance < 0 {
-			allowance = -allowance
-		}
-		switch {
-		case worsening > allowance:
-			f.Status = statusRegressed
-		case worsening < 0:
-			f.Status = statusImproved
-		default:
-			f.Status = statusOK
-		}
-		findings = append(findings, f)
+		check(o.correct, "%s: correct %v", w.Name, o.correct)
 	}
-	return findings
+	if base == nil {
+		fmt.Fprintln(stdout, "note: no comparable baseline (same machine and -seconds): host-time metrics not gated")
+	} else {
+		fmt.Fprintf(stdout, "baseline: %s\n", describe(base))
+		for _, w := range b.Workloads {
+			bo, co := base.outs[w.Name], cur.outs[w.Name]
+			for _, m := range b.EndToEnd {
+				if _, exact := expected.Workloads[w.Name].Metrics[m.Name]; exact || bo == nil || co == nil {
+					continue
+				}
+				bv, bok := bo.metrics[m.Name]
+				cv, cok := co.metrics[m.Name]
+				if !bok || !cok {
+					fmt.Fprintf(stderr, "seibench gate: warning: %s %s missing from one report\n", w.Name, m.Name)
+					continue
+				}
+				check(!beyondBound(m, bv, cv), "%s: %s %.4g -> %.4g (%+.1f%%, bound %g)",
+					w.Name, m.Name, bv, cv, delta(bv, cv), m.Bound)
+			}
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%w: %d check(s) failed", errGateFailed, failed)
+	}
+	return nil
 }
 
-// regressions counts gate failures in a finding set.
-func regressions(findings []finding) int {
-	n := 0
-	for _, f := range findings {
-		if f.Status == statusRegressed {
-			n++
+// compare prints every workload's end-to-end and per-layer metrics side
+// by side; it informs and never fails.
+func compare(w io.Writer, b *benchmark, base, cur *Report) {
+	fmt.Fprintf(w, "baseline: %s\ncurrent:  %s\n", describe(base), describe(cur))
+	for _, wl := range b.Workloads {
+		bo, co := base.outs[wl.Name], cur.outs[wl.Name]
+		if bo == nil || co == nil {
+			fmt.Fprintf(w, "\n%s: missing from one report\n", wl.Name)
+			continue
+		}
+		fmt.Fprintf(w, "\n%s  digest %s -> %s  correct %v -> %v\n", wl.Name, bo.digest, co.digest, bo.correct, co.correct)
+		fmt.Fprintf(w, "  %-32s %14s %14s %9s\n", "metric", "baseline", "current", "delta")
+		for _, m := range b.metrics() {
+			bv, bok := bo.metrics[m.Name]
+			cv, cok := co.metrics[m.Name]
+			if !bok || !cok {
+				continue
+			}
+			fmt.Fprintf(w, "  %-32s %14.6g %14.6g %+8.1f%%\n", m.Name, bv, cv, delta(bv, cv))
 		}
 	}
-	return n
+}
+
+// delta is the signed change from base to cur in percent.
+func delta(base, cur float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return (cur - base) / base * 100
 }
 
 // describe renders one report's identity for compare/gate headers.
 func describe(rep *Report) string {
-	mode := "full"
-	if rep.Quick {
-		mode = "quick"
-	}
-	name := rep.path
-	if name == "" {
-		name = "(unsaved)"
-	}
-	return fmt.Sprintf("%s  (%s, %s, %s)", name, rep.StartedAt.Format("2006-01-02 15:04"), rep.GitSHA, mode)
-}
-
-// printFindings writes the gate/compare table: headline metrics first
-// with their verdicts, then the remaining shared metrics for context.
-func printFindings(w io.Writer, base, cur *Report, findings []finding) {
-	fmt.Fprintf(w, "baseline: %s\n", describe(base))
-	fmt.Fprintf(w, "current:  %s\n\n", describe(cur))
-	fmt.Fprintf(w, "%-22s %14s %14s %9s  %s\n", "headline metric", "baseline", "current", "delta", "status")
-	headline := map[string]bool{}
-	for _, f := range findings {
-		headline[f.Metric] = true
-		if f.Status == statusMissing {
-			side := "current"
-			if _, ok := base.Metrics[f.Metric]; !ok {
-				side = "baseline"
-			}
-			fmt.Fprintf(w, "%-22s %14s %14s %9s  %s (absent from %s report)\n",
-				f.Metric, "-", "-", "-", f.Status, side)
-			continue
-		}
-		fmt.Fprintf(w, "%-22s %14.1f %14.1f %+8.1f%%  %s\n", f.Metric, f.Base, f.Cur, f.DeltaPct, f.Status)
-	}
-	var rest []string
-	for name := range cur.Metrics {
-		if _, shared := base.Metrics[name]; shared && !headline[name] {
-			rest = append(rest, name)
-		}
-	}
-	if len(rest) == 0 {
-		return
-	}
-	sort.Strings(rest)
-	fmt.Fprintf(w, "\n%-22s %14s %14s %9s\n", "other metric", "baseline", "current", "delta")
-	for _, name := range rest {
-		bv, cv := base.Metrics[name], cur.Metrics[name]
-		delta := 0.0
-		if bv != 0 {
-			delta = (cv - bv) / bv * 100
-		}
-		fmt.Fprintf(w, "%-22s %14.1f %14.1f %+8.1f%%\n", name, bv, cv, delta)
-	}
+	return fmt.Sprintf("%s  (%s, %s, %g s)", rep.path, rep.StartedAt.Format("2006-01-02 15:04"), rep.GitSHA, rep.Seconds)
 }

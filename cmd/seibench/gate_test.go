@@ -2,11 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+// The tests run in cmd/seibench; seibench reads BENCHMARK.json from the
+// checkout root.
+func init() { benchmarkFile = filepath.Join("..", "..", "BENCHMARK.json") }
 
 // gateArgs runs the CLI entry point and returns (exit code, stdout,
 // stderr) — the contract CI depends on.
@@ -17,101 +24,326 @@ func gateArgs(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
-func TestGateRegressionFixtureExitsNonZero(t *testing.T) {
-	code, out, errb := gateArgs(t, "gate", "-tolerance", "10", "testdata/base.json", "testdata/regressed.json")
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+// fixture loads testdata/report.json: the output of `seibench run
+// -seconds 1` at the commit expected.json was measured on, so its
+// lines are real perfbench lines that match expected.json.
+func fixture(t *testing.T) *Report {
+	t.Helper()
+	rep, err := loadReport(filepath.Join("testdata", "report.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errb, "gate failed") {
-		t.Errorf("stderr lacks gate failure message:\n%s", errb)
-	}
-	// images/sec fell 15%, predict ns/op rose 15% and predict allocs/op
-	// rose 20%: all named.
-	for _, m := range []string{"images_per_sec", "predict_ns_per_op", "predict_allocs_per_op"} {
-		if !strings.Contains(out, m) {
-			t.Errorf("stdout does not mention %s:\n%s", m, out)
-		}
-	}
-	// Only the three >10% movements fail; the 2% search, 5% p99 and 5%
-	// search-allocs worsenings are inside tolerance.
-	findings := mustFindings(t, "testdata/base.json", "testdata/regressed.json", 10)
-	byName := map[string]findingStatus{}
-	for _, f := range findings {
-		byName[f.Metric] = f.Status
-	}
-	for _, m := range []string{"images_per_sec", "predict_ns_per_op", "predict_allocs_per_op"} {
-		if byName[m] != statusRegressed {
-			t.Errorf("expected %s regressed, got %v", m, byName)
-		}
-	}
-	for _, m := range []string{"search_ns_per_op", "serve_p99_ms", "search_allocs_per_op", "sei_skip_rate"} {
-		if byName[m] == statusRegressed {
-			t.Errorf("within-tolerance %s flagged as a regression: %v", m, byName)
-		}
-	}
-	if regressions(findings) != 3 {
-		t.Errorf("regressions = %d, want 3: %v", regressions(findings), byName)
-	}
+	return rep
 }
 
-func TestCompareReportsButNeverFails(t *testing.T) {
-	code, out, _ := gateArgs(t, "compare", "testdata/base.json", "testdata/regressed.json")
-	if code != 0 {
-		t.Fatalf("compare exit code %d, want 0 (compare informs, gate enforces)\n%s", code, out)
+// later is rep as a comparable report taken an hour later: a baseline's
+// successor.
+func later(t *testing.T, rep *Report) *Report {
+	t.Helper()
+	cur := *rep
+	cur.StartedAt = rep.StartedAt.Add(time.Hour)
+	cur.Workloads = map[string]Lines{}
+	for k, v := range rep.Workloads {
+		cur.Workloads[k] = v
 	}
-	if !strings.Contains(out, "regressed") {
-		t.Errorf("compare output does not flag the regression:\n%s", out)
-	}
+	return &cur
 }
 
-func TestGateExactThresholdBoundaryPasses(t *testing.T) {
-	// Every headline metric in boundary.json is worse by exactly 10%.
-	// The gate is ">10%": exactly at the line passes.
-	code, out, errb := gateArgs(t, "gate", "-tolerance", "10", "testdata/base.json", "testdata/boundary.json")
-	if code != 0 {
-		t.Fatalf("exact-boundary gate exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	// One epsilon beyond the boundary fails: tighten the tolerance the
-	// tiniest representable amount below the actual 10% movement.
-	code, _, _ = gateArgs(t, "gate", "-tolerance", "9.999999", "testdata/base.json", "testdata/boundary.json")
-	if code != 1 {
-		t.Fatalf("just-beyond-boundary gate exit code %d, want 1", code)
-	}
-}
-
-func TestGateMissingMetricWarnsButPasses(t *testing.T) {
-	code, out, errb := gateArgs(t, "gate", "testdata/base.json", "testdata/missing.json")
-	if code != 0 {
-		t.Fatalf("missing-metric gate exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	if !strings.Contains(errb, "pj_per_inference") || !strings.Contains(errb, "warning") {
-		t.Errorf("stderr lacks missing-metric warning for pj_per_inference:\n%s", errb)
-	}
-	// Metrics added after the baseline was recorded — the allocation
-	// counts and the skip rate here — warn the same way: the gate
-	// phases them in rather than failing old baselines.
-	for _, m := range []string{"predict_allocs_per_op", "sei_skip_rate"} {
-		if !strings.Contains(errb, m) {
-			t.Errorf("stderr lacks missing-metric warning for %s:\n%s", m, errb)
+// editLine rewrites whichever of workload's result lines holds metric
+// (or the untraced one for metric "") through edit.
+func editLine(t *testing.T, rep *Report, workload, metric string, edit func(*resultLine)) {
+	t.Helper()
+	l := rep.Workloads[workload]
+	for _, line := range []*string{&l.Result, &l.Traced} {
+		var r resultLine
+		if err := json.Unmarshal([]byte(*line), &r); err != nil {
+			t.Fatal(err)
 		}
+		if _, ok := r.Metrics[metric]; !ok && metric != "" {
+			continue
+		}
+		edit(&r)
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*line = string(data)
+		rep.Workloads[workload] = l
+		return
 	}
-	if !strings.Contains(out, "missing") {
-		t.Errorf("stdout does not mark the metric missing:\n%s", out)
+	t.Fatalf("%s: no result line holds %s", workload, metric)
+}
+
+// setMetric sets one metric of one workload.
+func setMetric(t *testing.T, rep *Report, workload, metric string, v float64) {
+	t.Helper()
+	editLine(t, rep, workload, metric, func(r *resultLine) {
+		m := r.Metrics[metric]
+		m.Value = v
+		r.Metrics[metric] = m
+	})
+}
+
+func metric(t *testing.T, rep *Report, workload, name string) float64 {
+	t.Helper()
+	if err := rep.decode(); err != nil {
+		t.Fatal(err)
+	}
+	return rep.outs[workload].metrics[name]
+}
+
+// gateReports gates cur: alone in a report directory when base is nil,
+// else against base through explicit paths.
+func gateReports(t *testing.T, base, cur *Report) (int, string, string) {
+	t.Helper()
+	if base == nil {
+		dir := t.TempDir()
+		if _, err := writeReport(dir, cur); err != nil {
+			t.Fatal(err)
+		}
+		return gateArgs(t, "gate", "-dir", dir)
+	}
+	return runReports(t, "gate", base, cur)
+}
+
+// runReports runs command on base and cur, written to two files.
+func runReports(t *testing.T, command string, base, cur *Report) (int, string, string) {
+	t.Helper()
+	args := []string{command}
+	for _, rep := range []*Report{base, cur} {
+		path, err := writeReport(t.TempDir(), rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, path)
+	}
+	return gateArgs(t, args...)
+}
+
+func TestExpectedCoversBenchmarkWorkloads(t *testing.T) {
+	b, err := loadBenchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := expected
+	if exp.GOARCH == "" {
+		t.Error("expected.json records no GOARCH")
+	}
+	if len(exp.Workloads) != len(b.Workloads) {
+		t.Errorf("expected.json has %d workloads, BENCHMARK.json %d", len(exp.Workloads), len(b.Workloads))
+	}
+	for _, w := range b.Workloads {
+		want, ok := exp.Workloads[w.Name]
+		if !ok || want.Digest == "" || len(want.Metrics) != 2 {
+			t.Errorf("expected.json lacks digest, pj_per_inference and nn.error_rate for %s: %+v", w.Name, want)
+		}
 	}
 }
 
 func TestGateFirstRunHasNoBaselineAndPasses(t *testing.T) {
 	dir := t.TempDir()
-	rep := testReport("eeee555", time.Date(2026, 8, 3, 10, 0, 0, 0, time.UTC))
-	if _, err := writeReport(dir, rep); err != nil {
+	if _, err := writeReport(dir, fixture(t)); err != nil {
 		t.Fatal(err)
 	}
 	code, out, errb := gateArgs(t, "gate", "-dir", dir)
 	if code != 0 {
-		t.Fatalf("first-run gate exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+		t.Fatalf("matching report: exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
-	if !strings.Contains(out, "no comparable baseline") {
-		t.Errorf("stdout lacks first-run note:\n%s", out)
+	if !strings.Contains(out, "no comparable baseline") || strings.Contains(out, "FAIL") {
+		t.Errorf("stdout lacks the no-baseline note or reports a failure:\n%s", out)
+	}
+	// 4 workloads × (digest, pJ, error rate, correct).
+	if n := strings.Count(out, "ok   "); n != 16 {
+		t.Errorf("%d passing checks, want 16:\n%s", n, out)
+	}
+}
+
+func TestGateExactMismatchExitsOne(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(t *testing.T, rep *Report)
+	}{
+		{"digest", "net2-noisy: digest 75654ce4418bdd78", func(t *testing.T, rep *Report) {
+			l := rep.Workloads["net2-noisy"]
+			l.Digest = strings.Replace(l.Digest, "bdd77", "bdd78", 1)
+			rep.Workloads["net2-noisy"] = l
+		}},
+		{"pj_per_inference", "net1-bounded: pj_per_inference", func(t *testing.T, rep *Report) {
+			pj := metric(t, rep, "net1-bounded", "pj_per_inference")
+			setMetric(t, rep, "net1-bounded", "pj_per_inference", math.Nextafter(pj, 0))
+		}},
+		{"nn.error_rate", "net2-ideal: nn.error_rate", func(t *testing.T, rep *Report) {
+			setMetric(t, rep, "net2-ideal", "nn.error_rate", 0.0927734375)
+		}},
+		{"correct", "net2-serve: correct false", func(t *testing.T, rep *Report) {
+			editLine(t, rep, "net2-serve", "", func(r *resultLine) { r.Correct = false })
+		}},
+		{"missing-workload", "net2-ideal: missing", func(t *testing.T, rep *Report) {
+			delete(rep.Workloads, "net2-ideal")
+		}},
+		{"missing-metric", "net2-noisy: nn.error_rate", func(t *testing.T, rep *Report) {
+			editLine(t, rep, "net2-noisy", "nn.error_rate", func(r *resultLine) { delete(r.Metrics, "nn.error_rate") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := fixture(t)
+			tc.edit(t, rep)
+			code, out, errb := gateReports(t, nil, rep)
+			if code != 1 {
+				t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+			}
+			if n := strings.Count(out, "FAIL"); n != 1 || !strings.Contains(out, "FAIL "+tc.want) {
+				t.Errorf("want exactly one failure %q, got %d:\n%s", tc.want, n, out)
+			}
+			if !strings.Contains(errb, "gate failed") {
+				t.Errorf("stderr lacks the gate failure:\n%s", errb)
+			}
+		})
+	}
+}
+
+func TestGateMalformedLineExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Lines)
+	}{
+		{"digest-truncated", func(l *Lines) { l.Digest = "digest net2-ideal seed=1" }},
+		{"digest-trailing", func(l *Lines) { l.Digest += " extra" }},
+		{"digest-other-seed", func(l *Lines) { l.Digest = strings.Replace(l.Digest, "seed=1", "seed=7", 1) }},
+		{"digest-other-workload", func(l *Lines) { l.Digest = strings.Replace(l.Digest, "net2-ideal", "net2-noisy", 1) }},
+		{"result-not-json", func(l *Lines) { l.Result = l.Result[:len(l.Result)/2] }},
+		{"traced-empty", func(l *Lines) { l.Traced = "" }},
+		{"result-no-metrics", func(l *Lines) { l.Result = `{"correct":true}` }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := fixture(t)
+			l := rep.Workloads["net2-ideal"]
+			tc.edit(&l)
+			rep.Workloads["net2-ideal"] = l
+			code, out, errb := gateReports(t, nil, rep)
+			if code != 2 || !strings.Contains(errb, "malformed") {
+				t.Fatalf("exit code %d, want 2 with a malformed-line error\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+			}
+		})
+	}
+}
+
+func TestGateOtherGOARCHCannotCheck(t *testing.T) {
+	rep := fixture(t)
+	rep.Machine.GOARCH = "arm64"
+	code, out, errb := gateReports(t, nil, rep)
+	if code != 2 || !strings.Contains(errb, "cannot check") {
+		t.Fatalf("exit code %d, want 2 with \"cannot check\"\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+	}
+}
+
+func TestGateExactThresholdBoundaryPasses(t *testing.T) {
+	b, err := loadBenchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fixture(t)
+	// Every host-time metric of every workload worse by exactly its
+	// bound passes.
+	cur := later(t, base)
+	for name := range cur.Workloads {
+		for _, m := range b.EndToEnd {
+			if m.Name == "pj_per_inference" {
+				continue
+			}
+			v := metric(t, base, name, m.Name)
+			if m.Better == "higher" {
+				v *= 1 - m.Bound
+			} else {
+				v *= 1 + m.Bound
+			}
+			setMetric(t, cur, name, m.Name, v)
+		}
+	}
+	code, out, errb := gateReports(t, base, cur)
+	if code != 0 {
+		t.Fatalf("exact-boundary gate exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+	}
+	// One representable step beyond the bound fails, in either
+	// direction of "worse".
+	for _, tc := range []struct {
+		metric string
+		toward float64
+	}{{"images_per_s", 0}, {"latency_p99_ms", math.Inf(1)}} {
+		beyond := later(t, cur)
+		v := metric(t, cur, "net2-serve", tc.metric)
+		setMetric(t, beyond, "net2-serve", tc.metric, math.Nextafter(v, tc.toward))
+		code, out, _ = gateReports(t, base, beyond)
+		if code != 1 || strings.Count(out, "FAIL") != 1 || !strings.Contains(out, "FAIL net2-serve: "+tc.metric) {
+			t.Fatalf("%s just beyond its bound: exit code %d, want 1 with one failure\n%s", tc.metric, code, out)
+		}
+	}
+}
+
+// regressed is the fixture with net2-ideal's throughput halved and its
+// p50 doubled: far beyond their bounds.
+func regressed(t *testing.T, base *Report) *Report {
+	cur := later(t, base)
+	setMetric(t, cur, "net2-ideal", "images_per_s", metric(t, base, "net2-ideal", "images_per_s")/2)
+	setMetric(t, cur, "net2-ideal", "latency_p50_ms", metric(t, base, "net2-ideal", "latency_p50_ms")*2)
+	return cur
+}
+
+func TestGateRegressionFixtureExitsNonZero(t *testing.T) {
+	base := fixture(t)
+	cur := regressed(t, base)
+	code, out, errb := gateReports(t, base, cur)
+	if code != 1 || !strings.Contains(errb, "gate failed") {
+		t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+	}
+	for _, m := range []string{"images_per_s", "latency_p50_ms"} {
+		if !strings.Contains(out, "FAIL net2-ideal: "+m) {
+			t.Errorf("stdout does not fail %s:\n%s", m, out)
+		}
+	}
+	if n := strings.Count(out, "FAIL"); n != 2 {
+		t.Errorf("%d failures, want 2:\n%s", n, out)
+	}
+	// Without the baseline the same report passes: only the exact
+	// values are gated.
+	if code, out, _ := gateReports(t, nil, cur); code != 0 {
+		t.Errorf("regressed report alone: exit code %d, want 0\n%s", code, out)
+	}
+}
+
+func TestCompareReportsButNeverFails(t *testing.T) {
+	base := fixture(t)
+	code, out, errb := runReports(t, "compare", base, regressed(t, base))
+	if code != 0 {
+		t.Fatalf("compare exit code %d, want 0 (compare informs, gate enforces)\n%s%s", code, out, errb)
+	}
+	b, err := loadBenchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every end-to-end and per-layer metric of every workload is listed.
+	for _, m := range b.metrics() {
+		if n := strings.Count(out, "  "+m.Name+" "); n != len(b.Workloads) {
+			t.Errorf("%s listed %d times, want %d", m.Name, n, len(b.Workloads))
+		}
+	}
+	if !strings.Contains(out, "-50.0%") || !strings.Contains(out, "+100.0%") {
+		t.Errorf("compare does not show the halved throughput and doubled p50:\n%s", out)
+	}
+}
+
+func TestGateMissingMetricWarnsButPasses(t *testing.T) {
+	// A host-time metric the baseline lacks (say, one BENCHMARK.json
+	// added after it was recorded) warns and is not gated.
+	base := fixture(t)
+	cur := later(t, base)
+	editLine(t, base, "net2-serve", "latency_p99_ms", func(r *resultLine) { delete(r.Metrics, "latency_p99_ms") })
+	code, out, errb := gateReports(t, base, cur)
+	if code != 0 {
+		t.Fatalf("missing-metric gate exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+	}
+	if !strings.Contains(errb, "warning: net2-serve latency_p99_ms missing") {
+		t.Errorf("stderr lacks the missing-metric warning:\n%s", errb)
 	}
 }
 
@@ -130,12 +362,12 @@ func TestBaselineSkipsOtherMachinesAndModes(t *testing.T) {
 	cur := testReport("cur0000", at(10))
 	otherCPU := testReport("aaa0001", at(9))
 	otherCPU.Machine.CPU = "Different CPU"
-	fullMode := testReport("aaa0002", at(8))
-	fullMode.Quick = false
+	otherSeconds := testReport("aaa0002", at(8))
+	otherSeconds.Seconds = 20
 	match := testReport("aaa0003", at(7))
 	newerMatch := testReport("aaa0004", at(9))
 	future := testReport("aaa0005", at(11))
-	history := []*Report{match, fullMode, otherCPU, newerMatch, cur, future}
+	history := []*Report{match, otherSeconds, otherCPU, newerMatch, cur, future}
 	if got := baselineFor(cur, history); got != newerMatch {
 		t.Fatalf("baselineFor picked %+v, want the newest comparable older report (aaa0004)", got)
 	}
@@ -148,24 +380,19 @@ func TestBaselineSkipsOtherMachinesAndModes(t *testing.T) {
 }
 
 func TestEvaluateGateDirections(t *testing.T) {
-	base := testReport("b", time.Time{})
-	cur := testReport("c", time.Time{})
+	ips := metricDecl{Name: "images_per_s", Better: "higher", Bound: 0.2}
+	p99 := metricDecl{Name: "latency_p99_ms", Better: "lower", Bound: 0.25}
 	// Throughput up and latency down are improvements, never failures,
 	// no matter how large.
-	cur.Metrics["images_per_sec"] = base.Metrics["images_per_sec"] * 5
-	cur.Metrics["predict_ns_per_op"] = base.Metrics["predict_ns_per_op"] / 5
-	findings := evaluateGate(base, cur, 10)
-	if regressions(findings) != 0 {
-		t.Fatalf("improvements counted as regressions: %+v", findings)
+	if beyondBound(ips, 1000, 5000) || beyondBound(p99, 10, 2) {
+		t.Error("an improvement counted as beyond the bound")
 	}
-	improved := 0
-	for _, f := range findings {
-		if f.Status == statusImproved {
-			improved++
-		}
+	// The bad direction fails past the bound.
+	if !beyondBound(ips, 1000, 700) || !beyondBound(p99, 10, 13) {
+		t.Error("a regression past the bound passed")
 	}
-	if improved != 2 {
-		t.Errorf("improved = %d, want 2: %+v", improved, findings)
+	if beyondBound(ips, 1000, 850) || beyondBound(p99, 10, 12) {
+		t.Error("a regression within the bound failed")
 	}
 }
 
@@ -180,6 +407,10 @@ func TestReportRoundTripAndOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A schema-1 report is skipped, not misread.
+	if err := os.WriteFile(filepath.Join(dir, "old-schema.json"), []byte(`{"schema": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	history, err := loadReports(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -191,11 +422,11 @@ func TestReportRoundTripAndOrdering(t *testing.T) {
 		t.Fatalf("history order %s, %s; want old0000, new0000", history[0].GitSHA, history[1].GitSHA)
 	}
 	got := history[1]
-	if got.Schema != SchemaVersion || !got.StartedAt.Equal(newer.StartedAt) || !got.Machine.Comparable(newer.Machine) {
+	if got.Schema != SchemaVersion || !got.StartedAt.Equal(newer.StartedAt) || got.Machine != newer.Machine {
 		t.Errorf("round-trip mangled the report: %+v", got)
 	}
-	if got.Metrics["images_per_sec"] != newer.Metrics["images_per_sec"] {
-		t.Errorf("metrics did not survive the round trip")
+	if got.Seconds != newer.Seconds || got.Workloads["net2-ideal"] != newer.Workloads["net2-ideal"] {
+		t.Errorf("lines did not survive the round trip")
 	}
 	if got.path == "" || filepath.Dir(got.path) != dir {
 		t.Errorf("loaded report path %q not under %s", got.path, dir)
@@ -226,38 +457,17 @@ func TestSameDayRerunDoesNotClobber(t *testing.T) {
 	}
 }
 
-// mustFindings loads two fixture reports and gates them.
-func mustFindings(t *testing.T, basePath, curPath string, tol float64) []finding {
-	t.Helper()
-	base, err := loadReport(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := loadReport(curPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return evaluateGate(base, cur, tol)
-}
-
 // testReport builds an in-memory report matching the testdata machine.
 func testReport(sha string, at time.Time) *Report {
 	return &Report{
 		Schema:    SchemaVersion,
 		StartedAt: at,
 		GitSHA:    sha,
-		Quick:     true,
-		Suites:    []string{"inference", "search", "serve", "energy"},
+		Seconds:   1,
 		Machine: Machine{
 			GOOS: "linux", GOARCH: "amd64",
 			CPU: "Test CPU @ 2.00GHz", NumCPU: 1, GoVersion: "go1.24.0",
 		},
-		Metrics: map[string]float64{
-			"images_per_sec":    1000,
-			"predict_ns_per_op": 100000,
-			"search_ns_per_op":  500000000,
-			"serve_p99_ms":      20,
-			"pj_per_inference":  1200,
-		},
+		Workloads: map[string]Lines{"net2-ideal": {Digest: "digest net2-ideal seed=1 0123456789abcdef"}},
 	}
 }

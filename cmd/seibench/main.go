@@ -1,39 +1,41 @@
-// Command seibench is the repository's observability front door: one
-// binary that runs the benchmark suites, captures machine metadata,
-// derives energy-per-inference from the hardware counters, and gates
-// trends across runs.
+// Command seibench is the repository's benchmark front door. It runs
+// perfbench (the one measurement, declared in BENCHMARK.json), keeps
+// its output lines in dated reports, diffs two reports and gates one.
 //
-// Usage:
+// Usage, from the checkout root:
 //
-//	seibench run  [-quick] [-dir bench-reports] [-seed N] [-rate R] [-requests N] [suite...]
+//	seibench run [-seconds S] [-dir bench-reports]
 //	seibench compare [-dir bench-reports] [baseline.json current.json]
-//	seibench gate [-dir bench-reports] [-tolerance 10] [baseline.json current.json]
-//	seibench list [-dir bench-reports]
+//	seibench gate [-dir bench-reports] [baseline.json current.json]
 //
-// `run` executes the requested suites (default: all of inference,
-// search, serve, energy) and writes bench-reports/<date>-<sha>.json.
-// The inference and search suites shell out to the repo's own `go
-// test -bench` benchmarks; the serve suite stands up the real HTTP
-// stack in-process and drives it with the deterministic open-loop
-// generator (internal/load); the energy suite joins obs hardware
-// counters against the power library for pJ/inference.
+// `run` runs BENCHMARK.json's command (`bash perfbench/run.sh`) with
+// --seed 1 and --trace 0, then --trace 1, for every workload, and
+// writes one report to the directory: each workload's digest line and
+// both result lines verbatim, plus the machine identity. -seconds
+// defaults to BENCHMARK.json's run_seconds.
 //
-// `compare` diffs the newest report against its most recent comparable
-// baseline (same GOOS/GOARCH/CPU/core-count and quick/full mode).
-// `gate` does the same and exits non-zero when any headline metric —
-// images/sec, predict ns/op, search ns/op, serve p99, pJ/inference —
-// regressed by strictly more than the tolerance. A first run with no
-// comparable baseline passes with a note, as does a metric missing
-// from one side. `make ci` runs `seibench run -quick` + `seibench
-// gate`.
+// `compare` lists the end-to-end and per-layer metrics of two reports
+// (by default the newest and its most recent comparable baseline: same
+// machine, same -seconds) side by side and never fails.
+//
+// `gate` exits 1 when a workload is missing, a run was not correct, or
+// a digest, pj_per_inference or nn.error_rate differs from the values
+// committed in expected.json. Against a comparable baseline it also
+// exits 1 when a host-time end-to-end metric is worse by more than its
+// BENCHMARK.json bound; without one it says so and gates only the
+// exact values. Malformed reports, and reports from a GOARCH other than
+// expected.json's, exit 2.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"strings"
 	"time"
 )
 
@@ -41,131 +43,122 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: seibench <command> [flags]
+const usage = `usage: seibench run [-seconds S] [-dir D]
+       seibench compare [-dir D] [baseline.json current.json]
+       seibench gate [-dir D] [baseline.json current.json]`
 
-commands:
-  run      run benchmark suites and write a report (suites: inference search serve energy)
-  compare  diff the newest report against its most recent comparable baseline
-  gate     like compare, but exit 1 on >tolerance% headline regression
-  list     list stored reports
-
-run 'seibench <command> -h' for command flags`)
-}
-
-// run dispatches to a subcommand and returns the process exit code.
+// run dispatches to a subcommand and returns the process exit code:
+// 1 when the gate finds a difference, 2 on any other error.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		usage(stderr)
-		return 2
+	cmd := ""
+	if len(args) > 0 {
+		cmd, args = args[0], args[1:]
 	}
 	var err error
-	switch args[0] {
+	switch cmd {
 	case "run":
-		err = cmdRun(args[1:], stdout, stderr)
-	case "compare":
-		err = cmdCompareGate(args[1:], stdout, stderr, false)
-	case "gate":
-		err = cmdCompareGate(args[1:], stdout, stderr, true)
-	case "list":
-		err = cmdList(args[1:], stdout, stderr)
-	case "-h", "--help", "help":
-		usage(stdout)
-		return 0
+		err = cmdRun(args, stdout, stderr)
+	case "compare", "gate":
+		err = cmdCompareGate(args, stdout, stderr, cmd == "gate")
 	default:
-		fmt.Fprintf(stderr, "seibench: unknown command %q\n", args[0])
-		usage(stderr)
+		fmt.Fprintln(stderr, usage)
 		return 2
 	}
-	switch {
-	case err == nil:
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return 0
-	case errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errGateFailed):
-		fmt.Fprintln(stderr, "seibench:", err)
+	}
+	fmt.Fprintln(stderr, "seibench:", err)
+	if errors.Is(err, errGateFailed) {
 		return 1
-	default:
-		fmt.Fprintln(stderr, "seibench:", err)
-		return 2
 	}
+	return 2
 }
 
-// errGateFailed distinguishes "regression detected" (exit 1, the
-// signal CI keys on) from operational errors (exit 2).
-var errGateFailed = errors.New("gate failed: headline metric regressed beyond tolerance")
-
 func cmdRun(args []string, stdout, stderr io.Writer) error {
-	cfg := runConfig{Suites: map[string]bool{}}
 	fs := flag.NewFlagSet("seibench run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.BoolVar(&cfg.Quick, "quick", false, "fast mode: single benchmark iterations, smaller fixture and load (CI)")
-	fs.StringVar(&cfg.Dir, "dir", DefaultReportDir, "report directory")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for the fixture pipeline and the load schedule")
-	fs.Float64Var(&cfg.Rate, "rate", 0, "serve suite offered load in requests/sec (0 = mode default)")
-	fs.IntVar(&cfg.Requests, "requests", 0, "serve suite request count (0 = mode default)")
+	seconds := fs.Float64("seconds", 0, "measuring time of each perfbench run (0 = BENCHMARK.json's run_seconds)")
+	dir := fs.String("dir", DefaultReportDir, "report directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() == 0 {
-		for _, s := range allSuites {
-			cfg.Suites[s] = true
-		}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("run takes no arguments, got %q", fs.Args())
 	}
-	for _, s := range fs.Args() {
-		ok := false
-		for _, known := range allSuites {
-			if s == known {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("unknown suite %q (suites: %v)", s, allSuites)
-		}
-		cfg.Suites[s] = true
-	}
-	rep, err := runAll(cfg, time.Now().UTC(), stderr)
+	b, err := loadBenchmark()
 	if err != nil {
 		return err
 	}
-	path, err := writeReport(cfg.Dir, rep)
+	if *seconds == 0 {
+		*seconds = b.RunSeconds
+	}
+	rep := &Report{
+		Schema:    SchemaVersion,
+		StartedAt: time.Now().UTC(),
+		GitSHA:    gitSHA(),
+		Seconds:   *seconds,
+		Machine:   hostMachine(),
+		Workloads: map[string]Lines{},
+	}
+	for _, w := range b.Workloads {
+		digest, result, err := perfbench(b.Command, w.Name, *seconds, 0, stderr)
+		if err != nil {
+			return err
+		}
+		traceDigest, traced, err := perfbench(b.Command, w.Name, *seconds, 1, stderr)
+		if err != nil {
+			return err
+		}
+		if traceDigest != digest {
+			return fmt.Errorf("%s: traced run printed %q, untraced %q", w.Name, traceDigest, digest)
+		}
+		rep.Workloads[w.Name] = Lines{Digest: digest, Result: result, Traced: traced}
+	}
+	path, err := writeReport(*dir, rep)
 	if err != nil {
 		return err
 	}
-	printRunSummary(stdout, rep, path)
+	fmt.Fprintf(stdout, "report: %s\n", path)
 	return nil
 }
 
-// cmdCompareGate implements both compare (report only) and gate
-// (non-zero exit on regression): the two differ only in what a
-// regression means for the exit code.
-func cmdCompareGate(args []string, stdout, stderr io.Writer, gating bool) error {
-	name := "seibench compare"
-	if gating {
-		name = "seibench gate"
+// perfbench runs one workload with seed 1 and returns the last two
+// lines it prints: the digest line and the result line. Its progress
+// goes to stderr.
+func perfbench(command []string, workload string, seconds float64, trace int, stderr io.Writer) (string, string, error) {
+	args := append(command[1:len(command):len(command)], "--workload", workload, "--seed", "1",
+		"--seconds", fmt.Sprint(seconds), "--trace", fmt.Sprint(trace))
+	var out bytes.Buffer
+	cmd := exec.Command(command[0], args...)
+	cmd.Stdout, cmd.Stderr = &out, stderr
+	fmt.Fprintln(stderr, "seibench:", strings.Join(cmd.Args, " "))
+	if err := cmd.Run(); err != nil {
+		return "", "", fmt.Errorf("%s: %w", strings.Join(cmd.Args, " "), err)
 	}
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) < 2 {
+		return "", "", fmt.Errorf("%s: want a digest and a result line, got %q", workload, lines)
+	}
+	return lines[len(lines)-2], lines[len(lines)-1], nil
+}
+
+// cmdCompareGate implements compare and gate. Reports come from the
+// arguments or, without any, from dir: the newest one and its most
+// recent comparable baseline.
+func cmdCompareGate(args []string, stdout, stderr io.Writer, gating bool) error {
+	fs := flag.NewFlagSet("seibench compare/gate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", DefaultReportDir, "report directory")
-	tol := fs.Float64("tolerance", 10, "allowed headline-metric worsening in percent; strictly beyond it fails")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tol < 0 {
-		return fmt.Errorf("negative tolerance %g", *tol)
+	b, err := loadBenchmark()
+	if err != nil {
+		return err
 	}
-
 	var base, cur *Report
-	switch fs.NArg() {
-	case 2:
-		var err error
-		if base, err = loadReport(fs.Arg(0)); err != nil {
-			return err
-		}
-		if cur, err = loadReport(fs.Arg(1)); err != nil {
-			return err
-		}
-	case 0:
+	switch n := fs.NArg(); {
+	case n == 0:
 		history, err := loadReports(*dir)
 		if err != nil {
 			return err
@@ -175,64 +168,31 @@ func cmdCompareGate(args []string, stdout, stderr io.Writer, gating bool) error 
 		}
 		cur = history[len(history)-1]
 		base = baselineFor(cur, history)
-		if base == nil {
-			fmt.Fprintf(stdout, "current: %s\n", describe(cur))
-			fmt.Fprintln(stdout, "no comparable baseline (first run on this machine/mode): nothing to gate, passing")
-			return nil
+	case n == 2:
+		if base, err = loadReport(fs.Arg(0)); err == nil {
+			cur, err = loadReport(fs.Arg(1))
+		}
+		if err != nil {
+			return err
 		}
 	default:
-		return fmt.Errorf("want zero or two report paths, got %d", fs.NArg())
+		return fmt.Errorf("want zero or two report paths, got %d", n)
 	}
-
-	findings := evaluateGate(base, cur, *tol)
-	printFindings(stdout, base, cur, findings)
-	for _, f := range findings {
-		if f.Status == statusMissing {
-			fmt.Fprintf(stderr, "%s: warning: headline metric %s missing from one report\n", name, f.Metric)
+	for _, rep := range []*Report{base, cur} {
+		if rep == nil {
+			continue
+		}
+		if err := rep.decode(); err != nil {
+			return err
 		}
 	}
-	if n := regressions(findings); n > 0 && gating {
-		return fmt.Errorf("%w (%d of %d headline metrics, tolerance %g%%)", errGateFailed, n, len(headlineMetrics), *tol)
+	if gating {
+		return gate(stdout, stderr, b, base, cur)
 	}
-	return nil
-}
-
-func cmdList(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("seibench list", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("dir", DefaultReportDir, "report directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	history, err := loadReports(*dir)
-	if err != nil {
-		return err
-	}
-	if len(history) == 0 {
-		fmt.Fprintf(stdout, "no reports in %s\n", *dir)
-		return nil
-	}
-	fmt.Fprintf(stdout, "%-17s %-9s %-6s %13s %13s %10s %10s  %s\n",
-		"started (UTC)", "sha", "mode", "images/sec", "predict ns", "p99 ms", "pJ/inf", "file")
-	for _, rep := range history {
-		mode := "full"
-		if rep.Quick {
-			mode = "quick"
-		}
-		cell := func(name string) string {
-			if v, ok := rep.Metrics[name]; ok {
-				return fmt.Sprintf("%.1f", v)
-			}
-			return "-"
-		}
-		sha := rep.GitSHA
-		if sha == "" {
-			sha = "-"
-		}
-		fmt.Fprintf(stdout, "%-17s %-9s %-6s %13s %13s %10s %10s  %s\n",
-			rep.StartedAt.Format("2006-01-02 15:04"), sha, mode,
-			cell("images_per_sec"), cell("predict_ns_per_op"),
-			cell("serve_p99_ms"), cell("pj_per_inference"), rep.path)
+	if base == nil {
+		fmt.Fprintf(stdout, "current: %s\nno comparable baseline (same machine and -seconds): nothing to compare\n", describe(cur))
+	} else {
+		compare(stdout, b, base, cur)
 	}
 	return nil
 }

@@ -4,28 +4,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
-
-	"sei/internal/benchparse"
-	"sei/internal/obs"
 )
 
 // SchemaVersion identifies the bench-report JSON layout; bump on
 // incompatible changes so gate/compare can refuse mixed histories.
-const SchemaVersion = 1
+// Schema 1 held seibench's own suites (bench-reports/history/);
+// schema 2 holds perfbench's output lines verbatim.
+const SchemaVersion = 2
 
 // DefaultReportDir is where `seibench run` writes and the other
 // subcommands read.
 const DefaultReportDir = "bench-reports"
 
 // Machine identifies the hardware/toolchain a report was produced on.
-// compare and gate only look at reports from the same machine — a
-// laptop's images/sec regressing against a CI runner's is noise, not
-// signal.
+// Host-time metrics are only compared between reports from the same
+// machine — a laptop's images/s regressing against a CI runner's is
+// noise, not signal.
 type Machine struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
@@ -34,129 +34,102 @@ type Machine struct {
 	GoVersion string `json:"go_version"`
 }
 
-// Comparable reports whether two reports were produced under
-// conditions where a metric delta means something: same platform, CPU
-// model, core count and run mode (quick vs full measurement).
-func (m Machine) Comparable(o Machine) bool {
-	return m.GOOS == o.GOOS && m.GOARCH == o.GOARCH && m.CPU == o.CPU && m.NumCPU == o.NumCPU
+// Lines is one workload's perfbench output, kept verbatim.
+type Lines struct {
+	// Digest is "digest <workload> seed=<n> <hash>", printed by both
+	// runs (run refuses to write a report where they differ).
+	Digest string `json:"digest"`
+	// Result is the --trace 0 result line: the end-to-end metrics.
+	Result string `json:"result"`
+	// Traced is the --trace 1 result line: the per-layer metrics.
+	Traced string `json:"traced"`
 }
 
-// ServeResult is the serving suite's section of a report: the
-// open-loop generator's client-side view of the sharded serving stack.
-// The steady run drives a deterministic multi-image request mix; Burst
-// repeats a shorter schedule with clustered arrivals.
-type ServeResult struct {
-	OfferedRPS  float64             `json:"offered_rps"`
-	AchievedRPS float64             `json:"achieved_rps"`
-	Requests    int                 `json:"requests"`
-	Errors      int                 `json:"errors"`
-	Dropped     int                 `json:"dropped"`
-	Canceled    int                 `json:"canceled,omitempty"`
-	Images      int                 `json:"images,omitempty"`
-	Mix         map[string]int      `json:"mix,omitempty"`
-	Latency     obs.HistogramReport `json:"latency"`
-	Burst       *BurstResult        `json:"burst,omitempty"`
-}
-
-// BurstResult is the burst sub-run: the same stack under clustered
-// arrivals (load.Config.Burst), the worst case for queue headroom.
-type BurstResult struct {
-	BurstSize   int                 `json:"burst_size"`
-	OfferedRPS  float64             `json:"offered_rps"`
-	AchievedRPS float64             `json:"achieved_rps"`
-	Requests    int                 `json:"requests"`
-	Errors      int                 `json:"errors"`
-	Dropped     int                 `json:"dropped"`
-	Canceled    int                 `json:"canceled,omitempty"`
-	Latency     obs.HistogramReport `json:"latency"`
-}
-
-// Report is one `seibench run` outcome: machine metadata, every suite
-// metric, and the raw benchmark lines for archaeology. DESIGN.md §14
-// documents the schema.
+// Report is one `seibench run` outcome: machine identity plus every
+// workload's perfbench lines. DESIGN.md §14 documents the schema.
 type Report struct {
-	Schema     int                    `json:"schema"`
-	StartedAt  time.Time              `json:"started_at"`
-	GitSHA     string                 `json:"git_sha,omitempty"`
-	Quick      bool                   `json:"quick"`
-	Suites     []string               `json:"suites"`
-	Machine    Machine                `json:"machine"`
-	Metrics    map[string]float64     `json:"metrics"`
-	Counters   map[string]int64       `json:"counters,omitempty"`
-	Serve      *ServeResult           `json:"serve,omitempty"`
-	Benchmarks []benchparse.Benchmark `json:"benchmarks,omitempty"`
-	Derived    map[string]float64     `json:"derived,omitempty"`
-	Notes      []string               `json:"notes,omitempty"`
+	Schema    int              `json:"schema"`
+	StartedAt time.Time        `json:"started_at"`
+	GitSHA    string           `json:"git_sha,omitempty"`
+	Seconds   float64          `json:"seconds"`
+	Machine   Machine          `json:"machine"`
+	Workloads map[string]Lines `json:"workloads"`
 
-	// path is where the report was loaded from (not serialized).
-	path string `json:"-"`
+	path string              // where the report was loaded from
+	outs map[string]*outcome // decoded Workloads, set by decode
 }
 
-// hostMachine collects the current process's machine identity. The
-// CPU model prefers go test's own "cpu:" header (already normalized
-// by the toolchain) and falls back to /proc/cpuinfo.
-func hostMachine(benchCPU string) Machine {
-	m := Machine{
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPU:       benchCPU,
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
+// resultLine is the part of perfbench's result line seibench reads.
+type resultLine struct {
+	Correct bool `json:"correct"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// outcome is one workload's lines, decoded.
+type outcome struct {
+	digest  string
+	correct bool               // both runs' correct flags
+	metrics map[string]float64 // both result lines' metrics
+}
+
+// decode decodes every workload of rep into rep.outs; a line that is
+// not what perfbench prints for seed 1 is an error.
+func (rep *Report) decode() error {
+	rep.outs = map[string]*outcome{}
+	for name, l := range rep.Workloads {
+		o := &outcome{correct: true, metrics: map[string]float64{}}
+		var w, rest string
+		if n, _ := fmt.Sscanf(l.Digest, "digest %s seed=1 %s%s", &w, &o.digest, &rest); n != 2 || w != name {
+			return fmt.Errorf("%s: %s: malformed digest line %q", rep.path, name, l.Digest)
+		}
+		for _, line := range []string{l.Result, l.Traced} {
+			var r resultLine
+			if err := json.Unmarshal([]byte(line), &r); err != nil || r.Metrics == nil {
+				return fmt.Errorf("%s: %s: malformed result line %q", rep.path, name, line)
+			}
+			o.correct = o.correct && r.Correct
+			for k, m := range r.Metrics {
+				o.metrics[k] = m.Value
+			}
+		}
+		rep.outs[name] = o
 	}
-	if m.CPU == "" {
-		m.CPU = procCPUModel()
+	return nil
+}
+
+// hostMachine collects the current process's machine identity; the CPU
+// model comes from /proc/cpuinfo (empty off Linux).
+func hostMachine() Machine {
+	m := Machine{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			m.CPU = strings.TrimSpace(v)
+			break
+		}
 	}
 	return m
 }
 
-// procCPUModel extracts the first "model name" from /proc/cpuinfo
-// (empty off Linux or on failure — comparability then keys on the
-// remaining fields).
-func procCPUModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
-}
-
-// reportFileName is <date>-<sha>.json; a second run of the same
-// commit on the same day gets a time suffix instead of clobbering the
-// earlier report.
-func reportFileName(dir string, at time.Time, sha string) string {
-	if sha == "" {
-		sha = "nogit"
-	}
-	base := fmt.Sprintf("%s-%s", at.Format("2006-01-02"), sha)
-	path := filepath.Join(dir, base+".json")
-	if _, err := os.Stat(path); err == nil {
-		path = filepath.Join(dir, fmt.Sprintf("%s-%s.json", base, at.Format("150405")))
-	}
-	return path
-}
-
-// writeReport persists rep under dir, creating it.
+// writeReport persists rep under dir as <date>-<sha>.json; a second
+// run of the same commit on the same day gets a time suffix instead of
+// clobbering the earlier report.
 func writeReport(dir string, rep *Report) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := reportFileName(dir, rep.StartedAt, rep.GitSHA)
-	f, err := os.Create(path)
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return "", err
+	base := filepath.Join(dir, rep.StartedAt.Format("2006-01-02")+"-"+rep.GitSHA)
+	path := base + ".json"
+	if _, err := os.Stat(path); err == nil {
+		path = base + rep.StartedAt.Format("-150405") + ".json"
 	}
-	return path, nil
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // loadReport reads one report file.
@@ -165,15 +138,14 @@ func loadReport(path string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
+	rep := &Report{path: path}
+	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if rep.Schema != SchemaVersion {
 		return nil, fmt.Errorf("%s: schema %d, this seibench reads %d", path, rep.Schema, SchemaVersion)
 	}
-	rep.path = path
-	return &rep, nil
+	return rep, nil
 }
 
 // loadReports reads every report in dir, oldest first (by embedded
@@ -181,19 +153,13 @@ func loadReport(path string) (*Report, error) {
 // Unreadable or foreign-schema files are skipped with a warning on
 // stderr rather than poisoning the whole history.
 func loadReports(dir string) ([]*Report, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		return nil, err
 	}
 	var reps []*Report
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		rep, err := loadReport(filepath.Join(dir, e.Name()))
+	for _, path := range paths {
+		rep, err := loadReport(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "seibench: skipping", err)
 			continue
@@ -204,31 +170,26 @@ func loadReports(dir string) ([]*Report, error) {
 	return reps, nil
 }
 
-// baselineFor returns the most recent report older than cur that was
-// produced on a comparable machine in the same run mode, or nil when
-// cur is the first of its kind (first run on a new machine: nothing
-// to gate against).
+// baselineFor returns the most recent report older than cur from the
+// same machine (platform, CPU model, core count and Go version) with
+// the same -seconds, or nil when cur is the first of its kind: its
+// host-time metrics are then not gated.
 func baselineFor(cur *Report, history []*Report) *Report {
 	var base *Report
 	for _, r := range history {
-		if r == cur || !r.StartedAt.Before(cur.StartedAt) {
-			continue
-		}
-		if r.Quick != cur.Quick || !r.Machine.Comparable(cur.Machine) {
-			continue
-		}
-		if base == nil || r.StartedAt.After(base.StartedAt) {
+		if r.StartedAt.Before(cur.StartedAt) && r.Seconds == cur.Seconds && r.Machine == cur.Machine &&
+			(base == nil || r.StartedAt.After(base.StartedAt)) {
 			base = r
 		}
 	}
 	return base
 }
 
-// gitSHA returns the current short commit hash ("" outside a repo).
+// gitSHA returns the current short commit hash ("nogit" outside a repo).
 func gitSHA() string {
-	out, err := execOutput("git", "rev-parse", "--short", "HEAD")
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
-		return ""
+		return "nogit"
 	}
-	return strings.TrimSpace(out)
+	return strings.TrimSpace(string(out))
 }

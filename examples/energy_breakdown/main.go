@@ -5,7 +5,7 @@
 // finally derives a *measured* per-inference SEI energy by joining the
 // hardware-event counters of an instrumented evaluation against the
 // same power library (sei.EnergyFromCounters — the accounting path
-// cmd/seibench's run reports use).
+// behind perfbench's pj_per_inference).
 //
 // Run with: go run ./examples/energy_breakdown
 package main

@@ -6,7 +6,7 @@
 // (request → wait → request) driver grants it. The schedule itself is
 // drawn from a seeded RNG — exponential inter-arrival gaps at the
 // configured rate, i.e. a Poisson process — so the *offered load* of a
-// run is a pure function of (Rate, Requests, Burst, Seed) and two runs
+// run is a pure function of (Rate, Requests, Seed) and two runs
 // with the same config stress the server with the same timeline.
 //
 // Latency is recorded into an obs.Histogram (obs.LatencyBounds()
@@ -52,11 +52,6 @@ type Config struct {
 	// schedule never slips; dropping preserves open-loop semantics
 	// while bounding client resources).
 	MaxInFlight int
-	// Burst clusters arrivals: each Poisson schedule point fires Burst
-	// requests back to back instead of one, with inter-point gaps
-	// drawn at Rate/Burst so the aggregate offered rate stays Rate.
-	// 0 or 1 means smooth Poisson arrivals.
-	Burst int
 }
 
 // Validate rejects unusable configs.
@@ -69,9 +64,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxInFlight < 0 {
 		return fmt.Errorf("load: max in-flight %d must be non-negative", c.MaxInFlight)
-	}
-	if c.Burst < 0 {
-		return fmt.Errorf("load: burst %d must be non-negative", c.Burst)
 	}
 	return nil
 }
@@ -103,25 +95,15 @@ type Result struct {
 }
 
 // Schedule returns the deterministic arrival offsets for cfg: Requests
-// offsets grouped into bursts of cfg.Burst (1 when unset) at Poisson
-// schedule points, exponential inter-point gaps at Rate/Burst from the
-// seeded RNG. The first arrival is at offset 0 so short runs are not
-// all warm-up gap.
+// Poisson arrivals, exponential gaps at Rate from the seeded RNG. The
+// first arrival is at offset 0 so short runs are not all warm-up gap.
 func Schedule(cfg Config) []time.Duration {
-	burst := cfg.Burst
-	if burst < 1 {
-		burst = 1
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pointRate := cfg.Rate / float64(burst)
 	offsets := make([]time.Duration, cfg.Requests)
 	t := 0.0
-	for i := 0; i < len(offsets); i += burst {
-		point := time.Duration(t * float64(time.Second))
-		for k := i; k < i+burst && k < len(offsets); k++ {
-			offsets[k] = point
-		}
-		t += rng.ExpFloat64() / pointRate
+	for i := range offsets {
+		offsets[i] = time.Duration(t * float64(time.Second))
+		t += rng.ExpFloat64() / cfg.Rate
 	}
 	return offsets
 }

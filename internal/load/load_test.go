@@ -39,38 +39,6 @@ func TestScheduleDeterministicAndOpenLoop(t *testing.T) {
 	}
 }
 
-func TestScheduleBurstClustersArrivals(t *testing.T) {
-	cfg := Config{Rate: 1000, Requests: 512, Seed: 7, Burst: 16}
-	a := Schedule(cfg)
-	if len(a) != 512 {
-		t.Fatalf("schedule length %d, want 512", len(a))
-	}
-	// Every 16-request group shares one schedule point; distinct groups
-	// get distinct points.
-	for i := 0; i < len(a); i += 16 {
-		for k := i; k < i+16; k++ {
-			if a[k] != a[i] {
-				t.Fatalf("burst member %d at %v, group point %v", k, a[k], a[i])
-			}
-		}
-		if i > 0 && a[i] == a[i-16] {
-			t.Fatalf("groups %d and %d share a schedule point", i/16-1, i/16)
-		}
-	}
-	// The aggregate offered rate stays ≈Rate: 512 requests at 1000/s
-	// span ≈0.5s regardless of burst size.
-	span := a[len(a)-1].Seconds()
-	if span < 0.2 || span > 1.2 {
-		t.Errorf("512 burst-16 arrivals at 1000/s span %.3fs, want ≈0.5s", span)
-	}
-	// A ragged tail (Requests not a multiple of Burst) still covers
-	// every request.
-	ragged := Schedule(Config{Rate: 1000, Requests: 50, Seed: 3, Burst: 16})
-	if len(ragged) != 50 {
-		t.Fatalf("ragged schedule length %d, want 50", len(ragged))
-	}
-}
-
 func TestRunRecordsLatencyQuantiles(t *testing.T) {
 	cfg := Config{Rate: 2000, Requests: 200, Seed: 1}
 	res, err := Run(context.Background(), cfg, func(context.Context, int) error {
@@ -255,7 +223,6 @@ func TestConfigValidate(t *testing.T) {
 		{Rate: -1, Requests: 10},
 		{Rate: 100, Requests: 0},
 		{Rate: 100, Requests: 10, MaxInFlight: -1},
-		{Rate: 100, Requests: 10, Burst: -1},
 	} {
 		if _, err := Run(context.Background(), cfg, func(context.Context, int) error { return nil }); err == nil {
 			t.Errorf("config %+v accepted, want error", cfg)

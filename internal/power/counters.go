@@ -66,8 +66,8 @@ func CountsFromReport(rep obs.Report) (Counts, error) {
 // EnergyFromCounters converts an instrumented run report into a
 // component energy breakdown (pJ over the whole run) by joining the
 // hardware counters against the library constants. It is the single
-// counter→energy accounting path shared by cmd/seibench's run reports
-// and examples/energy_breakdown.
+// counter→energy accounting path shared by perfbench's
+// pj_per_inference and examples/energy_breakdown.
 func EnergyFromCounters(rep obs.Report, lib Library) (Breakdown, error) {
 	if err := lib.Validate(); err != nil {
 		return Breakdown{}, err

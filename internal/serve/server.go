@@ -43,8 +43,8 @@ const MetricReloads = "serve_reloads"
 // response encode, observed once per POST /v1/predict (including
 // rejected and failed requests — backpressure latency is part of the
 // distribution). Buckets are obs.LatencyBounds(); /metrics exposes it
-// as a standard cumulative Prometheus histogram, and seibench derives
-// serve p50/p99/p999 from the same bounds client-side. The histogram
+// as a standard cumulative Prometheus histogram, and internal/load
+// derives client-side p50/p99/p999 from the same bounds. The histogram
 // is resolved once at handler construction, so steady-state recording
 // is two atomic adds — no per-request lookups or bound rebuilds.
 const MetricRequestSeconds = "serve_request_seconds"
