@@ -21,7 +21,7 @@ func BenchmarkParallelFloatEval(b *testing.B) {
 	net := c.Network(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.ErrorRateWorkers(net, c.Test, 0)
+		nn.ErrorRate(nil, net, c.Test, 0)
 	}
 }
 
@@ -31,7 +31,7 @@ func BenchmarkParallelQuantEval(b *testing.B) {
 	q := c.QuantizedCalibrated(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.ErrorRateWorkers(c.Test, 0)
+		nn.ErrorRate(nil, q, c.Test, 0)
 	}
 }
 
@@ -48,7 +48,7 @@ func BenchmarkParallelSEIEval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.ClassifierErrorRateWorkers(d, c.Test, 0)
+		nn.ErrorRate(nil, d, c.Test, 0)
 	}
 }
 

@@ -157,7 +157,7 @@ func BenchmarkAblationDeviceBits(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := nn.ClassifierErrorRate(design, test)
+			e := nn.ErrorRate(nil, design, test, 0)
 			if bits == 4 {
 				err4 = e
 			}
@@ -181,7 +181,7 @@ func BenchmarkAblationVariationSigma(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := nn.ClassifierErrorRate(design, test)
+			e := nn.ErrorRate(nil, design, test, 0)
 			if sigma == 0.02 {
 				errDefault = e
 			}
@@ -291,7 +291,7 @@ func BenchmarkAblationDynamicThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return nn.ClassifierErrorRate(d, test)
+			return nn.ErrorRate(nil, d, test, 0)
 		}
 		deltaPP = 100 * (build(false) - build(true))
 	}
@@ -313,7 +313,7 @@ func BenchmarkAblationUnipolarMode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		uniErr = nn.ClassifierErrorRate(d, test)
+		uniErr = nn.ErrorRate(nil, d, test, 0)
 	}
 	b.ReportMetric(100*uniErr, "unipolar_err_%")
 }

@@ -269,14 +269,14 @@ func simulateError(rec *obs.Recorder, net *sei.Network, q *sei.QuantizedNet, tra
 			return 0, err
 		}
 		d.Instrument(rec)
-		return nn.ClassifierErrorRateObs(rec, d, testSet, workers), nil
+		return nn.ErrorRate(rec, d, testSet, workers), nil
 	case seicore.StructOneBitADC:
 		d, err := seicore.BuildOneBitADC(q, model, rng)
 		if err != nil {
 			return 0, err
 		}
 		d.Instrument(rec)
-		return nn.ClassifierErrorRateObs(rec, d, testSet, workers), nil
+		return nn.ErrorRate(rec, d, testSet, workers), nil
 	case seicore.StructSEI:
 		cfg := seicore.DefaultSEIBuildConfig()
 		cfg.Layer.Model = model
@@ -288,7 +288,7 @@ func simulateError(rec *obs.Recorder, net *sei.Network, q *sei.QuantizedNet, tra
 		if err != nil {
 			return 0, err
 		}
-		return nn.ClassifierErrorRateObs(rec, d, testSet, workers), nil
+		return nn.ErrorRate(rec, d, testSet, workers), nil
 	}
 	return 0, fmt.Errorf("unknown structure %v", s)
 }

@@ -36,7 +36,7 @@ func TestPipelineWorkerCountInvariant(t *testing.T) {
 	}
 	run := func(workers int) result {
 		var res result
-		res.floatErr = nn.ErrorRateWorkers(net, test, workers)
+		res.floatErr = nn.ErrorRate(nil, net, test, workers)
 
 		scfg := quant.DefaultSearchConfig()
 		scfg.Samples = 120
@@ -46,7 +46,7 @@ func TestPipelineWorkerCountInvariant(t *testing.T) {
 			t.Fatalf("workers=%d: quantize: %v", workers, err)
 		}
 		res.thresholds = q.Thresholds
-		res.quantErr = q.ErrorRateWorkers(test, workers)
+		res.quantErr = nn.ErrorRate(nil, q, test, workers)
 
 		bcfg := seicore.DefaultSEIBuildConfig()
 		bcfg.Layer.MaxCrossbar = 128 // force a split so calibration runs
@@ -56,7 +56,7 @@ func TestPipelineWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: build SEI: %v", workers, err)
 		}
-		res.seiErr = nn.ClassifierErrorRateWorkers(d, test, workers)
+		res.seiErr = nn.ErrorRate(nil, d, test, workers)
 		return res
 	}
 
@@ -106,7 +106,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) result {
 		rec := obs.New()
 		var res result
-		res.floatErr = nn.ErrorRateObs(rec, net, test, workers)
+		res.floatErr = nn.ErrorRate(rec, net, test, workers)
 
 		scfg := quant.DefaultSearchConfig()
 		scfg.Samples = 120
@@ -116,7 +116,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: quantize: %v", workers, err)
 		}
-		res.quantErr = q.ErrorRateObs(rec, test, workers)
+		res.quantErr = nn.ErrorRate(rec, q, test, workers)
 
 		bcfg := seicore.DefaultSEIBuildConfig()
 		bcfg.Layer.MaxCrossbar = 128 // force a split so calibration runs
@@ -127,7 +127,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: build SEI: %v", workers, err)
 		}
-		res.seiErr = nn.ClassifierErrorRateObs(rec, d, test, workers)
+		res.seiErr = nn.ErrorRate(rec, d, test, workers)
 		res.counters = rec.CounterValues()
 		return res
 	}
@@ -135,7 +135,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 	serial := run(1)
 	plain := func() result {
 		var res result
-		res.floatErr = nn.ErrorRateWorkers(net, test, 1)
+		res.floatErr = nn.ErrorRate(nil, net, test, 1)
 		scfg := quant.DefaultSearchConfig()
 		scfg.Samples = 120
 		scfg.Workers = 1
@@ -143,7 +143,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plain quantize: %v", err)
 		}
-		res.quantErr = q.ErrorRateWorkers(test, 1)
+		res.quantErr = nn.ErrorRate(nil, q, test, 1)
 		bcfg := seicore.DefaultSEIBuildConfig()
 		bcfg.Layer.MaxCrossbar = 128
 		bcfg.CalibImages = 20
@@ -152,7 +152,7 @@ func TestInstrumentedPipelineWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plain build SEI: %v", err)
 		}
-		res.seiErr = nn.ClassifierErrorRateWorkers(d, test, 1)
+		res.seiErr = nn.ErrorRate(nil, d, test, 1)
 		return res
 	}()
 	if serial.floatErr != plain.floatErr || serial.quantErr != plain.quantErr || serial.seiErr != plain.seiErr {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"time"
 
 	"sei/internal/mnist"
 	"sei/internal/nn"
@@ -39,25 +40,29 @@ type BoundedResult struct {
 	EnergySavedPct float64
 }
 
-// boundedEval runs design d over data with a fresh recorder and
-// returns the predicted labels, error rate and the recorder.
-func boundedEval(d *seicore.SEIDesign, data *mnist.Dataset, workers int) ([]int, float64, *obs.Recorder) {
+// studyEval runs design d over data with a fresh recorder attached and
+// returns the predicted labels, the error rate, the wall seconds of the
+// predict pass and the recorder. Study images are well-formed, so a
+// per-image error is a bug and panics.
+func studyEval(d *seicore.SEIDesign, data *mnist.Dataset, workers int) ([]int, float64, float64, *obs.Recorder) {
 	rec := obs.New()
 	d.Instrument(rec)
+	start := time.Now()
 	res := nn.PredictBatchObs(rec, d, data.Images, workers)
+	sec := time.Since(start).Seconds()
+	d.Instrument(nil)
 	labels := make([]int, len(res))
 	wrong := 0
 	for i, r := range res {
 		if r.Err != nil {
-			panic(fmt.Sprintf("experiments: bounded study predict image %d: %v", i, r.Err))
+			panic(fmt.Sprintf("experiments: study predict image %d: %v", i, r.Err))
 		}
 		labels[i] = r.Label
 		if r.Label != data.Labels[i] {
 			wrong++
 		}
 	}
-	d.Instrument(nil)
-	return labels, float64(wrong) / float64(len(labels)), rec
+	return labels, float64(wrong) / float64(len(labels)), sec, rec
 }
 
 // BoundedStudy measures the runtime activation bounds on one network:
@@ -76,7 +81,7 @@ func BoundedStudy(c *Context, networkID int) (*BoundedResult, error) {
 	images := int64(c.Test.Len())
 
 	c.logf("bounded study: unbounded baseline over %d images\n", images)
-	baseLabels, baseErr, recU := boundedEval(d, c.Test, workers)
+	baseLabels, baseErr, _, recU := studyEval(d, c.Test, workers)
 	unboundedPJ, err := power.EnergyPerInferencePJ(recU.Report("unbounded"), lib, images)
 	if err != nil {
 		return nil, err
@@ -84,7 +89,7 @@ func BoundedStudy(c *Context, networkID int) (*BoundedResult, error) {
 
 	c.logf("bounded study: exact bounded mode\n")
 	d.SetBounded(true)
-	bndLabels, bndErr, recB := boundedEval(d, c.Test, workers)
+	bndLabels, bndErr, _, recB := studyEval(d, c.Test, workers)
 	d.SetBounded(false)
 	recB.PublishSkipRates()
 	boundedPJ, err := power.EnergyPerInferencePJ(recB.Report("bounded"), lib, images)

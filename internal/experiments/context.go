@@ -290,7 +290,7 @@ func (c *Context) FloatError(id int) float64 {
 	if e, ok := c.floatErr[id]; ok {
 		return e
 	}
-	e := nn.ErrorRateObs(c.Cfg.Obs, c.Network(id), c.Test, c.Cfg.Workers)
+	e := nn.ErrorRate(c.Cfg.Obs, c.Network(id), c.Test, c.Cfg.Workers)
 	c.floatErr[id] = e
 	return e
 }
@@ -300,7 +300,7 @@ func (c *Context) QuantError(id int) float64 {
 	if e, ok := c.quantErr[id]; ok {
 		return e
 	}
-	e := c.Quantized(id).ErrorRateObs(c.Cfg.Obs, c.Test, c.Cfg.Workers)
+	e := nn.ErrorRate(c.Cfg.Obs, c.Quantized(id), c.Test, c.Cfg.Workers)
 	c.quantErr[id] = e
 	return e
 }
@@ -311,7 +311,7 @@ func (c *Context) QuantCalibratedError(id int) float64 {
 	if e, ok := c.quantCalErr[id]; ok {
 		return e
 	}
-	e := c.QuantizedCalibrated(id).ErrorRateObs(c.Cfg.Obs, c.Test, c.Cfg.Workers)
+	e := nn.ErrorRate(c.Cfg.Obs, c.QuantizedCalibrated(id), c.Test, c.Cfg.Workers)
 	c.quantCalErr[id] = e
 	return e
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sei/internal/nn"
 	"sei/internal/seicore"
 )
 
@@ -81,7 +82,7 @@ func TestQuantizedPipeline(t *testing.T) {
 		t.Fatalf("quantization cost too much: %.4f vs %.4f", qe, fe)
 	}
 	// The plain quantized model must not be mutated by calibration.
-	if got := c.Quantized(2).ErrorRate(c.Test); got != qe {
+	if got := nn.ErrorRate(nil, c.Quantized(2), c.Test, 0); got != qe {
 		t.Fatalf("plain quantized model was mutated: %.4f vs %.4f", got, qe)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
-	"sei/internal/mnist"
-	"sei/internal/nn"
 	"sei/internal/obs"
 	"sei/internal/seicore"
 )
@@ -38,29 +35,6 @@ type NoisyResult struct {
 	CellPackedSec float64
 	CellSpeedup   float64
 	CellDraws     int64 // per-cell draws over the run
-}
-
-// noisyEval runs d over data on the current dispatch settings and
-// returns labels, error rate, wall seconds and the noise-draw total.
-func noisyEval(d *seicore.SEIDesign, data *mnist.Dataset, workers int) ([]int, float64, float64, int64) {
-	rec := obs.New()
-	d.Instrument(rec)
-	start := time.Now()
-	res := nn.PredictBatchObs(rec, d, data.Images, workers)
-	sec := time.Since(start).Seconds()
-	d.Instrument(nil)
-	labels := make([]int, len(res))
-	wrong := 0
-	for i, r := range res {
-		if r.Err != nil {
-			panic(fmt.Sprintf("experiments: noisy study predict image %d: %v", i, r.Err))
-		}
-		labels[i] = r.Label
-		if r.Label != data.Labels[i] {
-			wrong++
-		}
-	}
-	return labels, float64(wrong) / float64(len(labels)), sec, rec.CounterValues()[obs.SEINoiseDraws]
 }
 
 // NoisyStudy measures the packed non-ideal path on one network: a
@@ -100,9 +74,9 @@ func NoisyStudy(c *Context, networkID int) (*NoisyResult, error) {
 		return nil, fmt.Errorf("building per-column noisy design: %w", err)
 	}
 	d.SetFastPath(false)
-	floatLabels, floatErr, floatSec, _ := noisyEval(d, c.Test, workers)
+	floatLabels, floatErr, floatSec, _ := studyEval(d, c.Test, workers)
 	d.SetFastPath(true)
-	packedLabels, packedErr, packedSec, _ := noisyEval(d, c.Test, workers)
+	packedLabels, packedErr, packedSec, _ := studyEval(d, c.Test, workers)
 	res.ColFloatErr, res.ColPackedErr = floatErr, packedErr
 	res.ColFloatSec, res.ColPackedSec = floatSec, packedSec
 	res.ColMatch = match(floatLabels, packedLabels)
@@ -116,13 +90,13 @@ func NoisyStudy(c *Context, networkID int) (*NoisyResult, error) {
 		return nil, fmt.Errorf("building per-cell noisy design: %w", err)
 	}
 	d.SetFastPath(false)
-	floatLabels, floatErr, floatSec, _ = noisyEval(d, c.Test, workers)
+	floatLabels, floatErr, floatSec, _ = studyEval(d, c.Test, workers)
 	d.SetFastPath(true)
-	packedLabels, packedErr, packedSec, draws := noisyEval(d, c.Test, workers)
+	packedLabels, packedErr, packedSec, recCell := studyEval(d, c.Test, workers)
 	res.CellFloatErr, res.CellPackedErr = floatErr, packedErr
 	res.CellFloatSec, res.CellPackedSec = floatSec, packedSec
 	res.CellMatch = match(floatLabels, packedLabels)
-	res.CellDraws = draws
+	res.CellDraws = recCell.CounterValues()[obs.SEINoiseDraws]
 	if packedSec > 0 {
 		res.CellSpeedup = floatSec / packedSec
 	}

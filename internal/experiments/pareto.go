@@ -82,7 +82,7 @@ func ParetoStudy(c *Context, networkID int, bitsList []int, sigmas []float64) ([
 		points[i] = ParetoPoint{
 			DeviceBits: bits,
 			Sigma:      sigma,
-			ErrorRate:  nn.ClassifierErrorRateObs(c.Cfg.Obs, design, test, 1),
+			ErrorRate:  nn.ErrorRate(c.Cfg.Obs, design, test, 1),
 			EnergyUJ:   energyFor[i/len(sigmas)],
 		}
 		c.Cfg.Obs.Progress("pareto points", int(done.Add(1)), len(points))

@@ -159,7 +159,7 @@ func seiError(c *Context, q *quant.QuantizedNet, maxSize int, orders [][]int, dy
 	if err != nil {
 		panic(fmt.Sprintf("experiments: building SEI design: %v", err))
 	}
-	return nn.ClassifierErrorRateObs(c.Cfg.Obs, design, c.Test, workers)
+	return nn.ErrorRate(c.Cfg.Obs, design, c.Test, workers)
 }
 
 // Table4 runs the splitting study (paper: Network 1 at 512 and 256).

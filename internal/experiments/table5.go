@@ -154,7 +154,7 @@ func (c *Context) dacadcError(id int) float64 {
 		panic(fmt.Sprintf("experiments: building DAC+ADC design: %v", err))
 	}
 	design.Instrument(c.Cfg.Obs)
-	e := nn.ClassifierErrorRateObs(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
+	e := nn.ErrorRate(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
 	c.floatErr[key] = e
 	return e
 }
@@ -171,7 +171,7 @@ func (c *Context) oneBitError(id int) float64 {
 		panic(fmt.Sprintf("experiments: building 1-bit+ADC design: %v", err))
 	}
 	design.Instrument(c.Cfg.Obs)
-	e := nn.ClassifierErrorRateObs(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
+	e := nn.ErrorRate(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
 	c.quantErr[key] = e
 	return e
 }

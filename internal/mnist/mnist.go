@@ -52,12 +52,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// Append adds all samples of o to d.
-func (d *Dataset) Append(o *Dataset) {
-	d.Images = append(d.Images, o.Images...)
-	d.Labels = append(d.Labels, o.Labels...)
-}
-
 // ClassCounts returns how many samples each label has.
 func (d *Dataset) ClassCounts() [NumClasses]int {
 	var c [NumClasses]int

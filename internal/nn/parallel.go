@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"sei/internal/mnist"
-	"sei/internal/par"
-)
+import "sei/internal/par"
 
 // ParallelClassifier is a Classifier whose evaluation can be spread
 // across goroutines: CloneForEval hands out a classifier for
@@ -41,19 +38,4 @@ func evalWorkers(c Classifier, workers int) int {
 		return 1
 	}
 	return par.Resolve(workers)
-}
-
-// ClassifierErrorRateWorkers evaluates a classifier on a dataset with
-// the given worker count (0 = all cores, 1 = the serial path). The
-// result is bit-identical for every worker count: misclassification
-// counting is order-independent and any evaluator noise is drawn from
-// per-chunk seeded streams.
-func ClassifierErrorRateWorkers(c Classifier, data *mnist.Dataset, workers int) float64 {
-	return ClassifierErrorRateObs(nil, c, data, workers)
-}
-
-// ErrorRateWorkers evaluates a float network on a dataset with the
-// given worker count (see ClassifierErrorRateWorkers).
-func ErrorRateWorkers(net *Network, data *mnist.Dataset, workers int) float64 {
-	return ClassifierErrorRateWorkers(net, data, workers)
 }

@@ -6,14 +6,7 @@ import (
 	"testing"
 
 	"sei/internal/mnist"
-	"sei/internal/tensor"
 )
-
-// outOfRange always predicts an invalid class; it is deliberately not
-// a ParallelClassifier so it also exercises the serial fallback.
-type outOfRange struct{}
-
-func (outOfRange) Predict(in *tensor.Tensor) int { return mnist.NumClasses + 3 }
 
 func trainedNet(t *testing.T) (*Network, *mnist.Dataset) {
 	t.Helper()
@@ -27,18 +20,11 @@ func trainedNet(t *testing.T) (*Network, *mnist.Dataset) {
 
 func TestErrorRateWorkersDeterministic(t *testing.T) {
 	net, data := trainedNet(t)
-	ref := ErrorRateWorkers(net, data, 1)
+	ref := ErrorRate(nil, net, data, 1)
 	for _, workers := range []int{2, 8, 0} {
-		if got := ErrorRateWorkers(net, data, workers); got != ref {
+		if got := ErrorRate(nil, net, data, workers); got != ref {
 			t.Fatalf("workers=%d: error %.6f != serial %.6f", workers, got, ref)
 		}
-	}
-	// The convenience wrappers must agree with the serial path too.
-	if got := ErrorRate(net, data); got != ref {
-		t.Fatalf("ErrorRate %.6f != serial %.6f", got, ref)
-	}
-	if got := ClassifierErrorRate(net, data); got != ref {
-		t.Fatalf("ClassifierErrorRate %.6f != serial %.6f", got, ref)
 	}
 }
 
@@ -60,69 +46,6 @@ func TestEvalCloneSharesParamsOwnsScratch(t *testing.T) {
 		if po[i] != pc[i] {
 			t.Fatalf("param %d is copied, want shared", i)
 		}
-	}
-}
-
-func TestConfusionMatrixOverflowBucket(t *testing.T) {
-	data := mnist.Synthetic(40, 2)
-	cm := ConfusionMatrix(outOfRange{}, data)
-	if len(cm) != mnist.NumClasses || len(cm[0]) != mnist.NumClasses+1 {
-		t.Fatalf("matrix shape %dx%d, want %dx%d",
-			len(cm), len(cm[0]), mnist.NumClasses, mnist.NumClasses+1)
-	}
-	total, overflow := 0, 0
-	for _, row := range cm {
-		for p, n := range row {
-			total += n
-			if p == mnist.NumClasses {
-				overflow += n
-			}
-		}
-	}
-	if total != data.Len() {
-		t.Fatalf("matrix total %d, want %d (out-of-range predictions dropped?)", total, data.Len())
-	}
-	if overflow != data.Len() {
-		t.Fatalf("overflow bucket holds %d, want all %d", overflow, data.Len())
-	}
-	// Every class with samples is 100% wrong.
-	for cls, e := range PerClassError(cm) {
-		sum := 0
-		for _, n := range cm[cls] {
-			sum += n
-		}
-		if sum > 0 && e != 1 {
-			t.Fatalf("class %d error %.2f, want 1.0", cls, e)
-		}
-	}
-	// The overflow column is not a class pair.
-	if _, pred, n := MostConfusedPair(cm); n != 0 {
-		t.Fatalf("MostConfusedPair picked overflow column (pred %d, n %d)", pred, n)
-	}
-	var buf bytes.Buffer
-	PrintConfusion(&buf, cm)
-	if !strings.Contains(buf.String(), "inv") {
-		t.Fatalf("PrintConfusion missing overflow header:\n%s", buf.String())
-	}
-}
-
-func TestConfusionMatrixMatchesErrorRateParallel(t *testing.T) {
-	net, data := trainedNet(t)
-	cm := ConfusionMatrix(net, data)
-	diag, total := 0, 0
-	for tgt, row := range cm {
-		for p, n := range row {
-			total += n
-			if p == tgt {
-				diag += n
-			}
-		}
-	}
-	if total != data.Len() {
-		t.Fatalf("total %d, want %d", total, data.Len())
-	}
-	if got, want := 1-float64(diag)/float64(total), ErrorRate(net, data); got != want {
-		t.Fatalf("matrix error %.6f, ErrorRate %.6f", got, want)
 	}
 }
 

@@ -21,6 +21,12 @@ var ErrBadInput = errors.New("nn: bad input")
 // predict path — each one is a would-have-been process death.
 const MetricPredictPanics = "predict_panics"
 
+// MetricEvalImages counts images classified by the batch predict path.
+// Per-image chunks accumulate it through a ShardedCounter merged in
+// chunk-index order, so the total — like the labels themselves — is
+// bit-identical for every worker count.
+const MetricEvalImages = "eval_images"
+
 // SlicedGroupSize is the lane width of the bit-sliced batch path: one
 // machine word holds the same activation bit for this many images, so
 // full groups of this size go through one packed forward pass.
@@ -94,29 +100,39 @@ func safePredict(c Classifier, img *tensor.Tensor, rec *obs.Recorder) (res Predi
 }
 
 // Predict classifies one image with validation and panic containment
-// (see PredictBatch for the batch form and its determinism contract).
+// (see PredictBatchObs for the batch form and its determinism
+// contract).
 func Predict(c Classifier, img *tensor.Tensor) (int, error) {
 	res := safePredict(c, img, nil)
 	return res.Label, res.Err
 }
 
-// PredictBatch classifies a batch of images on the parallel engine and
-// returns one PredictResult per image. It uses the exact chunking and
-// per-chunk noise seeding of the error-rate paths, so when imgs is a
-// dataset's image slice in dataset order, the labels are bit-identical
-// to what ClassifierErrorRate counted — for every worker count and
-// batch size. Malformed images and recovered evaluator panics produce
-// per-image ErrBadInput errors; valid neighbours in the same batch are
-// unaffected.
-func PredictBatch(c Classifier, imgs []*tensor.Tensor, workers int) []PredictResult {
-	return PredictBatchObs(nil, c, imgs, workers)
-}
-
-// PredictBatchObs is PredictBatch with instrumentation: engine
-// scheduling counters, the eval_images sharded counter, and
-// predict_panics on rec. A nil rec records nothing.
+// PredictBatchObs classifies a batch of images on the parallel engine
+// and returns one PredictResult per image. Chunk boundaries, per-chunk
+// noise seeds and sliced groups depend only on len(imgs), so labels
+// are bit-identical for every worker count — the contract ErrorRate
+// and the serving path share. Malformed images and
+// recovered evaluator panics produce per-image ErrBadInput errors;
+// valid neighbours in the same batch are unaffected. rec gets engine
+// scheduling counters, eval_images and predict_panics; a nil rec
+// records nothing.
 func PredictBatchObs(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, workers int) []PredictResult {
 	return PredictBatchInto(rec, c, imgs, workers, nil)
+}
+
+// ErrorRate returns the fraction of data's images c misclassifies: a
+// fold over PredictBatchObs's labels, so every error rate takes the
+// served path and is bit-identical for every worker count (0 = all
+// cores, 1 = the serial path). An image that fails validation or
+// panics the evaluator counts as wrong.
+func ErrorRate(rec *obs.Recorder, c Classifier, data *mnist.Dataset, workers int) float64 {
+	wrong := 0
+	for i, r := range PredictBatchObs(rec, c, data.Images, workers) {
+		if r.Label != data.Labels[i] {
+			wrong++
+		}
+	}
+	return float64(wrong) / float64(data.Len())
 }
 
 // PredictBatchInto is PredictBatchObs writing its results into dst,

@@ -59,7 +59,7 @@ func TestPredictBatchMatchesErrorRatePredictions(t *testing.T) {
 	data := mnist.Synthetic(120, 3)
 	net := NewTableNetwork(1, 2)
 	for _, workers := range []int{1, 2, 8} {
-		res := PredictBatch(net, data.Images, workers)
+		res := PredictBatchObs(nil, net, data.Images, workers)
 		if len(res) != data.Len() {
 			t.Fatalf("got %d results for %d images", len(res), data.Len())
 		}
@@ -75,8 +75,30 @@ func TestPredictBatchMatchesErrorRatePredictions(t *testing.T) {
 				wrong++
 			}
 		}
-		if got := float64(wrong) / float64(data.Len()); got != ClassifierErrorRateWorkers(net, data, workers) {
+		if got := float64(wrong) / float64(data.Len()); got != ErrorRate(nil, net, data, workers) {
 			t.Fatalf("workers=%d: batch error rate %v disagrees with offline evaluation", workers, got)
+		}
+	}
+}
+
+// TestErrorRateCountsBadImageWrong: an image the predict path rejects
+// (here a NaN pixel) counts as a misclassification instead of
+// panicking the evaluation.
+func TestErrorRateCountsBadImageWrong(t *testing.T) {
+	data := mnist.Synthetic(40, 4)
+	net := NewTableNetwork(2, 2)
+	bad := data.Images[9].Clone()
+	bad.Data()[100] = math.NaN()
+	data.Images[9] = bad
+	wrong := 1
+	for i, img := range data.Images {
+		if i != 9 && net.Predict(img) != data.Labels[i] {
+			wrong++
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		if got, want := ErrorRate(nil, net, data, workers), float64(wrong)/float64(data.Len()); got != want {
+			t.Fatalf("workers=%d: ErrorRate %v, want %v (NaN image counted wrong)", workers, got, want)
 		}
 	}
 }

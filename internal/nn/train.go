@@ -106,7 +106,7 @@ func Train(net *Network, data *mnist.Dataset, cfg TrainConfig) float64 {
 				net.Name, epoch+1, cfg.Epochs, lastEpochLoss, lr)
 		}
 		if cfg.Val != nil && cfg.Val.Len() > 0 {
-			valErr := ErrorRateObs(cfg.Obs, net, cfg.Val, cfg.Workers)
+			valErr := ErrorRate(cfg.Obs, net, cfg.Val, cfg.Workers)
 			if cfg.Log != nil {
 				fmt.Fprintf(cfg.Log, "nn: %s epoch %d/%d val error %.2f%%\n",
 					net.Name, epoch+1, cfg.Epochs, 100*valErr)
@@ -119,22 +119,8 @@ func Train(net *Network, data *mnist.Dataset, cfg TrainConfig) float64 {
 	return lastEpochLoss
 }
 
-// ErrorRate returns the fraction of misclassified samples in [0,1].
-// It runs on the parallel engine with all cores; the result is
-// bit-identical to the serial path (see ClassifierErrorRateWorkers).
-func ErrorRate(net *Network, data *mnist.Dataset) float64 {
-	return ErrorRateWorkers(net, data, 0)
-}
-
 // Classifier is anything that maps an image to a class. The quantized
 // and hardware-mapped networks implement it alongside *Network.
 type Classifier interface {
 	Predict(in *tensor.Tensor) int
-}
-
-// ClassifierErrorRate evaluates any Classifier on a dataset. When the
-// classifier supports ParallelClassifier the evaluation fans out over
-// all cores; plain classifiers are evaluated serially.
-func ClassifierErrorRate(c Classifier, data *mnist.Dataset) float64 {
-	return ClassifierErrorRateWorkers(c, data, 0)
 }

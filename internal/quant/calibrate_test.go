@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sei/internal/mnist"
+	"sei/internal/nn"
 	"sei/internal/tensor"
 )
 
@@ -45,11 +46,11 @@ func quantizedFixture(t *testing.T) (*QuantizedNet, *mnist.Dataset, *mnist.Datas
 
 func TestRecalibrateFCImprovesOrHolds(t *testing.T) {
 	q, train, test := quantizedFixture(t)
-	before := q.ErrorRate(test)
+	before := nn.ErrorRate(nil, q, test, 0)
 	if err := RecalibrateFC(q, train, DefaultRecalibrateConfig()); err != nil {
 		t.Fatal(err)
 	}
-	after := q.ErrorRate(test)
+	after := nn.ErrorRate(nil, q, test, 0)
 	t.Logf("recalibrate: %.4f -> %.4f", before, after)
 	if after > before+0.03 {
 		t.Fatalf("recalibration degraded error: %.4f -> %.4f", before, after)

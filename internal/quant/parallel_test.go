@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sei/internal/mnist"
+	"sei/internal/nn"
 )
 
 // searchedNet returns a freshly extracted+searched quantized net for
@@ -60,14 +61,11 @@ func TestErrorRateWorkersInvariant(t *testing.T) {
 	train := mnist.Synthetic(300, 5)
 	test := mnist.Synthetic(200, 6)
 	q, _ := searchedNet(t, train, 0)
-	ref := q.ErrorRateWorkers(test, 1)
+	ref := nn.ErrorRate(nil, q, test, 1)
 	for _, workers := range []int{2, 8, 0} {
-		if got := q.ErrorRateWorkers(test, workers); got != ref {
+		if got := nn.ErrorRate(nil, q, test, workers); got != ref {
 			t.Fatalf("workers=%d: error %.6f != serial %.6f", workers, got, ref)
 		}
-	}
-	if got := q.ErrorRate(test); got != ref {
-		t.Fatalf("ErrorRate %.6f != serial %.6f", got, ref)
 	}
 }
 

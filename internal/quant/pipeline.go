@@ -3,7 +3,6 @@ package quant
 import (
 	"sei/internal/mnist"
 	"sei/internal/nn"
-	"sei/internal/obs"
 )
 
 // QuantizeNetwork is the end-to-end Section-3 pipeline: extract the
@@ -21,29 +20,4 @@ func QuantizeNetwork(net *nn.Network, train *mnist.Dataset, inShape []int, cfg S
 		return nil, nil, err
 	}
 	return q, report, nil
-}
-
-// ErrorRate evaluates the exact digital binarized network on a
-// dataset, returning the misclassification fraction — the "After
-// Quantization" rows of Table 3. It runs on the parallel engine with
-// all cores; see ErrorRateWorkers.
-func (q *QuantizedNet) ErrorRate(data *mnist.Dataset) float64 {
-	return q.ErrorRateWorkers(data, 0)
-}
-
-// ErrorRateWorkers evaluates the digital binarized network with the
-// given worker count (0 = all cores, 1 = the serial path). The digital
-// pipeline is deterministic and misclassification counting is
-// order-independent, so the result is bit-identical for every worker
-// count.
-func (q *QuantizedNet) ErrorRateWorkers(data *mnist.Dataset, workers int) float64 {
-	return nn.ClassifierErrorRateWorkers(q, data, workers)
-}
-
-// ErrorRateObs evaluates the digital binarized network with
-// instrumentation: eval_images and engine scheduling counters on rec
-// (see nn.ClassifierErrorRateObs). rec does not re-route the net's
-// hardware counters — pair with Instrument for those.
-func (q *QuantizedNet) ErrorRateObs(rec *obs.Recorder, data *mnist.Dataset, workers int) float64 {
-	return nn.ClassifierErrorRateObs(rec, q, data, workers)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sei/internal/mnist"
@@ -211,8 +212,8 @@ func TestQuantizedAccuracyCloseToFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floatErr := nn.ErrorRate(net, test)
-	quantErr := q.ErrorRate(test)
+	floatErr := nn.ErrorRate(nil, net, test, 0)
+	quantErr := nn.ErrorRate(nil, q, test, 0)
 	t.Logf("float err %.4f, quantized err %.4f", floatErr, quantErr)
 	if quantErr > floatErr+0.10 {
 		t.Fatalf("quantization degraded error %.3f → %.3f (> +10pp)", floatErr, quantErr)
@@ -294,52 +295,99 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsInconsistentGeometry pins the snapshot checks that run
-// before any tensor is built: each corruption decodes cleanly, and
-// would otherwise panic in tensor.FromSlice or leave a net whose
-// stages do not chain.
-func TestLoadRejectsInconsistentGeometry(t *testing.T) {
-	q, _ := Extract(nn.NewTableNetwork(2, 1), []int{1, 28, 28})
+// snapshotCorruptions each decode cleanly and would otherwise panic in
+// tensor.FromSlice or leave a net whose stages do not chain; only
+// "intact" may load.
+var snapshotCorruptions = []struct {
+	name    string
+	corrupt func(*quantSnapshot)
+}{
+	{"intact", func(*quantSnapshot) {}},
+	{"kernel-data-short", func(s *quantSnapshot) { s.Convs[0].Data = s.Convs[0].Data[1:] }},
+	{"kernel-zero-dim", func(s *quantSnapshot) { s.Convs[1].Shape[0] = 0 }},
+	{"kernel-overflowing-dims", func(s *quantSnapshot) {
+		s.Convs[0].Shape = []int{1 << 62, 1 << 2, 1, len(s.Convs[0].Data)}
+	}},
+	{"channels-mismatch", func(s *quantSnapshot) { s.InShape[0] = 2 }},
+	{"kernel-larger-than-map", func(s *quantSnapshot) { s.InShape[1] = 2 }},
+	{"stride-zero", func(s *quantSnapshot) { s.Convs[0].Stride = 0 }},
+	{"pool-empties-map", func(s *quantSnapshot) { s.Convs[1].PoolSize = 100 }},
+	{"fc-fan-in-mismatch", func(s *quantSnapshot) { s.InShape[2] = 40 }},
+	{"fc-bias-short", func(s *quantSnapshot) { s.FCBias = s.FCBias[1:] }},
+	{"thresholds-short", func(s *quantSnapshot) { s.Thresholds = s.Thresholds[1:] }},
+	{"no-conv-stages", func(s *quantSnapshot) { s.Convs, s.Thresholds = nil, nil }},
+}
+
+// savedNet2 returns the snapshot bytes of an untrained, extracted
+// Network 2.
+func savedNet2(tb testing.TB) []byte {
+	tb.Helper()
+	q, err := Extract(nn.NewTableNetwork(2, 1), []int{1, 28, 28})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := q.Save(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	cases := []struct {
-		name    string
-		corrupt func(*quantSnapshot)
-	}{
-		{"intact", func(*quantSnapshot) {}},
-		{"kernel-data-short", func(s *quantSnapshot) { s.Convs[0].Data = s.Convs[0].Data[1:] }},
-		{"kernel-zero-dim", func(s *quantSnapshot) { s.Convs[1].Shape[0] = 0 }},
-		{"kernel-overflowing-dims", func(s *quantSnapshot) {
-			s.Convs[0].Shape = []int{1 << 62, 1 << 2, 1, len(s.Convs[0].Data)}
-		}},
-		{"channels-mismatch", func(s *quantSnapshot) { s.InShape[0] = 2 }},
-		{"kernel-larger-than-map", func(s *quantSnapshot) { s.InShape[1] = 2 }},
-		{"stride-zero", func(s *quantSnapshot) { s.Convs[0].Stride = 0 }},
-		{"pool-empties-map", func(s *quantSnapshot) { s.Convs[1].PoolSize = 100 }},
-		{"fc-fan-in-mismatch", func(s *quantSnapshot) { s.InShape[2] = 40 }},
-		{"fc-bias-short", func(s *quantSnapshot) { s.FCBias = s.FCBias[1:] }},
-		{"thresholds-short", func(s *quantSnapshot) { s.Thresholds = s.Thresholds[1:] }},
-		{"no-conv-stages", func(s *quantSnapshot) { s.Convs, s.Thresholds = nil, nil }},
+	return buf.Bytes()
+}
+
+// corruptQuantSnapshot re-encodes the saved snapshot data after corrupt.
+func corruptQuantSnapshot(tb testing.TB, data []byte, corrupt func(*quantSnapshot)) []byte {
+	tb.Helper()
+	var snap quantSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		tb.Fatal(err)
 	}
-	for _, tc := range cases {
+	corrupt(&snap)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestLoadRejectsInconsistentGeometry pins the snapshot checks that run
+// before any tensor is built.
+func TestLoadRejectsInconsistentGeometry(t *testing.T) {
+	saved := savedNet2(t)
+	for _, tc := range snapshotCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			var snap quantSnapshot
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(&snap)
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(snap); err != nil {
-				t.Fatal(err)
-			}
-			_, err := Load(&out)
+			_, err := Load(bytes.NewReader(corruptQuantSnapshot(t, saved, tc.corrupt)))
 			if (err == nil) != (tc.name == "intact") {
 				t.Fatalf("Load error %v", err)
 			}
 		})
 	}
+}
+
+// FuzzLoadQuantized pins Load's contract on arbitrary input: it either
+// returns an error, or a net whose Predict classifies a valid 28×28
+// image into one of its FC outputs without panicking. The seed corpus
+// is a saved Network 2 plus the corruptions above; plain go test runs
+// only the corpus.
+func FuzzLoadQuantized(f *testing.F) {
+	saved := savedNet2(f)
+	for _, tc := range snapshotCorruptions {
+		f.Add(corruptQuantSnapshot(f, saved, tc.corrupt))
+	}
+	img := tensor.New(1, 28, 28)
+	for i := range img.Data() {
+		img.Data()[i] = float64(i%7) / 6
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !slices.Equal(q.InShape, img.Shape()) {
+			return // a net for another input shape has no 28×28 image to classify
+		}
+		if label, outs := q.Predict(img), len(q.FC.B); label < 0 || label >= outs {
+			t.Fatalf("Predict returned label %d outside [0,%d)", label, outs)
+		}
+	})
 }
 
 func TestSaveLoadFile(t *testing.T) {

@@ -18,7 +18,7 @@ func TestPipelineGeneralizesToDeeperNetwork(t *testing.T) {
 	net := nn.NewDeepNetwork(17)
 	cfg := nn.DefaultTrainConfig()
 	nn.Train(net, train, cfg)
-	floatErr := nn.ErrorRate(net, test)
+	floatErr := nn.ErrorRate(nil, net, test, 0)
 	if floatErr > 0.30 {
 		t.Fatalf("deep network failed to train: %.4f", floatErr)
 	}
@@ -39,7 +39,7 @@ func TestPipelineGeneralizesToDeeperNetwork(t *testing.T) {
 	if err := quant.RecalibrateFC(q, train, quant.DefaultRecalibrateConfig()); err != nil {
 		t.Fatal(err)
 	}
-	quantErr := q.ErrorRate(test)
+	quantErr := nn.ErrorRate(nil, q, test, 0)
 
 	bcfg := DefaultSEIBuildConfig()
 	bcfg.Layer.Model = rram.DefaultDeviceModel()
@@ -50,7 +50,7 @@ func TestPipelineGeneralizesToDeeperNetwork(t *testing.T) {
 	if len(design.Convs) != 2 { // stages 1 and 2 are SEI; stage 0 is the input layer
 		t.Fatalf("SEI conv stages %d, want 2", len(design.Convs))
 	}
-	seiErr := nn.ClassifierErrorRate(design, test)
+	seiErr := nn.ErrorRate(nil, design, test, 0)
 	t.Logf("deep network: float %.4f quant %.4f sei %.4f", floatErr, quantErr, seiErr)
 	// conv3 splits (576 physical rows) in natural order here, which
 	// costs accuracy by design — homogenization, tested in package

@@ -55,8 +55,8 @@ func TestBuildSEIIdealMatchesDigital(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := f.test.Subset(120)
-	digitalErr := f.q.ErrorRate(sub)
-	seiErr := nn.ClassifierErrorRate(design, sub)
+	digitalErr := nn.ErrorRate(nil, f.q, sub, 0)
+	seiErr := nn.ErrorRate(nil, design, sub, 0)
 	t.Logf("digital %.4f sei %.4f", digitalErr, seiErr)
 	if diff := seiErr - digitalErr; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("ideal SEI error %.4f diverges from digital %.4f", seiErr, digitalErr)
@@ -91,8 +91,8 @@ func TestBuildOneBitADCMatchesDigital(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := f.test.Subset(120)
-	digitalErr := f.q.ErrorRate(sub)
-	hwErr := nn.ClassifierErrorRate(design, sub)
+	digitalErr := nn.ErrorRate(nil, f.q, sub, 0)
+	hwErr := nn.ErrorRate(nil, design, sub, 0)
 	if diff := hwErr - digitalErr; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("1-bit+ADC error %.4f diverges from digital %.4f", hwErr, digitalErr)
 	}
@@ -105,8 +105,8 @@ func TestBuildDACADCMatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := f.test.Subset(120)
-	floatErr := nn.ErrorRate(f.net, sub)
-	hwErr := nn.ClassifierErrorRate(design, sub)
+	floatErr := nn.ErrorRate(nil, f.net, sub, 0)
+	hwErr := nn.ErrorRate(nil, design, sub, 0)
 	t.Logf("float %.4f dacadc %.4f", floatErr, hwErr)
 	if diff := hwErr - floatErr; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("DAC+ADC error %.4f diverges from float %.4f", hwErr, floatErr)
@@ -121,8 +121,8 @@ func TestDeviceVariationDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := f.test.Subset(120)
-	digitalErr := f.q.ErrorRate(sub)
-	hwErr := nn.ClassifierErrorRate(design, sub)
+	digitalErr := nn.ErrorRate(nil, f.q, sub, 0)
+	hwErr := nn.ErrorRate(nil, design, sub, 0)
 	if hwErr > digitalErr+0.10 {
 		t.Fatalf("mild variation exploded error: %.4f vs %.4f", hwErr, digitalErr)
 	}
@@ -155,9 +155,9 @@ func TestBuildSEIWithDynamicThresholdEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := f.test.Subset(120)
-	digitalErr := f.q.ErrorRate(sub)
-	staticErr := nn.ClassifierErrorRate(static, sub)
-	dynErr := nn.ClassifierErrorRate(design, sub)
+	digitalErr := nn.ErrorRate(nil, f.q, sub, 0)
+	staticErr := nn.ErrorRate(nil, static, sub, 0)
+	dynErr := nn.ErrorRate(nil, design, sub, 0)
 	t.Logf("digital %.4f static-split %.4f dynamic-split %.4f", digitalErr, staticErr, dynErr)
 	if dynErr > staticErr+0.03 {
 		t.Fatalf("dynamic threshold made splitting worse: %.4f vs static %.4f", dynErr, staticErr)

@@ -244,7 +244,7 @@ func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 	// snapshotting the current γ/D), so samples fan out safely.
 	accuracy := func() float64 {
 		cfg.Obs.Counter("sei_calib_candidates").Add(1)
-		return 1 - nn.ClassifierErrorRateObs(cfg.Obs, d, data, cfg.Workers)
+		return 1 - nn.ErrorRate(cfg.Obs, d, data, cfg.Workers)
 	}
 	for li, layer := range d.Convs {
 		stage := li + 1 // conv stage index in the quantized net

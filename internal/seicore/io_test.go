@@ -72,9 +72,9 @@ func TestDesignSaveLoadNoisyModelDeterministicEval(t *testing.T) {
 	// so saved and loaded noisy designs agree bit-identically for every
 	// worker count despite their different base seeds.
 	sub := f.test.Subset(120)
-	want := nn.ClassifierErrorRateWorkers(design, sub, 1)
+	want := nn.ErrorRate(nil, design, sub, 1)
 	for _, workers := range []int{1, 4} {
-		if got := nn.ClassifierErrorRateWorkers(loaded, sub, workers); got != want {
+		if got := nn.ErrorRate(nil, loaded, sub, workers); got != want {
 			t.Fatalf("workers=%d: loaded noisy design error %v, want %v", workers, got, want)
 		}
 	}

@@ -26,7 +26,7 @@ func TestNonlinearityHurtsAnalogMoreThanBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nn.ClassifierErrorRate(dac, sub), nn.ClassifierErrorRate(onebit, sub)
+		return nn.ErrorRate(nil, dac, sub, 0), nn.ErrorRate(nil, onebit, sub, 0)
 	}
 
 	aLin, bLin := run(0)
@@ -54,7 +54,7 @@ func TestStuckFaultsDegradeGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nn.ClassifierErrorRate(d, sub)
+		return nn.ErrorRate(nil, d, sub, 0)
 	}
 	clean := errAt(0)
 	mild := errAt(0.001)
@@ -81,7 +81,7 @@ func TestReadNoiseDegradesMonotonically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nn.ClassifierErrorRate(d, sub)
+		return nn.ErrorRate(nil, d, sub, 0)
 	}
 	clean := errAt(0)
 	noisy := errAt(0.5)
@@ -104,7 +104,7 @@ func TestIRDropDegradesSplitLayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return nn.ClassifierErrorRate(d, sub)
+		return nn.ErrorRate(nil, d, sub, 0)
 	}
 	clean := errAt(0)
 	dropped := errAt(0.9)

@@ -69,9 +69,9 @@ func TestNoisyEvalWorkerCountInvariant(t *testing.T) {
 	f := getFixture(t)
 	d := buildCalibrated(t, 0, 0.03)
 	sub := f.test.Subset(96)
-	ref := nn.ClassifierErrorRateWorkers(d, sub, 1)
+	ref := nn.ErrorRate(nil, d, sub, 1)
 	for _, workers := range []int{2, 8, 0} {
-		if got := nn.ClassifierErrorRateWorkers(d, sub, workers); got != ref {
+		if got := nn.ErrorRate(nil, d, sub, workers); got != ref {
 			t.Fatalf("workers=%d: noisy error %.6f != serial %.6f", workers, got, ref)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -203,6 +204,64 @@ func TestSlicedZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() { d.PredictBatchSliced(imgs, out) }); avg != 0 {
 		t.Errorf("sliced batch allocates %.1f objects per pass, want 0", avg)
+	}
+}
+
+// TestErrorRateTakesSlicedPath pins nn.ErrorRate to the served path:
+// on an ideal design 130 images run as two sliced 64-image groups plus
+// a per-image tail, and the error rate and every counter except the
+// scheduling and sliced-dispatch ones equal the float path's, at every
+// worker count.
+func TestErrorRateTakesSlicedPath(t *testing.T) {
+	f := getFixture(t)
+	cfg := DefaultSEIBuildConfig()
+	cfg.DynamicThreshold = false
+	d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.SlicedBatchEligible() {
+		t.Fatal("ideal design not sliced-eligible")
+	}
+	sub := f.test.Subset(130)
+	run := func(fast bool, workers int) (float64, map[string]int64) {
+		rec := obs.New()
+		d.Instrument(rec)
+		d.Q.Instrument(rec)
+		d.SetFastPath(fast)
+		defer func() {
+			d.Instrument(nil)
+			d.Q.Instrument(nil)
+			d.SetFastPath(true)
+		}()
+		return nn.ErrorRate(rec, d, sub, workers), rec.CounterValues()
+	}
+	comparable := func(all map[string]int64) map[string]int64 {
+		out := map[string]int64{}
+		for k, v := range all {
+			if !strings.HasPrefix(k, "par_") && !strings.HasPrefix(k, "predict_sliced_") {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	for _, workers := range []int{1, 2} {
+		slicedErr, got := run(true, workers)
+		if got[nn.MetricSlicedGroups] != 2 || got[nn.MetricEvalImages] != 130 {
+			t.Fatalf("workers=%d: %s=%d %s=%d, want 2 and 130", workers,
+				nn.MetricSlicedGroups, got[nn.MetricSlicedGroups], nn.MetricEvalImages, got[nn.MetricEvalImages])
+		}
+		if got[obs.HWSAComparisons] == 0 {
+			t.Fatalf("workers=%d: no hardware counters recorded", workers)
+		}
+		floatErr, want := run(false, workers)
+		if slicedErr != floatErr {
+			t.Fatalf("workers=%d: sliced error rate %v, float path %v", workers, slicedErr, floatErr)
+		}
+		if !reflect.DeepEqual(comparable(got), comparable(want)) {
+			t.Fatalf("workers=%d: counters diverge from the float path:\n got  %v\n want %v",
+				workers, comparable(got), comparable(want))
+		}
 	}
 }
 

@@ -151,10 +151,6 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 // reporting; inherently racy).
 func (b *Batcher) QueueDepth() int { return len(b.queue) }
 
-// Config returns the batcher's effective configuration (defaults and
-// any pool override applied).
-func (b *Batcher) Config() BatcherConfig { return b.cfg }
-
 // Draining reports whether Close has begun.
 func (b *Batcher) Draining() bool {
 	b.mu.Lock()

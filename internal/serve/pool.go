@@ -22,13 +22,8 @@ type Pool struct {
 
 	byName atomic.Pointer[map[string]*Batcher]
 
-	mu     sync.Mutex // serializes create/remove/close and overrides
+	mu     sync.Mutex // serializes create/remove/close
 	closed bool
-	// overrides holds per-design batcher configs set with Override:
-	// name → partial config merged over cfg when name's batcher is
-	// created. Guarded by mu — overrides are consulted only on the
-	// (locked) create path, never per request.
-	overrides map[string]BatcherConfig
 }
 
 // NewPool validates the shared per-design batcher config and returns
@@ -69,60 +64,12 @@ func (p *Pool) For(name string) (*Batcher, error) {
 	if b, ok := (*p.byName.Load())[name]; ok {
 		return b, nil
 	}
-	b, err := NewBatcher(p.configFor(name))
+	b, err := NewBatcher(p.cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.store(func(m map[string]*Batcher) { m[name] = b })
 	return b, nil
-}
-
-// Override pins a per-design batcher config for name: a hot design can
-// run a deeper queue or larger batches without changing every other
-// design's batcher. Zero fields (and a nil Obs) inherit the pool
-// config, so an override states only what differs. It applies when
-// name's batcher is created — on first use, or on the next use after
-// Remove — so an override set before traffic arrives, or re-applied
-// around a teardown, takes effect without restarting the pool;
-// overrides themselves persist across Remove (and thus across design
-// reload/unregister cycles).
-func (p *Pool) Override(name string, cfg BatcherConfig) error {
-	if err := par.Validate(cfg.Workers); err != nil {
-		return fmt.Errorf("serve: override %q: %w", name, err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.overrides == nil {
-		p.overrides = map[string]BatcherConfig{}
-	}
-	p.overrides[name] = cfg
-	return nil
-}
-
-// configFor merges name's override over the pool config. Callers hold
-// p.mu.
-func (p *Pool) configFor(name string) BatcherConfig {
-	cfg := p.cfg
-	ov, ok := p.overrides[name]
-	if !ok {
-		return cfg
-	}
-	if ov.MaxBatch > 0 {
-		cfg.MaxBatch = ov.MaxBatch
-	}
-	if ov.MaxDelay > 0 {
-		cfg.MaxDelay = ov.MaxDelay
-	}
-	if ov.QueueCap > 0 {
-		cfg.QueueCap = ov.QueueCap
-	}
-	if ov.Workers != 0 {
-		cfg.Workers = ov.Workers
-	}
-	if ov.Obs != nil {
-		cfg.Obs = ov.Obs
-	}
-	return cfg
 }
 
 // store publishes a mutated copy of the batcher map. Callers hold p.mu.

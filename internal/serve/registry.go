@@ -4,7 +4,7 @@
 // deterministic parallel engine, and an HTTP front end with panic
 // containment, backpressure, deadline-aware admission, live generation
 // reload and graceful drain. Results are bit-identical to the offline
-// evaluation path (nn.PredictBatch / EvaluateDesign) per generation,
+// evaluation path (nn.PredictBatchObs / EvaluateDesign) per generation,
 // for any batch composition and worker count.
 package serve
 
@@ -14,11 +14,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/seicore"
 )
@@ -175,14 +177,26 @@ func NewRegistry(dir string, seed int64) *Registry {
 		dir:    dir,
 		seed:   seed,
 		retain: DefaultRetain,
-		loadFn: func(path string, seed int64) (nn.Classifier, error) {
-			return seicore.LoadDesignFile(path, seed)
-		},
+		loadFn: loadDesignFile,
 		flight: map[string]*flightCall{},
 	}
 	s := snapshot{}
 	r.snap.Store(&s)
 	return r
+}
+
+// loadDesignFile decodes one snapshot file and refuses a design built
+// for another input shape: the predict path validates every image as
+// [1, 28, 28], so such a design could only ever answer with panics.
+func loadDesignFile(path string, seed int64) (nn.Classifier, error) {
+	d, err := seicore.LoadDesignFile(path, seed)
+	if err != nil {
+		return nil, err
+	}
+	if want := []int{1, mnist.Side, mnist.Side}; !slices.Equal(d.Q.InShape, want) {
+		return nil, fmt.Errorf("design input shape %v, want %v", d.Q.InShape, want)
+	}
+	return d, nil
 }
 
 // swap applies mutate to a copy of the current snapshot and publishes

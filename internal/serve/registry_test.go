@@ -4,16 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/obs"
+	"sei/internal/quant"
+	"sei/internal/seicore"
 	"sei/internal/tensor"
 )
 
@@ -318,5 +323,58 @@ func TestInFlightBatchDrainsOnOldGeneration(t *testing.T) {
 	}
 	if got := rec.CounterValues()[MetricCanceled]; got != 0 {
 		t.Fatalf("serve_canceled = %d, want 0 (swap dropped an in-flight request)", got)
+	}
+}
+
+// TestRegistryRejectsOtherInputShape: a snapshot built for a 20×20
+// input must fail to load — on cold load and on Reload — with an error
+// naming the shape, instead of publishing a design whose every
+// request would end in a recovered panic.
+func TestRegistryRejectsOtherInputShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data() {
+			w.Data()[i] = rng.NormFloat64()
+		}
+		return w
+	}
+	q := &quant.QuantizedNet{
+		Convs: []quant.ConvSpec{
+			{W: random(2, 1, 5, 5), Stride: 1, PoolSize: 4}, // 20 → 16 → 4
+			{W: random(3, 2, 3, 3), Stride: 1, PoolSize: 2}, // 4 → 2 → 1
+		},
+		FC:         quant.FCSpec{W: random(4, 3), B: make([]float64, 4)},
+		Thresholds: []float64{0.5, 0.5},
+		InShape:    []int{1, 20, 20},
+	}
+	cfg := seicore.DefaultSEIBuildConfig()
+	cfg.DynamicThreshold = false
+	d, err := seicore.BuildSEI(q, nil, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := d.SaveFile(filepath.Join(dir, "small"+DesignExt)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(dir, 1)
+	if _, err := reg.Get("small"); err == nil || !strings.Contains(err.Error(), "[1 20 20]") {
+		t.Fatalf("cold load error = %v, want one naming shape [1 20 20]", err)
+	}
+	if _, err := reg.Reload("small", 1); err == nil || !strings.Contains(err.Error(), "[1 20 20]") {
+		t.Fatalf("reload error = %v, want one naming shape [1 20 20]", err)
+	}
+	rec := obs.New()
+	ts, _ := newTestServer(t, reg, BatcherConfig{Workers: 1, Obs: rec}, Options{Obs: rec})
+	status, _, err := doPredict(ts.URL, "small", []*tensor.Tensor{tensor.New(1, mnist.Side, mnist.Side)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusInternalServerError {
+		t.Fatalf("predict on a refused design: status %d, want 500", status)
+	}
+	if got := rec.CounterValues()[nn.MetricPredictPanics]; got != 0 {
+		t.Fatalf("predict_panics = %d, want 0", got)
 	}
 }

@@ -371,53 +371,3 @@ func TestPoolShardsPerDesign(t *testing.T) {
 		t.Fatalf("post-close For error = %v, want ErrDraining", err)
 	}
 }
-
-// TestPoolPerDesignOverride pins the override contract: a per-design
-// config applies on the design's first use, unset fields inherit the
-// pool config, other designs are untouched, and the override survives
-// the Remove+recreate cycle a design reload/unregister performs.
-func TestPoolPerDesignOverride(t *testing.T) {
-	p, err := NewPool(BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond, QueueCap: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.Override("hot", BatcherConfig{MaxBatch: 32, QueueCap: 512}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Override("bad", BatcherConfig{Workers: -1}); err == nil {
-		t.Fatal("override with invalid workers accepted")
-	}
-	hot, err := p.For("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hot.Config()
-	if cfg.MaxBatch != 32 || cfg.QueueCap != 512 {
-		t.Fatalf("override not applied on first use: got MaxBatch=%d QueueCap=%d, want 32/512", cfg.MaxBatch, cfg.QueueCap)
-	}
-	// Unset override fields inherit the pool config.
-	if cfg.MaxDelay != time.Millisecond || cfg.Workers != 1 {
-		t.Fatalf("unset fields did not inherit pool config: MaxDelay=%v Workers=%d", cfg.MaxDelay, cfg.Workers)
-	}
-	cold, err := p.For("cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cold.Config().MaxBatch; got != 2 {
-		t.Fatalf("override leaked onto another design: MaxBatch=%d, want 2", got)
-	}
-	// Reload/unregister tears the batcher down via Remove; the next use
-	// builds a fresh one that must still carry the override.
-	p.Remove("hot")
-	hot2, err := p.For("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hot2 == hot {
-		t.Fatal("Remove did not retire the batcher")
-	}
-	if got := hot2.Config().MaxBatch; got != 32 {
-		t.Fatalf("override lost across Remove/recreate: MaxBatch=%d, want 32", got)
-	}
-}

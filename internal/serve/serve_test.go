@@ -143,7 +143,7 @@ func TestServeConcurrentPredictsBitIdenticalToOffline(t *testing.T) {
 
 	// The offline truth: the engine's batch path, which is itself
 	// bit-identical to EvaluateDesign (see nn and facade tests).
-	offline := nn.PredictBatch(f.net, f.data.Images, 1)
+	offline := nn.PredictBatchObs(nil, f.net, f.data.Images, 1)
 
 	// Hammer the server from many goroutines with differently sized
 	// slices of the dataset so the batcher coalesces across requests.

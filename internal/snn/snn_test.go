@@ -109,7 +109,7 @@ func TestMoreTimestepsHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analog := q.ErrorRate(sub)
+	analog := nn.ErrorRate(nil, q, sub, 0)
 	t.Logf("analog %.4f, 1 step %.4f, 16 steps %.4f", analog, curve[0], curve[1])
 	if curve[1] > curve[0]+0.02 {
 		t.Fatalf("16 timesteps (%.4f) worse than 1 (%.4f)", curve[1], curve[0])

@@ -124,7 +124,7 @@ func TrainTableNetworkObs(rec *Recorder, id int, train *Dataset, epochs int, see
 }
 
 // EvaluateNetwork returns the float network's test error rate.
-func EvaluateNetwork(net *Network, test *Dataset) float64 { return nn.ErrorRate(net, test) }
+func EvaluateNetwork(net *Network, test *Dataset) float64 { return nn.ErrorRate(nil, net, test, 0) }
 
 // Quantize runs Algorithm 1 (weight re-scaling plus greedy threshold
 // search) on a trained network, then the FC-recalibration and
@@ -172,7 +172,7 @@ func quantizeObs(rec *obs.Recorder, net *Network, train *Dataset, workers int) (
 
 // EvaluateQuantized returns the digital binarized network's test error
 // rate.
-func EvaluateQuantized(q *QuantizedNet, test *Dataset) float64 { return q.ErrorRate(test) }
+func EvaluateQuantized(q *QuantizedNet, test *Dataset) float64 { return nn.ErrorRate(nil, q, test, 0) }
 
 // BuildSEIDesign maps the quantized network onto SEI crossbars with
 // the default device (4-bit, mild variation), 512×512 crossbars,
@@ -215,7 +215,7 @@ type PredictResult = nn.PredictResult
 
 // EvaluateDesign returns any classifier's test error rate.
 func EvaluateDesign(d Classifier, test *Dataset) float64 {
-	return nn.ClassifierErrorRate(d, test)
+	return nn.ErrorRate(nil, d, test, 0)
 }
 
 // EvaluateDesignObs is EvaluateDesign with instrumentation: engine
@@ -231,7 +231,7 @@ func EvaluateDesignObs(rec *Recorder, d Classifier, test *Dataset, workers int) 
 			ins.Instrument(rec)
 		}
 	}
-	return nn.ClassifierErrorRateObs(rec, d, test, workers)
+	return nn.ErrorRate(rec, d, test, workers)
 }
 
 // DefaultPowerLibrary returns the calibrated component energy/area
@@ -275,7 +275,7 @@ func PredictBatch(d Classifier, imgs []*Image, workers int) ([]PredictResult, er
 	if err := par.Validate(workers); err != nil {
 		return nil, fmt.Errorf("sei: %w", err)
 	}
-	return nn.PredictBatch(d, imgs, workers), nil
+	return nn.PredictBatchObs(nil, d, imgs, workers), nil
 }
 
 // PipelineConfig sizes RunPipeline.
@@ -352,7 +352,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	nn.Train(net, train, tcfg)
 	sp.AddSamples(int64(train.Len() * cfg.Epochs))
 	sp.End()
-	res := &PipelineResult{FloatError: nn.ErrorRateObs(cfg.Obs, net, test, cfg.Workers)}
+	res := &PipelineResult{FloatError: nn.ErrorRate(cfg.Obs, net, test, cfg.Workers)}
 	logf("sei: float error %.4f; quantizing\n", res.FloatError)
 
 	sp = cfg.Obs.StartSpan("quantize")
@@ -361,7 +361,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.QuantError = q.ErrorRateObs(cfg.Obs, test, cfg.Workers)
+	res.QuantError = nn.ErrorRate(cfg.Obs, q, test, cfg.Workers)
 	logf("sei: quantized error %.4f; mapping to SEI\n", res.QuantError)
 
 	sp = cfg.Obs.StartSpan("build")
@@ -376,7 +376,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		return nil, err
 	}
 	sp = cfg.Obs.StartSpan("evaluate")
-	res.SEIError = nn.ClassifierErrorRateObs(cfg.Obs, design, test, cfg.Workers)
+	res.SEIError = nn.ErrorRate(cfg.Obs, design, test, cfg.Workers)
 	sp.AddSamples(int64(test.Len()))
 	sp.End()
 	logf("sei: SEI hardware error %.4f; computing energy/area\n", res.SEIError)
