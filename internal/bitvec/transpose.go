@@ -5,11 +5,9 @@ package bitvec
 // uint64, so word i of a sliced map holds bit i of every image — image
 // L occupies bit position (lane) L. In that layout a pooling OR, a
 // threshold write-out or a crossbar row-select test touches 64 images
-// per word operation. This file provides the canonical converters
-// between the per-image packed form (Vec) and the lane-major form:
-// a 64×64 in-register bit transpose and the gather/scatter built on
-// it. The converters are the layout's definition of record — the
-// sliced inference kernels are tested against them.
+// per word operation. Transpose64 converts between that form and the
+// per-image packed form 64 bit positions at a time; the sliced walker
+// uses it to hand a bounded stage's windows to the per-image kernel.
 
 // Transpose64 transposes the 64×64 bit matrix src into dst: bit c of
 // dst[r] equals bit r of src[c]. Rows are words, columns are bit
@@ -38,81 +36,5 @@ func Transpose64(dst, src []uint64) {
 			a[k+j] ^= t
 		}
 		m ^= m << (j >> 1)
-	}
-}
-
-// SliceLanes gathers up to 64 equal-length per-image vectors into the
-// lane-major form: dst[i] gets bit L set iff srcs[L] has bit i set.
-// dst must hold at least srcs[0].Len() words (one word per bit
-// position); words beyond the written range are left untouched. At
-// most 64 sources are allowed; fewer leave the high lanes zero.
-func SliceLanes(dst []uint64, srcs []*Vec) {
-	if len(srcs) == 0 {
-		return
-	}
-	if len(srcs) > wordBits {
-		panic("bitvec: SliceLanes takes at most 64 lanes")
-	}
-	n := srcs[0].Len()
-	for _, s := range srcs {
-		if s.Len() != n {
-			panic("bitvec: SliceLanes length mismatch")
-		}
-	}
-	if len(dst) < n {
-		panic("bitvec: SliceLanes destination too short")
-	}
-	var blk, out [wordBits]uint64
-	for w0 := 0; w0 < wordsFor(n); w0++ {
-		for L := range blk {
-			blk[L] = 0
-		}
-		for L, s := range srcs {
-			blk[L] = s.w[w0]
-		}
-		// Row L of blk is lane L's bits [64w0, 64w0+64); the transpose
-		// turns bit-position rows into lane-major words.
-		Transpose64(out[:], blk[:])
-		lo := w0 * wordBits
-		hi := lo + wordBits
-		if hi > n {
-			hi = n
-		}
-		copy(dst[lo:hi], out[:hi-lo])
-	}
-}
-
-// UnsliceLanes scatters a lane-major map of n bit positions back into
-// per-image vectors: dsts[L] is reset to n bits and gets bit i set iff
-// src[i] has bit L set. src must hold at least n words. At most 64
-// destinations are allowed; lanes beyond len(dsts) are dropped.
-func UnsliceLanes(dsts []*Vec, src []uint64, n int) {
-	if len(dsts) == 0 {
-		return
-	}
-	if len(dsts) > wordBits {
-		panic("bitvec: UnsliceLanes takes at most 64 lanes")
-	}
-	if len(src) < n {
-		panic("bitvec: UnsliceLanes source too short")
-	}
-	for _, d := range dsts {
-		d.Reset(n)
-	}
-	var blk, out [wordBits]uint64
-	for w0 := 0; w0 < wordsFor(n); w0++ {
-		lo := w0 * wordBits
-		hi := lo + wordBits
-		if hi > n {
-			hi = n
-		}
-		for L := range blk {
-			blk[L] = 0
-		}
-		copy(blk[:hi-lo], src[lo:hi])
-		Transpose64(out[:], blk[:])
-		for L, d := range dsts {
-			d.w[w0] = out[L]
-		}
 	}
 }

@@ -85,117 +85,6 @@ func TestTranspose64ShortPanics(t *testing.T) {
 	Transpose64(make([]uint64, 63), make([]uint64, 64))
 }
 
-// randomVec returns a vector of n bits with each bit set with
-// probability 1/2.
-func randomVec(rng *rand.Rand, n int) *Vec {
-	v := New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
-// Ragged widths straddle every word-boundary case: empty, sub-word,
-// exact words, one bit over, and multi-word remainders.
-var raggedWidths = []int{0, 1, 7, 63, 64, 65, 127, 128, 130, 200, 449}
-
-func TestSliceLanesMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range raggedWidths {
-		for _, lanes := range []int{1, 2, 3, 63, 64} {
-			srcs := make([]*Vec, lanes)
-			for L := range srcs {
-				srcs[L] = randomVec(rng, n)
-			}
-			dst := make([]uint64, n)
-			SliceLanes(dst, srcs)
-			for i := 0; i < n; i++ {
-				var want uint64
-				for L, s := range srcs {
-					if s.Get(i) {
-						want |= 1 << uint(L)
-					}
-				}
-				if dst[i] != want {
-					t.Fatalf("n=%d lanes=%d: sliced word %d = %016x, want %016x", n, lanes, i, dst[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestUnsliceLanesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range raggedWidths {
-		for _, lanes := range []int{1, 2, 63, 64} {
-			srcs := make([]*Vec, lanes)
-			for L := range srcs {
-				srcs[L] = randomVec(rng, n)
-			}
-			sliced := make([]uint64, n)
-			SliceLanes(sliced, srcs)
-			dsts := make([]*Vec, lanes)
-			for L := range dsts {
-				dsts[L] = New(0) // UnsliceLanes must resize
-			}
-			UnsliceLanes(dsts, sliced, n)
-			for L := range dsts {
-				if dsts[L].Len() != n {
-					t.Fatalf("n=%d lanes=%d: lane %d length %d", n, lanes, L, dsts[L].Len())
-				}
-				for i := 0; i < n; i++ {
-					if dsts[L].Get(i) != srcs[L].Get(i) {
-						t.Fatalf("n=%d lanes=%d: lane %d bit %d diverges after round trip", n, lanes, L, i)
-					}
-				}
-				// Bits past Len in the last word must stay zero, or
-				// popcounts downstream would drift.
-				if w := dsts[L].Words(); len(w) > 0 {
-					if tail := uint(n) & 63; tail != 0 && w[len(w)-1]>>tail != 0 {
-						t.Fatalf("n=%d lanes=%d: lane %d has stray bits past Len", n, lanes, L)
-					}
-				}
-			}
-		}
-	}
-}
-
-// UnsliceLanes must drop lane bits beyond len(dsts) and SliceLanes
-// must leave high lanes zero when fewer than 64 sources are given.
-func TestLaneSubsets(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 130
-	full := make([]*Vec, 64)
-	for L := range full {
-		full[L] = randomVec(rng, n)
-	}
-	sliced := make([]uint64, n)
-	SliceLanes(sliced, full)
-
-	few := make([]*Vec, 5)
-	for L := range few {
-		few[L] = New(0)
-	}
-	UnsliceLanes(few, sliced, n)
-	for L := range few {
-		for i := 0; i < n; i++ {
-			if few[L].Get(i) != full[L].Get(i) {
-				t.Fatalf("lane %d bit %d wrong with 5 destinations", L, i)
-			}
-		}
-	}
-
-	partial := make([]uint64, n)
-	SliceLanes(partial, full[:3])
-	for i := 0; i < n; i++ {
-		if partial[i]>>3 != 0 {
-			t.Fatalf("word %d has lanes ≥ 3 set: %016x", i, partial[i])
-		}
-	}
-}
-
 func BenchmarkTranspose64(b *testing.B) {
 	src := randWords(rand.New(rand.NewSource(5)), 64)
 	dst := make([]uint64, 64)

@@ -26,7 +26,7 @@ func goldenRecorder() *Recorder {
 	r.Counter("eval_images").Add(600)
 	r.Counter("hw_mvm_ops").Add(1234)
 	r.Gauge("workers").Set(8)
-	h := r.Histogram("hw_active_inputs_per_mvm", []float64{0, 1, 2, 4})
+	h := r.Histogram("batch_size", []float64{0, 1, 2, 4})
 	h.Observe(0)
 	h.Observe(2)
 	h.Observe(2)

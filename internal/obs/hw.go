@@ -22,9 +22,6 @@ const (
 	// binarized data path (shared by the digital reference and the
 	// hardware simulators).
 	HWORPoolReductions = "hw_orpool_reductions"
-	// HWActiveInputsPerMVM is the histogram of selected input lines
-	// per block evaluation.
-	HWActiveInputsPerMVM = "hw_active_inputs_per_mvm"
 	// SEINoiseDraws counts read-noise RNG draws consumed by the
 	// simulator — not a hardware event (analog noise is free) but the
 	// RNG-consumption ledger that lets two inference paths prove they
@@ -34,27 +31,21 @@ const (
 	SEINoiseDraws = "sei_noise_draws"
 )
 
-// activeInputBounds buckets the per-MVM selected-line distribution in
-// powers of two up to the maximum crossbar height.
-var activeInputBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
 // HW is the pre-resolved bundle of simulator hardware counters.
 // Instrumented layers hold one pointer and pay a single nil check per
 // event when recording is disabled. All methods are no-ops on nil.
 type HW struct {
 	mvm, sa, col, active, orpool, noise *Counter
-	activeHist                          *Histogram
 }
 
 func newHW(r *Recorder) *HW {
 	return &HW{
-		mvm:        r.Counter(HWMVMOps),
-		sa:         r.Counter(HWSAComparisons),
-		col:        r.Counter(HWColumnActivations),
-		active:     r.Counter(HWActiveInputs),
-		orpool:     r.Counter(HWORPoolReductions),
-		noise:      r.Counter(SEINoiseDraws),
-		activeHist: r.Histogram(HWActiveInputsPerMVM, activeInputBounds),
+		mvm:    r.Counter(HWMVMOps),
+		sa:     r.Counter(HWSAComparisons),
+		col:    r.Counter(HWColumnActivations),
+		active: r.Counter(HWActiveInputs),
+		orpool: r.Counter(HWORPoolReductions),
+		noise:  r.Counter(SEINoiseDraws),
 	}
 }
 
@@ -82,14 +73,12 @@ func (h *HW) ColumnActivations(n int64) {
 	h.col.Add(n)
 }
 
-// ActiveInputs records one block evaluation that selected n input
-// lines: the counter total and the per-MVM distribution.
+// ActiveInputs records n selected input lines.
 func (h *HW) ActiveInputs(n int64) {
 	if h == nil {
 		return
 	}
 	h.active.Add(n)
-	h.activeHist.Observe(float64(n))
 }
 
 // ORPool records n OR-pool window reductions.

@@ -188,9 +188,6 @@ func TestHWBundle(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, vals[name], want)
 		}
 	}
-	if got := r.Histogram(HWActiveInputsPerMVM, nil).Count(); got != 1 {
-		t.Errorf("active-inputs histogram count = %d, want 1", got)
-	}
 }
 
 // The nil recorder and everything it hands out must be safe no-ops:

@@ -63,9 +63,6 @@ func TestConcurrentRecorder(t *testing.T) {
 	if got := r.Histogram("lat", nil).Count(); got != total {
 		t.Errorf("histogram count = %d, want %d", got, total)
 	}
-	if got := r.Histogram(HWActiveInputsPerMVM, nil).Count(); got != total {
-		t.Errorf("active-inputs histogram count = %d, want %d", got, total)
-	}
 	if got := sp.Samples(); got != total {
 		t.Errorf("span samples = %d, want %d", got, total)
 	}

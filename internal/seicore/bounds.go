@@ -8,13 +8,14 @@ package seicore
 // rows, the suffix sums of every column's positive weights (the
 // largest contribution the remaining rows could still add), negative
 // weights (the smallest), and absolute weights (the slack scale). The
-// bounded row walk — per-image in fast.go, per-lane in sliced.go —
-// evaluates the bound the first time it meets an active row at or past
-// each checkpoint: a column whose partial sum plus the best remaining
-// contribution cannot exceed the sense-amp reference emits 0 without
-// scanning further; one whose partial plus the worst remaining
-// contribution already exceeds it emits 1. Once every column of the
-// block is decided the remaining active rows are never driven.
+// bounded row walk (sumsBitsBounded; the per-image walker runs it per
+// image, the sliced walker per lane) evaluates the bound the first
+// time it meets an active row at or past each checkpoint: a column
+// whose partial sum plus the best remaining contribution cannot exceed
+// the sense-amp reference emits 0 without scanning further; one whose
+// partial plus the worst remaining contribution already exceeds it
+// emits 1. Once every column of the block is decided the remaining
+// active rows are never driven.
 //
 // Soundness under float rounding: the unbounded paths accumulate rows
 // in ascending local order, so at any scan point the bounded walk's
@@ -182,10 +183,7 @@ func (b *seiBlock) sumsBitsBounded(win []uint64, main []float64, ref float64) bo
 				}
 			}
 			st.ones++
-			row := data[local*m : (local+1)*m]
-			for c, v := range row {
-				main[c] += v
-			}
+			vecf.AddRowLanes(main, data[local*m:(local+1)*m], 1)
 		}
 	}
 	return st
@@ -224,11 +222,11 @@ func (d *SEIDesign) initBounds() {
 func (l *SEIConvLayer) evalBoundedCounts(win []uint64, fired []int, col []float64) {
 	clear(fired)
 	full := colMask(l.M)
-	outUndec := full // output columns the digital threshold hasn't resolved
+	unresolved := full // output columns the digital threshold hasn't resolved
 	var mvms, saCmps, driven, skipped, colsEarly, evals, blocksSkipped int64
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		if outUndec == 0 {
+		if unresolved == 0 {
 			// Every output is resolved: the remaining blocks' rows are
 			// never driven.
 			blocksSkipped++
@@ -274,7 +272,7 @@ func (l *SEIConvLayer) evalBoundedCounts(win []uint64, fired []int, col []float6
 		if l.K > 1 {
 			rem := l.K - 1 - bi
 			undec := uint64(0)
-			for t := outUndec; t != 0; t &= t - 1 {
+			for t := unresolved; t != 0; t &= t - 1 {
 				c := bits.TrailingZeros64(t)
 				if fired[c] >= l.DigitalThreshold {
 					continue // already fires whatever the remaining blocks do
@@ -284,7 +282,7 @@ func (l *SEIConvLayer) evalBoundedCounts(win []uint64, fired []int, col []float6
 				}
 				undec |= 1 << uint(c)
 			}
-			outUndec = undec
+			unresolved = undec
 		}
 	}
 	if h := l.hw; h != nil {

@@ -6,9 +6,9 @@ package seicore
 // into one uint64, image L in bit (lane) L — so a pooling OR, a
 // threshold write-out or a crossbar row-select test processes 64
 // images per word operation, and a receptive-field window gather is a
-// handful of word copies instead of per-image bit blits. The layout's
-// converters live in bitvec (Transpose64/SliceLanes); here the maps
-// are produced lane-major directly and never transposed back.
+// handful of word copies instead of per-image bit blits. The maps are
+// produced lane-major directly; only a bounded stage's windows are
+// transposed back to per-image words (bitvec.Transpose64).
 //
 // Bit-identity contract (pinned by sliced_test.go and
 // determinism_test.go): per-lane results equal the per-image walker
@@ -42,14 +42,15 @@ package seicore
 // contract. The speedup comes from amortizing row walks, window
 // gathers and pooling over 64 lanes, not from reassociating sums.
 //
-// Bounded mode (SetBounded) runs the same walk with the per-lane
-// activation-bound kernel on stages boundedAt picks, and skips
-// pool-cropped windows wholesale; labels, hw_* and sei_* counter
-// totals stay bit-identical to per-image bounded Predict (pinned by
-// TestBoundedSlicedMatchesBoundedFast). The per-lane walk mirrors
-// sumsBitsBounded decision for decision: a column decides at exactly
-// the same scan point on either engine because both call
-// vecf.BoundCols with identical partial sums and tables.
+// Bounded mode (SetBounded) skips pool-cropped windows wholesale and,
+// on the stages boundedAt picks, transposes each lane-major window
+// into per-lane packed windows and runs the per-image bounded kernel
+// (evalBoundedCounts) lane by lane: there is one bounded row walk, so
+// labels, hw_* and sei_* counter totals equal per-image bounded
+// Predict by construction (pinned by
+// TestBoundedSlicedMatchesBoundedFast). A bound decision is per image,
+// so a lane-dense bounded walk would only replay that kernel's
+// decisions lane by lane.
 //
 // Eligibility: ideal read-outs everywhere (no read noise, IR drop or
 // I-V nonlinearity), which also makes the receiver goroutine-safe —
@@ -59,6 +60,7 @@ package seicore
 import (
 	"math/bits"
 
+	"sei/internal/bitvec"
 	"sei/internal/nn"
 	"sei/internal/tensor"
 	"sei/internal/vecf"
@@ -85,18 +87,19 @@ type slicedScratch struct {
 	win       []uint64 // lane-major receptive-field window
 
 	acc    []float64 // per-lane block column sums, lane-major [lane·M + c]
-	fired  []int32   // per-lane fired-block counts, lane-major [lane·M + c]
+	fired  []int     // per-lane fired-block counts, lane-major [lane·M + c]
 	scores []float64 // per-lane FC scores, lane-major [lane·M + c]
 	ones   []int32   // per-lane active-input count within one block
 	w0     []float64 // per-lane dynamic-column sum within one block
 
-	// Bounded-mode per-lane state: undecided column masks,
-	// bound-decided-1 masks and last-evaluated checkpoints within one
-	// block's walk, plus the cross-block output-undecided masks.
-	undec    []uint64
-	fired1   []uint64
-	lastCp   []int32
-	outUndec []uint64
+	// Bounded stages run the per-image kernel lane by lane: blk is the
+	// 64×64 transpose block, lw the per-lane packed windows
+	// (laneWindows), local one lane's window in layer-local order and
+	// col its per-block column sums.
+	blk   [64]uint64
+	lw    []uint64
+	local []uint64
+	col   []float64
 	// coverLive counts the pool-covered kernel placements reading each
 	// pixel; cover − coverLive are the pool-cropped ones.
 	coverLive []int32
@@ -126,10 +129,14 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 	s.next = make([]uint64, maxMap)
 	s.win = make([]uint64, maxFan)
 	s.acc = make([]float64, lanes*maxM)
-	s.fired = make([]int32, lanes*maxM)
+	s.fired = make([]int, lanes*maxM)
 	s.scores = make([]float64, lanes*d.FC.M)
 	s.ones = make([]int32, lanes)
 	s.w0 = make([]float64, lanes)
+	nw := (maxFan + 63) / 64
+	s.lw = make([]uint64, lanes*nw)
+	s.local = make([]uint64, nw)
+	s.col = make([]float64, maxM)
 
 	g := &s.geom[0]
 	s.pixT = make([]float64, g.inC*g.inH*g.inW*vecf.Lanes)
@@ -146,10 +153,6 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 		}
 	}
 	s.cover, s.coverLive = g.coverage()
-	s.undec = make([]uint64, lanes)
-	s.fired1 = make([]uint64, lanes)
-	s.lastCp = make([]int32, lanes)
-	s.outUndec = make([]uint64, lanes)
 	return s
 }
 
@@ -240,7 +243,6 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 		}
 		win := s.win[:g.fan]
 		fired := s.fired[:lanes*layer.M]
-		dthr := int32(layer.DigitalThreshold)
 		var fullWins, cropSkip int64 // windows charged at full cost; rows skipped by the crop
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
@@ -274,7 +276,11 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 					continue
 				}
 				if bnd {
-					layer.slicedCountsBounded(win, lanes, batchMask, s)
+					nw := s.laneWindows(win, lanes)
+					for lane := 0; lane < lanes; lane++ {
+						lw := layer.local(s.lw[lane*nw:(lane+1)*nw], s.local)
+						layer.evalBoundedCounts(lw, fired[lane*layer.M:(lane+1)*layer.M], s.col[:layer.M])
+					}
 				} else {
 					layer.slicedCounts(win, lanes, batchMask, s)
 					fullWins++
@@ -282,7 +288,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 				for k := 0; k < layer.M; k++ {
 					var w uint64
 					for lane := 0; lane < lanes; lane++ {
-						if fired[lane*layer.M+k] >= dthr {
+						if fired[lane*layer.M+k] >= layer.DigitalThreshold {
 							w |= 1 << uint(lane)
 						}
 					}
@@ -321,6 +327,25 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 		}
 		out[lane] = nn.PredictResult{Label: bi}
 	}
+}
+
+// laneWindows transposes the lane-major window win (one word per bit
+// position) into per-lane packed windows, one bitvec.Transpose64 per
+// 64 rows with the tail zero-filled: lane L's ⌈len(win)/64⌉ words land
+// at s.lw[L·nw:(L+1)·nw], bit for bit the window gatherWindow packs
+// for that lane's image. It returns nw.
+func (s *slicedScratch) laneWindows(win []uint64, lanes int) (nw int) {
+	nw = (len(win) + 63) / 64
+	blk := s.blk[:]
+	for w0 := 0; w0 < nw; w0++ {
+		n := copy(blk, win[w0*64:])
+		clear(blk[n:])
+		bitvec.Transpose64(blk, blk)
+		for lane := 0; lane < lanes; lane++ {
+			s.lw[lane*nw+w0] = blk[lane]
+		}
+	}
+	return nw
 }
 
 // slicedStage0 convolves all lanes' float images through the merged
@@ -469,7 +494,7 @@ func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, batchMask uint64, s
 	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot, _ := b.slicedSums(win, batchMask, 0, l.Gamma != 0, s)
+		onesTot := b.slicedSums(win, batchMask, l.Gamma != 0, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		switch {
@@ -537,7 +562,7 @@ func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *s
 	}
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot, _ := b.slicedSums(in, batchMask, 0, false, s)
+		onesTot := b.slicedSums(in, batchMask, false, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		for lane := 0; lane < lanes; lane++ {
@@ -566,10 +591,8 @@ func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *s
 // counts land in s.ones only when the caller needs them (the Gamma
 // reference), dynamic-column sums in s.w0 when the block carries them.
 // Returns the rows driven — the sum over part lanes of the per-image
-// walker's ones — and the active bits of the nonPart lanes, whose
-// block the bounded walk skips wholesale. One word test skips a row
-// for all 64 lanes at once.
-func (b *seiBlock) slicedSums(win []uint64, part, nonPart uint64, needOnes bool, s *slicedScratch) (driven, skipped int64) {
+// walker's ones. One word test skips a row for all 64 lanes at once.
+func (b *seiBlock) slicedSums(win []uint64, part uint64, needOnes bool, s *slicedScratch) (driven int64) {
 	m := b.eff.Dim(1)
 	n := bits.Len64(part)
 	acc := s.acc[:n*m]
@@ -589,14 +612,7 @@ func (b *seiBlock) slicedSums(win []uint64, part, nonPart uint64, needOnes bool,
 	}
 	data := b.eff.Data()
 	for local, j := range b.inputs {
-		w := win[j]
-		if w == 0 {
-			continue
-		}
-		if sw := w & nonPart; sw != 0 {
-			skipped += int64(bits.OnesCount64(sw))
-		}
-		pw := w & part
+		pw := win[j] & part
 		if pw == 0 {
 			continue
 		}
@@ -618,186 +634,5 @@ func (b *seiBlock) slicedSums(win []uint64, part, nonPart uint64, needOnes bool,
 			}
 		}
 	}
-	return driven, skipped
-}
-
-// slicedCountsBounded is evalBoundedCounts over a lane-major window:
-// per participating lane the same blocks are bounded, full-scanned or
-// skipped wholesale, and every counter — hw_* and sei_* — aggregates
-// the per-lane events the per-image walker would record. Only run on
-// layers boundedAt picks.
-func (l *SEIConvLayer) slicedCountsBounded(win []uint64, lanes int, batchMask uint64, s *slicedScratch) {
-	m := l.M
-	full := colMask(m)
-	fired := s.fired[:lanes*m]
-	for i := range fired {
-		fired[i] = 0
-	}
-	outUndec := s.outUndec[:lanes]
-	for lane := range outUndec {
-		outUndec[lane] = full
-	}
-	var mvms, saCmps, driven, skipped, colsEarly, evals, blocksSkipped int64
-	for bi := range l.blocks {
-		b := &l.blocks[bi]
-		var part uint64
-		for lane := 0; lane < lanes; lane++ {
-			if outUndec[lane] != 0 {
-				part |= 1 << uint(lane)
-			}
-		}
-		nonPart := batchMask &^ part
-		blocksSkipped += int64(bits.OnesCount64(nonPart))
-		if part == 0 {
-			for _, j := range b.inputs {
-				skipped += int64(bits.OnesCount64(win[j] & batchMask))
-			}
-			continue
-		}
-		mvms += int64(bits.OnesCount64(part))
-		if b.bnd != nil && l.Gamma == 0 {
-			ref := l.BaseThr[bi]
-			d2, s2, c2, e2 := b.slicedSumsBounded(win, part, nonPart, ref, s)
-			driven += d2
-			skipped += s2
-			colsEarly += c2
-			evals += e2
-			l.hw.ActiveInputs(d2)
-			for t := part; t != 0; t &= t - 1 {
-				lane := bits.TrailingZeros64(t)
-				undec := s.undec[lane]
-				saCmps += int64(bits.OnesCount64(undec))
-				firedMask := s.fired1[lane]
-				a := s.acc[lane*m : lane*m+m]
-				for u := undec; u != 0; u &= u - 1 {
-					c := bits.TrailingZeros64(u)
-					if a[c] > ref {
-						firedMask |= 1 << uint(c)
-					}
-				}
-				f := fired[lane*m : lane*m+m]
-				for u := firedMask; u != 0; u &= u - 1 {
-					f[bits.TrailingZeros64(u)]++
-				}
-			}
-		} else {
-			// Dynamic reference (Gamma slope or unipolar w0 column):
-			// participating lanes scan in full, as per-image.
-			d2, s2 := b.slicedSums(win, part, nonPart, l.Gamma != 0, s)
-			driven += d2
-			skipped += s2
-			l.hw.ActiveInputs(d2)
-			for t := part; t != 0; t &= t - 1 {
-				lane := bits.TrailingZeros64(t)
-				ref := l.BaseThr[bi]
-				if l.Gamma != 0 {
-					ref += l.Gamma * (float64(s.ones[lane]) - l.OnesMean[bi])
-				}
-				if b.w0 != nil {
-					ref += s.w0[lane]
-				}
-				a := s.acc[lane*m : lane*m+m]
-				f := fired[lane*m : lane*m+m]
-				for c, v := range a {
-					if v > ref {
-						f[c]++
-					}
-				}
-				saCmps += int64(m)
-			}
-		}
-		if l.K > 1 {
-			rem := l.K - 1 - bi
-			for t := part; t != 0; t &= t - 1 {
-				lane := bits.TrailingZeros64(t)
-				f := fired[lane*m : lane*m+m]
-				var undec uint64
-				for u := outUndec[lane]; u != 0; u &= u - 1 {
-					c := bits.TrailingZeros64(u)
-					if int(f[c]) >= l.DigitalThreshold {
-						continue
-					}
-					if int(f[c])+rem < l.DigitalThreshold {
-						continue
-					}
-					undec |= 1 << uint(c)
-				}
-				outUndec[lane] = undec
-			}
-		}
-	}
-	if h := l.hw; h != nil {
-		h.MVM(mvms)
-		h.SACompares(saCmps)
-		h.ColumnActivations(saCmps)
-	}
-	l.skip.Record(driven, skipped, colsEarly, evals, blocksSkipped)
-}
-
-// slicedSumsBounded is sumsBitsBounded over a lane-major window: the
-// block's rows are walked once in ascending local order; per active
-// row each participating, still-undecided lane whose checkpoint
-// advanced evaluates the bound, then the row is driven only into the
-// lanes still alive. Active bits in decided lanes count skipped, bits
-// in non-participating lanes count toward their wholesale block skip.
-// Per-lane outcomes land in s.undec / s.fired1; partial sums in s.acc
-// equal the full scan's values for every undecided column.
-func (b *seiBlock) slicedSumsBounded(win []uint64, part, nonPart uint64, ref float64, s *slicedScratch) (driven, skipped, colsEarly, evals int64) {
-	cb := b.bnd
-	m := cb.m
-	acc := s.acc[:vecf.Lanes*m]
-	for i := range acc {
-		acc[i] = 0
-	}
-	full := colMask(m)
-	for t := part; t != 0; t &= t - 1 {
-		lane := bits.TrailingZeros64(t)
-		s.undec[lane] = full
-		s.fired1[lane] = 0
-		s.lastCp[lane] = -1
-	}
-	alive := part
-	data := b.eff.Data()
-	for local, j := range b.inputs {
-		w := win[j]
-		if w == 0 {
-			continue
-		}
-		skipped += int64(bits.OnesCount64(w & nonPart))
-		if alive == 0 {
-			skipped += int64(bits.OnesCount64(w & part))
-			continue
-		}
-		cp := int32(local / cb.stride)
-		base := int(cp) * m
-		for t := w & alive; t != 0; t &= t - 1 {
-			lane := bits.TrailingZeros64(t)
-			if s.lastCp[lane] >= cp {
-				continue
-			}
-			s.lastCp[lane] = cp
-			u := s.undec[lane]
-			evals += int64(bits.OnesCount64(u))
-			dec0, dec1 := vecf.BoundCols(acc[lane*m:lane*m+m],
-				cb.sufPos[base:base+m], cb.sufNeg[base:base+m], cb.sufAbs[base:base+m],
-				cb.slackU[cp], ref, u)
-			s.fired1[lane] |= dec1
-			u &^= dec0 | dec1
-			s.undec[lane] = u
-			if u == 0 {
-				alive &^= 1 << uint(lane)
-			}
-		}
-		aw := w & alive
-		driven += int64(bits.OnesCount64(aw))
-		skipped += int64(bits.OnesCount64(w & part &^ alive))
-		if aw != 0 {
-			vecf.AddRowLanes(acc, data[local*m:(local+1)*m], aw)
-		}
-	}
-	for t := part; t != 0; t &= t - 1 {
-		lane := bits.TrailingZeros64(t)
-		colsEarly += int64(bits.OnesCount64(full &^ s.undec[lane]))
-	}
-	return driven, skipped, colsEarly, evals
+	return driven
 }

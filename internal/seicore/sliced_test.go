@@ -2,6 +2,7 @@ package seicore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -267,7 +268,8 @@ func TestErrorRateTakesSlicedPath(t *testing.T) {
 
 // TestSlicedConcurrent hammers one shared design from several
 // goroutines — the serving shape — and checks every result against the
-// serial sliced pass. Run under -race in CI.
+// serial sliced pass, unbounded and bounded (whose per-lane windows
+// live in the pooled arena too). Run under -race in CI.
 func TestSlicedConcurrent(t *testing.T) {
 	f := getFixture(t)
 	cfg := DefaultSEIBuildConfig()
@@ -277,32 +279,38 @@ func TestSlicedConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	imgs := f.test.Images[:nn.SlicedGroupSize]
-	want, _ := evalSliced(t, d, imgs)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]nn.PredictResult, len(imgs))
-			for iter := 0; iter < 5; iter++ {
-				if !d.PredictBatchSliced(imgs, out) {
-					errs <- "refused"
-					return
-				}
-				for i, r := range out {
-					if r.Label != want[i] {
-						errs <- "label mismatch"
-						return
+	for _, bounded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bounded=%v", bounded), func(t *testing.T) {
+			d.SetBounded(bounded)
+			defer d.SetBounded(false)
+			want, _ := evalSliced(t, d, imgs)
+			var wg sync.WaitGroup
+			errs := make(chan string, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out := make([]nn.PredictResult, len(imgs))
+					for iter := 0; iter < 5; iter++ {
+						if !d.PredictBatchSliced(imgs, out) {
+							errs <- "refused"
+							return
+						}
+						for i, r := range out {
+							if r.Label != want[i] {
+								errs <- "label mismatch"
+								return
+							}
+						}
 					}
-				}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatalf("concurrent sliced pass: %s", e)
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Fatalf("concurrent sliced pass: %s", e)
+			}
+		})
 	}
 }
 
