@@ -56,6 +56,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
+# Rewrites files in place; `make ci` only checks (gofmt -l).
 fmt:
 	gofmt -l -w .
 
@@ -63,6 +64,7 @@ fmt:
 # module (root ./... skips it), so it is vetted and tested separately.
 ci:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test ./...

@@ -352,19 +352,15 @@ func BenchmarkTimingStudy(b *testing.B) {
 // write cost of a 128×128 array under default variation.
 func BenchmarkProgramVerify(b *testing.B) {
 	model := rram.DefaultDeviceModel()
-	target := tensor.New(128, 128)
+	target := make([]float64, 128*128)
 	rng := rand.New(rand.NewSource(1))
-	for i := range target.Data() {
-		target.Data()[i] = rng.Float64()
+	for i := range target {
+		target[i] = rng.Float64()
 	}
 	var pulses float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb, err := rram.NewCrossbar(128, 128, model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats, err := cb.ProgramVerify(target, rram.DefaultWriteConfig(), rng)
+		_, stats, err := rram.ProgramVerify(model, target, rram.DefaultWriteConfig(), rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,35 +401,6 @@ func BenchmarkSpikingInference(b *testing.B) {
 }
 
 // --- Micro-benchmarks of the hot kernels ---
-
-// BenchmarkCrossbarMVM measures one 512×512 analog read.
-func BenchmarkCrossbarMVM(b *testing.B) {
-	model := rram.DefaultDeviceModel()
-	cb, err := rram.NewCrossbar(512, 512, model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	target := tensor.New(512, 512)
-	for i := range target.Data() {
-		target.Data()[i] = rng.Float64()
-	}
-	if err := cb.Program(target, rng); err != nil {
-		b.Fatal(err)
-	}
-	v := make([]float64, 512)
-	for i := range v {
-		if rng.Float64() < 0.5 {
-			v[i] = 1
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cb.MVM(v, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkConvForward measures one Network-2 forward pass.
 func BenchmarkConvForward(b *testing.B) {

@@ -113,14 +113,17 @@ func SpikingErrorRate(q *QuantizedNet, design *SEIDesign, data *Dataset, timeste
 // DeploymentCost estimates the one-time energy of programming a
 // quantized network's weights onto SEI crossbars under the
 // program-and-verify write model (the paper's [13]): total µJ, mean
-// pulses per cell, and the cell count.
+// pulses per cell, and the cell count. Each weight takes the cells
+// EffectiveSignedMatrix programs for it: pos/neg × ceil(8/model.Bits)
+// slices. An invalid model or network costs nothing.
 func DeploymentCost(q *QuantizedNet, model DeviceModel) (energyUJ, pulsesPerCell float64, cells int64) {
 	geoms, err := arch.GeometryOf(q)
-	if err != nil {
+	if err != nil || model.Validate() != nil {
 		return 0, 0, 0
 	}
+	perWeight := int64(seicore.ModeBipolar.CellsPerWeightFor(model.Bits))
 	for _, g := range geoms {
-		cells += 4 * int64(g.N) * int64(g.M) // pos/neg × hi/lo at 4-bit devices
+		cells += perWeight * int64(g.N) * int64(g.M)
 	}
 	cfg := rram.DefaultWriteConfig()
 	pulsesPerCell = rram.ExpectedPulses(model, cfg)

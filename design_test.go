@@ -165,8 +165,9 @@ func TestSpikingErrorRateOnHardware(t *testing.T) {
 
 func TestDeploymentCost(t *testing.T) {
 	q, _, _ := designFix(t)
-	// Network 2: (9·4 + 36·8 + 200·10)·4 cells.
-	wantCells := int64(4 * (9*4 + 36*8 + 200*10))
+	// Network 2: (9·4 + 36·8 + 200·10) weights × 4 cells at 4 bits.
+	weights := int64(9*4 + 36*8 + 200*10)
+	wantCells := 4 * weights
 	ideal := IdealDeviceModel(4)
 	uj, pulses, cells := DeploymentCost(q, ideal)
 	if cells != wantCells {
@@ -183,6 +184,17 @@ func TestDeploymentCost(t *testing.T) {
 	uj2, pulses2, _ := DeploymentCost(q, noisy)
 	if pulses2 <= pulses || uj2 <= uj {
 		t.Fatal("variation did not raise the write cost")
+	}
+	// Cells per weight follow the device precision: pos/neg ×
+	// ceil(8/bits) slices, 8 on a 2-bit device and 2 on an 8-bit one.
+	for _, c := range []struct {
+		bits           int
+		cellsPerWeight int64
+	}{{2, 8}, {8, 2}} {
+		_, _, got := DeploymentCost(q, IdealDeviceModel(c.bits))
+		if want := weights * c.cellsPerWeight; got != want {
+			t.Errorf("%d-bit device: cells %d, want %d", c.bits, got, want)
+		}
 	}
 }
 

@@ -22,9 +22,9 @@ var ErrBadInput = errors.New("nn: bad input")
 const MetricPredictPanics = "predict_panics"
 
 // MetricEvalImages counts images classified by the batch predict path.
-// Per-image chunks accumulate it through a ShardedCounter merged in
-// chunk-index order, so the total — like the labels themselves — is
-// bit-identical for every worker count.
+// It is added once per chunked batch and once per sliced group, so the
+// total — like the labels themselves — is identical for every worker
+// count.
 const MetricEvalImages = "eval_images"
 
 // SlicedGroupSize is the lane width of the bit-sliced batch path: one
@@ -164,15 +164,13 @@ func PredictBatchInto(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, wo
 // consume identical noise-stream prefixes at every worker count.
 func predictBatchChunked(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, workers int, out []PredictResult) {
 	n := len(imgs)
-	sc := rec.Sharded(MetricEvalImages, par.NumChunks(n, par.DefaultChunkSize))
 	par.ForEachChunkRec(rec, workers, n, par.DefaultChunkSize, func(ch par.Chunk) {
-		sc.Add(ch.Index, int64(ch.Hi-ch.Lo))
 		eval := chunkEvaluator(c, ch)
 		for i := ch.Lo; i < ch.Hi; i++ {
 			out[i] = safePredict(eval, imgs[i], rec)
 		}
 	})
-	sc.Merge()
+	rec.Counter(MetricEvalImages).Add(int64(n))
 }
 
 // predictBatchSliced schedules full SlicedGroupSize-image groups, one

@@ -8,9 +8,8 @@
 // Determinism contract (see DESIGN.md §9): every quantity recorded on a
 // hot path is an integer event count whose total depends only on the
 // work performed, never on scheduling. Counters incremented from
-// parallel chunk bodies either use commutative atomic adds or the
-// per-chunk ShardedCounter, whose shards merge strictly in chunk-index
-// order. Spans call time.Now only in serial orchestration code — never
+// parallel chunk bodies use atomic adds, which commute, so their totals
+// do not depend on the worker count. Spans call time.Now only in serial orchestration code — never
 // inside chunk bodies — so instrumented runs stay bit-identical for
 // every worker count; wall time appears only in the report, not in any
 // computed result.

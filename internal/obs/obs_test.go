@@ -143,21 +143,6 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 	newHistogram([]float64{2, 1})
 }
 
-func TestShardedCounterMergesInOrder(t *testing.T) {
-	r := New()
-	sc := r.Sharded("items", 4)
-	for shard := 0; shard < 4; shard++ {
-		sc.Add(shard, int64(shard+1))
-	}
-	if got := r.Counter("items").Value(); got != 0 {
-		t.Errorf("counter = %d before Merge, want 0", got)
-	}
-	sc.Merge()
-	if got := r.Counter("items").Value(); got != 10 {
-		t.Errorf("counter = %d after Merge, want 10", got)
-	}
-}
-
 func TestSkip(t *testing.T) {
 	r := New()
 	r.Skip("SEI@64", "crossbar too small")
@@ -199,9 +184,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Histogram("x", []float64{1}).Observe(1)
 	r.HW().MVM(1)
 	r.HW().ActiveInputs(1)
-	sc := r.Sharded("x", 4)
-	sc.Add(0, 1)
-	sc.Merge()
 	sp := r.StartSpan("x")
 	sp.AddSamples(1)
 	sp.End()

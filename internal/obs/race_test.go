@@ -9,8 +9,8 @@ import (
 )
 
 // TestConcurrentRecorder hammers one recorder from 16 goroutines —
-// counters, gauges, histograms, the HW bundle, sharded slots, span
-// samples, skips and progress — and checks the totals. Run under
+// counters, gauges, histograms, the HW bundle, span samples, skips
+// and progress — and checks the totals. Run under
 // -race (the CI workflow does) this is the package's thread-safety
 // proof.
 func TestConcurrentRecorder(t *testing.T) {
@@ -19,7 +19,6 @@ func TestConcurrentRecorder(t *testing.T) {
 
 	r := New()
 	r.EnableProgress(io.Discard, time.Millisecond)
-	sc := r.Sharded("sharded_items", goroutines)
 	sp := r.StartSpan("stress")
 
 	var wg sync.WaitGroup
@@ -35,7 +34,6 @@ func TestConcurrentRecorder(t *testing.T) {
 				hw.ActiveInputs(int64(i % 8))
 				r.Histogram("lat", []float64{1, 10, 100}).Observe(float64(i % 100))
 				r.Gauge("last_worker").Set(float64(g))
-				sc.Add(g, 1) // each goroutine owns its shard
 				sp.AddSamples(1)
 				if i == 0 {
 					r.Skip(fmt.Sprintf("point-%d", g), "stress")
@@ -46,7 +44,6 @@ func TestConcurrentRecorder(t *testing.T) {
 	}
 	wg.Wait()
 	sp.End()
-	sc.Merge()
 
 	vals := r.CounterValues()
 	const total = goroutines * iters
@@ -54,7 +51,6 @@ func TestConcurrentRecorder(t *testing.T) {
 		"shared_events": total,
 		HWMVMOps:        total,
 		HWSAComparisons: 2 * total,
-		"sharded_items": total,
 	} {
 		if vals[name] != want {
 			t.Errorf("%s = %d, want %d", name, vals[name], want)

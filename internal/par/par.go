@@ -68,9 +68,9 @@ func ChunkSeed(base int64, chunk int) int64 {
 	return int64(z)
 }
 
-// NumChunks returns the chunk count for n items at the given size — the
-// shard count callers pass to obs.Recorder.Sharded so per-chunk shards
-// line up one-to-one with Chunk.Index.
+// NumChunks returns the chunk count for n items at the given size, so
+// callers can size per-chunk slots that line up one-to-one with
+// Chunk.Index.
 func NumChunks(n, chunkSize int) int {
 	return numChunks(n, chunkSize)
 }

@@ -1,209 +1,5 @@
 package rram
 
-import (
-	"fmt"
-	"math/rand"
-
-	"sei/internal/tensor"
-)
-
 // MaxCrossbarSize is the largest fabricable crossbar edge the paper
 // assumes (512×512, limited by IR drop [15]).
 const MaxCrossbarSize = 512
-
-// Crossbar is a programmed rows×cols RRAM array. Row j carries input
-// voltage v_j; column k sums current i_k = Σ_j g_{j,k}·v_j (Equ. 3 of
-// the paper, with the row/column orientation used throughout this
-// repo: rows = inputs, columns = outputs).
-type Crossbar struct {
-	Rows, Cols int
-	Model      DeviceModel
-
-	g      *tensor.Tensor // programmed conductances [rows, cols]
-	levels []int          // programmed level per cell (row-major), for inspection
-	nv     []float64      // scratch for the nonlinear-transfer input copy
-}
-
-// NewCrossbar allocates an unprogrammed crossbar (all cells at GOff).
-func NewCrossbar(rows, cols int, m DeviceModel) (*Crossbar, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("rram: crossbar size %dx%d invalid", rows, cols)
-	}
-	if rows > MaxCrossbarSize || cols > MaxCrossbarSize {
-		return nil, fmt.Errorf("rram: crossbar %dx%d exceeds the %d×%d fabrication limit",
-			rows, cols, MaxCrossbarSize, MaxCrossbarSize)
-	}
-	c := &Crossbar{Rows: rows, Cols: cols, Model: m, g: tensor.New(rows, cols), levels: make([]int, rows*cols)}
-	c.g.Fill(m.GOff)
-	return c, nil
-}
-
-// needsProgramRNG reports whether programming draws random numbers
-// under this model (variation or stuck faults).
-func (m DeviceModel) needsProgramRNG() bool {
-	return m.ProgramSigma > 0 || m.StuckOnRate > 0 || m.StuckOffRate > 0
-}
-
-// checkProgramRNG rejects a nil rng when the model's programming is
-// stochastic, so the failure surfaces as an error at Program time
-// instead of a nil-pointer panic inside ProgramConductance.
-func (c *Crossbar) checkProgramRNG(rng *rand.Rand) error {
-	if rng == nil && c.Model.needsProgramRNG() {
-		return fmt.Errorf("rram: programming with variation sigma %g and stuck rates %g/%g requires an rng",
-			c.Model.ProgramSigma, c.Model.StuckOnRate, c.Model.StuckOffRate)
-	}
-	return nil
-}
-
-// Program writes a matrix of normalized weights in [0,1] into the
-// array: each value is quantized to the nearest device level and
-// programmed with the model's variation and faults. target must be
-// [Rows, Cols].
-func (c *Crossbar) Program(target *tensor.Tensor, rng *rand.Rand) error {
-	s := target.Shape()
-	if len(s) != 2 || s[0] != c.Rows || s[1] != c.Cols {
-		return fmt.Errorf("rram: Program target shape %v, want [%d %d]", s, c.Rows, c.Cols)
-	}
-	if err := c.checkProgramRNG(rng); err != nil {
-		return err
-	}
-	for j := 0; j < c.Rows; j++ {
-		for k := 0; k < c.Cols; k++ {
-			lvl := c.Model.QuantizeToLevel(target.At(j, k))
-			c.levels[j*c.Cols+k] = lvl
-			c.g.Set(c.Model.ProgramConductance(lvl, rng), j, k)
-		}
-	}
-	return nil
-}
-
-// ProgramLevels writes explicit level indices (row-major, len
-// Rows·Cols).
-func (c *Crossbar) ProgramLevels(levels []int, rng *rand.Rand) error {
-	if len(levels) != c.Rows*c.Cols {
-		return fmt.Errorf("rram: ProgramLevels got %d levels, want %d", len(levels), c.Rows*c.Cols)
-	}
-	if err := c.checkProgramRNG(rng); err != nil {
-		return err
-	}
-	for j := 0; j < c.Rows; j++ {
-		for k := 0; k < c.Cols; k++ {
-			lvl := levels[j*c.Cols+k]
-			if lvl < 0 || lvl > c.Model.MaxLevel() {
-				return fmt.Errorf("rram: level %d at (%d,%d) outside [0,%d]", lvl, j, k, c.Model.MaxLevel())
-			}
-			c.levels[j*c.Cols+k] = lvl
-			c.g.Set(c.Model.ProgramConductance(lvl, rng), j, k)
-		}
-	}
-	return nil
-}
-
-// Level returns the programmed level of cell (row, col).
-func (c *Crossbar) Level(row, col int) int { return c.levels[row*c.Cols+col] }
-
-// Conductance returns the actual (post-variation) conductance of a
-// cell.
-func (c *Crossbar) Conductance(row, col int) float64 { return c.g.At(row, col) }
-
-// MVM performs the analog read: output currents i_k = Σ_j g_{j,k}·v_j
-// for input voltages v, with the model's IR-drop degradation and read
-// noise applied. rng may be nil when the model has no read noise;
-// passing nil with ReadNoiseSigma > 0 is an error (a read cannot
-// invent its noise stream), as is an input of the wrong length — both
-// are reachable from user data and must not kill the process.
-//
-// When IVNonlinearity > 0 the transfer-curve input copy is kept in a
-// scratch slice on the crossbar (reused across calls), so MVM is not
-// safe for concurrent use on a shared crossbar under that model. No
-// current caller shares a nonlinear crossbar across goroutines; clone
-// the crossbar if one ever must.
-func (c *Crossbar) MVM(v []float64, rng *rand.Rand) ([]float64, error) {
-	if len(v) != c.Rows {
-		return nil, fmt.Errorf("rram: MVM input length %d, want %d", len(v), c.Rows)
-	}
-	if c.Model.ReadNoiseSigma > 0 && rng == nil {
-		return nil, fmt.Errorf("rram: read noise sigma %g requires an rng", c.Model.ReadNoiseSigma)
-	}
-	if c.Model.IVNonlinearity > 0 {
-		f := c.Model.Transfer()
-		if cap(c.nv) < len(v) {
-			c.nv = make([]float64, len(v))
-		}
-		nv := c.nv[:len(v)]
-		for j, x := range v {
-			nv[j] = f(x)
-		}
-		v = nv
-	}
-	out := tensor.MatVecT(c.g, v)
-	if c.Model.IRDropAlpha > 0 {
-		active := 0
-		for _, x := range v {
-			if x != 0 {
-				active++
-			}
-		}
-		scale := 1 - c.Model.IRDropAlpha*float64(active)/float64(MaxCrossbarSize)
-		for k := range out {
-			out[k] *= scale
-		}
-	}
-	if c.Model.ReadNoiseSigma > 0 {
-		for k := range out {
-			out[k] *= 1 + c.Model.ReadNoiseSigma*rng.NormFloat64()
-		}
-	}
-	return out, nil
-}
-
-// WeightedSum performs an MVM and converts the column currents back to
-// weight units: the GOff baseline current (GOff·Σv) is subtracted —
-// physically realized with a reference column — and the remainder is
-// scaled by MaxLevel/ΔG, recovering Σ_j v_j·w_j for the programmed
-// normalized weights w·MaxLevel.
-func (c *Crossbar) WeightedSum(v []float64, rng *rand.Rand) ([]float64, error) {
-	out, err := c.MVM(v, rng)
-	if err != nil {
-		return nil, err
-	}
-	vsum := 0.0
-	for _, x := range v {
-		vsum += x
-	}
-	base := c.Model.GOff * vsum
-	scale := float64(c.Model.MaxLevel()) / (c.Model.GOn - c.Model.GOff)
-	for k := range out {
-		out[k] = (out[k] - base) * scale
-	}
-	return out, nil
-}
-
-// EffectiveWeights returns the matrix of per-cell effective weights in
-// level units: (g − GOff)·MaxLevel/ΔG. A digital MVM against this
-// matrix is exactly equivalent to WeightedSum with no read noise or IR
-// drop, and is the fast path the full-test-set simulations use.
-func (c *Crossbar) EffectiveWeights() *tensor.Tensor {
-	scale := float64(c.Model.MaxLevel()) / (c.Model.GOn - c.Model.GOff)
-	w := tensor.New(c.Rows, c.Cols)
-	for i, g := range c.g.Data() {
-		w.Data()[i] = (g - c.Model.GOff) * scale
-	}
-	return w
-}
-
-// ReadEnergyCellCount returns how many cells are active (nonzero input
-// row) for one MVM with the given input — the quantity the power model
-// multiplies by per-cell read energy.
-func (c *Crossbar) ReadEnergyCellCount(v []float64) int64 {
-	active := 0
-	for _, x := range v {
-		if x != 0 {
-			active++
-		}
-	}
-	return int64(active) * int64(c.Cols)
-}

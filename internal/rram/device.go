@@ -1,13 +1,18 @@
-// Package rram is a behavioural simulator of metal-oxide RRAM devices
-// and crossbar arrays: the analog matrix-vector-multiplication
-// substrate the paper maps CNN layers onto.
+// Package rram is a behavioural model of metal-oxide RRAM devices: the
+// cells of the analog matrix-vector-multiplication substrate the paper
+// maps CNN layers onto. It holds the device model, the bit slicing of
+// weights onto device-precision cells, and the program-and-verify
+// write model. The crossbar read-out itself — column sums of
+// programmed cells, perturbed by the device — lives in package seicore
+// (readout.go), shared by every inference path.
 //
 // It replaces the paper's SPICE-level Verilog-A device model [21] with
 // the behaviour that actually drives the accuracy results: discrete
 // conductance levels (the paper uses 4-bit devices), finite on/off
 // ratio, lognormal programming variation, optional read noise,
-// stuck-at faults, and a first-order IR-drop degradation factor.
-// MNSIM and NeuroSim take the same behavioural approach.
+// stuck-at faults, a first-order IR-drop degradation factor and sinh
+// I-V nonlinearity. MNSIM and NeuroSim take the same behavioural
+// approach.
 package rram
 
 import (

@@ -12,28 +12,13 @@ import "math"
 //	0      — ideal linear conduction (default)
 //	VRead/V₀ > 0 — sinh conduction; larger means more distortion
 //
-// A 1-bit input drives a row at either 0 or VRead, so nonlinearity
-// only rescales every contribution by the same factor f(1) — which is
+// A row driven at x·VRead, x ∈ [0,1], then carries a cell current
+// G·VRead·sinh(x·r)/r with r = VRead/V₀. A 1-bit input drives a row at
+// either 0 or VRead, so nonlinearity only rescales every contribution
+// by the same factor sinh(r)/r, which one-point calibration removes —
 // why the quantized/SEI designs are inherently immune to it — whereas
 // an analog (DAC-driven) input spreads across the curve and distorts
 // the multiply.
-
-// Transfer returns the normalized conduction transfer function
-// f(x) for a row driven at x·VRead, x ∈ [0,1], such that the cell
-// current is G·VRead·f(x). For the linear device f(x) = x; for the
-// sinh device f(x) = sinh(x·r)/r with r = IVNonlinearity = VRead/V₀,
-// which satisfies f(x) → x as r → 0 and f'(0) = 1.
-func (m DeviceModel) Transfer() func(float64) float64 {
-	r := m.IVNonlinearity
-	if r <= 0 {
-		return func(x float64) float64 { return x }
-	}
-	return func(x float64) float64 { return math.Sinh(x*r) / r }
-}
-
-// TransferGain returns f(1): the uniform scale a full-swing (1-bit)
-// input experiences under the nonlinearity.
-func (m DeviceModel) TransferGain() float64 { return m.Transfer()(1) }
 
 // TransferCalibrated returns the transfer normalized at full swing,
 // f̂(x) = sinh(x·r)/sinh(r), so f̂(1) = 1. This is what a deployed

@@ -5,39 +5,25 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"sei/internal/tensor"
 )
 
 func TestTransferLinearDefault(t *testing.T) {
-	m := DefaultDeviceModel()
-	f := m.Transfer()
+	f := DefaultDeviceModel().TransferCalibrated()
 	for _, x := range []float64{0, 0.25, 0.5, 1} {
 		if f(x) != x {
 			t.Fatalf("linear transfer f(%v) = %v", x, f(x))
 		}
-	}
-	if m.TransferGain() != 1 {
-		t.Fatalf("linear gain %v, want 1", m.TransferGain())
 	}
 }
 
 func TestTransferSinhShape(t *testing.T) {
 	m := DefaultDeviceModel()
 	m.IVNonlinearity = 2
-	f := m.Transfer()
-	if f(0) != 0 {
-		t.Fatal("f(0) != 0")
-	}
-	// sinh is superlinear: f(1) > 1 and f is convex on [0,1].
-	if f(1) <= 1 {
-		t.Fatalf("f(1) = %v, want > 1", f(1))
-	}
-	if f(0.5) >= 0.5*f(1) {
-		t.Fatalf("sinh transfer not convex: f(0.5)=%v, f(1)/2=%v", f(0.5), f(1)/2)
-	}
-	if math.Abs(f(1)-math.Sinh(2)/2) > 1e-12 {
-		t.Fatalf("f(1) = %v, want sinh(2)/2", f(1))
+	f := m.TransferCalibrated()
+	for _, x := range []float64{0, 0.25, 0.5, 1} {
+		if want := math.Sinh(2*x) / math.Sinh(2); f(x) != want {
+			t.Fatalf("f(%v) = %v, want sinh(2x)/sinh(2) = %v", x, f(x), want)
+		}
 	}
 }
 
@@ -49,7 +35,7 @@ func TestTransferConvergesToLinear(t *testing.T) {
 		x := rng.Float64()
 		m := DefaultDeviceModel()
 		m.IVNonlinearity = 1e-4
-		return math.Abs(m.Transfer()(x)-x) < 1e-6
+		return math.Abs(m.TransferCalibrated()(x)-x) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -60,7 +46,7 @@ func TestTransferConvergesToLinear(t *testing.T) {
 func TestTransferMonotone(t *testing.T) {
 	m := DefaultDeviceModel()
 	m.IVNonlinearity = 3
-	f := m.Transfer()
+	f := m.TransferCalibrated()
 	prev := -1.0
 	for x := 0.0; x <= 1.0; x += 0.01 {
 		if f(x) <= prev {
@@ -96,62 +82,5 @@ func TestValidateRejectsNegativeNonlinearity(t *testing.T) {
 	m.IVNonlinearity = -1
 	if m.Validate() == nil {
 		t.Fatal("accepted negative nonlinearity")
-	}
-}
-
-func TestMVMNonlinearDistortsAnalogNotBinary(t *testing.T) {
-	lin := IdealDeviceModel(4)
-	nl := lin
-	nl.IVNonlinearity = 2
-	target := tensor.New(4, 1)
-	for i := range target.Data() {
-		target.Data()[i] = float64(i) / 4
-	}
-	rng := rand.New(rand.NewSource(1))
-	cbLin, _ := NewCrossbar(4, 1, lin)
-	cbLin.Program(target, rng)
-	cbNL, _ := NewCrossbar(4, 1, nl)
-	cbNL.Program(target, rng)
-
-	mvm0 := func(cb *Crossbar, v []float64) float64 {
-		out, err := cb.MVM(v, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out[0]
-	}
-
-	// Binary input: nonlinear result is exactly gain·linear.
-	bin := []float64{1, 0, 1, 1}
-	gain := nl.TransferGain()
-	if math.Abs(mvm0(cbNL, bin)-gain*mvm0(cbLin, bin)) > 1e-15 {
-		t.Fatal("binary input not uniformly scaled under nonlinearity")
-	}
-
-	// Analog input: the result is NOT a uniform scaling (distortion).
-	ana := []float64{0.2, 0.9, 0.5, 0.1}
-	ratio := mvm0(cbNL, ana) / mvm0(cbLin, ana)
-	if math.Abs(ratio-gain) < 1e-6 {
-		t.Fatalf("analog input scaled uniformly (ratio %v = gain %v); expected distortion", ratio, gain)
-	}
-}
-
-// TestMVMNonlinearScratchReused pins that the transfer-curve input copy
-// is kept in the crossbar's scratch slice: a steady-state nonlinear MVM
-// allocates only its output slice.
-func TestMVMNonlinearScratchReused(t *testing.T) {
-	m := IdealDeviceModel(4)
-	m.IVNonlinearity = 2
-	cb, err := NewCrossbar(8, 4, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := []float64{1, 0, 0.5, 1, 0, 0.25, 1, 0}
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := cb.MVM(v, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 1 {
-		t.Errorf("nonlinear MVM allocates %.1f objects per call, want ≤ 1 (the output slice)", avg)
 	}
 }

@@ -43,42 +43,6 @@ func QuantizeSymmetric(w *tensor.Tensor, bits int) ([]int, float64, error) {
 	return q, scale, nil
 }
 
-// Nibbles splits a non-negative magnitude into its high and low
-// device-precision slices: m = hi·2^deviceBits + lo. With 8-bit
-// weights and 4-bit devices this is the paper's two-cell
-// high-bits/low-bits decomposition (A_k ∈ {1, 2⁴}).
-func Nibbles(m, deviceBits int) (hi, lo int) {
-	if m < 0 {
-		panic(fmt.Sprintf("rram: Nibbles of negative magnitude %d", m))
-	}
-	mask := 1<<deviceBits - 1
-	hi = m >> deviceBits
-	lo = m & mask
-	if hi > mask {
-		panic(fmt.Sprintf("rram: magnitude %d does not fit in two %d-bit slices", m, deviceBits))
-	}
-	return hi, lo
-}
-
-// SliceWeight decomposes a signed integer weight into the four cells
-// of the paper's representation: positive-high, positive-low,
-// negative-high, negative-low, each in [0, 2^deviceBits−1]. Exactly
-// one sign's pair is nonzero.
-func SliceWeight(q, deviceBits int) (posHi, posLo, negHi, negLo int) {
-	if q >= 0 {
-		posHi, posLo = Nibbles(q, deviceBits)
-		return posHi, posLo, 0, 0
-	}
-	negHi, negLo = Nibbles(-q, deviceBits)
-	return 0, 0, negHi, negLo
-}
-
-// ReconstructWeight inverts SliceWeight: q = (posHi·2^b + posLo) −
-// (negHi·2^b + negLo).
-func ReconstructWeight(posHi, posLo, negHi, negLo, deviceBits int) int {
-	return (posHi<<deviceBits + posLo) - (negHi<<deviceBits + negLo)
-}
-
 // SliceCount returns how many device cells one unsigned magnitude of
 // weightBits needs at deviceBits per cell: ceil(weightBits/deviceBits).
 // With the paper's 8-bit weights and 4-bit devices this is 2; weaker

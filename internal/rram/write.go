@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"sei/internal/tensor"
 )
 
 // Iterative program-and-verify, the "adaptable variation-tolerant
@@ -96,43 +94,41 @@ func DeploymentEnergyPJ(cells int64, m DeviceModel, cfg WriteConfig) float64 {
 	return float64(cells) * ExpectedPulses(m, cfg) * cfg.PulseEnergyPJ
 }
 
-// ProgramVerify writes normalized weights in [0,1] with iterative
-// program-and-verify: pulses repeat until the read-back conductance is
-// within cfg.Tolerance of the target level. Against plain Program this
-// trades write energy for tighter effective precision.
-func (c *Crossbar) ProgramVerify(target *tensor.Tensor, cfg WriteConfig, rng *rand.Rand) (WriteStats, error) {
+// ProgramVerify programs normalized weights in [0,1] — one per cell —
+// with iterative program-and-verify: each cell is pulsed until its
+// read-back conductance is within cfg.Tolerance of its target level's
+// nominal conductance, or until MaxPulses. It returns the final
+// conductances, in target's order. Against plain ProgramConductance
+// this trades write energy for tighter effective precision. rng may be
+// nil only when the model programs deterministically.
+func ProgramVerify(m DeviceModel, target []float64, cfg WriteConfig, rng *rand.Rand) ([]float64, WriteStats, error) {
+	if err := m.Validate(); err != nil {
+		return nil, WriteStats{}, err
+	}
 	if err := cfg.Validate(); err != nil {
-		return WriteStats{}, err
+		return nil, WriteStats{}, err
 	}
-	s := target.Shape()
-	if len(s) != 2 || s[0] != c.Rows || s[1] != c.Cols {
-		return WriteStats{}, fmt.Errorf("rram: ProgramVerify target shape %v, want [%d %d]", s, c.Rows, c.Cols)
-	}
-	stats := WriteStats{Cells: int64(c.Rows * c.Cols)}
-	for j := 0; j < c.Rows; j++ {
-		for k := 0; k < c.Cols; k++ {
-			lvl := c.Model.QuantizeToLevel(target.At(j, k))
-			nominal := c.Model.LevelConductance(lvl)
-			c.levels[j*c.Cols+k] = lvl
-			verified := false
-			var g float64
-			for p := 0; p < cfg.MaxPulses; p++ {
-				stats.TotalPulses++
-				g = c.Model.ProgramConductance(lvl, rng)
-				if rel := math.Abs(g-nominal) / nominal; rel <= cfg.Tolerance {
-					verified = true
-					if rel > stats.MaxRelError {
-						stats.MaxRelError = rel
-					}
-					break
+	g := make([]float64, len(target))
+	stats := WriteStats{Cells: int64(len(target))}
+	for i, v := range target {
+		lvl := m.QuantizeToLevel(v)
+		nominal := m.LevelConductance(lvl)
+		verified := false
+		for p := 0; p < cfg.MaxPulses; p++ {
+			stats.TotalPulses++
+			g[i] = m.ProgramConductance(lvl, rng)
+			if rel := math.Abs(g[i]-nominal) / nominal; rel <= cfg.Tolerance {
+				verified = true
+				if rel > stats.MaxRelError {
+					stats.MaxRelError = rel
 				}
+				break
 			}
-			if !verified {
-				stats.FailedCells++
-			}
-			c.g.Set(g, j, k)
+		}
+		if !verified {
+			stats.FailedCells++
 		}
 	}
 	stats.EnergyPJ = float64(stats.TotalPulses) * cfg.PulseEnergyPJ
-	return stats, nil
+	return g, stats, nil
 }

@@ -4,23 +4,21 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sei/internal/tensor"
 )
 
-func writeTarget(n, m int, seed int64) *tensor.Tensor {
+func writeTarget(cells int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
-	tgt := tensor.New(n, m)
-	for i := range tgt.Data() {
-		tgt.Data()[i] = rng.Float64()
+	tgt := make([]float64, cells)
+	for i := range tgt {
+		tgt[i] = rng.Float64()
 	}
 	return tgt
 }
 
 func TestProgramVerifyIdealOnePulse(t *testing.T) {
 	m := IdealDeviceModel(4)
-	cb, _ := NewCrossbar(8, 8, m)
-	stats, err := cb.ProgramVerify(writeTarget(8, 8, 1), DefaultWriteConfig(), rand.New(rand.NewSource(2)))
+	tgt := writeTarget(64, 1)
+	g, stats, err := ProgramVerify(m, tgt, DefaultWriteConfig(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +28,11 @@ func TestProgramVerifyIdealOnePulse(t *testing.T) {
 	if stats.FailedCells != 0 || stats.MaxRelError != 0 {
 		t.Fatalf("ideal device stats wrong: %+v", stats)
 	}
+	for i, v := range tgt {
+		if want := m.LevelConductance(m.QuantizeToLevel(v)); g[i] != want {
+			t.Fatalf("cell %d conductance %g, want nominal %g", i, g[i], want)
+		}
+	}
 }
 
 func TestProgramVerifyTightensPrecision(t *testing.T) {
@@ -38,9 +41,8 @@ func TestProgramVerifyTightensPrecision(t *testing.T) {
 	cfg := DefaultWriteConfig()
 	cfg.Tolerance = 0.03
 	cfg.MaxPulses = 200
-	cb, _ := NewCrossbar(12, 12, m)
-	tgt := writeTarget(12, 12, 3)
-	stats, err := cb.ProgramVerify(tgt, cfg, rand.New(rand.NewSource(4)))
+	tgt := writeTarget(144, 3)
+	g, stats, err := ProgramVerify(m, tgt, cfg, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +53,10 @@ func TestProgramVerifyTightensPrecision(t *testing.T) {
 		t.Fatalf("heavy variation verified in %.2f pulses/cell; expected retries", stats.MeanPulses())
 	}
 	// Every cell within tolerance of its nominal level.
-	for j := 0; j < 12; j++ {
-		for k := 0; k < 12; k++ {
-			nominal := m.LevelConductance(cb.Level(j, k))
-			if rel := math.Abs(cb.Conductance(j, k)-nominal) / nominal; rel > cfg.Tolerance+1e-12 {
-				t.Fatalf("cell (%d,%d) error %.4f beyond tolerance", j, k, rel)
-			}
+	for i, v := range tgt {
+		nominal := m.LevelConductance(m.QuantizeToLevel(v))
+		if rel := math.Abs(g[i]-nominal) / nominal; rel > cfg.Tolerance+1e-12 {
+			t.Fatalf("cell %d error %.4f beyond tolerance", i, rel)
 		}
 	}
 	if stats.EnergyPJ != float64(stats.TotalPulses)*cfg.PulseEnergyPJ {
@@ -68,10 +68,9 @@ func TestProgramVerifyMorePulsesWithMoreVariation(t *testing.T) {
 	pulses := func(sigma float64) float64 {
 		m := DefaultDeviceModel()
 		m.ProgramSigma = sigma
-		cb, _ := NewCrossbar(16, 16, m)
 		cfg := DefaultWriteConfig()
 		cfg.MaxPulses = 500
-		stats, err := cb.ProgramVerify(writeTarget(16, 16, 5), cfg, rand.New(rand.NewSource(6)))
+		_, stats, err := ProgramVerify(m, writeTarget(256, 5), cfg, rand.New(rand.NewSource(6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +85,13 @@ func TestProgramVerifyMorePulsesWithMoreVariation(t *testing.T) {
 func TestProgramVerifyStuckCellsFail(t *testing.T) {
 	m := DefaultDeviceModel()
 	m.StuckOffRate = 1 // every cell stuck at GOff
-	cb, _ := NewCrossbar(4, 4, m)
-	tgt := tensor.New(4, 4)
-	tgt.Fill(1) // want GOn everywhere
+	tgt := make([]float64, 16)
+	for i := range tgt {
+		tgt[i] = 1 // want GOn everywhere
+	}
 	cfg := DefaultWriteConfig()
 	cfg.MaxPulses = 5
-	stats, err := cb.ProgramVerify(tgt, cfg, rand.New(rand.NewSource(7)))
+	g, stats, err := ProgramVerify(m, tgt, cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +101,42 @@ func TestProgramVerifyStuckCellsFail(t *testing.T) {
 	if stats.TotalPulses != 16*5 {
 		t.Fatalf("pulses %d, want full budget 80", stats.TotalPulses)
 	}
+	for i, v := range g {
+		if v != m.GOff {
+			t.Fatalf("stuck cell %d left at %g, want GOff %g", i, v, m.GOff)
+		}
+	}
 }
 
 func TestProgramVerifyValidation(t *testing.T) {
-	cb, _ := NewCrossbar(4, 4, DefaultDeviceModel())
 	rng := rand.New(rand.NewSource(1))
-	if _, err := cb.ProgramVerify(tensor.New(3, 4), DefaultWriteConfig(), rng); err == nil {
-		t.Fatal("accepted wrong target shape")
-	}
 	bad := DefaultWriteConfig()
 	bad.Tolerance = 0
-	if _, err := cb.ProgramVerify(tensor.New(4, 4), bad, rng); err == nil {
+	if _, _, err := ProgramVerify(DefaultDeviceModel(), make([]float64, 4), bad, rng); err == nil {
 		t.Fatal("accepted zero tolerance")
+	}
+	m := DefaultDeviceModel()
+	m.Bits = 0
+	if _, _, err := ProgramVerify(m, make([]float64, 4), DefaultWriteConfig(), rng); err == nil {
+		t.Fatal("accepted an invalid device model")
+	}
+}
+
+func TestProgramDeterministicWithSeed(t *testing.T) {
+	m := DefaultDeviceModel()
+	tgt := writeTarget(36, 8)
+	a, sa, err := ProgramVerify(m, tgt, DefaultWriteConfig(), rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, sb, _ := ProgramVerify(m, tgt, DefaultWriteConfig(), rand.New(rand.NewSource(7)))
+	if sa != sb {
+		t.Fatalf("write stats differ under a fixed seed: %+v vs %+v", sa, sb)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("programming is not deterministic under a fixed seed")
+		}
 	}
 }
 
@@ -124,8 +148,7 @@ func TestExpectedPulsesMatchesMonteCarlo(t *testing.T) {
 	cfg.MaxPulses = 500
 	want := ExpectedPulses(m, cfg)
 
-	cb, _ := NewCrossbar(24, 24, m)
-	stats, err := cb.ProgramVerify(writeTarget(24, 24, 21), cfg, rand.New(rand.NewSource(22)))
+	_, stats, err := ProgramVerify(m, writeTarget(24*24, 21), cfg, rand.New(rand.NewSource(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,47 +180,29 @@ func TestDeploymentEnergy(t *testing.T) {
 }
 
 func TestProgramVerifyImprovesOverPlainProgram(t *testing.T) {
-	// The verified array's MVM must be closer to the ideal result than
-	// the plain-programmed one under the same heavy variation.
+	// Under the same heavy variation, verified cells must end closer to
+	// their nominal level conductances than plain-programmed ones.
 	m := DefaultDeviceModel()
 	m.ProgramSigma = 0.15
-	tgt := writeTarget(32, 8, 9)
+	tgt := writeTarget(256, 9)
 
-	ideal, _ := NewCrossbar(32, 8, IdealDeviceModel(4))
-	ideal.Program(tgt, rand.New(rand.NewSource(1)))
-	plain, _ := NewCrossbar(32, 8, m)
-	plain.Program(tgt, rand.New(rand.NewSource(2)))
-	verified, _ := NewCrossbar(32, 8, m)
 	cfg := DefaultWriteConfig()
 	cfg.MaxPulses = 300
-	if _, err := verified.ProgramVerify(tgt, cfg, rand.New(rand.NewSource(2))); err != nil {
-		t.Fatal(err)
-	}
-
-	v := make([]float64, 32)
-	rng := rand.New(rand.NewSource(3))
-	for i := range v {
-		if rng.Float64() < 0.5 {
-			v[i] = 1
-		}
-	}
-	ref, err := ideal.WeightedSum(v, nil)
+	verified, _, err := ProgramVerify(m, tgt, cfg, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	errOf := func(c *Crossbar) float64 {
-		out, err := c.WeightedSum(v, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := 0.0
-		for k := range out {
-			d := out[k] - ref[k]
-			s += d * d
-		}
-		return s
+	rng := rand.New(rand.NewSource(2))
+	var errPlain, errVerified float64
+	for i, v := range tgt {
+		lvl := m.QuantizeToLevel(v)
+		nominal := m.LevelConductance(lvl)
+		d := m.ProgramConductance(lvl, rng) - nominal
+		errPlain += d * d
+		d = verified[i] - nominal
+		errVerified += d * d
 	}
-	if errOf(verified) >= errOf(plain) {
-		t.Fatalf("verify did not improve MVM fidelity: %.4f vs %.4f", errOf(verified), errOf(plain))
+	if errVerified >= errPlain {
+		t.Fatalf("verify did not improve programming fidelity: %.4g vs %.4g", errVerified, errPlain)
 	}
 }

@@ -97,14 +97,18 @@ type SEIDesign struct {
 	// ≥ 1), when calibration ran.
 	CalibResults map[int]CalibrationResult
 
-	// packed caches whether every stage reads out linearly, which lets
-	// the packed walker (fast.go) reproduce the float path; ideal
-	// whether every read-out is exact, which the sliced walker
-	// (sliced.go) and bounded mode need. scratch holds the packed
-	// walker's *seiScratch arena pool (nil unless packed) and sliced the
-	// sliced walker's *slicedScratch pool (nil unless ideal). All are
-	// set once by initFastPath at build/load time, before the design is
-	// shared across goroutines.
+	// packed caches whether every stage reads out linearly (no I-V
+	// nonlinearity), which lets the packed walker (fast.go) reproduce
+	// the float path: noise and IR drop commute with the packed column
+	// sums, the sinh transfer on analog inputs does not. ideal caches
+	// whether every read-out is exact (no noise draws, IR drop or I-V
+	// nonlinearity), which the sliced walker (sliced.go) and bounded
+	// mode need; programming variation and stuck faults are baked into
+	// the effective weights and never disqualify it. scratch holds the
+	// packed walker's *seiScratch arena pool (nil unless packed) and
+	// sliced the sliced walker's *slicedScratch pool (nil unless ideal).
+	// All are set once by initFastPath at build/load time, before the
+	// design is shared across goroutines.
 	packed, ideal   bool
 	scratch, sliced *sync.Pool
 	// fastOff (SetFastPath) and bounded (SetBounded) are the mode
@@ -117,8 +121,10 @@ type SEIDesign struct {
 // Bound tables are built for ideal designs, but the bounded walk itself
 // stays off until SetBounded.
 func (d *SEIDesign) initFastPath() {
-	d.packed = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Linear() })
-	d.ideal = !d.anyReadout(func(r *readout) bool { return !r.model.Readout().Ideal() })
+	d.packed = !d.anyReadout(func(r *readout) bool { return r.model.IVNonlinearity != 0 })
+	d.ideal = !d.anyReadout(func(r *readout) bool {
+		return r.noisy() || r.model.IRDropAlpha != 0 || r.model.IVNonlinearity != 0
+	})
 	if d.packed {
 		d.scratch = &sync.Pool{}
 	}

@@ -107,25 +107,37 @@ func TestFastPathMatchesFloatPath(t *testing.T) {
 // TestFastPathDisabledForNonIdealModels pins the dispatch rule: any
 // analog read-out effect (read noise, IR drop, I-V nonlinearity)
 // keeps the design off the ideal-only paths (sliced walker, bounded
-// mode), and the design still evaluates.
+// mode), only the I-V nonlinearity keeps it off the packed walker, and
+// the design still evaluates.
 func TestFastPathDisabledForNonIdealModels(t *testing.T) {
 	f := getFixture(t)
-	mods := map[string]func(*rram.DeviceModel){
-		"read-noise":   func(m *rram.DeviceModel) { m.ReadNoiseSigma = 0.05 },
-		"ir-drop":      func(m *rram.DeviceModel) { m.IRDropAlpha = 0.1 },
-		"nonlinearity": func(m *rram.DeviceModel) { m.IVNonlinearity = 1.0 },
+	cases := []struct {
+		name          string
+		mod           func(*rram.DeviceModel)
+		ideal, packed bool
+	}{
+		{"default", func(m *rram.DeviceModel) {}, true, true},
+		// A per-cell noise flag without a sigma draws nothing.
+		{"per-cell-zero-sigma", func(m *rram.DeviceModel) { m.ReadNoisePerCell = true }, true, true},
+		{"read-noise", func(m *rram.DeviceModel) { m.ReadNoiseSigma = 0.05 }, false, true},
+		{"per-cell-noise", func(m *rram.DeviceModel) { m.ReadNoiseSigma = 0.05; m.ReadNoisePerCell = true }, false, true},
+		{"ir-drop", func(m *rram.DeviceModel) { m.IRDropAlpha = 0.1 }, false, true},
+		{"nonlinearity", func(m *rram.DeviceModel) { m.IVNonlinearity = 1.0 }, false, false},
 	}
-	for name, mod := range mods {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultSEIBuildConfig()
 			cfg.DynamicThreshold = false
-			mod(&cfg.Layer.Model)
+			c.mod(&cfg.Layer.Model)
 			d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(4)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.ideal || d.SlicedBatchEligible() {
-				t.Fatalf("%s model enabled the ideal-only paths", name)
+			if d.ideal != c.ideal || d.SlicedBatchEligible() != c.ideal {
+				t.Fatalf("ideal %v, sliced-eligible %v; want %v", d.ideal, d.SlicedBatchEligible(), c.ideal)
+			}
+			if d.packed != c.packed {
+				t.Fatalf("packed %v, want %v", d.packed, c.packed)
 			}
 			if _, err := nn.Predict(d, f.test.Images[0]); err != nil {
 				t.Fatalf("predict: %v", err)
