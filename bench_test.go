@@ -246,30 +246,6 @@ func BenchmarkAblationHomogMethod(b *testing.B) {
 	b.ReportMetric(gaOverGreedy, "ga_over_greedy_x")
 }
 
-// BenchmarkAblationAnnealVsGA compares simulated annealing against the
-// paper's genetic algorithm on the same objective.
-func BenchmarkAblationAnnealVsGA(b *testing.B) {
-	c := benchContext(b)
-	q := c.QuantizedCalibrated(2)
-	w := q.ConvMatrix(1)
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		const k = 3
-		ga, err := homog.Homogenize(w, k, homog.DefaultGAConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sa, err := homog.Anneal(w, k, homog.DefaultSAConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ga.Distance > 0 {
-			ratio = sa.Distance / ga.Distance
-		}
-	}
-	b.ReportMetric(ratio, "sa_over_ga_x")
-}
-
 // BenchmarkAblationDynamicThreshold measures the error delta of the
 // dynamic threshold vs the static split on a forced split.
 func BenchmarkAblationDynamicThreshold(b *testing.B) {

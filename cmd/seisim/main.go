@@ -74,17 +74,18 @@ type options struct {
 // reported on stderr, flag.ErrHelp for -h, and a descriptive error —
 // including the unified -workers message — otherwise.
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
-	opt := &options{}
+	opt := &options{cfg: experiments.DefaultConfig()}
 	fs := flag.NewFlagSet("seisim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	c := &opt.cfg
+	fs.IntVar(&c.TrainSamples, "train", c.TrainSamples, "training samples")
+	fs.IntVar(&c.TestSamples, "test", c.TestSamples, "test samples")
+	fs.IntVar(&c.Epochs, "epochs", c.Epochs, "training epochs")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "global random seed")
+	fs.IntVar(&c.SearchSamples, "search", c.SearchSamples, "Algorithm-1 threshold-search samples")
+	fs.IntVar(&c.RandomOrders, "orders", c.RandomOrders, "random orders sampled in table4 (paper: 500)")
+	fs.IntVar(&c.CalibImages, "calib", c.CalibImages, "dynamic-threshold calibration images")
 	var (
-		train   = fs.Int("train", 3000, "training samples")
-		test    = fs.Int("test", 600, "test samples")
-		epochs  = fs.Int("epochs", 4, "training epochs")
-		seed    = fs.Int64("seed", 1, "global random seed")
-		search  = fs.Int("search", 400, "Algorithm-1 threshold-search samples")
-		orders  = fs.Int("orders", 20, "random orders sampled in table4 (paper: 500)")
-		calib   = fs.Int("calib", 50, "dynamic-threshold calibration images")
 		cache   = fs.String("cache", "", "model cache directory (empty = no cache)")
 		quick   = fs.Bool("quick", false, "use the small smoke-test sizing")
 		net     = fs.Int("net", 1, "network id for fig1/table4/homog (1-3)")
@@ -115,22 +116,11 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		return nil, err
 	}
 
-	opt.cfg = experiments.Config{
-		TrainSamples:  *train,
-		TestSamples:   *test,
-		Epochs:        *epochs,
-		Seed:          *seed,
-		SearchSamples: *search,
-		RandomOrders:  *orders,
-		CalibImages:   *calib,
-		CacheDir:      *cache,
-		Workers:       *workers,
-	}
 	if *quick {
 		opt.cfg = experiments.QuickConfig()
-		opt.cfg.CacheDir = *cache
-		opt.cfg.Workers = *workers
 	}
+	opt.cfg.CacheDir = *cache
+	opt.cfg.Workers = *workers
 	opt.what = fs.Arg(0)
 	opt.netID = *net
 	opt.sizes = parsedSizes

@@ -103,11 +103,7 @@ func SpikingErrorRate(q *QuantizedNet, design *SEIDesign, data *Dataset, timeste
 	if design != nil {
 		eval = design
 	}
-	return snn.ErrorRate(q, eval, data, snn.Config{
-		Timesteps:   timesteps,
-		Aggregation: snn.SumScores,
-		Seed:        seed,
-	})
+	return snn.ErrorRate(q, eval, data, snn.Config{Timesteps: timesteps, Seed: seed})
 }
 
 // DeploymentCost estimates the one-time energy of programming a

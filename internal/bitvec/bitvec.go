@@ -62,9 +62,6 @@ func (v *Vec) Reset(n int) {
 // Set sets bit i.
 func (v *Vec) Set(i int) { v.w[i>>6] |= 1 << (uint(i) & 63) }
 
-// Unset clears bit i.
-func (v *Vec) Unset(i int) { v.w[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Get reports whether bit i is set.
 func (v *Vec) Get(i int) bool { return v.w[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -98,17 +95,6 @@ func (v *Vec) NextSet(i int) int {
 		}
 	}
 	return -1
-}
-
-// Or folds o into v word-wise (v |= o) — the OR-reduce of 1-bit max
-// pooling. The lengths must match.
-func (v *Vec) Or(o *Vec) {
-	if v.n != o.n {
-		panic("bitvec: Or length mismatch")
-	}
-	for i, w := range o.w {
-		v.w[i] |= w
-	}
 }
 
 // SetFloats re-sizes v to len(xs) and packs xs into it: bit i is set

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"sei/internal/homog"
+	"sei/internal/nn"
+	"sei/internal/quant"
 	"sei/internal/seicore"
 	"sei/internal/tensor"
 )
@@ -17,13 +19,13 @@ func TestSplitConvStagesDetection(t *testing.T) {
 	}
 	// At 64, it splits into ceil(36/16) = 3 blocks.
 	got := splitConvStages(q, 64, seicore.ModeBipolar)
-	if got[1] != 3 || len(got) != 1 {
-		t.Fatalf("splits at 64: %v, want map[1:3]", got)
+	if len(got) != 1 || got[0] != (SplitStage{1, 3}) {
+		t.Fatalf("splits at 64: %v, want [{1 3}]", got)
 	}
 	// Unipolar mode halves the rows: ceil(36/32) = 2 blocks.
 	got = splitConvStages(q, 64, seicore.ModeUnipolarDynamic)
-	if got[1] != 2 {
-		t.Fatalf("unipolar splits at 64: %v, want map[1:2]", got)
+	if len(got) != 1 || got[0] != (SplitStage{1, 2}) {
+		t.Fatalf("unipolar splits at 64: %v, want [{1 2}]", got)
 	}
 }
 
@@ -74,6 +76,31 @@ func TestRandomOrdersForDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical random orders")
+	}
+}
+
+// TestRandomOrdersForStableWithTwoSplitStages pins the stage order
+// of the shared RNG stream: the deep net splits two conv stages at 64
+// (5 and 9 blocks), so drawing their permutations in map order would
+// hand each stage the other's draws on some calls.
+func TestRandomOrdersForStableWithTwoSplitStages(t *testing.T) {
+	q, err := quant.Extract(nn.NewDeepNetwork(1), []int{1, 28, 28})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := splitConvStages(q, 64, seicore.ModeBipolar); len(got) != 2 {
+		t.Fatalf("deep net splits %v at 64, want two stages", got)
+	}
+	want := RandomOrdersFor(q, 64, 7)
+	for call := 0; call < 200; call++ {
+		got := RandomOrdersFor(q, 64, 7)
+		for l := range want {
+			for i := range want[l] {
+				if got[l][i] != want[l][i] {
+					t.Fatalf("call %d: stage %d order differs from the first call", call, l)
+				}
+			}
+		}
 	}
 }
 

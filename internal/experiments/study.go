@@ -29,10 +29,10 @@ type HomogStudyRow struct {
 // stage of a network under each ordering strategy.
 func HomogenizationStudy(c *Context, networkID, maxSize int) []HomogStudyRow {
 	q := c.QuantizedCalibrated(networkID)
-	split := splitConvStages(q, maxSize, seicore.ModeBipolar)
 	rng := rand.New(rand.NewSource(c.Cfg.Seed))
 	var rows []HomogStudyRow
-	for l, k := range split {
+	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
+		l, k := s.Stage, s.K
 		w := q.ConvMatrix(l)
 		n := w.Dim(0)
 		row := HomogStudyRow{

@@ -42,9 +42,13 @@ type Table4Column struct {
 	// conv stage(s) vs natural order (paper: 80–90%).
 	HomogReduction float64
 	// SplitStages records which conv stages split and into how many
-	// blocks.
-	SplitStages map[int]int
+	// blocks, in ascending stage order.
+	SplitStages []SplitStage
 }
+
+// SplitStage is one conv stage that needs splitting and its block
+// count.
+type SplitStage struct{ Stage, K int }
 
 // Table4Result reproduces Table 4 for one network.
 type Table4Result struct {
@@ -53,13 +57,15 @@ type Table4Result struct {
 }
 
 // splitConvStages returns the conv stages (index ≥ 1) that need
-// splitting at the given crossbar size, with their block counts.
-func splitConvStages(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode) map[int]int {
-	out := map[int]int{}
+// splitting at the given crossbar size, with their block counts, in
+// ascending stage order — callers draw from shared RNG streams and
+// fold floats over the result, so its order is part of their output.
+func splitConvStages(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode) []SplitStage {
+	var out []SplitStage
 	for l := 1; l < len(q.Convs); l++ {
 		n := q.Convs[l].FanIn()
 		if k := seicore.BlocksFor(n, mode.CellsPerWeight(), maxSize); k > 1 {
-			out[l] = k
+			out = append(out, SplitStage{l, k})
 		}
 	}
 	return out
@@ -71,7 +77,8 @@ func homogenizedOrders(c *Context, q *quant.QuantizedNet, maxSize int, mode seic
 	split := splitConvStages(q, maxSize, mode)
 	orders = make([][]int, len(q.Convs))
 	var reds []float64
-	for l, k := range split {
+	for _, s := range split {
+		l, k := s.Stage, s.K
 		cfg := homog.DefaultGAConfig()
 		cfg.Seed = c.Cfg.Seed + int64(l)
 		res, err := homog.Homogenize(q.ConvMatrix(l), k, cfg)
@@ -96,16 +103,15 @@ func homogenizedOrders(c *Context, q *quant.QuantizedNet, maxSize int, mode seic
 // of q that splits at the given crossbar size, without needing a full
 // experiment context — the facade's pipeline uses it.
 func HomogenizedOrdersFor(q *quant.QuantizedNet, maxSize int, seed int64) [][]int {
-	split := splitConvStages(q, maxSize, seicore.ModeBipolar)
 	orders := make([][]int, len(q.Convs))
-	for l, k := range split {
+	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
 		cfg := homog.DefaultGAConfig()
-		cfg.Seed = seed + int64(l)
-		res, err := homog.Homogenize(q.ConvMatrix(l), k, cfg)
+		cfg.Seed = seed + int64(s.Stage)
+		res, err := homog.Homogenize(q.ConvMatrix(s.Stage), s.K, cfg)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: homogenizing stage %d: %v", l, err))
+			panic(fmt.Sprintf("experiments: homogenizing stage %d: %v", s.Stage, err))
 		}
-		orders[l] = res.Order
+		orders[s.Stage] = res.Order
 	}
 	return orders
 }
@@ -130,11 +136,10 @@ func sortedOrder(w *tensor.Tensor) []int {
 // stage of q that splits at the given crossbar size — the Table-4
 // "Random Order Splitting" condition, exposed for the facade.
 func RandomOrdersFor(q *quant.QuantizedNet, maxSize int, seed int64) [][]int {
-	split := splitConvStages(q, maxSize, seicore.ModeBipolar)
 	rng := rand.New(rand.NewSource(seed))
 	orders := make([][]int, len(q.Convs))
-	for l := range split {
-		orders[l] = homog.RandomOrder(q.Convs[l].FanIn(), rng)
+	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
+		orders[s.Stage] = homog.RandomOrder(q.Convs[s.Stage].FanIn(), rng)
 	}
 	return orders
 }
@@ -186,8 +191,8 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 		randOrders := make([][][]int, c.Cfg.RandomOrders)
 		for r := range randOrders {
 			orders := make([][]int, len(q.Convs))
-			for l := range col.SplitStages {
-				orders[l] = homog.RandomOrder(q.Convs[l].FanIn(), rng)
+			for _, s := range col.SplitStages {
+				orders[s.Stage] = homog.RandomOrder(q.Convs[s.Stage].FanIn(), rng)
 			}
 			randOrders[r] = orders
 		}
@@ -212,8 +217,8 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 
 		// Clustered (sorted-by-row-sum) order: the deterministic bad case.
 		clustered := make([][]int, len(q.Convs))
-		for l := range col.SplitStages {
-			clustered[l] = sortedOrder(q.ConvMatrix(l))
+		for _, s := range col.SplitStages {
+			clustered[s.Stage] = sortedOrder(q.ConvMatrix(s.Stage))
 		}
 		col.Clustered = seiError(c, q, size, clustered, false, c.Cfg.Seed+500, c.Cfg.Workers)
 

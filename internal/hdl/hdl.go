@@ -4,16 +4,13 @@
 // (the function the analog crossbar block implements), and the FC
 // stage becomes a score module with an argmax. The generated RTL
 // serves as the verification reference a tape-out of the paper's
-// structure would be checked against, plus self-checking testbenches
-// whose expected outputs are computed by the same integer semantics in
-// Go.
+// structure would be checked against.
 package hdl
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"sei/internal/quant"
 	"sei/internal/rram"
@@ -197,45 +194,5 @@ func Export(q *quant.QuantizedNet, w io.Writer) error {
 		WriteStageModule(w, s)
 	}
 	WriteFCModule(w, fc)
-	return nil
-}
-
-// bitsLiteral renders a bool vector as a Verilog bit-vector literal
-// (LSB = index 0).
-func bitsLiteral(bits []bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d'b", len(bits))
-	for i := len(bits) - 1; i >= 0; i-- {
-		if bits[i] {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
-// WriteTestbench emits a self-checking testbench for one stage module:
-// the expected outputs are computed by StageModel.Eval (the same
-// integer semantics) so simulation mismatches indicate an RTL bug.
-func WriteTestbench(w io.Writer, s *StageModel, vectors [][]bool) error {
-	for i, v := range vectors {
-		if len(v) != s.N {
-			return fmt.Errorf("hdl: vector %d has %d bits, want %d", i, len(v), s.N)
-		}
-	}
-	fmt.Fprintf(w, "`timescale 1ns/1ps\n")
-	fmt.Fprintf(w, "module %s_tb;\n", s.Name)
-	fmt.Fprintf(w, "  reg  [%d:0] in;\n  wire [%d:0] out;\n  integer errors;\n", s.N-1, s.M-1)
-	fmt.Fprintf(w, "  %s dut (.in(in), .out(out));\n", s.Name)
-	fmt.Fprintf(w, "  initial begin\n    errors = 0;\n")
-	for _, v := range vectors {
-		want := s.Eval(v)
-		fmt.Fprintf(w, "    in = %s; #1;\n", bitsLiteral(v))
-		fmt.Fprintf(w, "    if (out !== %s) begin errors = errors + 1; $display(\"FAIL in=%%b out=%%b want=%s\", in, out); end\n",
-			bitsLiteral(want), bitsLiteral(want))
-	}
-	fmt.Fprintf(w, "    if (errors == 0) $display(\"PASS %s: all %d vectors\");\n", s.Name, len(vectors))
-	fmt.Fprintf(w, "    $finish;\n  end\nendmodule\n")
 	return nil
 }

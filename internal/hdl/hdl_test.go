@@ -158,56 +158,6 @@ func TestVerilogSigned8(t *testing.T) {
 	}
 }
 
-func TestBitsLiteral(t *testing.T) {
-	got := bitsLiteral([]bool{true, false, false, true}) // LSB first
-	if got != "4'b1001" {
-		t.Fatalf("bitsLiteral = %q, want 4'b1001", got)
-	}
-}
-
-func TestTestbenchSelfChecking(t *testing.T) {
-	q := getQ(t)
-	stages, _, err := Models(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stages[0]
-	rng := rand.New(rand.NewSource(5))
-	vectors := make([][]bool, 5)
-	for i := range vectors {
-		v := make([]bool, s.N)
-		for j := range v {
-			v[j] = rng.Float64() < 0.3
-		}
-		vectors[i] = v
-	}
-	var buf bytes.Buffer
-	if err := WriteTestbench(&buf, s, vectors); err != nil {
-		t.Fatal(err)
-	}
-	tb := buf.String()
-	if !strings.Contains(tb, "module sei_stage1_tb;") || !strings.Contains(tb, "$finish") {
-		t.Fatal("testbench malformed")
-	}
-	if strings.Count(tb, "in = ") != 5 {
-		t.Fatalf("testbench has %d stimulus lines, want 5", strings.Count(tb, "in = "))
-	}
-	// Expected values embedded must match the Go model.
-	want := bitsLiteral(s.Eval(vectors[0]))
-	if !strings.Contains(tb, want) {
-		t.Fatalf("testbench missing expected literal %s", want)
-	}
-}
-
-func TestTestbenchRejectsBadVector(t *testing.T) {
-	q := getQ(t)
-	stages, _, _ := Models(q)
-	var buf bytes.Buffer
-	if err := WriteTestbench(&buf, stages[0], [][]bool{make([]bool, 3)}); err == nil {
-		t.Fatal("accepted wrong-length vector")
-	}
-}
-
 func TestStageEvalLengthPanics(t *testing.T) {
 	q := getQ(t)
 	stages, _, _ := Models(q)

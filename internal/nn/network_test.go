@@ -239,19 +239,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCloneWeightsIndependent(t *testing.T) {
-	net := NewTableNetwork(2, 1)
-	c := CloneWeights(net)
-	img := mnist.Synthetic(1, 1).Images[0]
-	if !tensor.EqualApprox(net.Forward(img), c.Forward(img), 1e-12) {
-		t.Fatal("clone computes different logits")
-	}
-	c.Params()[0].Value.Fill(0)
-	if net.Params()[0].Value.Max() == 0 {
-		t.Fatal("mutating clone affected original")
-	}
-}
-
 // TestClassifierErrorRateMatchesErrorRate pins ErrorRate to a plain
 // count of Predict mismatches.
 func TestClassifierErrorRateMatchesErrorRate(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"sei/internal/tensor"
 )
 
 // The gob snapshot format is intentionally simple: each layer is
@@ -152,40 +150,4 @@ func LoadFile(path string) (*Network, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// CloneWeights returns a deep copy of the network (architecture and
-// parameters, not transient caches). The quantizer uses it so weight
-// re-scaling never mutates the caller's trained model.
-func CloneWeights(net *Network) *Network {
-	c := &Network{Name: net.Name}
-	for _, l := range net.Layers {
-		switch ll := l.(type) {
-		case *Conv2D:
-			nc := &Conv2D{
-				Filters: ll.Filters, InChannels: ll.InChannels,
-				KH: ll.KH, KW: ll.KW, Stride: ll.Stride,
-				Weight: &Param{Value: ll.Weight.Value.Clone(), Grad: tensor.New(ll.Weight.Value.Shape()...)},
-			}
-			if ll.Bias != nil {
-				nc.Bias = &Param{Value: ll.Bias.Value.Clone(), Grad: tensor.New(ll.Bias.Value.Shape()...)}
-			}
-			c.Layers = append(c.Layers, nc)
-		case *ReLU:
-			c.Layers = append(c.Layers, NewReLU())
-		case *MaxPool2D:
-			c.Layers = append(c.Layers, NewMaxPool2D(ll.Size))
-		case *Flatten:
-			c.Layers = append(c.Layers, NewFlatten())
-		case *Dense:
-			c.Layers = append(c.Layers, &Dense{
-				In: ll.In, Out: ll.Out,
-				Weight: &Param{Value: ll.Weight.Value.Clone(), Grad: tensor.New(ll.Out, ll.In)},
-				Bias:   &Param{Value: ll.Bias.Value.Clone(), Grad: tensor.New(ll.Out)},
-			})
-		default:
-			panic(fmt.Sprintf("nn: cannot clone layer type %T", l))
-		}
-	}
-	return c
 }

@@ -10,9 +10,8 @@ import (
 // LatencyBounds returns the default latency bucket upper bounds in
 // seconds: 50 µs growing by 25 % per bucket up to one minute (~63
 // buckets), fine enough that interpolated p50/p99/p999 land within a
-// bucket ratio of the exact order statistics. Shared by the serving
-// request histogram and the internal/load generator so client- and
-// server-side latency distributions are directly comparable.
+// bucket ratio of the exact order statistics. The serving request
+// histogram uses them.
 func LatencyBounds() []float64 {
 	var b []float64
 	for v := 50e-6; v < 60; v *= 1.25 {

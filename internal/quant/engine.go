@@ -483,7 +483,7 @@ func (st *laneStage) floatStage(b *laneBufs, in []float64, n int) []float64 {
 }
 
 // maxPoolLanes max-pools the first n lanes of b.vals into b.pooledVals,
-// in maxPool's window order.
+// in tensor.MaxPool's window order.
 func (st *laneStage) maxPoolLanes(b *laneBufs, n int) []float64 {
 	if st.pool <= 1 {
 		return b.vals

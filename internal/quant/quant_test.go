@@ -132,7 +132,7 @@ func TestPoolThenThresholdEqualsORPool(t *testing.T) {
 		}
 		thr := rng.Float64() * 0.5
 		// Path A: max-pool then threshold.
-		pooled := maxPool(x, 2)
+		pooled := tensor.MaxPool(x, 2)
 		a := binarize(pooled, thr)
 		// Path B: threshold then OR-pool.
 		b := orPool(binarize(x, thr), 2)

@@ -385,33 +385,6 @@ func binarizeInto(dst, x *tensor.Tensor, t float64) *tensor.Tensor {
 	return dst
 }
 
-// maxPool is float max pooling (used only in the float remainder of
-// the greedy search; the quantized pipeline uses orPool).
-func maxPool(x *tensor.Tensor, size int) *tensor.Tensor {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := h/size, w/size
-	out := tensor.New(c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				for ky := 0; ky < size; ky++ {
-					row := base + (oy*size+ky)*w + ox*size
-					for kx := 0; kx < size; kx++ {
-						if v := xd[row+kx]; v > best {
-							best = v
-						}
-					}
-				}
-				od[(ch*oh+oy)*ow+ox] = best
-			}
-		}
-	}
-	return out
-}
-
 // floatRemainder runs stages from (the input of conv stage `from`)
 // through the original float semantics — conv, ReLU, max-pool — and
 // the FC classifier, returning the predicted class. This is the
@@ -426,7 +399,7 @@ func floatRemainder(q *QuantizedNet, from int, x *tensor.Tensor) int {
 			}
 		}
 		if q.Convs[l].PoolSize > 1 {
-			x = maxPool(x, q.Convs[l].PoolSize)
+			x = tensor.MaxPool(x, q.Convs[l].PoolSize)
 		}
 	}
 	y := tensor.MatVec(q.FC.W, x.Data())

@@ -51,11 +51,9 @@ type SEIBuildConfig struct {
 	// that actually split (K > 1) are affected.
 	Orders [][]int
 	// DynamicThreshold enables the Section-4.3 input-dynamic
-	// compensation, calibrated on the training set.
+	// compensation, calibrated on the training set by a grid search
+	// over γ (gammaFactors) and D (1..K).
 	DynamicThreshold bool
-	// Calibration controls the γ/D search when DynamicThreshold or
-	// SearchDigital calibration is wanted.
-	Calibration CalibrationConfig
 	// CalibImages and CalibPositions bound the calibration workload:
 	// up to CalibImages training images, up to CalibPositions receptive
 	// fields sampled per image and stage.
@@ -75,7 +73,6 @@ func DefaultSEIBuildConfig() SEIBuildConfig {
 	return SEIBuildConfig{
 		Layer:            DefaultLayerOptions(),
 		DynamicThreshold: true,
-		Calibration:      DefaultCalibrationConfig(),
 		CalibImages:      60,
 		CalibPositions:   24,
 	}
@@ -306,13 +303,9 @@ func (d *SEIDesign) calibrate(train *mnist.Dataset, cfg SEIBuildConfig) error {
 		layer.Gamma, layer.DigitalThreshold = 0, defaultD
 		before := accuracy()
 		bestGamma, bestD, bestAcc := 0.0, defaultD, before
-		for _, f := range cfg.Calibration.GammaFactors {
+		for _, f := range gammaFactors {
 			gamma := f * gammaUnit
-			dLo, dHi := defaultD, defaultD
-			if cfg.Calibration.SearchDigital {
-				dLo, dHi = 1, layer.K
-			}
-			for dt := dLo; dt <= dHi; dt++ {
+			for dt := 1; dt <= layer.K; dt++ {
 				layer.Gamma, layer.DigitalThreshold = gamma, dt
 				if acc := accuracy(); acc > bestAcc {
 					bestGamma, bestD, bestAcc = gamma, dt, acc
@@ -539,7 +532,7 @@ func (d *FloatDesign) Predict(img *tensor.Tensor) int {
 			}
 		}
 		if c.PoolSize > 1 {
-			next = floatMaxPool(next, c.PoolSize)
+			next = tensor.MaxPool(next, c.PoolSize)
 		}
 		cur = next
 	}
@@ -548,27 +541,4 @@ func (d *FloatDesign) Predict(img *tensor.Tensor) int {
 		scores[i] += d.fcB[i]
 	}
 	return tensor.FromSlice(scores, len(scores)).ArgMax()
-}
-
-// floatMaxPool is digital max pooling for the full-precision design.
-func floatMaxPool(x *tensor.Tensor, size int) *tensor.Tensor {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := h/size, w/size
-	out := tensor.New(c, oh, ow)
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := x.At(ch, oy*size, ox*size)
-				for ky := 0; ky < size; ky++ {
-					for kx := 0; kx < size; kx++ {
-						if v := x.At(ch, oy*size+ky, ox*size+kx); v > best {
-							best = v
-						}
-					}
-				}
-				out.Set(best, ch, oy, ox)
-			}
-		}
-	}
-	return out
 }

@@ -3,13 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"sei/internal/load"
 	"sei/internal/obs"
 	"sei/internal/tensor"
 )
@@ -221,9 +220,9 @@ func TestRecordLatencyZeroAllocs(t *testing.T) {
 }
 
 // TestServeSaturationColdDesignUnaffected is the cross-design
-// starvation test: one design driven ~2× past its capacity must shed
-// on its own queue while a second, cheap design keeps answering with
-// zero errors and sane latency — the per-design pool means there is no
+// starvation test: one design driven past its capacity must shed on
+// its own queue while a second, cheap design keeps answering with zero
+// errors and sane latency — the per-design pool means there is no
 // shared queue for the hot design to fill.
 func TestServeSaturationColdDesignUnaffected(t *testing.T) {
 	f := getFastFixture(t)
@@ -237,25 +236,24 @@ func TestServeSaturationColdDesignUnaffected(t *testing.T) {
 		BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 16, Workers: 1, Obs: rec},
 		Options{Obs: rec})
 
-	// Hot stream: ~1000 rps of single-image predicts — 2× capacity.
-	hotDone := make(chan *load.Result, 1)
-	hotErr := make(chan error, 1)
-	go func() {
-		res, err := load.Run(context.Background(), load.Config{
-			Rate: 1000, Requests: 300, Seed: 7, MaxInFlight: 64,
-		}, func(ctx context.Context, _ int) error {
-			status, _, err := doPredict(ts.URL, "hot", f.data.Images[:1])
-			if err != nil {
-				return err
+	// Hot stream: 64 closed-loop clients × 5 single-image predicts.
+	// 64 outstanding requests exceed the queue (16) plus one batch in
+	// flight (8), so the hot queue must overflow.
+	const hotClients, hotPerClient = 64, 5
+	var hotFailed atomic.Int64
+	var hot sync.WaitGroup
+	for c := 0; c < hotClients; c++ {
+		hot.Add(1)
+		go func() {
+			defer hot.Done()
+			for i := 0; i < hotPerClient; i++ {
+				status, _, err := doPredict(ts.URL, "hot", f.data.Images[:1])
+				if err != nil || status != http.StatusOK {
+					hotFailed.Add(1)
+				}
 			}
-			if status != http.StatusOK {
-				return fmt.Errorf("status %d", status)
-			}
-			return nil
-		})
-		hotErr <- err
-		hotDone <- res
-	}()
+		}()
+	}
 
 	// Meanwhile the cold design answers a steady trickle; every request
 	// must succeed promptly.
@@ -274,27 +272,21 @@ func TestServeSaturationColdDesignUnaffected(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := <-hotErr; err != nil {
-		t.Fatal(err)
-	}
-	hot := <-hotDone
+	hot.Wait()
 
 	// The hot design must actually have been saturated (shed load), or
 	// the test proved nothing.
-	if hot.Errors == 0 {
-		t.Fatalf("hot design shed nothing at 2× capacity (sent %d): saturation never happened", hot.Sent)
+	if hotFailed.Load() == 0 {
+		t.Fatalf("hot design shed nothing with %d concurrent clients: saturation never happened", hotClients)
 	}
 	if rec.CounterValues()[MetricQueueFull] == 0 {
-		t.Fatal("serve_queue_full = 0 under 2× load")
+		t.Fatal("serve_queue_full = 0 under saturation")
 	}
 	// Generous bound — the point is "not starved behind the hot queue",
 	// not a latency SLO: a cold predict is microseconds of work, so even
 	// a loaded CI box clears 2 s unless it queued behind hot flushes.
 	if coldMax > 2*time.Second {
 		t.Fatalf("cold design worst latency %v under hot saturation, want < 2s", coldMax)
-	}
-	if hot.Sent+hot.Dropped+hot.Canceled != 300 {
-		t.Fatalf("hot accounting: sent %d + dropped %d + canceled %d != 300", hot.Sent, hot.Dropped, hot.Canceled)
 	}
 }
 

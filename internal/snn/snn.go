@@ -2,7 +2,7 @@
 // structure "to support other applications using 1-bit data like
 // RRAM-based Spiking Neural Networks". It rate-codes analog inputs
 // into Bernoulli spike trains so that even the input layer sees 1-bit
-// data — removing the last DACs of the SEI design — and aggregates the
+// data — removing the last DACs of the SEI design — and sums the
 // classifier's scores over timesteps.
 package snn
 
@@ -41,55 +41,34 @@ func (e *Encoder) Frame(img *tensor.Tensor) *tensor.Tensor {
 	return spikes
 }
 
-// Aggregation selects how per-timestep outputs combine.
-type Aggregation int
-
-const (
-	// SumScores accumulates the classifier scores over timesteps
-	// (population-rate readout).
-	SumScores Aggregation = iota
-	// MajorityVote counts each timestep's argmax and picks the most
-	// frequent class.
-	MajorityVote
-)
-
 // Config controls spiking classification.
 type Config struct {
-	Timesteps   int
-	Aggregation Aggregation
-	Seed        int64
+	Timesteps int
+	Seed      int64
 }
 
-// DefaultConfig uses 8 timesteps with score accumulation.
+// DefaultConfig uses 8 timesteps.
 func DefaultConfig() Config {
-	return Config{Timesteps: 8, Aggregation: SumScores, Seed: 1}
+	return Config{Timesteps: 8, Seed: 1}
 }
 
 // Classify runs the quantized network (under the given hardware
 // evaluator — pass q.Digital() for the software path or an SEI design)
-// on rate-coded spike frames of img and returns the aggregated class.
+// on rate-coded spike frames of img and returns the class whose scores
+// summed over the timesteps are highest (population-rate readout).
 func Classify(q *quant.QuantizedNet, eval quant.StageEval, img *tensor.Tensor, cfg Config, enc *Encoder) (int, error) {
 	if cfg.Timesteps < 1 {
 		return 0, fmt.Errorf("snn: timesteps %d < 1", cfg.Timesteps)
 	}
 	numClasses := q.FC.W.Dim(0)
 	scores := make([]float64, numClasses)
-	votes := make([]float64, numClasses)
 	for step := 0; step < cfg.Timesteps; step++ {
 		out := q.ForwardWith(eval, enc.Frame(img))
 		for c, v := range out {
 			scores[c] += v
 		}
-		votes[tensor.FromSlice(out, len(out)).ArgMax()]++
 	}
-	switch cfg.Aggregation {
-	case SumScores:
-		return tensor.FromSlice(scores, numClasses).ArgMax(), nil
-	case MajorityVote:
-		return tensor.FromSlice(votes, numClasses).ArgMax(), nil
-	default:
-		return 0, fmt.Errorf("snn: unknown aggregation %d", cfg.Aggregation)
-	}
+	return tensor.FromSlice(scores, numClasses).ArgMax(), nil
 }
 
 // ErrorRate evaluates spiking classification over a dataset. One
@@ -108,19 +87,4 @@ func ErrorRate(q *quant.QuantizedNet, eval quant.StageEval, data *mnist.Dataset,
 		}
 	}
 	return float64(wrong) / float64(data.Len()), nil
-}
-
-// RateSweep evaluates the error at each timestep budget, returning one
-// value per entry of timesteps — the latency/accuracy trade-off curve.
-func RateSweep(q *quant.QuantizedNet, eval quant.StageEval, data *mnist.Dataset, timesteps []int, seed int64) ([]float64, error) {
-	out := make([]float64, len(timesteps))
-	for i, t := range timesteps {
-		cfg := Config{Timesteps: t, Aggregation: SumScores, Seed: seed}
-		e, err := ErrorRate(q, eval, data, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-	}
-	return out, nil
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatVec computes y = A·x for a 2-D tensor A of shape [m,n] and a
 // vector x of length n, returning a vector of length m.
@@ -67,31 +70,6 @@ func MatVecTInto(dst []float64, a *Tensor, x []float64) {
 		for j, v := range row {
 			dst[j] += v * xi
 		}
-	}
-}
-
-// MatVecInto computes y = A·x into the caller-provided dst (len m).
-// Every element is overwritten with the same full ascending fold as
-// MatVec, so results are bit-identical while tight loops reuse one
-// output buffer.
-func MatVecInto(dst []float64, a *Tensor, x []float64) {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatVecInto needs a 2-D matrix, got shape %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	if len(x) != n {
-		panic(fmt.Sprintf("tensor: MatVecInto dimension mismatch: matrix %dx%d, vector %d", m, n, len(x)))
-	}
-	if len(dst) != m {
-		panic(fmt.Sprintf("tensor: MatVecInto destination length %d, want %d", len(dst), m))
-	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
 	}
 }
 
@@ -259,6 +237,33 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride int) *Tensor {
 				}
 			}
 			p++
+		}
+	}
+	return out
+}
+
+// MaxPool max-pools a [channels, height, width] tensor over
+// non-overlapping size×size windows; edge rows and columns that do
+// not fill a window are cropped.
+func MaxPool(x *Tensor, size int) *Tensor {
+	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+	oh, ow := h/size, w/size
+	out := New(c, oh, ow)
+	for ch := 0; ch < c; ch++ {
+		base := ch * h * w
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := math.Inf(-1)
+				for ky := 0; ky < size; ky++ {
+					row := base + (oy*size+ky)*w + ox*size
+					for kx := 0; kx < size; kx++ {
+						if v := x.data[row+kx]; v > best {
+							best = v
+						}
+					}
+				}
+				out.data[(ch*oh+oy)*ow+ox] = best
+			}
 		}
 	}
 	return out

@@ -104,6 +104,22 @@ func TestIm2ColPanicsOnBadInput(t *testing.T) {
 	}
 }
 
+func TestMaxPool(t *testing.T) {
+	x := FromSlice([]float64{
+		1, -2, 3, 9, 7,
+		-4, 0, -1, 2, 8,
+		5, 6, -7, -8, 6,
+	}, 1, 3, 5)
+	got := MaxPool(x, 2) // the last row and column do not fill a window
+	want := FromSlice([]float64{1, 9}, 1, 1, 2)
+	if !EqualApprox(got, want, 0) {
+		t.Fatalf("MaxPool = %v %v, want %v", got.Shape(), got.Data(), want.Data())
+	}
+	if got := MaxPool(FromSlice([]float64{-3, -1, -2, -5}, 1, 2, 2), 2); got.Data()[0] != -1 {
+		t.Fatalf("all-negative window pooled to %v, want -1", got.Data()[0])
+	}
+}
+
 // Property: Col2Im is the adjoint of Im2Col, i.e.
 // <Im2Col(x), y> == <x, Col2Im(y)> for all x, y. This is the exact
 // condition backprop needs.
@@ -196,17 +212,6 @@ func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		wantY := MatVec(a, x)
-		gotY := make([]float64, m)
-		for i := range gotY {
-			gotY[i] = math.NaN()
-		}
-		MatVecInto(gotY, a, x)
-		for i := range wantY {
-			if wantY[i] != gotY[i] {
-				return false
-			}
-		}
 
 		c := 1 + r.Intn(3)
 		kh, kw := 1+r.Intn(3), 1+r.Intn(3)
@@ -234,11 +239,10 @@ func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
 // the Into kernels.
 func TestIntoKernelShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { MatMulInto(New(2, 2), New(2, 3), New(3, 3)) },                   // wrong dst shape
-		func() { MatMulInto(New(2, 3), New(2, 2), New(3, 3)) },                   // inner mismatch
-		func() { Transpose2DInto(New(2, 3), New(2, 3)) },                         // dst not transposed shape
-		func() { MatVecInto(make([]float64, 3), New(2, 3), make([]float64, 3)) }, // wrong dst len
-		func() { Im2ColInto(New(4, 4), New(1, 4, 4), 2, 2, 1) },                  // wrong dst shape
+		func() { MatMulInto(New(2, 2), New(2, 3), New(3, 3)) },  // wrong dst shape
+		func() { MatMulInto(New(2, 3), New(2, 2), New(3, 3)) },  // inner mismatch
+		func() { Transpose2DInto(New(2, 3), New(2, 3)) },        // dst not transposed shape
+		func() { Im2ColInto(New(4, 4), New(1, 4, 4), 2, 2, 1) }, // wrong dst shape
 	}
 	for i, fn := range cases {
 		func() {
