@@ -202,20 +202,28 @@ func TestServeDeadlineShedHTTP(t *testing.T) {
 }
 
 // TestRecordLatencyZeroAllocs pins the histogram-bookkeeping hoist:
-// steady-state per-request latency recording must not allocate (the
-// bounds slice and histogram are resolved once at construction).
+// steady-state per-request recording of the request, decode and batch
+// latencies must not allocate (the bounds slice and histograms are
+// resolved once at construction).
 func TestRecordLatencyZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	rec := obs.New()
-	s := &server{latency: rec.Histogram(MetricRequestSeconds, obs.LatencyBounds())}
+	bounds := obs.LatencyBounds()
+	s := &server{
+		latency: rec.Histogram(MetricRequestSeconds, bounds),
+		decode:  rec.Histogram(MetricDecodeSeconds, bounds),
+		batch:   rec.Histogram(MetricBatchSeconds, bounds),
+	}
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
-		s.recordLatency(start)
+		observeSince(s.latency, start)
+		observeSince(s.decode, start)
+		observeSince(s.batch, start)
 	})
 	if allocs != 0 {
-		t.Fatalf("recordLatency allocates %.1f per request, want 0", allocs)
+		t.Fatalf("latency recording allocates %.1f per request, want 0", allocs)
 	}
 }
 

@@ -292,6 +292,15 @@ func TestServeMalformedRequests(t *testing.T) {
 	if got := post(`{"design":"demo","images":[` + string(goodJSON) + `,[0.1]]}`); got != http.StatusBadRequest {
 		t.Fatalf("mixed batch with short image: status %d, want 400", got)
 	}
+	// A body over the limit is 413, whatever it would have decoded to,
+	// even when a top-level scalar ends right at the limit: the byte
+	// after it is read to see it end.
+	if got := post(strings.Repeat(" ", maxBodyBytes-1) + `{}`); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of maxBodyBytes+1 bytes: status %d, want 413", got)
+	}
+	if got := post(strings.Repeat(" ", maxBodyBytes-4) + `null `); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("null ending at the body limit: status %d, want 413", got)
+	}
 }
 
 func TestServeInjectedPanicIsContained(t *testing.T) {
@@ -560,6 +569,8 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	for _, line := range []string{
 		"sei_" + MetricRequestSeconds + `_bucket{le="+Inf"} 1`,
 		"sei_" + MetricRequestSeconds + "_count 1",
+		"sei_" + MetricDecodeSeconds + "_count 1",
+		"sei_" + MetricBatchSeconds + "_count 1",
 		"# TYPE sei_" + MetricQueueDepth + " gauge",
 	} {
 		if !strings.Contains(body, line) {

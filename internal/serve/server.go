@@ -15,8 +15,8 @@ import (
 	"sei/internal/tensor"
 )
 
-// HTTP limits. Requests beyond them are rejected with 400, never
-// buffered.
+// HTTP limits. Requests beyond them are rejected, never buffered:
+// with 400, or 413 for a body over maxBodyBytes.
 const (
 	// MaxImagesPerRequest bounds one predict request; larger batches
 	// should be split client-side (the batcher re-coalesces them).
@@ -26,7 +26,8 @@ const (
 	// raise -queue to serve bigger single requests.
 	MaxImagesPerRequest = 1024
 	// maxBodyBytes bounds the request body (1024 images of 784 JSON
-	// floats fit comfortably).
+	// floats fit comfortably). Decoded memory is bounded by the image
+	// and pixel limits, not by this one (see decodePredict).
 	maxBodyBytes = 32 << 20
 )
 
@@ -47,6 +48,15 @@ const MetricReloads = "serve_reloads"
 // is resolved once at handler construction, so steady-state recording
 // is two atomic adds — no per-request lookups or bound rebuilds.
 const MetricRequestSeconds = "serve_request_seconds"
+
+// MetricDecodeSeconds is the predict body's read-and-parse time, and
+// MetricBatchSeconds its Batcher.Predict time (queue wait plus engine
+// evaluation): two phases of MetricRequestSeconds, whose rest is the
+// request checks and the response encode. Recorded like it.
+const (
+	MetricDecodeSeconds = "serve_decode_seconds"
+	MetricBatchSeconds  = "serve_batch_seconds"
+)
 
 // MetricQueueDepth is the pool's pending-predict gauge (summed across
 // per-design queues), sampled at scrape/health time (queues drain in
@@ -71,13 +81,6 @@ type Options struct {
 // DefaultTimeout bounds a predict request when Options.Timeout is 0.
 const DefaultTimeout = 30 * time.Second
 
-// predictRequest is the POST /v1/predict body: a design name and a
-// batch of flattened 28×28 images (784 pixels each, values in [0,1]).
-type predictRequest struct {
-	Design string      `json:"design"`
-	Images [][]float64 `json:"images"`
-}
-
 // predictResult is one image's outcome. Failed images carry label -1
 // and an error string; the rest of the batch is unaffected.
 type predictResult struct {
@@ -99,11 +102,12 @@ type errorResponse struct {
 
 type server struct {
 	opts Options
-	// latency is MetricRequestSeconds, resolved once at construction —
-	// the per-request path must not rebuild obs.LatencyBounds() or
-	// re-resolve the histogram (nil when Obs is nil; Observe is a
-	// no-op then).
-	latency *obs.Histogram
+	// latency, decode and batch are MetricRequestSeconds,
+	// MetricDecodeSeconds and MetricBatchSeconds, resolved once at
+	// construction — the per-request path must not rebuild
+	// obs.LatencyBounds() or re-resolve a histogram (nil when Obs is
+	// nil; Observe is a no-op then).
+	latency, decode, batch *obs.Histogram
 }
 
 // NewHandler returns the service's HTTP surface:
@@ -124,7 +128,10 @@ func NewHandler(opts Options) http.Handler {
 	}
 	s := &server{opts: opts}
 	if opts.Obs != nil {
-		s.latency = opts.Obs.Histogram(MetricRequestSeconds, obs.LatencyBounds())
+		bounds := obs.LatencyBounds()
+		s.latency = opts.Obs.Histogram(MetricRequestSeconds, bounds)
+		s.decode = opts.Obs.Histogram(MetricDecodeSeconds, bounds)
+		s.batch = opts.Obs.Histogram(MetricBatchSeconds, bounds)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -161,9 +168,9 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownDesign), errors.Is(err, ErrUnknownGeneration):
 		return http.StatusNotFound
-	case errors.Is(err, nn.ErrBadInput):
+	case errors.Is(err, nn.ErrBadInput), errors.Is(err, errMalformed):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrBatchTooLarge):
+	case errors.Is(err, ErrBatchTooLarge), errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineTooTight):
 		return http.StatusTooManyRequests
@@ -180,33 +187,33 @@ func statusFor(err error) int {
 	}
 }
 
-// recordLatency is the per-request histogram bookkeeping: two atomic
-// adds on the pre-resolved histogram, zero allocations (pinned by
+// observeSince is the per-request histogram bookkeeping: two atomic
+// adds on a pre-resolved histogram, zero allocations (pinned by
 // TestRecordLatencyZeroAllocs).
-func (s *server) recordLatency(start time.Time) {
-	s.latency.Observe(time.Since(start).Seconds())
+func observeSince(h *obs.Histogram, start time.Time) {
+	h.Observe(time.Since(start).Seconds())
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	defer s.recordLatency(start)
-	var req predictRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request body: " + err.Error()})
+	defer observeSince(s.latency, start)
+	req, err := decodePredict(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	observeSince(s.decode, start)
+	if err != nil {
+		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	if req.Design == "" {
+	if req.design == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing design name"})
 		return
 	}
-	if len(req.Images) == 0 {
+	if req.images == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no images"})
 		return
 	}
-	if len(req.Images) > MaxImagesPerRequest {
+	if req.images > MaxImagesPerRequest {
 		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("%d images exceeds the per-request limit of %d", len(req.Images), MaxImagesPerRequest)})
+			errorResponse{Error: fmt.Sprintf("%d images exceeds the per-request limit of %d", req.images, MaxImagesPerRequest)})
 		return
 	}
 	pin := 0
@@ -218,33 +225,36 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		pin = n
 	}
-	c, gen, err := s.opts.Registry.Resolve(req.Design, pin)
+	c, gen, err := s.opts.Registry.Resolve(req.design, pin)
 	if err != nil {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	b, err := s.opts.Pool.For(req.Design)
+	b, err := s.opts.Pool.For(req.design)
 	if err != nil {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	imgs := make([]*tensor.Tensor, len(req.Images))
-	for i, px := range req.Images {
-		if len(px) != mnist.Side*mnist.Side {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: fmt.Sprintf("image %d has %d pixels, want %d", i, len(px), mnist.Side*mnist.Side)})
-			return
-		}
+	if req.badImage >= 0 {
+		writeJSON(w, http.StatusBadRequest,
+			errorResponse{Error: fmt.Sprintf("image %d has %d pixels, want %d", req.badImage, req.badPixels, imagePixels)})
+		return
+	}
+	imgs := make([]*tensor.Tensor, req.images)
+	for i := range imgs {
+		px := req.pix[i*imagePixels : (i+1)*imagePixels : (i+1)*imagePixels]
 		imgs[i] = tensor.FromSlice(px, 1, mnist.Side, mnist.Side)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
+	batchStart := time.Now()
 	res, err := b.Predict(ctx, c, imgs)
+	observeSince(s.batch, batchStart)
 	if err != nil {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	resp := predictResponse{Design: req.Design, Generation: gen, Results: make([]predictResult, len(res))}
+	resp := predictResponse{Design: req.design, Generation: gen, Results: make([]predictResult, len(res))}
 	failed := 0
 	for i, pr := range res {
 		resp.Results[i].Label = pr.Label
