@@ -75,6 +75,7 @@ ci:
 	$(GO) test -run=NONE -fuzz=FuzzLoadDesign -fuzztime=10s -fuzzminimizetime=100x ./internal/seicore
 	$(GO) test -run=NONE -fuzz=FuzzLoadQuantized -fuzztime=10s -fuzzminimizetime=100x ./internal/quant
 	$(GO) test -run=NONE -fuzz=FuzzDecodePredict -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzParseNumber -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/seibench run -seconds 1

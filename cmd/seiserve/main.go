@@ -56,7 +56,6 @@ type options struct {
 	seed     int64
 	demo     bool
 	maxBatch int
-	maxDelay time.Duration
 	queueCap int
 	workers  int
 	retain   int
@@ -76,7 +75,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int64Var(&opt.seed, "seed", 1, "read-noise seed for loaded noisy designs")
 	fs.BoolVar(&opt.demo, "demo", false, "register a small built-in classifier under the name \"demo\"")
 	fs.IntVar(&opt.maxBatch, "max-batch", 64, "most images coalesced into one engine batch")
-	fs.DurationVar(&opt.maxDelay, "max-delay", 2*time.Millisecond, "most time a predict waits for batch companions")
 	fs.IntVar(&opt.queueCap, "queue", 256, "pending-predict queue bound; beyond it requests get 429")
 	fs.IntVar(&opt.workers, "workers", 0, cliutil.WorkersUsage)
 	fs.IntVar(&opt.retain, "retain", serve.DefaultRetain,
@@ -124,7 +122,6 @@ func run(opt *options, stdout io.Writer, ready func(addr string)) error {
 	}
 	pool, err := serve.NewPool(serve.BatcherConfig{
 		MaxBatch: opt.maxBatch,
-		MaxDelay: opt.maxDelay,
 		QueueCap: opt.queueCap,
 		Workers:  opt.workers,
 		Obs:      rec,

@@ -45,7 +45,7 @@ func TestParseFlags(t *testing.T) {
 // verify labels match the offline classifier bit-for-bit, then SIGTERM
 // the process and require a clean drain.
 func TestServeSmokeSIGTERM(t *testing.T) {
-	opt, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-demo", "-max-delay", "1ms", "-drain", "5s"}, io.Discard)
+	opt, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-demo", "-drain", "5s"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestServeSmokeSIGHUPAndAdminReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-designs", dir, "-max-delay", "1ms", "-drain", "5s"}, io.Discard)
+	opt, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-designs", dir, "-drain", "5s"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

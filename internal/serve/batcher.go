@@ -52,8 +52,8 @@ var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 type BatcherConfig struct {
 	// MaxBatch is the most images coalesced into one engine call.
 	MaxBatch int
-	// MaxDelay bounds how long the first predict of a batch waits for
-	// company; latency cost of coalescing is at most this.
+	// MaxDelay is ignored: a batch never waits for company. It stays
+	// only until the serving benchmark stops setting it.
 	MaxDelay time.Duration
 	// QueueCap bounds the pending-predict queue. A full queue rejects
 	// with ErrQueueFull instead of buffering without limit.
@@ -66,9 +66,9 @@ type BatcherConfig struct {
 }
 
 // DefaultBatcherConfig returns serving defaults: batches of up to 64,
-// 2 ms of coalescing patience, a 256-deep queue, all cores.
+// a 256-deep queue, all cores.
 func DefaultBatcherConfig() BatcherConfig {
-	return BatcherConfig{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, QueueCap: 256}
+	return BatcherConfig{MaxBatch: 64, QueueCap: 256}
 }
 
 // job is one image's passage through the batcher. res is buffered so
@@ -132,9 +132,6 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = def.MaxDelay
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = def.QueueCap
 	}
@@ -171,14 +168,15 @@ func (b *Batcher) Close() {
 }
 
 // submitAll enqueues a request's jobs all-or-nothing. The mutex
-// serializes senders against each other and against Close, so the
-// free-slot check cannot be invalidated by a concurrent sender (the
-// loop only drains, which frees more room) and a drain can never race
-// a send on the closed channel. Rejecting up front instead of
-// admitting image-by-image is what keeps a doomed request from leaking
-// its prefix into the queue: those jobs would flush as canceled,
-// inflate serve_canceled and burn slots other clients were rejected
-// for.
+// serializes senders against each other, against Close and against the
+// loop's gather, so the free-slot check cannot be invalidated by a
+// concurrent sender (the loop only drains, which frees more room), a
+// drain can never race a send on the closed channel, and a batch never
+// takes part of a request that is still being queued. Rejecting up
+// front instead of admitting image-by-image is what keeps a doomed
+// request from leaking its prefix into the queue: those jobs would
+// flush as canceled, inflate serve_canceled and burn slots other
+// clients were rejected for.
 func (b *Batcher) submitAll(jobs []*job) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -269,14 +267,18 @@ func (b *Batcher) Predict(ctx context.Context, c nn.Classifier, imgs []*tensor.T
 	return out, nil
 }
 
-// loop gathers jobs into batches: the first job of a batch waits at
-// most MaxDelay for up to MaxBatch-1 companions, then the batch
-// flushes. Exits when the queue is closed and drained.
+// loop flushes batches back to back. A batch is the first queued job
+// and whatever queued behind it, up to MaxBatch, taken without waiting
+// for more: an idle engine starts at once, and the jobs that arrive
+// during a flush form the next batch. Exits when the queue is closed
+// and drained.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	for j := range b.queue {
 		batch := append(b.scr.batch[:0], j)
-		timer := time.NewTimer(b.cfg.MaxDelay)
+		// submitAll queues a request's jobs under mu, so a request still
+		// being queued is seen whole here, never split by the race.
+		b.mu.Lock()
 	gather:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
@@ -285,11 +287,11 @@ func (b *Batcher) loop() {
 					break gather
 				}
 				batch = append(batch, next)
-			case <-timer.C:
+			default:
 				break gather
 			}
 		}
-		timer.Stop()
+		b.mu.Unlock()
 		b.scr.batch = batch
 		t0 := time.Now()
 		b.flush(batch)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -28,13 +30,13 @@ import (
 //
 // accepts and rejects, followed by the handler's design, image-count
 // and pixel-count checks, and yields bit-identical pixels (each number
-// goes through strconv.ParseFloat(tok, 64)). That includes
-// encoding/json's quirks: keys match case-insensitively under Unicode
-// simple folding; a repeated key decodes again into what the previous
-// one left, so the last wins and a null pixel keeps what an earlier
-// "images" put in its place; unknown keys are skipped once their
-// values are checked; null leaves a string or number as it was and
-// empties a slice; a value of the wrong type rejects the body, but
+// converts as strconv.ParseFloat(tok, 64) does; see parseNumber). That
+// includes encoding/json's quirks: keys match case-insensitively under
+// Unicode simple folding; a repeated key decodes again into what the
+// previous one left, so the last wins and a null pixel keeps what an
+// earlier "images" put in its place; unknown keys are skipped once
+// their values are checked; null leaves a string or number as it was
+// and empties a slice; a value of the wrong type rejects the body, but
 // only once the whole value has been scanned, so a syntax or read
 // error later in it wins; bytes after the top-level value are never
 // parsed. FuzzDecodePredict holds the two to this.
@@ -278,11 +280,11 @@ func (d *decoder) image(i int, c byte) error {
 		v, keep := 0.0, true
 		switch {
 		case c == '-' || '0' <= c && c <= '9':
-			tok, err := d.number()
+			tok, x, err := d.number()
 			if err != nil {
 				return err
 			}
-			if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
+			if v, err = parseNumber(tok, x); err != nil {
 				d.wrongType("pixel")
 			} else {
 				keep = false
@@ -339,7 +341,7 @@ func (d *decoder) skip(c byte, depth int, target string) error {
 	case c == '"':
 		_, _, err = d.str()
 	case c == '-' || '0' <= c && c <= '9':
-		_, err = d.number()
+		_, _, err = d.number()
 	case c == 't':
 		err = d.literal("true")
 	case c == 'f':
@@ -501,81 +503,181 @@ func (d *decoder) more() bool {
 	return d.end > start
 }
 
-// number scans the number token at buf[pos], consumes it and returns
-// its bytes, valid until the next read.
-func (d *decoder) number() ([]byte, error) {
+// number walks the number token at buf[pos], consumes it and returns
+// its bytes, valid until the next read, and what the walk read of its
+// value.
+func (d *decoder) number() ([]byte, decimal, error) {
 	for {
-		n, complete := scanNumber(d.buf[d.pos:d.end])
+		n, complete, x := walkNumber(d.buf[d.pos:d.end])
 		if n < 0 {
 			d.pos += -n - 1
-			return nil, d.syntax(d.buf[d.pos], "in numeric literal")
+			return nil, x, d.syntax(d.buf[d.pos], "in numeric literal")
 		}
 		if !complete && d.more() {
 			continue
 		}
 		if !complete && (n == 0 || d.rerr != io.EOF) {
-			return nil, d.eof()
+			return nil, x, d.eof()
 		}
 		tok := d.buf[d.pos : d.pos+n]
 		d.pos += n
-		return tok, nil
+		return tok, x, nil
 	}
 }
 
-// scanNumber matches the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at the start of b.
-// It returns the token's length and whether a byte that ends it
-// follows; a length without that is a token b may cut short, which is
-// still whole at the end of the input (0 when it is not). A bad byte
-// at offset i returns -(i+1).
-func scanNumber(b []byte) (int, bool) {
+// decimal is a JSON number as walkNumber reads it: ±m×10^e, where m
+// holds the first maxDigits significant digits; inexact reports that
+// the number has more.
+type decimal struct {
+	m       uint64
+	e       int
+	neg     bool
+	inexact bool
+}
+
+// maxDigits is the most significant digits m holds: 10^19 < 2^64.
+const maxDigits = 19
+
+// walkNumber matches the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at the start of b and
+// reads its value in the same pass. It returns the token's length and
+// whether a byte that ends it follows; a length without that is a
+// token b may cut short, which is still whole at the end of the input
+// (0 when it is not). A bad byte at offset i returns -(i+1).
+func walkNumber(b []byte) (n int, complete bool, x decimal) {
 	i := 0
 	if len(b) > 0 && b[0] == '-' {
-		i = 1
+		x.neg, i = true, 1
 	}
-	switch {
-	case i == len(b):
-		return 0, false
-	case b[i] == '0':
+	if i == len(b) {
+		return 0, false, x
+	}
+	var m uint64
+	digits := 0 // significant digits seen
+	switch c := b[i]; {
+	case c == '0':
 		i++
-	case '1' <= b[i] && b[i] <= '9':
-		i = digitsEnd(b, i+1)
+	case '1' <= c && c <= '9':
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if digits < maxDigits {
+				m = m*10 + uint64(b[i]-'0')
+			}
+			digits++
+		}
 	default:
-		return -(i + 1), false
+		return -(i + 1), false, x
 	}
 	if i < len(b) && b[i] == '.' {
-		if i = digitsEnd(b, i+1); b[i-1] == '.' {
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if m == 0 && b[i] == '0' {
+				continue // a leading zero
+			}
+			if digits < maxDigits {
+				m = m*10 + uint64(b[i]-'0')
+			}
+			digits++
+		}
+		if i == j {
 			return noDigit(b, i)
 		}
+		x.e = j - i // exact while every digit is in m
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		j := digitsEnd(b, i)
-		if j == i {
+		j, exp := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if exp < 1e6 { // far past any exactly converted exponent
+				exp = exp*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
 			return noDigit(b, i)
 		}
-		i = j
+		if neg {
+			exp = -exp
+		}
+		x.e += exp
 	}
-	return i, i < len(b)
+	x.m, x.inexact = m, digits > maxDigits
+	return i, i < len(b), x
 }
 
-// digitsEnd returns the end of the run of digits at b[i:].
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// noDigit is scanNumber's answer when b[i] should have been a digit.
-func noDigit(b []byte, i int) (int, bool) {
+// noDigit is walkNumber's answer when b[i] should have been a digit.
+func noDigit(b []byte, i int) (int, bool, decimal) {
 	if i == len(b) {
+		return 0, false, decimal{}
+	}
+	return -(i + 1), false, decimal{}
+}
+
+// Exact powers: 10^k as a float64 for k ≤ 22, 5^k as a uint64 for
+// k ≤ 27.
+var (
+	pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow5 = func() (p [28]uint64) {
+		p[0] = 1
+		for k := 1; k < len(p); k++ {
+			p[k] = p[k-1] * 5
+		}
+		return p
+	}()
+)
+
+// parseNumber is the value of the number token tok that walkNumber
+// read as x, bit-identical to strconv.ParseFloat(tok, 64), whose
+// error it returns for a number out of float64's range.
+func parseNumber(tok []byte, x decimal) (float64, error) {
+	if f, ok := x.float(); ok {
+		return f, nil
+	}
+	return strconv.ParseFloat(string(tok), 64)
+}
+
+// float converts x exactly when that takes one rounding, as it does
+// for the common pixel; false leaves the token to ParseFloat.
+func (x decimal) float() (float64, bool) {
+	var f float64
+	switch {
+	case x.m == 0:
+	case x.inexact:
+		return 0, false
+	case x.m < 1<<53 && -22 <= x.e && x.e <= 22:
+		// Both operands are exact, so one IEEE operation rounds once.
+		f = float64(x.m)
+		if x.e < 0 {
+			f /= pow10[-x.e]
+		} else {
+			f *= pow10[x.e]
+		}
+	case -27 <= x.e && x.e < 0:
+		// m/10^k = m/5^k × 2^-k. Divide m, its top bit moved to bit 126,
+		// by 5^k, its top bit moved to bit 63: the quotient has 63 or 64
+		// bits, and a non-zero remainder sets its low bit (sticky), so
+		// converting it rounds as converting the exact quotient would.
+		// The result is at least 10^-27, a normal float64, so Ldexp
+		// only moves the exponent.
+		k := -x.e
+		lm, ld := bits.LeadingZeros64(x.m), bits.LeadingZeros64(pow5[k])
+		m, d := x.m<<lm, pow5[k]<<ld
+		q, r := bits.Div64(m>>1, m<<63, d)
+		if r != 0 {
+			q |= 1
+		}
+		f = math.Ldexp(float64(q), ld-lm-63-k)
+	default:
 		return 0, false
 	}
-	return -(i + 1), false
+	if x.neg {
+		f = -f
+	}
+	return f, true
 }
 
 // str scans the string token at buf[pos], consumes it and returns its

@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -234,6 +236,116 @@ func FuzzDecodePredict(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSameOutcome(t, data)
+	})
+}
+
+// numberPrefix matches the longest prefix of its input in JSON's
+// number grammar; numberWhole matches a whole number.
+var (
+	numberPrefix = func() *regexp.Regexp {
+		re := regexp.MustCompile(`^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?`)
+		re.Longest()
+		return re
+	}()
+	numberWhole = regexp.MustCompile(`^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?$`)
+)
+
+// checkNumber holds walkNumber and parseNumber, reading data to its
+// end, to the grammar and to strconv.ParseFloat. The walk accepts the
+// longest number at the start of data unless the byte after it would
+// continue a longer one ("1." or "1e"), which makes data a number cut
+// short or broken; an accepted token has ParseFloat's bits, and its
+// error exactly when ParseFloat has one.
+func checkNumber(t *testing.T, data []byte) {
+	t.Helper()
+	tok := numberPrefix.Find(data)
+	accept := tok != nil && (len(tok) == len(data) ||
+		!numberWhole.Match(append(append(tok[:len(tok):len(tok)], data[len(tok)]), '0')))
+	n, complete, x := walkNumber(data)
+	if got := n > 0; got != accept || accept && (n != len(tok) || complete != (n < len(data))) {
+		t.Fatalf("walkNumber(%q) = %d, %v; want accept %v of %d bytes", data, n, complete, accept, len(tok))
+	}
+	if !accept {
+		return
+	}
+	want, wantErr := strconv.ParseFloat(string(tok), 64)
+	got, err := parseNumber(tok, x)
+	if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("parseNumber(%q) = %v, %v; ParseFloat gives %v, %v", tok, got, err, want, wantErr)
+	}
+}
+
+// numberCases convert without falling back to ParseFloat (exact) or
+// only through it; want is ParseFloat's value.
+var numberCases = []struct {
+	tok   string
+	want  float64
+	exact bool
+}{
+	{"0", 0, true},
+	{"-0", math.Copysign(0, -1), true},
+	{"-0.000e-400", math.Copysign(0, -1), true},
+	{"0.25", 0.25, true},
+	{"1e-07", 1e-7, true},
+	{"-3.5E+2", -350, true},
+	{"123.456e-3", 0.123456, true},
+	{"1e22", 1e22, true},
+	{"1e23", 1e23, false},
+	// The 2^53 boundary: m below it takes one IEEE operation, m above
+	// it the division by 5^k.
+	{"9007199254740991e-10", 9007199254740991e-10, true},
+	{"9007199254740993e-10", 9007199254740993e-10, true},
+	{"9007199254740993", 9007199254740993, false},
+	// 19 significant digits fit m; 20 fall back.
+	{"0.1234567890123456789", 0.1234567890123456789, true},
+	{"9999999999999999999e-27", 9999999999999999999e-27, true},
+	{"0.98765432109876543210", 0.98765432109876543210, false},
+	{"9.8765432109876543211", 9.8765432109876543211, false},
+	{"12345678901234567890", 12345678901234567890, false},
+	// 5^27 is the largest divisor; 5^28 falls back.
+	{"1234567890123456789e-27", 1234567890123456789e-27, true},
+	{"1234567890123456789e-28", 1234567890123456789e-28, false},
+	// The remainder decides: 0.6441942591816576802 lies just above the
+	// halfway point between two float64s, and the 19-digit quotient
+	// truncated there would round down.
+	{"0.6441942591816576802", 0.6441942591816577, true},
+	{"5e-324", 5e-324, false},
+	{"1.7976931348623157e308", math.MaxFloat64, false},
+}
+
+func TestParseNumberExact(t *testing.T) {
+	for _, c := range numberCases {
+		n, _, x := walkNumber([]byte(c.tok))
+		if n != len(c.tok) {
+			t.Fatalf("walkNumber(%q) = %d, want %d", c.tok, n, len(c.tok))
+		}
+		if _, exact := x.float(); exact != c.exact {
+			t.Errorf("%q: exact conversion %v, want %v", c.tok, exact, c.exact)
+		}
+		got, err := parseNumber([]byte(c.tok), x)
+		if err != nil || math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("parseNumber(%q) = %v, %v; want %v", c.tok, got, err, c.want)
+		}
+		checkNumber(t, []byte(c.tok))
+	}
+}
+
+// FuzzParseNumber holds the one-walk number reader to the JSON number
+// grammar and to strconv.ParseFloat on arbitrary input.
+func FuzzParseNumber(f *testing.F) {
+	for _, c := range numberCases {
+		f.Add([]byte(c.tok))
+	}
+	for _, tok := range []string{
+		"9007199254740992", "0.9007199254740993", "1e-27", "1.5e-28",
+		"0.4939427684682822506", "1.7976931348623159e308", "1e400", "-1e-400",
+		"2.2250738585072014e-308", "0e99999999999999999999",
+		"01", "-01.5", "1.", "1.e5", "-", "1e", "1e+", "1.5.3", "1e5e5", "1ex", ".5", "+1", "- 1",
+	} {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkNumber(t, data)
 	})
 }
 

@@ -38,9 +38,6 @@ func NewPool(cfg BatcherConfig) (*Pool, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = def.MaxDelay
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = def.QueueCap
 	}

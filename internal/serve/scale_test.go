@@ -202,8 +202,8 @@ func TestServeDeadlineShedHTTP(t *testing.T) {
 }
 
 // TestRecordLatencyZeroAllocs pins the histogram-bookkeeping hoist:
-// steady-state per-request recording of the request, decode and batch
-// latencies must not allocate (the bounds slice and histograms are
+// steady-state per-request recording of the request, decode, batch
+// and encode latencies must not allocate (the bounds slice and histograms are
 // resolved once at construction).
 func TestRecordLatencyZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -215,12 +215,14 @@ func TestRecordLatencyZeroAllocs(t *testing.T) {
 		latency: rec.Histogram(MetricRequestSeconds, bounds),
 		decode:  rec.Histogram(MetricDecodeSeconds, bounds),
 		batch:   rec.Histogram(MetricBatchSeconds, bounds),
+		encode:  rec.Histogram(MetricEncodeSeconds, bounds),
 	}
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
 		observeSince(s.latency, start)
 		observeSince(s.decode, start)
 		observeSince(s.batch, start)
+		observeSince(s.encode, start)
 	})
 	if allocs != 0 {
 		t.Fatalf("latency recording allocates %.1f per request, want 0", allocs)

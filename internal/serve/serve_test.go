@@ -451,6 +451,54 @@ func TestServeCoalescesQueuedPredicts(t *testing.T) {
 	}
 }
 
+// TestBatcherIdleFlushesWithoutWaiting pins the work-conserving
+// gather: a predict on an idle batcher flushes at once, whatever
+// MaxDelay says, instead of holding the engine while it waits for
+// company.
+func TestBatcherIdleFlushesWithoutWaiting(t *testing.T) {
+	f := getFastFixture(t)
+	b, err := NewBatcher(BatcherConfig{MaxBatch: 64, MaxDelay: 10 * time.Second, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	start := time.Now()
+	if _, err := b.Predict(context.Background(), f.net, f.data.Images[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("1-image predict on an idle batcher took %v, want < 1s", took)
+	}
+}
+
+// TestBatcherKeepsARequestWhole pins the gather's lock: the loop may
+// wake on a request's first job while the rest are still being
+// queued, and must still flush the whole request as one batch.
+func TestBatcherKeepsARequestWhole(t *testing.T) {
+	f := getFastFixture(t)
+	for run := 0; run < 20; run++ {
+		rec := obs.New()
+		b, err := NewBatcher(BatcherConfig{MaxBatch: 64, QueueCap: 64, Workers: 1, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Predict(context.Background(), constClassifier(3), f.data.Images[:64])
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 64 {
+			t.Fatalf("run %d: %d results, want 64", run, len(res))
+		}
+		if got := rec.CounterValues()[MetricBatches]; got != 1 {
+			t.Fatalf("run %d: serve_batches = %d, want 1 (the request was split)", run, got)
+		}
+		if h := rec.Report("").Histograms[MetricBatchSize]; h.Count != 1 || h.Sum != 64 {
+			t.Fatalf("run %d: batch sizes %d observations summing to %g, want one of 64", run, h.Count, h.Sum)
+		}
+	}
+}
+
 // TestServeSlicedBurstCoalesces pins the serving-side tentpole payoff:
 // a 64-request burst against an ideal-analog design coalesces into one
 // flush, that flush runs as one bit-sliced group, and every label is
@@ -571,6 +619,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"sei_" + MetricRequestSeconds + "_count 1",
 		"sei_" + MetricDecodeSeconds + "_count 1",
 		"sei_" + MetricBatchSeconds + "_count 1",
+		"sei_" + MetricEncodeSeconds + "_count 1",
 		"# TYPE sei_" + MetricQueueDepth + " gauge",
 	} {
 		if !strings.Contains(body, line) {

@@ -49,13 +49,15 @@ const MetricReloads = "serve_reloads"
 // is two atomic adds — no per-request lookups or bound rebuilds.
 const MetricRequestSeconds = "serve_request_seconds"
 
-// MetricDecodeSeconds is the predict body's read-and-parse time, and
+// MetricDecodeSeconds is the predict body's read-and-parse time,
 // MetricBatchSeconds its Batcher.Predict time (queue wait plus engine
-// evaluation): two phases of MetricRequestSeconds, whose rest is the
-// request checks and the response encode. Recorded like it.
+// evaluation) and MetricEncodeSeconds the response's build and write:
+// the three phases of MetricRequestSeconds, whose rest is the request
+// checks. Recorded like it.
 const (
 	MetricDecodeSeconds = "serve_decode_seconds"
 	MetricBatchSeconds  = "serve_batch_seconds"
+	MetricEncodeSeconds = "serve_encode_seconds"
 )
 
 // MetricQueueDepth is the pool's pending-predict gauge (summed across
@@ -102,12 +104,12 @@ type errorResponse struct {
 
 type server struct {
 	opts Options
-	// latency, decode and batch are MetricRequestSeconds,
-	// MetricDecodeSeconds and MetricBatchSeconds, resolved once at
-	// construction — the per-request path must not rebuild
-	// obs.LatencyBounds() or re-resolve a histogram (nil when Obs is
-	// nil; Observe is a no-op then).
-	latency, decode, batch *obs.Histogram
+	// latency, decode, batch and encode are MetricRequestSeconds,
+	// MetricDecodeSeconds, MetricBatchSeconds and MetricEncodeSeconds,
+	// resolved once at construction — the per-request path must not
+	// rebuild obs.LatencyBounds() or re-resolve a histogram (nil when
+	// Obs is nil; Observe is a no-op then).
+	latency, decode, batch, encode *obs.Histogram
 }
 
 // NewHandler returns the service's HTTP surface:
@@ -132,6 +134,7 @@ func NewHandler(opts Options) http.Handler {
 		s.latency = opts.Obs.Histogram(MetricRequestSeconds, bounds)
 		s.decode = opts.Obs.Histogram(MetricDecodeSeconds, bounds)
 		s.batch = opts.Obs.Histogram(MetricBatchSeconds, bounds)
+		s.encode = opts.Obs.Histogram(MetricEncodeSeconds, bounds)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -254,6 +257,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
+	encodeStart := time.Now()
 	resp := predictResponse{Design: req.design, Generation: gen, Results: make([]predictResult, len(res))}
 	failed := 0
 	for i, pr := range res {
@@ -276,6 +280,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, resp)
+	observeSince(s.encode, encodeStart)
 }
 
 // designInfo is one design's entry in GET /v1/designs.
