@@ -7,8 +7,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# A hung package fails with a goroutine dump after 5 minutes instead
+# of waiting out go test's 10-minute default; the slowest package, the
+# root, takes about 90 s.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # Race-detector pass over every package, including the shared-design
 # concurrency stress test in internal/seicore. The root package's
@@ -67,7 +70,8 @@ ci:
 	test -z "$$(gofmt -l .)"
 	$(MAKE) staticcheck
 	$(GO) build ./...
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
+	env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet all > "$${TMPDIR:-/tmp}/quick-all.out" && diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out"
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
 	$(GO) test -race ./internal/experiments

@@ -19,7 +19,6 @@ import (
 	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/obs"
-	"sei/internal/power"
 	"sei/internal/quant"
 	"sei/internal/rram"
 	"sei/internal/seicore"
@@ -199,18 +198,15 @@ func BenchmarkAblationCrossbarSize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lib := power.DefaultLibrary()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		var e512, e256 float64
 		for _, size := range []int{512, 256, 128, 64} {
-			cfg := arch.DefaultConfig(seicore.StructSEI)
-			cfg.MaxCrossbar = size
-			m, err := arch.Map(geoms, cfg)
+			costs, err := arch.Compare(geoms, size)
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, e := m.Energy(lib)
+			e := costs[2].Energy // SEI
 			switch size {
 			case 512:
 				e512 = e.Total()

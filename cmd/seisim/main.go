@@ -56,7 +56,7 @@ import (
 	"sei/internal/experiments"
 	"sei/internal/hdl"
 	"sei/internal/power"
-	"sei/internal/seicore"
+	"sei/internal/rram"
 )
 
 // options is the parsed command line.
@@ -247,16 +247,15 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 		}
 		activity := q.ActivityFactors(c.Test.Subset(50))
 		fmt.Fprintf(w, "measured input activity per layer: %.3f\n", activity)
-		lib := power.DefaultLibrary()
-		for _, s := range []seicore.Structure{seicore.StructDACADC, seicore.StructOneBitADC, seicore.StructSEI} {
-			m, err := arch.Map(geoms, arch.DefaultConfig(s))
-			if err != nil {
+		costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
+		if err != nil {
+			return err
+		}
+		for _, cost := range costs {
+			if err := cost.Mapping.ApplyActivity(activity); err != nil {
 				return err
 			}
-			if err := m.ApplyActivity(activity); err != nil {
-				return err
-			}
-			m.Describe(w, lib)
+			cost.Mapping.Describe(w, power.DefaultLibrary())
 			fmt.Fprintln(w)
 		}
 	case "bounded":

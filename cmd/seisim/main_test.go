@@ -41,8 +41,8 @@ func TestParseFlagsObservability(t *testing.T) {
 	}
 }
 
-// TestParseFlagsWorkersValidation pins the unified -workers error both
-// CLIs share (see cmd/seisweep for its twin).
+// TestParseFlagsWorkersValidation pins the unified -workers error the
+// CLIs share through internal/cliutil.
 func TestParseFlagsWorkersValidation(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := parseFlags([]string{"-workers", "-2", "table5"}, &buf)

@@ -136,34 +136,34 @@ type DesignCosts struct {
 	GOPsPerJ  float64
 	// InterfaceEnergyFraction is the DAC+ADC share of the energy.
 	InterfaceEnergyFraction float64
+	// EnergySaving and AreaSaving are relative to the DAC+ADC entry
+	// (zero for that entry itself).
+	EnergySaving, AreaSaving float64
 }
 
 // MapCosts computes a network's per-picture energy, area and
 // efficiency under each of the three structures at the given crossbar
-// size.
+// size, in Table-5 order (DAC+ADC, 1-bit-input+ADC, SEI).
 func MapCosts(q *QuantizedNet, maxCrossbar int) ([]DesignCosts, error) {
 	geoms, err := arch.GeometryOf(q)
 	if err != nil {
 		return nil, err
 	}
-	lib := power.DefaultLibrary()
-	var out []DesignCosts
-	for _, s := range []Structure{StructDACADC, StructOneBitADC, StructSEI} {
-		cfg := arch.DefaultConfig(s)
-		cfg.MaxCrossbar = maxCrossbar
-		m, err := arch.Map(geoms, cfg)
-		if err != nil {
-			return nil, err
+	costs, err := arch.Compare(geoms, maxCrossbar)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]DesignCosts, len(costs))
+	for i, c := range costs {
+		out[i] = DesignCosts{
+			Structure:               c.Mapping.Structure,
+			EnergyUJ:                power.MicroJoules(c.Energy),
+			AreaMM2:                 power.SquareMM(c.Area),
+			GOPsPerJ:                c.GOPsPerJ,
+			InterfaceEnergyFraction: c.Energy.InterfaceFraction(),
+			EnergySaving:            c.EnergySaving,
+			AreaSaving:              c.AreaSaving,
 		}
-		_, e := m.Energy(lib)
-		_, a := m.Area(lib)
-		out = append(out, DesignCosts{
-			Structure:               s,
-			EnergyUJ:                power.MicroJoules(e),
-			AreaMM2:                 power.SquareMM(a),
-			GOPsPerJ:                m.Efficiency(lib),
-			InterfaceEnergyFraction: e.InterfaceFraction(),
-		})
 	}
 	return out, nil
 }

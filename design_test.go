@@ -1,6 +1,7 @@
 package sei
 
 import (
+	"math"
 	"testing"
 )
 
@@ -124,6 +125,15 @@ func TestMapCostsShape(t *testing.T) {
 	}
 	if base.InterfaceEnergyFraction < 0.98 {
 		t.Fatalf("baseline interface fraction %.4f", base.InterfaceEnergyFraction)
+	}
+	if base.EnergySaving != 0 || base.AreaSaving != 0 {
+		t.Fatal("the DAC+ADC row must carry no saving against itself")
+	}
+	if want := 1 - sein.EnergyUJ/base.EnergyUJ; math.Abs(sein.EnergySaving-want) > 1e-12 {
+		t.Fatalf("SEI energy saving %v, want %v", sein.EnergySaving, want)
+	}
+	if want := 1 - sein.AreaMM2/base.AreaMM2; math.Abs(sein.AreaSaving-want) > 1e-12 {
+		t.Fatalf("SEI area saving %v, want %v", sein.AreaSaving, want)
 	}
 }
 

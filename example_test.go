@@ -27,7 +27,7 @@ func ExampleMapCosts() {
 	}
 	costs, _ := sei.MapCosts(q, 512)
 	for _, c := range costs {
-		fmt.Printf("%s saves %.0f%%\n", c.Structure, 100*(1-c.EnergyUJ/costs[0].EnergyUJ))
+		fmt.Printf("%s saves %.0f%%\n", c.Structure, 100*c.EnergySaving)
 	}
 	// Output:
 	// DAC+ADC saves 0%

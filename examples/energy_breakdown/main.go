@@ -73,13 +73,11 @@ func main() {
 		}
 		fmt.Printf("\nNetwork %d:\n", id)
 		fmt.Printf("  %-17s %12s %10s %10s %12s\n", "structure", "energy (uJ)", "area(mm2)", "GOPs/J", "iface share")
-		base := costs[0]
-		for _, c := range costs {
+		for i, c := range costs {
 			fmt.Printf("  %-17s %12.3f %10.4f %10.0f %11.1f%%",
 				c.Structure, c.EnergyUJ, c.AreaMM2, c.GOPsPerJ, 100*c.InterfaceEnergyFraction)
-			if c.Structure != base.Structure {
-				fmt.Printf("   (saves %.1f%% energy, %.1f%% area)",
-					100*(1-c.EnergyUJ/base.EnergyUJ), 100*(1-c.AreaMM2/base.AreaMM2))
+			if i > 0 { // costs[0] is the DAC+ADC baseline
+				fmt.Printf("   (saves %.1f%% energy, %.1f%% area)", 100*c.EnergySaving, 100*c.AreaSaving)
 			}
 			fmt.Println()
 		}

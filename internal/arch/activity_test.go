@@ -11,7 +11,7 @@ import (
 
 func TestApplyActivityScalesDataDependentCounts(t *testing.T) {
 	geoms := netGeometry(t, 1)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	cellsBefore := m.TotalCounts().CellReads
 	adcBefore := m.TotalCounts().ADCConversions
 	drivesL0 := m.Layers[0].Counts.RowDrives
@@ -34,7 +34,7 @@ func TestApplyActivityScalesDataDependentCounts(t *testing.T) {
 	}
 	lib := power.DefaultLibrary()
 	_, e := m.Energy(lib)
-	fresh, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	fresh, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	_, e0 := fresh.Energy(lib)
 	if e.RRAM >= e0.RRAM {
 		t.Fatalf("RRAM energy did not shrink: %v vs %v", e.RRAM, e0.RRAM)
@@ -46,7 +46,7 @@ func TestApplyActivityScalesDataDependentCounts(t *testing.T) {
 
 func TestApplyActivityValidation(t *testing.T) {
 	geoms := netGeometry(t, 2)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	if err := m.ApplyActivity([]float64{1}); err == nil {
 		t.Fatal("accepted wrong-length activity")
 	}
@@ -60,7 +60,7 @@ func TestApplyActivityValidation(t *testing.T) {
 
 func TestDescribeOutput(t *testing.T) {
 	geoms := netGeometry(t, 1)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	var buf bytes.Buffer
 	m.Describe(&buf, power.DefaultLibrary())
 	out := buf.String()

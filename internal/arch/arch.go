@@ -40,31 +40,8 @@ type LayerGeom struct {
 	UniqueInputs int
 	// OutValues is the number of output values buffered per picture.
 	OutValues int
-	// InC, InW, KH and PoolSize describe the spatial streaming
-	// geometry (input channels and feature-map width, kernel height,
-	// pool window) used by the line-buffer sizing; zero for FC layers.
-	InC, InW, KH, PoolSize int
-	// OutW is the output feature-map width (before pooling).
-	OutW int
 	// IsFC marks the final classifier layer.
 	IsFC bool
-}
-
-// LineBufferValues returns how many values the layer needs resident
-// when the design streams feature maps through line buffers instead of
-// storing them whole — the "register buffer design in Conv layers" the
-// paper's Section 6 plans: KH input rows for the sliding window plus
-// PoolSize output rows for the pooling reduction.
-func (g LayerGeom) LineBufferValues() int {
-	if g.IsFC {
-		return g.N + g.M // the flattened input vector and the scores
-	}
-	in := g.InC * g.InW * g.KH
-	out := 0
-	if g.PoolSize > 1 {
-		out = g.M * g.OutW * g.PoolSize
-	}
-	return in + out
 }
 
 // Ops returns the layer's operation count per picture (2 per MAC).
@@ -94,11 +71,6 @@ func GeometryOf(q *quant.QuantizedNet) ([]LayerGeom, error) {
 			Uses:         outH * outW,
 			UniqueInputs: c * h * w,
 			OutValues:    cs.Filters() * outH * outW,
-			InC:          c,
-			InW:          w,
-			KH:           kh,
-			PoolSize:     cs.PoolSize,
-			OutW:         outW,
 		}
 		geoms = append(geoms, g)
 		c, h, w = cs.Filters(), outH, outW
@@ -123,34 +95,6 @@ func GeometryOf(q *quant.QuantizedNet) ([]LayerGeom, error) {
 	return geoms, nil
 }
 
-// Config selects the hardware organization.
-type Config struct {
-	Structure   seicore.Structure
-	MaxCrossbar int
-	// DynamicThreshold adds the SEI dynamic-threshold column (one extra
-	// RRAM column per split crossbar).
-	DynamicThreshold bool
-	// Mode selects the SEI signed-weight realization (cells per
-	// weight).
-	Mode seicore.SignedMode
-	// LineBuffers sizes the inter-layer buffers as streaming line
-	// buffers (KH input rows + PoolSize output rows) instead of whole
-	// feature maps — the Section-6 "register buffer design". Access
-	// counts (energy) are unchanged; only resident capacity (area)
-	// shrinks.
-	LineBuffers bool
-}
-
-// DefaultConfig returns the paper's default setup for a structure.
-func DefaultConfig(s seicore.Structure) Config {
-	return Config{
-		Structure:        s,
-		MaxCrossbar:      rram.MaxCrossbarSize,
-		DynamicThreshold: s == seicore.StructSEI,
-		Mode:             seicore.ModeBipolar,
-	}
-}
-
 // LayerCost is the mapped cost of one layer.
 type LayerCost struct {
 	Geom      LayerGeom
@@ -162,38 +106,77 @@ type LayerCost struct {
 
 // Mapping is a fully mapped network.
 type Mapping struct {
-	Config Config
-	Layers []LayerCost
+	Structure   seicore.Structure
+	MaxCrossbar int
+	Layers      []LayerCost
 }
 
-// Map computes the per-layer costs of the geometry under the given
+// StructureCost is one structure's entry of the Table-5 comparison,
+// priced with power.DefaultLibrary().
+type StructureCost struct {
+	Mapping *Mapping
+	// Energy is the per-picture energy (pJ) and Area the chip area
+	// (µm²), split by component; Energy.InterfaceFraction() is the
+	// DAC+ADC share.
+	Energy, Area power.Breakdown
+	GOPsPerJ     float64
+	// EnergySaving and AreaSaving are relative to the DAC+ADC entry
+	// (zero for that entry itself).
+	EnergySaving, AreaSaving float64
+}
+
+// Compare maps the geometry onto the three structures of Table 5 at
+// the given crossbar size and returns them in the table's order:
+// DAC+ADC, 1-bit-input+ADC, SEI. It fails if any structure cannot map
+// the network, naming that structure.
+func Compare(geoms []LayerGeom, maxCrossbar int) ([]StructureCost, error) {
+	lib := power.DefaultLibrary()
+	var out []StructureCost
+	for _, s := range []seicore.Structure{seicore.StructDACADC, seicore.StructOneBitADC, seicore.StructSEI} {
+		m, err := mapNetwork(geoms, s, maxCrossbar)
+		if err != nil {
+			return nil, fmt.Errorf("arch: %s: %w", s, err)
+		}
+		_, e := m.Energy(lib)
+		_, a := m.Area(lib)
+		c := StructureCost{Mapping: m, Energy: e, Area: a, GOPsPerJ: power.GOPsPerJoule(m.Ops(), e)}
+		if len(out) > 0 {
+			c.EnergySaving = 1 - e.Total()/out[0].Energy.Total()
+			c.AreaSaving = 1 - a.Total()/out[0].Area.Total()
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// mapNetwork computes the per-layer costs of the geometry under one
 // organization. The picture fetch (DRAM) is charged to the first
 // layer.
-func Map(geoms []LayerGeom, cfg Config) (*Mapping, error) {
-	if cfg.MaxCrossbar <= 0 || cfg.MaxCrossbar > rram.MaxCrossbarSize {
-		return nil, fmt.Errorf("arch: max crossbar size %d outside (0,%d]", cfg.MaxCrossbar, rram.MaxCrossbarSize)
+func mapNetwork(geoms []LayerGeom, s seicore.Structure, maxCrossbar int) (*Mapping, error) {
+	if maxCrossbar <= 0 || maxCrossbar > rram.MaxCrossbarSize {
+		return nil, fmt.Errorf("max crossbar size %d outside (0,%d]", maxCrossbar, rram.MaxCrossbarSize)
 	}
 	if len(geoms) == 0 {
-		return nil, fmt.Errorf("arch: empty geometry")
+		return nil, fmt.Errorf("empty geometry")
 	}
-	m := &Mapping{Config: cfg}
+	m := &Mapping{Structure: s, MaxCrossbar: maxCrossbar}
 	for i, g := range geoms {
 		var (
 			lc  LayerCost
 			err error
 		)
-		switch cfg.Structure {
+		switch s {
 		case seicore.StructDACADC:
-			lc, err = mapMerged(g, cfg, true)
+			lc, err = mapMerged(g, maxCrossbar, true, 8)
 		case seicore.StructOneBitADC:
-			lc, err = mapMerged(g, cfg, i == 0)
+			lc, err = mapMerged(g, maxCrossbar, i == 0, 1)
 		case seicore.StructSEI:
-			lc, err = mapSEI(g, cfg, i == 0)
+			lc, err = mapSEI(g, maxCrossbar, i == 0)
 		default:
-			return nil, fmt.Errorf("arch: unknown structure %v", cfg.Structure)
+			return nil, fmt.Errorf("unknown structure %v", s)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("arch: layer %s: %w", g.Name, err)
+			return nil, fmt.Errorf("layer %s: %w", g.Name, err)
 		}
 		if i == 0 {
 			// Picture fetch from off-chip memory (8-bit pixels).
@@ -210,9 +193,10 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // mapMerged costs one layer in the ADC-merged organization (Fig. 2b):
 // four crossbars per tile (pos/neg × high/low nibble), per-column
 // ADCs, digital shift/add/subtract merge. analogInput selects whether
-// the layer is fed by DACs (8-bit data) or by 1-bit gates.
-func mapMerged(g LayerGeom, cfg Config, analogInput bool) (LayerCost, error) {
-	s := cfg.MaxCrossbar
+// the layer is fed by DACs (8-bit data) or by 1-bit gates; dataBits
+// is the width of the buffered intermediate data (8 in the DAC+ADC
+// design, 1 in the quantized ones).
+func mapMerged(g LayerGeom, s int, analogInput bool, dataBits int64) (LayerCost, error) {
 	rB := ceilDiv(g.N, s)
 	if g.M > s {
 		// Column splitting is free of merging (independent outputs) but
@@ -235,12 +219,6 @@ func mapMerged(g LayerGeom, cfg Config, analogInput bool) (LayerCost, error) {
 	c.Shifts = uses * mm * 2 * int64(rB)
 	c.Adds = uses*mm*(2*int64(rB)+int64(rB-1)) + uses*mm
 	c.Subs = uses * mm * int64(rB)
-	// The DAC+ADC design buffers 8-bit intermediate data; the quantized
-	// designs buffer single bits.
-	dataBits := int64(8)
-	if cfg.Structure != seicore.StructDACADC {
-		dataBits = 1
-	}
 	c.BufferBytes = ceil64(int64(g.OutValues)*dataBits, 8) * 2 // write + read
 
 	v := &lc.Inventory
@@ -252,17 +230,8 @@ func mapMerged(g LayerGeom, cfg Config, analogInput bool) (LayerCost, error) {
 	v.DriverRows = 4 * n
 	v.Crossbars = lc.Crossbars
 	v.DigitalBlocks = lc.Crossbars
-	v.BufferBytes = inventoryBufferBytes(g, cfg, dataBits)
+	v.BufferBytes = ceil64(int64(g.OutValues)*dataBits, 8)
 	return lc, nil
-}
-
-// inventoryBufferBytes sizes a layer's resident inter-layer buffer.
-func inventoryBufferBytes(g LayerGeom, cfg Config, dataBits int64) int64 {
-	values := int64(g.OutValues)
-	if cfg.LineBuffers {
-		values = int64(g.LineBufferValues())
-	}
-	return ceil64(values*dataBits, 8)
 }
 
 // mapSEI costs one layer in the SEI organization. The input layer
@@ -270,10 +239,11 @@ func inventoryBufferBytes(g LayerGeom, cfg Config, dataBits int64) int64 {
 // through sense amplifiers (its output is immediately binarized);
 // deeper conv layers are SEI crossbars with SA readout and digital
 // count thresholds; the FC layer is SEI with per-block column ADCs
-// whose results are summed digitally for the argmax.
-func mapSEI(g LayerGeom, cfg Config, inputStage bool) (LayerCost, error) {
-	s := cfg.MaxCrossbar
-	cells := cfg.Mode.CellsPerWeight()
+// whose results are summed digitally for the argmax. Weights are
+// bipolar and every split crossbar carries one input-selected
+// dynamic-threshold column.
+func mapSEI(g LayerGeom, s int, inputStage bool) (LayerCost, error) {
+	cells := seicore.ModeBipolar.CellsPerWeight()
 	uses, n, mm := int64(g.Uses), int64(g.N), int64(g.M)
 
 	if inputStage && !g.IsFC {
@@ -295,7 +265,7 @@ func mapSEI(g LayerGeom, cfg Config, inputStage bool) (LayerCost, error) {
 		v.DriverRows = 4 * n
 		v.Crossbars = 4
 		v.DigitalBlocks = 4 // analog merge network + OR pool
-		v.BufferBytes = inventoryBufferBytes(g, cfg, 1)
+		v.BufferBytes = ceil64(int64(g.OutValues), 8)
 		return lc, nil
 	}
 
@@ -305,13 +275,8 @@ func mapSEI(g LayerGeom, cfg Config, inputStage bool) (LayerCost, error) {
 	k := seicore.BlocksFor(g.N, cells, s)
 	lc := LayerCost{Geom: g, RowBlocks: k, Crossbars: int64(k)}
 	c := &lc.Counts
-	c.CellReads = uses * int64(cells) * n * mm
+	c.CellReads = uses * int64(cells) * n * (mm + 1) // + the threshold column
 	c.RowDrives = uses * int64(cells) * n
-	extraCols := int64(0)
-	if cfg.DynamicThreshold || cfg.Mode == seicore.ModeUnipolarDynamic {
-		extraCols = 1 // the input-selected threshold column
-		c.CellReads += uses * int64(cells) * n
-	}
 	if g.IsFC {
 		c.ADCConversions = mm * int64(k)
 		c.Adds = mm*int64(k-1) + mm // block accumulation + bias add
@@ -323,7 +288,7 @@ func mapSEI(g LayerGeom, cfg Config, inputStage bool) (LayerCost, error) {
 	c.BufferBytes = ceil64(int64(g.OutValues), 8) * 2
 
 	v := &lc.Inventory
-	v.Cells = int64(cells) * n * (mm + extraCols)
+	v.Cells = int64(cells) * n * (mm + 1)
 	v.DriverRows = int64(cells) * n
 	v.Crossbars = int64(k)
 	v.DigitalBlocks = int64(k)
@@ -332,7 +297,7 @@ func mapSEI(g LayerGeom, cfg Config, inputStage bool) (LayerCost, error) {
 	} else {
 		v.SAs = mm * int64(k)
 	}
-	v.BufferBytes = inventoryBufferBytes(g, cfg, 1)
+	v.BufferBytes = ceil64(int64(g.OutValues), 8)
 	return lc, nil
 }
 
@@ -386,10 +351,4 @@ func (m *Mapping) Ops() int64 {
 		t += l.Geom.Ops()
 	}
 	return t
-}
-
-// Efficiency returns GOPs/J for one picture under the library.
-func (m *Mapping) Efficiency(lib power.Library) float64 {
-	_, e := m.Energy(lib)
-	return power.GOPsPerJoule(m.Ops(), e)
 }

@@ -41,7 +41,7 @@ func (m *Mapping) ApplyActivity(activity []float64) error {
 // interface modules and per-picture conversion counts — the table a
 // designer would sanity-check before committing a layout.
 func (m *Mapping) Describe(w io.Writer, lib power.Library) {
-	fmt.Fprintf(w, "Mapping: structure %s, max crossbar %d\n", m.Config.Structure, m.Config.MaxCrossbar)
+	fmt.Fprintf(w, "Mapping: structure %s, max crossbar %d\n", m.Structure, m.MaxCrossbar)
 	fmt.Fprintf(w, "  %-8s %11s %6s %9s %10s %6s %6s %5s %12s %12s\n",
 		"layer", "matrix", "uses", "blocks", "crossbars", "DACs", "ADCs", "SAs", "DAC conv/pic", "ADC conv/pic")
 	for _, l := range m.Layers {

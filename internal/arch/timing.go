@@ -94,7 +94,7 @@ func (m *Mapping) Timing(cfg TimingConfig) (Timing, error) {
 		// digitally. SEI conv stages use SAs.
 		readout := cfg.ADCConversionNS
 		mergeCycles := float64(l.RowBlocks) // multi-bit adder chain
-		if m.Config.Structure == seicore.StructSEI && !l.Geom.IsFC {
+		if m.Structure == seicore.StructSEI && !l.Geom.IsFC {
 			readout = cfg.SAEvalNS
 			mergeCycles = 1 // K-input popcount tree, single cycle
 		}

@@ -13,7 +13,7 @@ func TestTimingValidation(t *testing.T) {
 		{CrossbarReadNS: 10, ADCConversionNS: 1, SAEvalNS: 1, DigitalCycleNS: 1, Replicas: 0},
 	}
 	geoms := netGeometry(t, 2)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	for i, cfg := range bad {
 		if _, err := m.Timing(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
@@ -23,7 +23,7 @@ func TestTimingValidation(t *testing.T) {
 
 func TestTimingLatencyComposition(t *testing.T) {
 	geoms := netGeometry(t, 1)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructDACADC))
+	m, _ := mapNetwork(geoms, seicore.StructDACADC, 512)
 	tm, err := m.Timing(DefaultTimingConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestTimingSEIFasterPerEval(t *testing.T) {
 	// SA readout beats ADC conversion, so an SEI conv evaluation is
 	// never slower than the merged design's.
 	geoms := netGeometry(t, 1)
-	base, _ := Map(geoms, DefaultConfig(seicore.StructDACADC))
-	sei, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	base, _ := mapNetwork(geoms, seicore.StructDACADC, 512)
+	sei, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	cfg := DefaultTimingConfig()
 	tb, _ := base.Timing(cfg)
 	ts, _ := sei.Timing(cfg)
@@ -68,7 +68,7 @@ func TestTimingSEIFasterPerEval(t *testing.T) {
 
 func TestTimingReplicasTradeTimeForArea(t *testing.T) {
 	geoms := netGeometry(t, 1)
-	m, _ := Map(geoms, DefaultConfig(seicore.StructSEI))
+	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	cfg := DefaultTimingConfig()
 	t1, _ := m.Timing(cfg)
 	cfg.Replicas = 4
@@ -110,13 +110,11 @@ func TestTimingRowBlocksSerializeMerge(t *testing.T) {
 	// More row blocks → longer digital merge → slower evaluation, once
 	// the merge exceeds the readout.
 	geoms := netGeometry(t, 1)
-	big, _ := Map(geoms, DefaultConfig(seicore.StructDACADC))
+	big, _ := mapNetwork(geoms, seicore.StructDACADC, 512)
 	cfg512 := DefaultTimingConfig()
 	tBig, _ := big.Timing(cfg512)
 
-	small := DefaultConfig(seicore.StructDACADC)
-	small.MaxCrossbar = 128
-	m128, _ := Map(geoms, small)
+	m128, _ := mapNetwork(geoms, seicore.StructDACADC, 128)
 	tSmall, _ := m128.Timing(cfg512)
 	// FC at 128 rows: 8 row blocks → merge 8 ns > 1 ns readout.
 	if tSmall.Layers[2].EvalNS <= tBig.Layers[2].EvalNS {

@@ -1,7 +1,7 @@
 // Package cliutil holds the flag handling shared by cmd/seisim and
-// cmd/seisweep: the unified -workers validation and the observability
+// cmd/seiserve: the unified -workers validation, and the observability
 // flag set (-metrics, -trace, -progress, -prom, -pprof) wired to
-// internal/obs.
+// internal/obs that seisim exposes.
 package cliutil
 
 import (
@@ -26,7 +26,7 @@ var ErrUsage = errors.New("usage")
 const WorkersUsage = "parallel evaluation workers (0 = all cores, 1 = serial); results are identical for any value"
 
 // CheckWorkers validates a -workers value with the engine's rule and
-// wraps the failure in the one actionable message both CLIs print.
+// wraps the failure in the one actionable message every CLI prints.
 func CheckWorkers(workers int) error {
 	if err := par.Validate(workers); err != nil {
 		return fmt.Errorf("invalid -workers %d: must be 0 (all cores), 1 (serial), or a positive worker count", workers)

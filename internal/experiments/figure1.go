@@ -6,7 +6,7 @@ import (
 
 	"sei/internal/arch"
 	"sei/internal/power"
-	"sei/internal/seicore"
+	"sei/internal/rram"
 )
 
 // Figure1Row is one bar of Fig. 1: a layer's power or area split into
@@ -46,13 +46,14 @@ func Figure1(c *Context, networkID int) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := arch.Map(geoms, arch.DefaultConfig(seicore.StructDACADC))
+	costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
 	if err != nil {
 		return nil, err
 	}
+	base := costs[0] // DAC+ADC
 	lib := power.DefaultLibrary()
-	perE, totalE := m.Energy(lib)
-	perA, totalA := m.Area(lib)
+	perE, totalE := base.Mapping.Energy(lib)
+	perA, totalA := base.Mapping.Area(lib)
 
 	res := &Figure1Result{
 		NetworkID:              networkID,

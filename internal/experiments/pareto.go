@@ -37,20 +37,18 @@ func ParetoStudy(c *Context, networkID int, bitsList []int, sigmas []float64) ([
 	if err != nil {
 		return nil, err
 	}
-	lib := power.DefaultLibrary()
+	costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
+	if err != nil {
+		return nil, err
+	}
 	test := c.Test.Subset(200)
 
-	// Energy per precision (cheap, and Map can fail — keep it serial).
-	// The mapper's default accounting assumes 4-bit devices (2 slices);
-	// scale the data-dependent portion by the slice ratio.
+	// Energy per precision. The mapper's accounting assumes 4-bit
+	// devices (2 slices); scale the data-dependent portion of the SEI
+	// entry by the slice ratio.
+	e := costs[2].Energy
 	energyFor := make([]float64, len(bitsList))
 	for bi, bits := range bitsList {
-		cfg := arch.DefaultConfig(seicore.StructSEI)
-		m, err := arch.Map(geoms, cfg)
-		if err != nil {
-			return nil, err
-		}
-		_, e := m.Energy(lib)
 		sliceRatio := float64(rram.SliceCount(rram.WeightBits, bits)) / float64(rram.SliceCount(rram.WeightBits, 4))
 		energyFor[bi] = power.MicroJoules(power.Breakdown{
 			DAC: e.DAC, ADC: e.ADC, SA: e.SA, Digital: e.Digital,

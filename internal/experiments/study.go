@@ -9,6 +9,7 @@ import (
 	"sei/internal/baseline"
 	"sei/internal/homog"
 	"sei/internal/power"
+	"sei/internal/rram"
 	"sei/internal/seicore"
 )
 
@@ -89,13 +90,14 @@ func TimingStudy(c *Context, networkID, replicas int) ([]TimingRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
+	if err != nil {
+		return nil, err
+	}
 	lib := power.DefaultLibrary()
 	var rows []TimingRow
-	for _, s := range []seicore.Structure{seicore.StructDACADC, seicore.StructOneBitADC, seicore.StructSEI} {
-		m, err := arch.Map(geoms, arch.DefaultConfig(s))
-		if err != nil {
-			return nil, err
-		}
+	for _, cost := range costs {
+		m := cost.Mapping
 		for _, r := range []int{1, replicas} {
 			tc := arch.DefaultTimingConfig()
 			tc.Replicas = r
@@ -108,7 +110,7 @@ func TimingStudy(c *Context, networkID, replicas int) ([]TimingRow, error) {
 				return nil, err
 			}
 			rows = append(rows, TimingRow{
-				Structure: s,
+				Structure: m.Structure,
 				Replicas:  r,
 				LatencyUS: tm.LatencyNS / 1000,
 				KPicsPerS: tm.ThroughputPicsPerSec / 1000,
@@ -143,7 +145,6 @@ type EfficiencyRow struct {
 // EfficiencyComparison compares the SEI designs of the given networks
 // against the published FPGA and GPU baselines.
 func EfficiencyComparison(c *Context, networkIDs ...int) []EfficiencyRow {
-	lib := power.DefaultLibrary()
 	fpga := baseline.FPGA().EfficiencyGOPsPerJ()
 	gpu := baseline.GPU().EfficiencyGOPsPerJ()
 	rows := []EfficiencyRow{
@@ -156,11 +157,11 @@ func EfficiencyComparison(c *Context, networkIDs ...int) []EfficiencyRow {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: efficiency comparison: %v", err))
 		}
-		m, err := arch.Map(geoms, arch.DefaultConfig(seicore.StructSEI))
+		costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: efficiency comparison: %v", err))
 		}
-		eff := m.Efficiency(lib)
+		eff := costs[2].GOPsPerJ
 		rows = append(rows, EfficiencyRow{
 			Name:     fmt.Sprintf("SEI Network %d", id),
 			GOPsPerJ: eff,

@@ -59,7 +59,6 @@ func PaperTable5Points() []Table5Point {
 // the worker budget with the others, and rows concatenate in point
 // order so the result is worker-count independent.
 func Table5(c *Context, points []Table5Point) (*Table5Result, error) {
-	lib := power.DefaultLibrary()
 	res := &Table5Result{Baselines: baseline.All()}
 
 	// Serial prefetch: everything that writes the context's lazy maps.
@@ -90,42 +89,33 @@ func Table5(c *Context, points []Table5Point) (*Table5Result, error) {
 			pr.err = err
 			return
 		}
-		var baseEnergy, baseArea float64
-		for _, structure := range []seicore.Structure{seicore.StructDACADC, seicore.StructOneBitADC, seicore.StructSEI} {
-			cfg := arch.DefaultConfig(structure)
-			cfg.MaxCrossbar = pt.MaxCrossbar
-			m, err := arch.Map(geoms, cfg)
-			if err != nil {
-				pr.err = err
-				return
-			}
-			_, e := m.Energy(lib)
-			_, a := m.Area(lib)
+		costs, err := arch.Compare(geoms, pt.MaxCrossbar)
+		if err != nil {
+			pr.err = err
+			return
+		}
+		for _, cost := range costs {
+			structure := cost.Mapping.Structure
 			row := Table5Row{
-				NetworkID:   pt.NetworkID,
-				Structure:   structure,
-				MaxCrossbar: pt.MaxCrossbar,
-				DataBits:    1,
-				EnergyUJ:    power.MicroJoules(e),
-				AreaMM2:     power.SquareMM(a),
-				GOPsPerJ:    m.Efficiency(lib),
+				NetworkID:    pt.NetworkID,
+				Structure:    structure,
+				MaxCrossbar:  pt.MaxCrossbar,
+				DataBits:     1,
+				EnergyUJ:     power.MicroJoules(cost.Energy),
+				AreaMM2:      power.SquareMM(cost.Area),
+				GOPsPerJ:     cost.GOPsPerJ,
+				EnergySaving: cost.EnergySaving,
+				AreaSaving:   cost.AreaSaving,
 			}
 			switch structure {
 			case seicore.StructDACADC:
 				row.DataBits = 8
-				baseEnergy, baseArea = row.EnergyUJ, row.AreaMM2
 				row.ErrorRate = c.dacadcError(pt.NetworkID)
 			case seicore.StructOneBitADC:
 				row.ErrorRate = c.oneBitError(pt.NetworkID)
 			case seicore.StructSEI:
 				orders, _ := homogenizedOrders(c, q, pt.MaxCrossbar, seicore.ModeBipolar)
 				row.ErrorRate = seiError(c, q, pt.MaxCrossbar, orders, true, c.Cfg.Seed+int64(pt.MaxCrossbar), inner)
-			}
-			if baseEnergy > 0 {
-				row.EnergySaving = 1 - row.EnergyUJ/baseEnergy
-			}
-			if baseArea > 0 {
-				row.AreaSaving = 1 - row.AreaMM2/baseArea
 			}
 			c.logf("experiments: table5 net%d @%d %s: err %.4f energy %.3f uJ area %.4f mm2\n",
 				pt.NetworkID, pt.MaxCrossbar, structure, row.ErrorRate, row.EnergyUJ, row.AreaMM2)

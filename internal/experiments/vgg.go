@@ -6,7 +6,7 @@ import (
 
 	"sei/internal/arch"
 	"sei/internal/power"
-	"sei/internal/seicore"
+	"sei/internal/rram"
 )
 
 // Section 2.3 motivates buffering with VGG-19: "there are totally
@@ -47,11 +47,6 @@ func VGG19Geometry() []arch.LayerGeom {
 			Uses:         c.inHW * c.inHW,
 			UniqueInputs: c.inC * c.inHW * c.inHW,
 			OutValues:    c.outC * c.inHW * c.inHW,
-			InC:          c.inC,
-			InW:          c.inHW,
-			KH:           3,
-			PoolSize:     0,
-			OutW:         c.inHW,
 		})
 	}
 	for i, fc := range vgg19FCs {
@@ -102,22 +97,15 @@ func VGGAnalysis() (*VGGResult, error) {
 	// Split wide layers into ≤511-column groups (one column reserved
 	// for the SEI threshold column) so the mapper accepts them; the
 	// total counts are unchanged because every count is linear in M.
-	split := splitWide(geoms, 511)
-	lib := power.DefaultLibrary()
-	base, err := arch.Map(split, arch.DefaultConfig(seicore.StructDACADC))
+	costs, err := arch.Compare(splitWide(geoms, 511), rram.MaxCrossbarSize)
 	if err != nil {
 		return nil, err
 	}
-	seiMap, err := arch.Map(split, arch.DefaultConfig(seicore.StructSEI))
-	if err != nil {
-		return nil, err
-	}
-	_, eBase := base.Energy(lib)
-	_, eSEI := seiMap.Energy(lib)
-	res.BaseEnergyUJ = power.MicroJoules(eBase)
-	res.SEIEnergyUJ = power.MicroJoules(eSEI)
-	res.Saving = 1 - eSEI.Total()/eBase.Total()
-	res.GOPsPerJ = power.GOPsPerJoule(res.Ops, eSEI)
+	base, sei := costs[0], costs[2]
+	res.BaseEnergyUJ = power.MicroJoules(base.Energy)
+	res.SEIEnergyUJ = power.MicroJoules(sei.Energy)
+	res.Saving = sei.EnergySaving
+	res.GOPsPerJ = sei.GOPsPerJ
 	return res, nil
 }
 

@@ -19,7 +19,6 @@ type Report struct {
 	Counters    map[string]int64           `json:"counters"`
 	Gauges      map[string]float64         `json:"gauges,omitempty"`
 	Histograms  map[string]HistogramReport `json:"histograms,omitempty"`
-	Skipped     []Skipped                  `json:"skipped,omitempty"`
 }
 
 // SpanReport is one phase span with wall time and throughput.
@@ -61,7 +60,6 @@ func (r *Recorder) Report(name string) Report {
 		StartedAt:   r.start,
 		WallSeconds: now.Sub(r.start).Seconds(),
 		Counters:    make(map[string]int64, len(r.counters)),
-		Skipped:     append([]Skipped(nil), r.skipped...),
 	}
 	for _, sp := range r.root.children {
 		rep.Spans = append(rep.Spans, spanReport(sp, now))
@@ -113,8 +111,7 @@ func (r *Recorder) WriteJSON(w io.Writer, name string) error {
 }
 
 // WriteText writes the human-readable form: the span tree with wall
-// times and throughput, then counters, gauges, histograms and skipped
-// points.
+// times and throughput, then counters, gauges and histograms.
 func (r *Recorder) WriteText(w io.Writer) {
 	rep := r.Report("")
 	fmt.Fprintf(w, "run: %.3fs wall\n", rep.WallSeconds)
@@ -153,12 +150,6 @@ func (r *Recorder) WriteText(w io.Writer) {
 			}
 		}
 	}
-	if len(rep.Skipped) > 0 {
-		fmt.Fprintln(w, "skipped:")
-		for _, s := range rep.Skipped {
-			fmt.Fprintf(w, "  %s: %s\n", s.Point, s.Reason)
-		}
-	}
 }
 
 func writeSpanText(w io.Writer, sp SpanReport, depth int) {
@@ -179,8 +170,7 @@ func writeSpanText(w io.Writer, sp SpanReport, depth int) {
 
 // WritePrometheus writes counters, gauges and histograms in the
 // Prometheus text exposition format, metric names prefixed "sei_".
-// Spans and skip details are report-only (scrape targets want
-// aggregates, not trees).
+// Spans are report-only (scrape targets want aggregates, not trees).
 func (r *Recorder) WritePrometheus(w io.Writer) {
 	rep := r.Report("")
 	for _, name := range sortedNames(rep.Counters) {

@@ -31,7 +31,6 @@ func goldenRecorder() *Recorder {
 	h.Observe(2)
 	h.Observe(2)
 	h.Observe(7)
-	r.Skip("SEI@64", "crossbar too small")
 	return r
 }
 

@@ -3,7 +3,7 @@
 // hardware events, and exporters for text, JSON run reports and
 // Prometheus text format. It is zero-dependency (stdlib only) and
 // race-safe: counters, gauges and histogram buckets are atomic, the
-// span tree and skip list are mutex-guarded.
+// span tree is mutex-guarded.
 //
 // Determinism contract (see DESIGN.md §9): every quantity recorded on a
 // hot path is an integer event count whose total depends only on the
@@ -37,7 +37,6 @@ type Recorder struct {
 	hists    map[string]*Histogram
 	root     *Span
 	cur      *Span
-	skipped  []Skipped
 	hw       *HW
 	progress *progressSink
 	start    time.Time
@@ -123,35 +122,6 @@ func (r *Recorder) HW() *HW {
 		return nil
 	}
 	return r.hw
-}
-
-// Skipped is one sweep point that produced no row, with the reason.
-type Skipped struct {
-	Point  string `json:"point"`
-	Reason string `json:"reason"`
-}
-
-// Skip records a skipped sweep point (and counts it under the
-// "sweep_skipped_points" counter) so thinner-than-expected tables are
-// explained in the run report instead of only on stderr.
-func (r *Recorder) Skip(point, reason string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counterLocked("sweep_skipped_points").Add(1)
-	r.skipped = append(r.skipped, Skipped{Point: point, Reason: reason})
-}
-
-// SkippedPoints returns a copy of the recorded skip list.
-func (r *Recorder) SkippedPoints() []Skipped {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Skipped(nil), r.skipped...)
 }
 
 // CounterValues snapshots every counter. The determinism tests compare

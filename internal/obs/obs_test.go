@@ -143,19 +143,6 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 	newHistogram([]float64{2, 1})
 }
 
-func TestSkip(t *testing.T) {
-	r := New()
-	r.Skip("SEI@64", "crossbar too small")
-	r.Skip("DAC+ADC@32", "mapper failure")
-	got := r.SkippedPoints()
-	if len(got) != 2 || got[0].Point != "SEI@64" || got[1].Reason != "mapper failure" {
-		t.Errorf("skipped = %+v", got)
-	}
-	if n := r.CounterValues()["sweep_skipped_points"]; n != 2 {
-		t.Errorf("sweep_skipped_points = %d, want 2", n)
-	}
-}
-
 func TestHWBundle(t *testing.T) {
 	r := New()
 	hw := r.HW()
@@ -187,10 +174,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	sp := r.StartSpan("x")
 	sp.AddSamples(1)
 	sp.End()
-	r.Skip("p", "r")
 	r.EnableProgress(nil, time.Second)
 	r.Progress("x", 1, 2)
-	if r.CounterValues() != nil || r.SkippedPoints() != nil {
+	if r.CounterValues() != nil {
 		t.Error("nil recorder returned non-nil snapshots")
 	}
 	rep := r.Report("off")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -9,10 +8,9 @@ import (
 )
 
 // TestConcurrentRecorder hammers one recorder from 16 goroutines —
-// counters, gauges, histograms, the HW bundle, span samples, skips
-// and progress — and checks the totals. Run under
-// -race (the CI workflow does) this is the package's thread-safety
-// proof.
+// counters, gauges, histograms, the HW bundle, span samples and
+// progress — and checks the totals. Run under -race (the CI workflow
+// does) this is the package's thread-safety proof.
 func TestConcurrentRecorder(t *testing.T) {
 	const goroutines = 16
 	const iters = 1000
@@ -35,9 +33,6 @@ func TestConcurrentRecorder(t *testing.T) {
 				r.Histogram("lat", []float64{1, 10, 100}).Observe(float64(i % 100))
 				r.Gauge("last_worker").Set(float64(g))
 				sp.AddSamples(1)
-				if i == 0 {
-					r.Skip(fmt.Sprintf("point-%d", g), "stress")
-				}
 				r.Progress("stress", g*iters+i+1, goroutines*iters)
 			}
 		}(g)
@@ -61,8 +56,5 @@ func TestConcurrentRecorder(t *testing.T) {
 	}
 	if got := sp.Samples(); got != total {
 		t.Errorf("span samples = %d, want %d", got, total)
-	}
-	if got := len(r.SkippedPoints()); got != goroutines {
-		t.Errorf("skipped = %d points, want %d", got, goroutines)
 	}
 }

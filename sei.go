@@ -30,7 +30,6 @@ import (
 	"io"
 	"math/rand"
 
-	"sei/internal/arch"
 	"sei/internal/experiments"
 	"sei/internal/mnist"
 	"sei/internal/nn"
@@ -111,18 +110,6 @@ func TrainTableNetwork(id int, train *Dataset, epochs int, seed int64) *Network 
 	return net
 }
 
-// TrainTableNetworkObs is TrainTableNetwork with instrumentation:
-// training counters and per-epoch progress feed rec (nil = off).
-func TrainTableNetworkObs(rec *Recorder, id int, train *Dataset, epochs int, seed int64) *Network {
-	net := nn.NewTableNetwork(id, seed)
-	cfg := nn.DefaultTrainConfig()
-	cfg.Epochs = epochs
-	cfg.Seed = seed
-	cfg.Obs = rec
-	nn.Train(net, train, cfg)
-	return net
-}
-
 // EvaluateNetwork returns the float network's test error rate.
 func EvaluateNetwork(net *Network, test *Dataset) float64 { return nn.ErrorRate(nil, net, test, 0) }
 
@@ -130,18 +117,7 @@ func EvaluateNetwork(net *Network, test *Dataset) float64 { return nn.ErrorRate(
 // search) on a trained network, then the FC-recalibration and
 // threshold-refinement calibration passes, using all cores.
 func Quantize(net *Network, train *Dataset) (*QuantizedNet, error) {
-	return quantizeWorkers(net, train, 0)
-}
-
-func quantizeWorkers(net *Network, train *Dataset, workers int) (*QuantizedNet, error) {
-	return quantizeObs(nil, net, train, workers)
-}
-
-// QuantizeObs is Quantize with instrumentation and an explicit worker
-// bound; the quantized net comes back instrumented so later hardware
-// evaluations feed rec's counters.
-func QuantizeObs(rec *Recorder, net *Network, train *Dataset, workers int) (*QuantizedNet, error) {
-	return quantizeObs(rec, net, train, workers)
+	return quantizeObs(nil, net, train, 0)
 }
 
 func quantizeObs(rec *obs.Recorder, net *Network, train *Dataset, workers int) (*QuantizedNet, error) {
@@ -381,34 +357,14 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	sp.End()
 	logf("sei: SEI hardware error %.4f; computing energy/area\n", res.SEIError)
 
-	geoms, err := arch.GeometryOf(q)
+	costs, err := MapCosts(q, cfg.MaxCrossbar)
 	if err != nil {
 		return nil, err
 	}
-	lib := power.DefaultLibrary()
-	baseCfg := arch.DefaultConfig(StructDACADC)
-	baseCfg.MaxCrossbar = cfg.MaxCrossbar
-	baseMap, err := arch.Map(geoms, baseCfg)
-	if err != nil {
-		return nil, err
-	}
-	seiCfg := arch.DefaultConfig(StructSEI)
-	seiCfg.MaxCrossbar = cfg.MaxCrossbar
-	seiMap, err := arch.Map(geoms, seiCfg)
-	if err != nil {
-		return nil, err
-	}
-	_, eBase := baseMap.Energy(lib)
-	_, eSEI := seiMap.Energy(lib)
-	_, aBase := baseMap.Area(lib)
-	_, aSEI := seiMap.Area(lib)
-	res.BaseEnergyUJ = power.MicroJoules(eBase)
-	res.EnergyUJ = power.MicroJoules(eSEI)
-	res.EnergySaving = 1 - eSEI.Total()/eBase.Total()
-	res.BaseAreaMM2 = power.SquareMM(aBase)
-	res.AreaMM2 = power.SquareMM(aSEI)
-	res.AreaSaving = 1 - aSEI.Total()/aBase.Total()
-	res.GOPsPerJ = seiMap.Efficiency(lib)
+	base, sei := costs[0], costs[2]
+	res.BaseEnergyUJ, res.EnergyUJ, res.EnergySaving = base.EnergyUJ, sei.EnergyUJ, sei.EnergySaving
+	res.BaseAreaMM2, res.AreaMM2, res.AreaSaving = base.AreaMM2, sei.AreaMM2, sei.AreaSaving
+	res.GOPsPerJ = sei.GOPsPerJ
 	return res, nil
 }
 
