@@ -44,7 +44,7 @@ bench-report:
 # Parallel-scaling row: the same deterministic workload at 1, 2 and 4
 # workers (Workers=0 tracks GOMAXPROCS, which -cpu sets).
 bench-scaling:
-	$(GO) test -bench='Parallel|Table5' -cpu 1,2,4 -run='^$$' .
+	$(GO) test -bench='Parallel' -cpu 1,2,4 -run='^$$' .
 
 vet:
 	$(GO) vet ./...
@@ -65,13 +65,21 @@ fmt:
 
 # Exactly what the GitHub Actions workflow runs. perfbench is its own
 # module (root ./... skips it), so it is vetted and tested separately.
+# The golden diff runs only where CI does (amd64): float rounding may
+# differ on other GOARCHes, so there it reports "cannot check", as
+# `seibench gate` does.
 ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test -timeout 5m ./...
-	env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet all > "$${TMPDIR:-/tmp}/quick-all.out" && diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out"
+	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
+		env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet all > "$${TMPDIR:-/tmp}/quick-all.out" && \
+		diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out"; \
+	else \
+		echo "golden: cannot check on $$($(GO) env GOARCH): quick-all.golden holds linux/amd64 output"; \
+	fi
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
 	$(GO) test -race ./internal/experiments

@@ -22,7 +22,6 @@ var testOnlyFuncs = map[string]string{
 	"sei/internal/quant.PaperSearchConfig":         "TestIncrementalSearchMatchesReference",
 	"sei/internal/quant.SearchThresholdsReference": "TestIncrementalSearchMatchesReference",
 	"sei/internal/rram.ProgramVerify":              "TestExpectedPulsesMatchesMonteCarlo",
-	"sei/internal/snn.DefaultConfig":               "BenchmarkSpikingInference",
 	"sei/internal/tensor.EqualApprox":              "TestPoolThenThresholdEqualsORPool",
 	"sei/internal/tensor.L2Distance":               "TestSyntheticClassesDistinct",
 }

@@ -18,18 +18,15 @@
 //	efficiency  GOPs/J vs FPGA/GPU (Section 5.3)
 //	timing      latency/throughput and the replica trade-off (Section 5.3)
 //	map         per-layer floorplan with measured-activity energy
-//	bounded     runtime activation-bound study: skip rates, energy
-//	noisy       packed non-ideal inference study: speedup, draw ledger
 //	pareto      device precision/variation Pareto frontier
 //	vgg         VGG-19 motivation numbers (Section 2.3)
-//	verilog     golden digital RTL of the SEI stages (internal/hdl)
 //	pipeline    one end-to-end train→quantize→SEI run
 //	all         every table and figure, in paper order
 //
-// Observability: -metrics writes a JSON run report (phase spans,
-// hardware counters, skipped points), -trace dumps the same report as
-// text to stderr, -progress prints live progress lines, -prom writes
-// Prometheus text format, -pprof serves net/http/pprof. Calibration
+// Observability: -metrics writes a JSON run report (phase spans and
+// hardware counters), -trace dumps the same report as text to stderr,
+// -progress prints live progress lines, -prom writes Prometheus text
+// format, -pprof serves net/http/pprof. Calibration
 // cost shows up alongside the inference counters: per-layer
 // `search/convN` spans carry the threshold-search wall time, the
 // `quant_search_skip_rate` gauge and the `quant_remainder_skipped` /
@@ -54,8 +51,6 @@ import (
 	"sei/internal/arch"
 	"sei/internal/cliutil"
 	"sei/internal/experiments"
-	"sei/internal/hdl"
-	"sei/internal/power"
 	"sei/internal/rram"
 )
 
@@ -95,7 +90,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	)
 	opt.obs.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: seisim [flags] <fig1|table1..5|homog|efficiency|timing|map|vgg|verilog|pipeline|all>\n\n")
+		fmt.Fprintf(stderr, "usage: seisim [flags] <fig1|table1..5|homog|efficiency|timing|map|pareto|vgg|pipeline|all>\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -255,21 +250,9 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 			if err := cost.Mapping.ApplyActivity(activity); err != nil {
 				return err
 			}
-			cost.Mapping.Describe(w, power.DefaultLibrary())
+			cost.Mapping.Describe(w)
 			fmt.Fprintln(w)
 		}
-	case "bounded":
-		res, err := experiments.BoundedStudy(c, netID)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "noisy":
-		res, err := experiments.NoisyStudy(c, netID)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
 	case "pareto":
 		points, err := experiments.ParetoStudy(c, netID, []int{2, 3, 4, 5, 6}, []float64{0, 0.02, 0.05, 0.1})
 		if err != nil {
@@ -282,12 +265,6 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 			return err
 		}
 		experiments.PrintVGG(w, res)
-	case "verilog":
-		// Golden digital RTL for the trained+quantized network's SEI
-		// stages (see internal/hdl).
-		if err := hdl.Export(c.QuantizedCalibrated(netID), w); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("unknown experiment %q", what)
 	}

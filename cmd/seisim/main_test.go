@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"sei/internal/experiments"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -70,5 +72,18 @@ func TestParseFlagsMissingExperiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "usage: seisim") {
 		t.Errorf("usage not printed, got %q", buf.String())
+	}
+}
+
+// TestRunRejectsRetiredExperiments pins that sections outside the usage
+// line fail before any training starts.
+func TestRunRejectsRetiredExperiments(t *testing.T) {
+	cfg := experiments.QuickConfig()
+	cfg.TrainSamples, cfg.TestSamples = 1, 1
+	for _, what := range []string{"verilog", "bounded", "noisy"} {
+		err := run(what, cfg, 1, nil)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("run(%q) = %v, want unknown experiment", what, err)
+		}
 	}
 }

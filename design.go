@@ -7,10 +7,8 @@ import (
 	"sei/internal/arch"
 	"sei/internal/experiments"
 	"sei/internal/power"
-	"sei/internal/quant"
 	"sei/internal/rram"
 	"sei/internal/seicore"
-	"sei/internal/snn"
 )
 
 // DefaultDeviceModel returns the paper's 4-bit RRAM device with mild
@@ -92,18 +90,6 @@ func BuildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions) (*SEIDesign,
 		return nil, fmt.Errorf("sei: unknown order strategy %d", opt.Order)
 	}
 	return seicore.BuildSEI(q, train, cfg, rand.New(rand.NewSource(opt.Seed)))
-}
-
-// SpikingErrorRate evaluates the quantized network on rate-coded
-// (1-bit, DAC-free) spiking input over the given timestep budget —
-// the Section-6 SNN direction. design may be a hardware design built
-// with BuildDesign, or nil to use the exact digital evaluator.
-func SpikingErrorRate(q *QuantizedNet, design *SEIDesign, data *Dataset, timesteps int, seed int64) (float64, error) {
-	var eval quant.StageEval = q.Digital()
-	if design != nil {
-		eval = design
-	}
-	return snn.ErrorRate(q, eval, data, snn.Config{Timesteps: timesteps, Seed: seed})
 }
 
 // DeploymentCost estimates the one-time energy of programming a

@@ -137,42 +137,6 @@ func TestMapCostsShape(t *testing.T) {
 	}
 }
 
-func TestSpikingErrorRateConverges(t *testing.T) {
-	q, _, test := designFix(t)
-	sub := test.Subset(80)
-	one, err := SpikingErrorRate(q, nil, sub, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := SpikingErrorRate(q, nil, sub, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analog := EvaluateQuantized(q, sub)
-	t.Logf("spiking: 1 step %.4f, 12 steps %.4f, analog %.4f", one, many, analog)
-	if many > one+0.03 {
-		t.Fatalf("more timesteps made spiking worse: %.4f vs %.4f", many, one)
-	}
-	if many > analog+0.12 {
-		t.Fatalf("12-step spiking error %.4f far above analog %.4f", many, analog)
-	}
-}
-
-func TestSpikingErrorRateOnHardware(t *testing.T) {
-	q, train, test := designFix(t)
-	d, err := BuildDesign(q, train, DefaultBuildOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := SpikingErrorRate(q, d, test.Subset(60), 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e > 0.6 {
-		t.Fatalf("hardware spiking error %.4f implausibly high", e)
-	}
-}
-
 func TestDeploymentCost(t *testing.T) {
 	q, _, _ := designFix(t)
 	// Network 2: (9·4 + 36·8 + 200·10) weights × 4 cells at 4 bits.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"sei/internal/power"
 	"sei/internal/seicore"
 )
 
@@ -32,10 +31,9 @@ func TestApplyActivityScalesDataDependentCounts(t *testing.T) {
 	if m.Layers[1].Counts.RowDrives*9 > m.Layers[1].Geom.Ops() {
 		// loose sanity: drives scaled down by 10×
 	}
-	lib := power.DefaultLibrary()
-	_, e := m.Energy(lib)
+	_, e := m.Energy()
 	fresh, _ := mapNetwork(geoms, seicore.StructSEI, 512)
-	_, e0 := fresh.Energy(lib)
+	_, e0 := fresh.Energy()
 	if e.RRAM >= e0.RRAM {
 		t.Fatalf("RRAM energy did not shrink: %v vs %v", e.RRAM, e0.RRAM)
 	}
@@ -62,7 +60,7 @@ func TestDescribeOutput(t *testing.T) {
 	geoms := netGeometry(t, 1)
 	m, _ := mapNetwork(geoms, seicore.StructSEI, 512)
 	var buf bytes.Buffer
-	m.Describe(&buf, power.DefaultLibrary())
+	m.Describe(&buf)
 	out := buf.String()
 	for _, want := range []string{"Conv 1", "Conv 2", "FC", "totals:", "energy", "300x64"} {
 		if !strings.Contains(out, want) {

@@ -130,15 +130,14 @@ type StructureCost struct {
 // DAC+ADC, 1-bit-input+ADC, SEI. It fails if any structure cannot map
 // the network, naming that structure.
 func Compare(geoms []LayerGeom, maxCrossbar int) ([]StructureCost, error) {
-	lib := power.DefaultLibrary()
 	var out []StructureCost
 	for _, s := range []seicore.Structure{seicore.StructDACADC, seicore.StructOneBitADC, seicore.StructSEI} {
 		m, err := mapNetwork(geoms, s, maxCrossbar)
 		if err != nil {
 			return nil, fmt.Errorf("arch: %s: %w", s, err)
 		}
-		_, e := m.Energy(lib)
-		_, a := m.Area(lib)
+		_, e := m.Energy()
+		_, a := m.Area()
 		c := StructureCost{Mapping: m, Energy: e, Area: a, GOPsPerJ: power.GOPsPerJoule(m.Ops(), e)}
 		if len(out) > 0 {
 			c.EnergySaving = 1 - e.Total()/out[0].Energy.Total()
@@ -322,8 +321,10 @@ func (m *Mapping) TotalInventory() power.Inventory {
 	return t
 }
 
-// Energy returns the per-layer and total per-picture energy breakdowns.
-func (m *Mapping) Energy(lib power.Library) ([]power.Breakdown, power.Breakdown) {
+// Energy returns the per-layer and total per-picture energy
+// breakdowns, priced with power.DefaultLibrary().
+func (m *Mapping) Energy() ([]power.Breakdown, power.Breakdown) {
+	lib := power.DefaultLibrary()
 	var total power.Breakdown
 	per := make([]power.Breakdown, len(m.Layers))
 	for i, l := range m.Layers {
@@ -333,8 +334,10 @@ func (m *Mapping) Energy(lib power.Library) ([]power.Breakdown, power.Breakdown)
 	return per, total
 }
 
-// Area returns the per-layer and total area breakdowns.
-func (m *Mapping) Area(lib power.Library) ([]power.Breakdown, power.Breakdown) {
+// Area returns the per-layer and total area breakdowns, priced with
+// power.DefaultLibrary().
+func (m *Mapping) Area() ([]power.Breakdown, power.Breakdown) {
+	lib := power.DefaultLibrary()
 	var total power.Breakdown
 	per := make([]power.Breakdown, len(m.Layers))
 	for i, l := range m.Layers {

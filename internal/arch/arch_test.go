@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sei/internal/nn"
-	"sei/internal/power"
 	"sei/internal/quant"
 	"sei/internal/seicore"
 )
@@ -115,9 +114,8 @@ func TestMapSmallerCrossbarIncreasesADC(t *testing.T) {
 			small.Layers[1].Counts.ADCConversions, big.Layers[1].Counts.ADCConversions)
 	}
 	// Total energy must rise — Table 5's 74.25 → 93.75 µJ pattern.
-	lib := power.DefaultLibrary()
-	_, eBig := big.Energy(lib)
-	_, eSmall := small.Energy(lib)
+	_, eBig := big.Energy()
+	_, eSmall := small.Energy()
 	if eSmall.Total() <= eBig.Total() {
 		t.Fatalf("smaller crossbars should cost more energy: %v vs %v", eSmall.Total(), eBig.Total())
 	}
@@ -161,7 +159,7 @@ func TestFig1InterfacesDominate(t *testing.T) {
 	if frac := base.Area.InterfaceFraction(); frac < 0.98 {
 		t.Fatalf("interface area fraction %.4f, want ≥ 0.98", frac)
 	}
-	perE, _ := base.Mapping.Energy(power.DefaultLibrary())
+	perE, _ := base.Mapping.Energy()
 	for i, e := range perE {
 		if e.InterfaceFraction() < 0.9 {
 			t.Fatalf("layer %d interface energy fraction %.4f, want ≥ 0.9", i, e.InterfaceFraction())
@@ -195,10 +193,9 @@ func TestTable5SavingsShape(t *testing.T) {
 // Section 3.2: the input layer's DACs are a small part of the baseline
 // chip energy (paper: ≈3%).
 func TestInputDACsSmallFraction(t *testing.T) {
-	lib := power.DefaultLibrary()
 	geoms := netGeometry(t, 1)
 	m, _ := mapNetwork(geoms, seicore.StructDACADC, 512)
-	perE, totalE := m.Energy(lib)
+	perE, totalE := m.Energy()
 	inputDAC := perE[0].DAC
 	if frac := inputDAC / totalE.Total(); frac > 0.10 {
 		t.Fatalf("input DAC fraction %.4f, want ≤ 0.10", frac)

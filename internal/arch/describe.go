@@ -40,7 +40,7 @@ func (m *Mapping) ApplyActivity(activity []float64) error {
 // per layer with its logical matrix, physical crossbar allocation,
 // interface modules and per-picture conversion counts — the table a
 // designer would sanity-check before committing a layout.
-func (m *Mapping) Describe(w io.Writer, lib power.Library) {
+func (m *Mapping) Describe(w io.Writer) {
 	fmt.Fprintf(w, "Mapping: structure %s, max crossbar %d\n", m.Structure, m.MaxCrossbar)
 	fmt.Fprintf(w, "  %-8s %11s %6s %9s %10s %6s %6s %5s %12s %12s\n",
 		"layer", "matrix", "uses", "blocks", "crossbars", "DACs", "ADCs", "SAs", "DAC conv/pic", "ADC conv/pic")
@@ -51,8 +51,8 @@ func (m *Mapping) Describe(w io.Writer, lib power.Library) {
 			l.Counts.DACConversions, l.Counts.ADCConversions)
 	}
 	inv := m.TotalInventory()
-	_, e := m.Energy(lib)
-	_, a := m.Area(lib)
+	_, e := m.Energy()
+	_, a := m.Area()
 	fmt.Fprintf(w, "  totals: %d crossbars, %d cells, %d DACs, %d ADCs, %d SAs\n",
 		inv.Crossbars, inv.Cells, inv.DACs, inv.ADCs, inv.SAs)
 	fmt.Fprintf(w, "  energy %.3f uJ/pic  |%s|\n", power.MicroJoules(e), power.Bar(e, 32))

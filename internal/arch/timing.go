@@ -126,11 +126,13 @@ func (m *Mapping) Timing(cfg TimingConfig) (Timing, error) {
 
 // ReplicaArea returns the total area breakdown when every conv layer's
 // crossbars (and their interfaces) are replicated — the other side of
-// the buffer/time trade-off. The FC layer is never replicated.
-func (m *Mapping) ReplicaArea(lib power.Library, replicas int) (power.Breakdown, error) {
+// the buffer/time trade-off. The FC layer is never replicated. Areas
+// are priced with power.DefaultLibrary().
+func (m *Mapping) ReplicaArea(replicas int) (power.Breakdown, error) {
 	if replicas < 1 {
 		return power.Breakdown{}, fmt.Errorf("arch: replicas %d < 1", replicas)
 	}
+	lib := power.DefaultLibrary()
 	var total power.Breakdown
 	for _, l := range m.Layers {
 		inv := l.Inventory

@@ -3,7 +3,6 @@ package arch
 import (
 	"testing"
 
-	"sei/internal/power"
 	"sei/internal/seicore"
 )
 
@@ -84,12 +83,11 @@ func TestTimingReplicasTradeTimeForArea(t *testing.T) {
 		t.Fatal("FC should stay at one wave")
 	}
 
-	lib := power.DefaultLibrary()
-	a1, err := m.ReplicaArea(lib, 1)
+	a1, err := m.ReplicaArea(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a4, err := m.ReplicaArea(lib, 4)
+	a4, err := m.ReplicaArea(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +95,11 @@ func TestTimingReplicasTradeTimeForArea(t *testing.T) {
 		t.Fatalf("replica area %v not above base %v", a4.Total(), a1.Total())
 	}
 	// The single-replica path must agree with the plain Area sum.
-	_, plain := m.Area(lib)
+	_, plain := m.Area()
 	if a1.Total() != plain.Total() {
 		t.Fatalf("ReplicaArea(1) %v != Area %v", a1.Total(), plain.Total())
 	}
-	if _, err := m.ReplicaArea(lib, 0); err == nil {
+	if _, err := m.ReplicaArea(0); err == nil {
 		t.Fatal("accepted zero replicas")
 	}
 }

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/seicore"
 )
@@ -318,24 +320,36 @@ func TestEfficiencyComparison(t *testing.T) {
 	}
 }
 
-func TestNoisyStudy(t *testing.T) {
+// TestDynamicThresholdGainOnForcedSplit pins the one setting where the
+// Section-4.3 dynamic threshold engages: Network 2 force-split at
+// crossbar 64, calibrated on 25 training images, build seed 1, scored
+// on 100 test images. The γ/D search must pick a compensation that
+// cuts the static split's error by at least minGain.
+func TestDynamicThresholdGainOnForcedSplit(t *testing.T) {
+	const minGain = 0.10
 	c := ctx(t)
-	res, err := NoisyStudy(c, 2)
-	if err != nil {
-		t.Fatal(err)
+	q := c.QuantizedCalibrated(2)
+	test := c.Test.Subset(100)
+	build := func(dynamic bool) (*seicore.SEIDesign, float64) {
+		cfg := seicore.DefaultSEIBuildConfig()
+		cfg.Layer.MaxCrossbar = 64
+		cfg.DynamicThreshold = dynamic
+		cfg.CalibImages = 25
+		var train *mnist.Dataset
+		if dynamic {
+			train = c.Train
+		}
+		d, err := seicore.BuildSEI(q, train, cfg, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, nn.ErrorRate(nil, d, test, 0)
 	}
-	if !res.ColMatch {
-		t.Error("per-column packed path diverged from the float path")
-	}
-	if !res.CellMatch {
-		t.Error("per-cell packed path diverged from the float path")
-	}
-	if res.CellDraws == 0 {
-		t.Errorf("per-cell draw ledger empty")
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "IDENTICAL") || !strings.Contains(buf.String(), "per-cell") {
-		t.Fatal("Print output missing expected lines")
+	_, static := build(false)
+	d, dynamic := build(true)
+	t.Logf("static %.2f%%, dynamic %.2f%%, calibration %+v", 100*static, 100*dynamic, d.CalibResults)
+	if gain := static - dynamic; gain < minGain {
+		t.Fatalf("dynamic threshold gains %.1f pp over static (%.2f%% vs %.2f%%), want ≥ %.0f pp",
+			100*gain, 100*dynamic, 100*static, 100*minGain)
 	}
 }

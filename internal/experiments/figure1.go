@@ -51,9 +51,8 @@ func Figure1(c *Context, networkID int) (*Figure1Result, error) {
 		return nil, err
 	}
 	base := costs[0] // DAC+ADC
-	lib := power.DefaultLibrary()
-	perE, totalE := base.Mapping.Energy(lib)
-	perA, totalA := base.Mapping.Area(lib)
+	perE, totalE := base.Mapping.Energy()
+	perA, totalA := base.Mapping.Area()
 
 	res := &Figure1Result{
 		NetworkID:              networkID,

@@ -94,7 +94,6 @@ func TimingStudy(c *Context, networkID, replicas int) ([]TimingRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	lib := power.DefaultLibrary()
 	var rows []TimingRow
 	for _, cost := range costs {
 		m := cost.Mapping
@@ -105,7 +104,7 @@ func TimingStudy(c *Context, networkID, replicas int) ([]TimingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			area, err := m.ReplicaArea(lib, r)
+			area, err := m.ReplicaArea(r)
 			if err != nil {
 				return nil, err
 			}

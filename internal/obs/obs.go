@@ -139,20 +139,6 @@ func (r *Recorder) CounterValues() map[string]int64 {
 	return out
 }
 
-// GaugeValues snapshots every gauge.
-func (r *Recorder) GaugeValues() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}
-
 // sortedNames returns map keys in deterministic order.
 func sortedNames[T any](m map[string]T) []string {
 	names := make([]string, 0, len(m))

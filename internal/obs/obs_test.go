@@ -101,8 +101,8 @@ func TestCounterGauge(t *testing.T) {
 	if vals["events"] != 7 {
 		t.Errorf("CounterValues = %v, want events:7", vals)
 	}
-	if gv := r.GaugeValues(); gv["workers"] != 2 {
-		t.Errorf("GaugeValues = %v, want workers:2", gv)
+	if gv := r.Report("").Gauges; gv["workers"] != 2 {
+		t.Errorf("report gauges = %v, want workers:2", gv)
 	}
 }
 

@@ -225,7 +225,7 @@ func TestSweepStatsAccounting(t *testing.T) {
 	if counters[MetricRemainderSkipped] != s.RemainderSkipped || counters[MetricRemainderEvals] != s.RemainderEvals || counters[MetricFCDeltaUpdates] != s.FCDeltaUpdates {
 		t.Fatalf("counters %v disagree with report stats %+v", counters, s)
 	}
-	if g := rec.GaugeValues()[GaugeSearchSkipRate]; g != s.SkipRate() {
+	if g := rec.Report("").Gauges[GaugeSearchSkipRate]; g != s.SkipRate() {
 		t.Fatalf("gauge %v != skip rate %v", g, s.SkipRate())
 	}
 	// Literal accounting on this fixture, recorded from a sorted
