@@ -65,9 +65,10 @@ fmt:
 
 # Exactly what the GitHub Actions workflow runs. perfbench is its own
 # module (root ./... skips it), so it is vetted and tested separately.
-# The golden diff runs only where CI does (amd64): float rounding may
-# differ on other GOARCHes, so there it reports "cannot check", as
-# `seibench gate` does.
+# The golden diffs (seisim's tables and examples/device_faults'
+# read-noise error rates) run only where CI does (amd64): float
+# rounding may differ on other GOARCHes, so there they report "cannot
+# check", as `seibench gate` does.
 ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
@@ -76,9 +77,11 @@ ci:
 	$(GO) test -timeout 5m ./...
 	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
 		env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet all > "$${TMPDIR:-/tmp}/quick-all.out" && \
-		diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out"; \
+		diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out" && \
+		env -u MNIST_DIR $(GO) run ./examples/device_faults > "$${TMPDIR:-/tmp}/device-faults.out" && \
+		diff -u examples/device_faults/testdata/stdout.golden "$${TMPDIR:-/tmp}/device-faults.out"; \
 	else \
-		echo "golden: cannot check on $$($(GO) env GOARCH): quick-all.golden holds linux/amd64 output"; \
+		echo "golden: cannot check on $$($(GO) env GOARCH): the goldens hold linux/amd64 output"; \
 	fi
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf

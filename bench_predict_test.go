@@ -11,7 +11,9 @@ package sei
 // chunked per-image engine; BenchmarkSEIPredictBatchSliced measures the
 // 64-images-per-word walker against BenchmarkSEIPredict's per-image
 // cost; the Bounded and Noisy variants run the same walkers with
-// activation bounds on or read noise in the device model. `make
+// activation bounds on or read noise in the device model, and
+// BenchmarkSEIPredictBatchNoisy pits the seeded 64-lane noisy groups
+// against the chunked engine. `make
 // bench-json` records all of them plus allocs/op in a trend-gated
 // bench-reports/ report (historic figures: bench-reports/history/).
 
@@ -19,6 +21,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/seicore"
 )
@@ -198,6 +201,38 @@ func BenchmarkSEIPredictNoisyFloat(b *testing.B) {
 		d.Predict(img)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "images/sec")
+}
+
+// BenchmarkSEIPredictBatchNoisy measures one 256-image batch on the
+// noisy benchmark design (σ 0.05) through nn.PredictBatchInto at one
+// worker. "seeded" is the default dispatch: four 64-lane groups on the
+// sliced walker, each lane's read noise pre-drawn from its chunk's
+// stream. "chunked" is the same batch on the chunked per-image engine,
+// the design wrapped so it offers no batch kernel. Labels, hw_* totals
+// and noise draws are bit-identical; the ratio is the seeded kernel's
+// speedup (DESIGN.md §17).
+func BenchmarkSEIPredictBatchNoisy(b *testing.B) {
+	d := benchNoisySEIDesign(b)
+	imgs := mnist.Synthetic(256, 11).Images
+	for _, bc := range []struct {
+		name string
+		c    nn.Classifier
+	}{{"seeded", d}, {"chunked", struct{ nn.ParallelClassifier }{d}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var res []nn.PredictResult
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res = nn.PredictBatchInto(nil, bc.c, imgs, 1, res)
+			}
+			b.StopTimer()
+			for i, r := range res {
+				if r.Err != nil {
+					b.Fatalf("image %d: %v", i, r.Err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(imgs))/b.Elapsed().Seconds(), "images/sec")
+		})
+	}
 }
 
 // TestSEIPredictBatchSlicedZeroAllocs is the engine-level allocation

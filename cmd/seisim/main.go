@@ -196,24 +196,32 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 		return nil
 	}
 
-	c := experiments.NewContext(cfg)
+	// The context synthesizes the whole data set, so it is made when a
+	// section first needs it: an unknown name fails before that.
+	var ctx *experiments.Context
+	c := func() *experiments.Context {
+		if ctx == nil {
+			ctx = experiments.NewContext(cfg)
+		}
+		return ctx
+	}
 	switch what {
 	case "fig1":
-		res, err := experiments.Figure1(c, netID)
+		res, err := experiments.Figure1(c(), netID)
 		if err != nil {
 			return err
 		}
 		res.Print(w)
 	case "table1":
-		experiments.Table1(c, 1, 2, 3).Print(w)
+		experiments.Table1(c(), 1, 2, 3).Print(w)
 	case "table2":
-		experiments.PrintTable2(w, experiments.Table2(c))
+		experiments.PrintTable2(w, experiments.Table2(c()))
 	case "table3":
-		experiments.PrintTable3(w, experiments.Table3(c, 1, 2, 3))
+		experiments.PrintTable3(w, experiments.Table3(c(), 1, 2, 3))
 	case "table4":
-		experiments.Table4(c, netID, sizes).Print(w)
+		experiments.Table4(c(), netID, sizes).Print(w)
 	case "table5":
-		res, err := experiments.Table5(c, experiments.PaperTable5Points())
+		res, err := experiments.Table5(c(), experiments.PaperTable5Points())
 		if err != nil {
 			return err
 		}
@@ -223,11 +231,11 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 		if len(sizes) > 0 {
 			size = sizes[0]
 		}
-		experiments.PrintHomogStudy(w, netID, experiments.HomogenizationStudy(c, netID, size))
+		experiments.PrintHomogStudy(w, netID, experiments.HomogenizationStudy(c(), netID, size))
 	case "efficiency":
-		experiments.PrintEfficiency(w, experiments.EfficiencyComparison(c, 1, 2, 3))
+		experiments.PrintEfficiency(w, experiments.EfficiencyComparison(c(), 1, 2, 3))
 	case "timing":
-		rows, err := experiments.TimingStudy(c, netID, 8)
+		rows, err := experiments.TimingStudy(c(), netID, 8)
 		if err != nil {
 			return err
 		}
@@ -235,12 +243,12 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 	case "map":
 		// Per-layer floorplan of each structure with measured-activity
 		// energy refinement.
-		q := c.QuantizedCalibrated(netID)
+		q := c().QuantizedCalibrated(netID)
 		geoms, err := arch.GeometryOf(q)
 		if err != nil {
 			return err
 		}
-		activity := q.ActivityFactors(c.Test.Subset(50))
+		activity := q.ActivityFactors(c().Test.Subset(50))
 		fmt.Fprintf(w, "measured input activity per layer: %.3f\n", activity)
 		costs, err := arch.Compare(geoms, rram.MaxCrossbarSize)
 		if err != nil {
@@ -254,7 +262,7 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 			fmt.Fprintln(w)
 		}
 	case "pareto":
-		points, err := experiments.ParetoStudy(c, netID, []int{2, 3, 4, 5, 6}, []float64{0, 0.02, 0.05, 0.1})
+		points, err := experiments.ParetoStudy(c(), netID, []int{2, 3, 4, 5, 6}, []float64{0, 0.02, 0.05, 0.1})
 		if err != nil {
 			return err
 		}

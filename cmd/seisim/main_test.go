@@ -76,11 +76,13 @@ func TestParseFlagsMissingExperiment(t *testing.T) {
 }
 
 // TestRunRejectsRetiredExperiments pins that sections outside the usage
-// line fail before any training starts.
+// line fail before the context synthesizes its data set: a negative
+// Workers makes experiments.NewContext panic, so reaching it fails the
+// test.
 func TestRunRejectsRetiredExperiments(t *testing.T) {
 	cfg := experiments.QuickConfig()
-	cfg.TrainSamples, cfg.TestSamples = 1, 1
-	for _, what := range []string{"verilog", "bounded", "noisy"} {
+	cfg.Workers = -1
+	for _, what := range []string{"verilog", "bounded", "noisy", "tabel4"} {
 		err := run(what, cfg, 1, nil)
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("run(%q) = %v, want unknown experiment", what, err)

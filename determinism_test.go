@@ -438,16 +438,18 @@ func TestSlicedPathThreeWayDeterminism(t *testing.T) {
 	}
 }
 
-// The packed per-image walker (internal/seicore/fast.go) and the float
-// path are two implementations of the noisy prediction contract:
-// for a linearly non-ideal design — read noise (per-column or
-// per-cell) and/or IR drop — labels, hardware-counter totals AND the
-// RNG-consumption ledger (sei_noise_draws) must be bit-identical
-// between the paths, at every worker count, on split/permuted and
-// unipolar-dynamic designs. Counter equality is the strong form of the
-// contract: equal sei_noise_draws totals at equal per-chunk seeds mean
-// the two paths consumed identical noise-stream prefixes, not merely
-// noise that happened to round to the same labels.
+// The default dispatch (the seeded 64-lane groups of
+// internal/seicore/sliced.go for designs without per-cell noise, the
+// packed per-image walker otherwise), the chunked per-image engine and
+// the float path are three implementations of the noisy prediction
+// contract: for a linearly non-ideal design — read noise (per-column
+// or per-cell) and/or IR drop — labels, hardware-counter totals AND
+// the RNG-consumption ledger (sei_noise_draws) must be bit-identical
+// between the paths, at every worker count, on split/permuted
+// (including γ ≠ 0) and unipolar-dynamic designs. Counter equality is
+// the strong form of the contract: equal sei_noise_draws totals at
+// equal per-chunk seeds mean the paths consumed identical noise-stream
+// prefixes, not merely noise that happened to round to the same labels.
 func TestNoisyPackedPathWorkerCountInvariant(t *testing.T) {
 	train, test := mnist.SyntheticSplit(300, 120, 7)
 	net := nn.NewTableNetwork(1, 7)
@@ -467,6 +469,15 @@ func TestNoisyPackedPathWorkerCountInvariant(t *testing.T) {
 			cfg := seicore.DefaultSEIBuildConfig()
 			cfg.Layer.MaxCrossbar = 128
 			cfg.Layer.Model.ReadNoiseSigma = 0.05
+			cfg.Orders = [][]int{nil, perm}
+			cfg.DynamicThreshold = false
+			return cfg
+		},
+		"per-column-ir-drop-split-permuted-gamma": func() seicore.SEIBuildConfig {
+			cfg := seicore.DefaultSEIBuildConfig()
+			cfg.Layer.MaxCrossbar = 128
+			cfg.Layer.Model.ReadNoiseSigma = 0.05
+			cfg.Layer.Model.IRDropAlpha = 0.05
 			cfg.Orders = [][]int{nil, perm}
 			cfg.DynamicThreshold = false
 			return cfg
@@ -495,42 +506,64 @@ func TestNoisyPackedPathWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build SEI: %v", err)
 			}
-			run := func(packed bool, workers int) ([]int, map[string]int64) {
+			if strings.HasSuffix(name, "-gamma") {
+				l := d.Convs[0]
+				if l.K < 2 {
+					t.Fatalf("conv stage 1 has K=%d, want a split", l.K)
+				}
+				l.Gamma = l.Threshold / float64(l.N)
+			}
+			// The default dispatch, the chunked engine (the design
+			// wrapped so it offers no batch kernel) and the float path.
+			paths := []struct {
+				name string
+				c    nn.Classifier
+				fast bool
+			}{
+				{"default", d, true},
+				{"chunked", struct{ nn.ParallelClassifier }{d}, true},
+				{"float", d, false},
+			}
+			run := func(path int, workers int) ([]int, map[string]int64) {
+				p := paths[path]
 				rec := obs.New()
 				d.Instrument(rec)
 				q.Instrument(rec)
-				d.SetFastPath(packed)
+				d.SetFastPath(p.fast)
 				defer func() {
 					d.Instrument(nil)
 					q.Instrument(nil)
 					d.SetFastPath(true)
 				}()
-				res := nn.PredictBatchObs(rec, d, test.Images, workers)
+				res := nn.PredictBatchObs(rec, p.c, test.Images, workers)
 				labels := make([]int, len(res))
 				for i, r := range res {
 					if r.Err != nil {
-						t.Fatalf("packed=%v workers=%d image %d: %v", packed, workers, i, r.Err)
+						t.Fatalf("%s workers=%d image %d: %v", p.name, workers, i, r.Err)
 					}
 					labels[i] = r.Label
 				}
 				return labels, comparablePredictCounters(rec.CounterValues())
 			}
-			baseLabels, baseCounters := run(true, 1)
+			baseLabels, baseCounters := run(0, 1)
 			if baseCounters[obs.SEINoiseDraws] == 0 {
 				t.Fatalf("noisy evaluation recorded zero sei_noise_draws")
 			}
 			for _, workers := range []int{1, 2, 8} {
-				for _, packed := range []bool{true, false} {
-					if packed && workers == 1 {
+				for path := range paths {
+					if path == 0 && workers == 1 {
 						continue // the baseline itself
 					}
-					labels, counters := run(packed, workers)
+					if paths[path].name == "chunked" && !d.SeededBatchEligible() {
+						continue // per-cell noise: the default dispatch is the chunked engine
+					}
+					labels, counters := run(path, workers)
 					if !reflect.DeepEqual(labels, baseLabels) {
-						t.Errorf("packed=%v workers=%d: labels diverge from packed serial baseline", packed, workers)
+						t.Errorf("%s workers=%d: labels diverge from the default serial baseline", paths[path].name, workers)
 					}
 					if !reflect.DeepEqual(counters, baseCounters) {
-						t.Errorf("packed=%v workers=%d: counters diverge:\n got  %v\n want %v",
-							packed, workers, counters, baseCounters)
+						t.Errorf("%s workers=%d: counters diverge:\n got  %v\n want %v",
+							paths[path].name, workers, counters, baseCounters)
 					}
 				}
 			}

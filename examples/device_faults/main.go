@@ -5,6 +5,9 @@
 // classification degrades.
 //
 // Run with: go run ./examples/device_faults
+//
+// Its standard output is pinned byte for byte by
+// testdata/stdout.golden; CI and `make ci` diff a fresh run against it.
 package main
 
 import (

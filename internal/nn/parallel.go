@@ -19,13 +19,13 @@ type ParallelClassifier interface {
 // chunk grid depends only on the dataset size).
 const evalSeedBase int64 = 0x5E1C0DE
 
-// chunkEvaluator returns the classifier chunk c should use: a
-// goroutine-exclusive clone when the classifier supports it, the
-// shared classifier itself otherwise (in which case the caller must
-// have forced the serial path).
-func chunkEvaluator(c Classifier, chunk par.Chunk) Classifier {
+// chunkEvaluator returns the classifier engine chunk index should
+// use: a goroutine-exclusive clone when the classifier supports it,
+// the shared classifier itself otherwise (in which case the caller
+// must have forced the serial path).
+func chunkEvaluator(c Classifier, index int) Classifier {
 	if pc, ok := c.(ParallelClassifier); ok {
-		return pc.CloneForEval(par.ChunkSeed(evalSeedBase, chunk.Index))
+		return pc.CloneForEval(par.ChunkSeed(evalSeedBase, index))
 	}
 	return c
 }

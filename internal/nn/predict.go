@@ -46,12 +46,34 @@ const (
 // lane-parallel pass, bit-identical to per-image Predict calls, or
 // reports false to make the caller fall back per-image. The kernel
 // must be safe for concurrent use — eligibility implies a
-// deterministic, noise-free evaluator.
+// deterministic, noise-free evaluator. Noisy evaluators reach the same
+// kernel through SeededBatchPredictor.
 type SlicedBatchPredictor interface {
 	Classifier
 	SlicedBatchEligible() bool
 	PredictBatchSliced(imgs []*tensor.Tensor, out []PredictResult) bool
 }
+
+// SeededBatchPredictor is a ParallelClassifier whose noisy evaluation
+// also has a bit-sliced batch kernel. PredictBatchSeeded classifies up
+// to SlicedGroupSize images in one lane-parallel pass. The group's
+// images are chunk-aligned: image i belongs to the
+// par.DefaultChunkSize-image chunk i/par.DefaultChunkSize, and
+// seeds[j] is the seed CloneForEval would get for chunk j. Each lane
+// replays the noise its chunk's clone draws, so labels, counters and
+// draw totals equal the chunked engine's bit for bit. The kernel
+// reports false, leaving out untouched, to make the caller fall back
+// to the chunked engine, and must be safe for concurrent use.
+type SeededBatchPredictor interface {
+	ParallelClassifier
+	SeededBatchEligible() bool
+	PredictBatchSeeded(imgs []*tensor.Tensor, seeds []int64, out []PredictResult) bool
+}
+
+// chunksPerGroup is how many engine chunks one sliced group spans: the
+// groups of a batch start on chunk boundaries, so a group's fallback
+// and a seeded group replay the chunked engine's per-chunk clones.
+const chunksPerGroup = SlicedGroupSize / par.DefaultChunkSize
 
 // PredictResult is one image's outcome in a batch: a label, or an error
 // (in which case Label is -1).
@@ -147,25 +169,36 @@ func PredictBatchInto(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, wo
 		dst = make([]PredictResult, n)
 	}
 	out := dst[:n]
-	if sp, ok := c.(SlicedBatchPredictor); ok && n >= SlicedGroupSize && sp.SlicedBatchEligible() {
-		predictBatchSliced(rec, sp, imgs, w, out)
-		return out
+	if n >= SlicedGroupSize {
+		if sp, ok := c.(SlicedBatchPredictor); ok && sp.SlicedBatchEligible() {
+			predictBatchSliced(rec, c, groupKernel{sliced: sp}, imgs, w, out)
+			return out
+		}
+		if sp, ok := c.(SeededBatchPredictor); ok && sp.SeededBatchEligible() {
+			seeds := make([]int64, n/SlicedGroupSize*chunksPerGroup)
+			for j := range seeds {
+				seeds[j] = par.ChunkSeed(evalSeedBase, j)
+			}
+			predictBatchSliced(rec, c, groupKernel{seeded: sp, seeds: seeds}, imgs, w, out)
+			return out
+		}
 	}
-	predictBatchChunked(rec, c, imgs, w, out)
+	predictBatchChunked(rec, c, imgs, w, out, 0)
 	return out
 }
 
 // predictBatchChunked is the per-image engine: fixed-size chunks,
-// per-chunk evaluator clones with seeded noise streams — the only
-// path noisy designs ever take. Whether a noisy clone then evaluates
+// per-chunk evaluator clones with seeded noise streams. first is the
+// engine chunk index of imgs[0], so a batch's tail keeps the seeds its
+// chunks have in the whole batch. Whether a noisy clone then evaluates
 // on the float path or the packed walker (seicore fast.go) is the
-// design's own dispatch decision; the chunk
-// boundaries and per-chunk seeds here are what make the two paths
-// consume identical noise-stream prefixes at every worker count.
-func predictBatchChunked(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, workers int, out []PredictResult) {
+// design's own dispatch decision; the chunk boundaries and per-chunk
+// seeds here are what make the paths consume identical noise-stream
+// prefixes at every worker count.
+func predictBatchChunked(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor, workers int, out []PredictResult, first int) {
 	n := len(imgs)
 	par.ForEachChunkRec(rec, workers, n, par.DefaultChunkSize, func(ch par.Chunk) {
-		eval := chunkEvaluator(c, ch)
+		eval := chunkEvaluator(c, first+ch.Index)
 		for i := ch.Lo; i < ch.Hi; i++ {
 			out[i] = safePredict(eval, imgs[i], rec)
 		}
@@ -173,12 +206,30 @@ func predictBatchChunked(rec *obs.Recorder, c Classifier, imgs []*tensor.Tensor,
 	rec.Counter(MetricEvalImages).Add(int64(n))
 }
 
+// groupKernel is the 64-lane kernel one batch runs: the noise-free
+// sliced kernel, or the seeded one with the seeds of every chunk the
+// batch's full groups cover.
+type groupKernel struct {
+	sliced SlicedBatchPredictor
+	seeded SeededBatchPredictor
+	seeds  []int64
+}
+
+// run classifies group g of the batch, imgs and out being its slices.
+func (k groupKernel) run(g int, imgs []*tensor.Tensor, out []PredictResult) bool {
+	if k.seeded != nil {
+		return k.seeded.PredictBatchSeeded(imgs, k.seeds[g*chunksPerGroup:(g+1)*chunksPerGroup], out)
+	}
+	return k.sliced.PredictBatchSliced(imgs, out)
+}
+
 // predictBatchSliced schedules full SlicedGroupSize-image groups, one
 // bit-sliced pass each, and sends the ragged tail through the
-// per-image engine. Group boundaries depend only on len(imgs), so
-// results are bit-identical for every worker count; eligibility
-// implies a noise-free evaluator, so no per-chunk seeding is needed.
-func predictBatchSliced(rec *obs.Recorder, sp SlicedBatchPredictor, imgs []*tensor.Tensor, workers int, out []PredictResult) {
+// per-image engine at the chunk index after the last group. Group
+// boundaries depend only on len(imgs) and fall on chunk boundaries, so
+// results are bit-identical for every worker count and equal the
+// chunked engine's, noisy designs included.
+func predictBatchSliced(rec *obs.Recorder, c Classifier, k groupKernel, imgs []*tensor.Tensor, workers int, out []PredictResult) {
 	n := len(imgs)
 	groups := n / SlicedGroupSize
 	if par.Resolve(workers) == 1 || groups == 1 {
@@ -187,27 +238,28 @@ func predictBatchSliced(rec *obs.Recorder, sp SlicedBatchPredictor, imgs []*tens
 		// steady-state allocation of a warm sliced batch.
 		par.RecordRegion(rec, groups, 1)
 		for g := 0; g < groups; g++ {
-			lo := g * SlicedGroupSize
-			slicedGroup(rec, sp, imgs[lo:lo+SlicedGroupSize], out[lo:lo+SlicedGroupSize])
+			slicedGroup(rec, c, k, g, imgs, out)
 		}
 	} else {
 		par.ForEachChunkRec(rec, workers, groups, 1, func(ch par.Chunk) {
 			for g := ch.Lo; g < ch.Hi; g++ {
-				lo := g * SlicedGroupSize
-				slicedGroup(rec, sp, imgs[lo:lo+SlicedGroupSize], out[lo:lo+SlicedGroupSize])
+				slicedGroup(rec, c, k, g, imgs, out)
 			}
 		})
 	}
 	if lo := groups * SlicedGroupSize; lo < n {
-		predictBatchChunked(rec, sp, imgs[lo:], workers, out[lo:])
+		predictBatchChunked(rec, c, imgs[lo:], workers, out[lo:], groups*chunksPerGroup)
 	}
 }
 
-// slicedGroup classifies one full group with the sliced kernel,
-// falling back to per-image prediction — which isolates per-image
-// errors exactly like any other batch — when the group contains an
-// invalid image or the kernel refuses or panics.
-func slicedGroup(rec *obs.Recorder, sp SlicedBatchPredictor, imgs []*tensor.Tensor, out []PredictResult) {
+// slicedGroup classifies group g of the batch with the group kernel,
+// falling back to the chunked engine's per-image prediction — which
+// isolates per-image errors exactly like any other batch, and replays
+// the group's per-chunk clones — when the group contains an invalid
+// image or the kernel refuses or panics.
+func slicedGroup(rec *obs.Recorder, c Classifier, k groupKernel, g int, imgs []*tensor.Tensor, out []PredictResult) {
+	lo := g * SlicedGroupSize
+	imgs, out = imgs[lo:lo+SlicedGroupSize], out[lo:lo+SlicedGroupSize]
 	valid := true
 	for _, img := range imgs {
 		if ValidateImage(img) != nil {
@@ -215,26 +267,29 @@ func slicedGroup(rec *obs.Recorder, sp SlicedBatchPredictor, imgs []*tensor.Tens
 			break
 		}
 	}
-	if valid && runSlicedGroup(sp, imgs, out) {
+	if valid && runSlicedGroup(k, g, imgs, out) {
 		rec.Counter(MetricEvalImages).Add(int64(len(imgs)))
 		rec.Counter(MetricSlicedGroups).Add(1)
 		return
 	}
 	rec.Counter(MetricSlicedFallbacks).Add(1)
 	rec.Counter(MetricEvalImages).Add(int64(len(imgs)))
-	for i, img := range imgs {
-		out[i] = safePredict(sp, img, rec)
+	for j := 0; j < chunksPerGroup; j++ {
+		eval := chunkEvaluator(c, g*chunksPerGroup+j)
+		for i := j * par.DefaultChunkSize; i < (j+1)*par.DefaultChunkSize; i++ {
+			out[i] = safePredict(eval, imgs[i], rec)
+		}
 	}
 }
 
 // runSlicedGroup invokes the kernel with panic containment: a panic
 // mid-pass reports false (the per-image fallback then overwrites every
 // slot and surfaces per-image errors).
-func runSlicedGroup(sp SlicedBatchPredictor, imgs []*tensor.Tensor, out []PredictResult) (ok bool) {
+func runSlicedGroup(k groupKernel, g int, imgs []*tensor.Tensor, out []PredictResult) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	return sp.PredictBatchSliced(imgs, out)
+	return k.run(g, imgs, out)
 }

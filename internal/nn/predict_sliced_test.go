@@ -3,11 +3,13 @@ package nn
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sei/internal/mnist"
 	"sei/internal/obs"
+	"sei/internal/par"
 	"sei/internal/tensor"
 )
 
@@ -169,5 +171,81 @@ func TestSlicedGroupFallbackIsolation(t *testing.T) {
 	}
 	if rec.CounterValues()[MetricSlicedFallbacks] != 1 {
 		t.Error("panicking kernel fallback not counted")
+	}
+}
+
+// stubSeeded is a SeededBatchPredictor over a reference network that
+// records the seeds its kernel and its chunk clones receive.
+type stubSeeded struct {
+	base   Classifier
+	refuse bool
+	mu     sync.Mutex
+	kernel [][]int64 // seeds per accepted kernel call, in call order
+	clones []int64   // CloneForEval seeds
+}
+
+func (s *stubSeeded) Predict(img *tensor.Tensor) int { return s.base.Predict(img) }
+func (s *stubSeeded) SeededBatchEligible() bool      { return true }
+func (s *stubSeeded) CloneForEval(seed int64) Classifier {
+	s.mu.Lock()
+	s.clones = append(s.clones, seed)
+	s.mu.Unlock()
+	return s.base
+}
+func (s *stubSeeded) PredictBatchSeeded(imgs []*tensor.Tensor, seeds []int64, out []PredictResult) bool {
+	if s.refuse {
+		return false
+	}
+	s.mu.Lock()
+	s.kernel = append(s.kernel, append([]int64(nil), seeds...))
+	s.mu.Unlock()
+	for i, img := range imgs {
+		out[i] = PredictResult{Label: s.base.Predict(img)}
+	}
+	return true
+}
+
+// TestSeededDispatchSeedsAndTail pins the seeds the seeded dispatch
+// hands out: group g's kernel gets the CloneForEval seeds of engine
+// chunks 4g..4g+3, a refused group's per-image fallback clones those
+// same chunks, and the ragged tail's chunks continue the index after
+// the last group — so every image sees the seed the chunked engine
+// gives it.
+func TestSeededDispatchSeedsAndTail(t *testing.T) {
+	data := mnist.Synthetic(130, 6)
+	net := NewTableNetwork(1, 2)
+	want := referenceLabels(t, net, data.Images)
+	seed := func(chunk int) int64 { return par.ChunkSeed(evalSeedBase, chunk) }
+
+	s := &stubSeeded{base: net}
+	rec := obs.New()
+	if got := batchLabels(t, PredictBatchObs(rec, s, data.Images, 1)); !reflect.DeepEqual(got, want) {
+		t.Fatal("seeded dispatch labels diverge from reference")
+	}
+	wantKernel := [][]int64{{seed(0), seed(1), seed(2), seed(3)}, {seed(4), seed(5), seed(6), seed(7)}}
+	if !reflect.DeepEqual(s.kernel, wantKernel) {
+		t.Errorf("kernel seeds = %v, want %v", s.kernel, wantKernel)
+	}
+	if !reflect.DeepEqual(s.clones, []int64{seed(8)}) {
+		t.Errorf("tail clone seeds = %v, want [chunk 8's]", s.clones)
+	}
+	if c := rec.CounterValues(); c[MetricSlicedGroups] != 2 || c[MetricEvalImages] != 130 {
+		t.Errorf("group accounting wrong: %v", c)
+	}
+
+	refusing := &stubSeeded{base: net, refuse: true}
+	rec = obs.New()
+	if got := batchLabels(t, PredictBatchObs(rec, refusing, data.Images, 1)); !reflect.DeepEqual(got, want) {
+		t.Fatal("refused-group labels diverge from reference")
+	}
+	var all []int64
+	for chunk := 0; chunk <= 8; chunk++ {
+		all = append(all, seed(chunk))
+	}
+	if !reflect.DeepEqual(refusing.clones, all) {
+		t.Errorf("fallback clone seeds = %v, want chunks 0..8's", refusing.clones)
+	}
+	if c := rec.CounterValues(); c[MetricSlicedFallbacks] != 2 || c[MetricSlicedGroups] != 0 {
+		t.Errorf("refusal accounting wrong: %v", c)
 	}
 }

@@ -99,13 +99,14 @@ type SEIDesign struct {
 	// the float path: noise and IR drop commute with the packed column
 	// sums, the sinh transfer on analog inputs does not. ideal caches
 	// whether every read-out is exact (no noise draws, IR drop or I-V
-	// nonlinearity), which the sliced walker (sliced.go) and bounded
+	// nonlinearity), which the noise-free sliced kernel and bounded
 	// mode need; programming variation and stuck faults are baked into
 	// the effective weights and never disqualify it. scratch holds the
 	// packed walker's *seiScratch arena pool (nil unless packed) and
-	// sliced the sliced walker's *slicedScratch pool (nil unless ideal).
-	// All are set once by initFastPath at build/load time, before the
-	// design is shared across goroutines.
+	// sliced the sliced walker's *slicedScratch pool (nil unless packed
+	// without per-cell noise, whose draws follow each lane's active
+	// cells). All are set once by initFastPath at build/load time,
+	// before the design is shared across goroutines.
 	packed, ideal   bool
 	scratch, sliced *sync.Pool
 	// fastOff (SetFastPath) and bounded (SetBounded) are the mode
@@ -125,7 +126,7 @@ func (d *SEIDesign) initFastPath() {
 	if d.packed {
 		d.scratch = &sync.Pool{}
 	}
-	if d.ideal {
+	if d.packed && !d.anyReadout(func(r *readout) bool { return r.cells != nil }) {
 		d.sliced = &sync.Pool{}
 	}
 	d.initBounds()

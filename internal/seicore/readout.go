@@ -182,19 +182,41 @@ func (r *readout) cellRow(row []float64, x float64, sums, g []float64) {
 // Returns the scale, which the FC layer also applies to its
 // dynamic-column sum (1 when the model has no IR drop).
 func (r *readout) columns(sums []float64, ones int) float64 {
-	scale := 1.0
-	if a := r.model.IRDropAlpha; a > 0 {
-		scale = 1 - a*float64(ones*r.irRows)/float64(rram.MaxCrossbarSize)
-		for c := range sums {
-			sums[c] *= scale
-		}
-	}
+	scale := r.irDrop(sums, ones)
 	if r.noise != nil {
 		sigma := r.model.ReadNoiseSigma
 		for c := range sums {
 			sums[c] *= 1 + sigma*r.noise.NormFloat64()
 		}
 		r.hw.NoiseDraws(int64(len(sums)))
+	}
+	return scale
+}
+
+// columnsDrawn is columns with the per-column draws taken beforehand
+// (the sliced walker's pre-drawn lanes, which record NoiseDraws when
+// they draw): the same expressions in the same order, so the same
+// rounding. draws is nil on a noise-free read-out.
+func (r *readout) columnsDrawn(sums []float64, ones int, draws []float64) float64 {
+	scale := r.irDrop(sums, ones)
+	if draws != nil {
+		sigma := r.model.ReadNoiseSigma
+		for c := range sums {
+			sums[c] *= 1 + sigma*draws[c]
+		}
+	}
+	return scale
+}
+
+// irDrop scales sums by the IR-drop factor for ones active inputs and
+// returns it (1 when the model has no IR drop).
+func (r *readout) irDrop(sums []float64, ones int) float64 {
+	scale := 1.0
+	if a := r.model.IRDropAlpha; a > 0 {
+		scale = 1 - a*float64(ones*r.irRows)/float64(rram.MaxCrossbarSize)
+		for c := range sums {
+			sums[c] *= scale
+		}
 	}
 	return scale
 }

@@ -52,16 +52,31 @@ package seicore
 // so a lane-dense bounded walk would only replay that kernel's
 // decisions lane by lane.
 //
-// Eligibility: ideal read-outs everywhere (no read noise, IR drop or
-// I-V nonlinearity), which also makes the receiver goroutine-safe —
-// scratch state lives in a per-call arena from a sync.Pool, so
-// steady-state sliced batches allocate nothing.
+// Read noise and IR drop: the walker takes every linear read-out
+// without per-cell noise. IR drop is a per-lane scale fixed by the
+// lane's active-row count. Per-column read noise has a fixed count per
+// image and layer (M draws per window and block, pool-cropped windows
+// included), and the chunked engine draws it from a per-chunk stream
+// re-seeded per layer (layerSeed of the chunk's CloneForEval seed). So
+// a seeded group (PredictBatchSeeded) pre-draws, per layer, each
+// chunk's run of that stream in image order (preDraw) and applies each
+// lane's draws with columns' own expressions (columnsDrawn): labels,
+// hw_* totals and sei_noise_draws equal the chunked engine's. Per-cell
+// noise, whose draws follow each image's active cells, and the I-V
+// nonlinearity keep the per-image walker.
+//
+// The receiver is goroutine-safe: the design's own noise sources are
+// never read, and scratch state — the seeded groups' generator and
+// draw buffer included — lives in a per-call arena from a sync.Pool,
+// so steady-state sliced batches allocate nothing.
 
 import (
 	"math/bits"
+	"math/rand"
 
 	"sei/internal/bitvec"
 	"sei/internal/nn"
+	"sei/internal/par"
 	"sei/internal/tensor"
 	"sei/internal/vecf"
 )
@@ -103,6 +118,12 @@ type slicedScratch struct {
 	// coverLive counts the pool-covered kernel placements reading each
 	// pixel; cover − coverLive are the pool-cropped ones.
 	coverLive []int32
+
+	// Seeded groups (noisy designs only): rng is re-seeded in place per
+	// chunk and layer, and draws holds one layer's pre-drawn per-column
+	// read noise (preDraw).
+	rng   *rand.Rand
+	draws []float64
 }
 
 // newSlicedScratch sizes an arena for d and precomputes the stage-0
@@ -153,19 +174,91 @@ func newSlicedScratch(d *SEIDesign) *slicedScratch {
 		}
 	}
 	s.cover, s.coverLive = g.coverage()
+
+	// The largest per-image draw count of a noisy layer (columnReads).
+	maxDraws := 0
+	for idx := 0; idx < len(s.geom)+1; idx++ {
+		if r, reads, m := d.columnReads(s.geom, idx); r.noise != nil {
+			maxDraws = max(maxDraws, reads*m)
+		}
+	}
+	if maxDraws > 0 {
+		s.rng = rand.New(rand.NewSource(0))
+		s.draws = make([]float64, lanes*maxDraws)
+	}
 	return s
 }
 
-// SlicedBatchEligible implements nn.SlicedBatchPredictor: the sliced
-// path applies to ideal read-outs (d.sliced is built only for them)
-// unless SetFastPath turned the packed paths off. Callers that need
-// the per-image engine on an eligible design wrap it in a type that
-// does not implement nn.SlicedBatchPredictor.
+// columnReads returns stage idx's read-out, in layerSeed order (the
+// input stage, the SEI conv stages, the FC stage), with the column
+// reads it makes per image and the columns each read converts: one
+// read per window (input stage), per window and block (SEI conv
+// stages, pool-cropped windows included) or per block (FC stage).
+func (d *SEIDesign) columnReads(geom []stageGeom, idx int) (r *readout, reads, m int) {
+	switch {
+	case idx == 0:
+		g := &geom[0]
+		return &d.Input.readout, g.outH * g.outW, d.Input.M
+	case idx <= len(d.Convs):
+		g, l := &geom[idx], d.Convs[idx-1]
+		return &l.readout, g.outH * g.outW * l.K, l.M
+	default:
+		return &d.FC.readout, d.FC.K, d.FC.M
+	}
+}
+
+// preDraw takes stage idx's per-column read-noise draws for every lane
+// of a seeded group, as the chunked engine's clones would: lane i is
+// image i%par.DefaultChunkSize of chunk i/par.DefaultChunkSize, whose
+// stream for stage idx is seeded layerSeed(seeds[chunk], idx). Each
+// chunk's stream is drawn in image order, then read order, then column
+// order, into s.draws at [read][lane][column], vecf.Lanes lane slots
+// per read (laneDraws), so a read's draws lie in the lane-major order
+// of the sums. Records the draws and returns the buffer; nil when the
+// stage draws no noise.
+func (s *slicedScratch) preDraw(d *SEIDesign, idx, lanes int, seeds []int64) []float64 {
+	r, reads, m := d.columnReads(s.geom, idx)
+	if r.noise == nil {
+		return nil
+	}
+	draws, rng := s.draws[:reads*vecf.Lanes*m], s.rng
+	for lane := 0; lane < lanes; lane++ {
+		if lane%par.DefaultChunkSize == 0 {
+			rng.Seed(layerSeed(seeds[lane/par.DefaultChunkSize], idx))
+		}
+		for u := 0; u < reads; u++ {
+			dst := laneDraws(draws, u, lane, m)
+			for c := range dst {
+				dst[c] = rng.NormFloat64()
+			}
+		}
+	}
+	r.hw.NoiseDraws(int64(reads * lanes * m))
+	return draws
+}
+
+// SlicedBatchEligible implements nn.SlicedBatchPredictor: the
+// noise-free sliced kernel applies to ideal read-outs unless
+// SetFastPath turned the packed paths off. Callers that need the
+// per-image engine on an eligible design wrap it in a type that
+// implements neither nn.SlicedBatchPredictor nor
+// nn.SeededBatchPredictor.
 func (d *SEIDesign) SlicedBatchEligible() bool {
+	return d.ideal && d.SeededBatchEligible()
+}
+
+// SeededBatchEligible implements nn.SeededBatchPredictor: the seeded
+// kernel applies to every linear read-out without per-cell noise
+// (d.sliced is built only for them) unless SetFastPath turned the
+// packed paths off.
+func (d *SEIDesign) SeededBatchEligible() bool {
 	return d.sliced != nil && !d.fastOff
 }
 
-var _ nn.SlicedBatchPredictor = (*SEIDesign)(nil)
+var (
+	_ nn.SlicedBatchPredictor = (*SEIDesign)(nil)
+	_ nn.SeededBatchPredictor = (*SEIDesign)(nil)
+)
 
 // PredictBatchSliced classifies up to 64 images in one bit-sliced
 // pass, writing one result per image into out. It reports false —
@@ -176,8 +269,29 @@ var _ nn.SlicedBatchPredictor = (*SEIDesign)(nil)
 // per-image Predict calls on the same images. Safe for concurrent use;
 // steady-state calls allocate nothing.
 func (d *SEIDesign) PredictBatchSliced(imgs []*tensor.Tensor, out []nn.PredictResult) bool {
+	return d.SlicedBatchEligible() && d.predictBatch(imgs, nil, out)
+}
+
+// PredictBatchSeeded classifies up to 64 images in one bit-sliced
+// pass, drawing each lane's read noise as the chunked engine's clone
+// seeded seeds[i/par.DefaultChunkSize] would for image i (see
+// nn.SeededBatchPredictor). It reports false — leaving out untouched —
+// under PredictBatchSliced's conditions, on per-cell noise or an I-V
+// nonlinearity, or when seeds does not cover every image's chunk.
+// Labels, hardware-counter totals and noise draws are bit-identical to
+// the chunked engine on the same images. Safe for concurrent use;
+// steady-state calls allocate nothing.
+func (d *SEIDesign) PredictBatchSeeded(imgs []*tensor.Tensor, seeds []int64, out []nn.PredictResult) bool {
+	chunks := (len(imgs) + par.DefaultChunkSize - 1) / par.DefaultChunkSize
+	return d.SeededBatchEligible() && len(seeds) >= chunks && d.predictBatch(imgs, seeds, out)
+}
+
+// predictBatch is the kernels' shared body: it validates the batch
+// against the design's geometry and runs predictSliced on a pooled
+// arena.
+func (d *SEIDesign) predictBatch(imgs []*tensor.Tensor, seeds []int64, out []nn.PredictResult) bool {
 	lanes := len(imgs)
-	if !d.SlicedBatchEligible() || lanes == 0 || lanes > nn.SlicedGroupSize || len(out) < lanes {
+	if lanes == 0 || lanes > nn.SlicedGroupSize || len(out) < lanes {
 		return false
 	}
 	s, _ := d.sliced.Get().(*slicedScratch)
@@ -192,38 +306,43 @@ func (d *SEIDesign) PredictBatchSliced(imgs []*tensor.Tensor, out []nn.PredictRe
 			return false
 		}
 	}
-	d.predictSliced(imgs, out[:lanes], s)
+	d.predictSliced(imgs, seeds, out[:lanes], s)
 	d.sliced.Put(s)
 	return true
 }
 
-// predictSliced runs the full bit-sliced forward pass. The caller owns
-// s for the duration of the call and has validated the input shapes.
-func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult, s *slicedScratch) {
+// predictSliced runs the full bit-sliced forward pass; seeds are the
+// group's chunk seeds (nil on an ideal design). The caller owns s for
+// the duration of the call and has validated the input shapes.
+func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, seeds []int64, out []nn.PredictResult, s *slicedScratch) {
 	q := d.Q
 	lanes := len(imgs)
 	batchMask := ^uint64(0)
 	if lanes < vecf.Lanes {
 		batchMask = 1<<uint(lanes) - 1
 	}
+	// The pool-crop skip comes with bounded mode, which is exact only
+	// on ideal read-outs.
+	bounded := d.bounded && d.ideal
 
 	// Stage 0 keeps the DAC+ADC organization: the float images are
 	// transposed lane-major, every conv window accumulates all 64 lanes
 	// at once through the vecf kernels, and the fired bits pool-fuse
 	// straight into the lane-major map. The compute loops skip
-	// pool-cropped windows (their outputs are unreadable); unbounded
-	// runs still charge them, as the per-image walker evaluates them,
-	// while bounded runs charge only the live placements and record the
-	// cropped ones as skipped.
+	// pool-cropped windows (their outputs are unreadable, and their
+	// noise draws are taken but unused); unbounded runs still charge
+	// them, as the per-image walker evaluates them, while bounded runs
+	// charge only the live placements and record the cropped ones as
+	// skipped.
 	g := &s.geom[0]
 	mapLen := g.filters * g.pooledH * g.pooledW
 	cur := s.cur[:mapLen]
 	for i := range cur {
 		cur[i] = 0
 	}
-	d.slicedStage0(imgs, s, cur)
+	d.slicedStage0(imgs, s, cur, s.preDraw(d, 0, lanes, seeds))
 	nz := s.nz
-	d.recordStage0(g, s.cover, s.coverLive, int64(lanes), d.bounded, func(p int) int64 {
+	d.recordStage0(g, s.cover, s.coverLive, int64(lanes), bounded, func(p int) int64 {
 		return int64(bits.OnesCount64(nz[p]))
 	})
 	if g.pool > 1 {
@@ -243,6 +362,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 		}
 		win := s.win[:g.fan]
 		fired := s.fired[:lanes*layer.M]
+		draws := s.preDraw(d, l, lanes, seeds)
 		var fullWins, cropSkip int64 // windows charged at full cost; rows skipped by the crop
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
@@ -265,7 +385,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 				if cropped {
 					// No output bit depends on a pool-cropped window;
 					// only its active-input totals are observable.
-					if d.bounded {
+					if bounded {
 						for _, w := range win {
 							cropSkip += int64(bits.OnesCount64(w & batchMask))
 						}
@@ -282,7 +402,11 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 						layer.evalBoundedCounts(lw, fired[lane*layer.M:(lane+1)*layer.M], s.col[:layer.M])
 					}
 				} else {
-					layer.slicedCounts(win, lanes, batchMask, s)
+					var wd []float64 // the window's K reads
+					if draws != nil {
+						wd = draws[(oy*g.outW+ox)*layer.K*vecf.Lanes*layer.M:]
+					}
+					layer.slicedCounts(win, lanes, batchMask, s, wd)
 					fullWins++
 				}
 				for k := 0; k < layer.M; k++ {
@@ -315,7 +439,7 @@ func (d *SEIDesign) predictSliced(imgs []*tensor.Tensor, out []nn.PredictResult,
 
 	// FC stage: the flattened final map is already the lane-major
 	// input; per-lane scores feed the argmax epilogue.
-	d.FC.slicedScores(s.cur, lanes, batchMask, s)
+	d.FC.slicedScores(s.cur, lanes, batchMask, s, s.preDraw(d, len(q.Convs), lanes, seeds))
 	m := d.FC.M
 	for lane := 0; lane < lanes; lane++ {
 		sc := s.scores[lane*m : lane*m+m]
@@ -359,8 +483,12 @@ func (s *slicedScratch) laneWindows(win []uint64, lanes int) (nw int) {
 // otherwise — so each lane replays MatVecTInto's ascending-row loop
 // exactly; lanes whose pixel is zero accumulate a ±0 product, an IEEE
 // identity (see the file header), and rows zero in every lane are
-// skipped outright.
-func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []uint64) {
+// skipped outright. draws are the stage's pre-drawn per-column noise
+// (preDraw, one lane-major block per window; nil when noise-free),
+// applied per lane before the threshold with the per-image
+// columns(cw, 0) expression; the IR-drop scale is exactly 1 on the
+// input stage, which drives no SEI rows.
+func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []uint64, draws []float64) {
 	g := &s.geom[0]
 	n := g.inC * g.inH * g.inW
 	pixT := s.pixT[:n*vecf.Lanes]
@@ -397,6 +525,11 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 	m := g.filters
 	eff := d.Input.eff.Data()
 	thr := d.Q.Thresholds[0]
+	var sigma float64
+	var wd []float64 // one window's draws
+	if draws != nil {
+		sigma = d.Input.model.ReadNoiseSigma
+	}
 	if m == 4 && g.fan <= 64 {
 		// Fused-kernel form: vecf.ConvWin4 keeps all four filters'
 		// accumulators in registers across the window and returns the
@@ -426,7 +559,10 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 						rm |= 1 << uint(r)
 					}
 				}
-				vecf.ConvWin4(pixT[pbase*vecf.Lanes:], eff, s.off0, rm, thr, &masks)
+				if draws != nil {
+					wd = draws[(oy*g.outW+ox)*vecf.Lanes*m:]
+				}
+				vecf.ConvWin4(pixT[pbase*vecf.Lanes:], eff, s.off0, rm, wd, sigma, thr, &masks)
 				for k := 0; k < 4; k++ {
 					if w := masks[k] & laneMask; w != 0 {
 						out[(k*g.pooledH+py)*g.pooledW+px] |= w
@@ -469,6 +605,14 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 					src += g.inW
 				}
 			}
+			if draws != nil {
+				wd = draws[(oy*g.outW+ox)*vecf.Lanes*m:]
+				for lane := 0; lane < lanes; lane++ {
+					for k, v := range wd[lane*m : lane*m+m] {
+						acc[k*vecf.Lanes+lane] *= 1 + sigma*v
+					}
+				}
+			}
 			for k := 0; k < m; k++ {
 				if w := vecf.GtMask64(acc[k*vecf.Lanes:], thr) & laneMask; w != 0 {
 					out[(k*g.pooledH+py)*g.pooledW+px] |= w
@@ -478,33 +622,39 @@ func (d *SEIDesign) slicedStage0(imgs []*tensor.Tensor, s *slicedScratch, out []
 	}
 }
 
-// slicedCounts is evalCounts over a lane-major window on an ideal
-// read-out: it fills s.fired (lane-major, lanes·M entries) with each
-// lane's per-column fired-block counts. Rows are visited in ascending
-// local order and each set lane accumulates the same effective-weight
-// row the per-image walker adds, so per-lane sums — and the SA
-// compares against the (per-lane dynamic) reference — are
-// bit-identical. ActiveInputs is recorded as the popcount total, the
-// sum of the per-lane counts.
-func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, batchMask uint64, s *slicedScratch) {
+// slicedCounts is evalCounts over a lane-major window: it fills
+// s.fired (lane-major, lanes·M entries) with each lane's per-column
+// fired-block counts. Rows are visited in ascending local order and
+// each set lane accumulates the same effective-weight row the
+// per-image walker adds, so per-lane sums — and the SA compares
+// against the (per-lane dynamic) reference — are bit-identical. A
+// non-ideal read-out runs each lane's sums through columnsDrawn with
+// the window's pre-drawn noise (draws, one read per block; nil when
+// noise-free). ActiveInputs is recorded as the popcount total, the sum
+// of the per-lane counts.
+func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, batchMask uint64, s *slicedScratch, draws []float64) {
 	m := l.M
 	fired := s.fired[:lanes*m]
 	for i := range fired {
 		fired[i] = 0
 	}
+	nonIdeal := draws != nil || l.model.IRDropAlpha > 0
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot := b.slicedSums(win, batchMask, l.Gamma != 0, s)
+		onesTot := b.slicedSums(win, batchMask, l.Gamma != 0 || nonIdeal, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		switch {
-		case l.Gamma != 0:
+		case l.Gamma != 0 || nonIdeal:
 			for lane := 0; lane < lanes; lane++ {
+				a := s.acc[lane*m : lane*m+m]
+				if nonIdeal {
+					l.columnsDrawn(a, int(s.ones[lane]), laneDraws(draws, bi, lane, m))
+				}
 				ref := l.BaseThr[bi] + l.Gamma*(float64(s.ones[lane])-l.OnesMean[bi])
 				if dyn {
 					ref += s.w0[lane]
 				}
-				a := s.acc[lane*m : lane*m+m]
 				f := fired[lane*m : lane*m+m]
 				for c, v := range a {
 					if v > ref {
@@ -536,6 +686,16 @@ func (l *SEIConvLayer) slicedCounts(win []uint64, lanes int, batchMask uint64, s
 	}
 }
 
+// laneDraws returns lane's m draws of read u in a pre-drawn
+// [read][lane][column] buffer (preDraw), or nil when draws is.
+func laneDraws(draws []float64, u, lane, m int) []float64 {
+	if draws == nil {
+		return nil
+	}
+	i := (u*vecf.Lanes + lane) * m
+	return draws[i : i+m]
+}
+
 // slicedOnes records a pool-cropped window's per-block active-input
 // totals without computing column sums: the window's fired bits never
 // reach the output map, but the unbounded per-image walker still
@@ -551,18 +711,20 @@ func (l *SEIConvLayer) slicedOnes(win []uint64) {
 	}
 }
 
-// slicedScores is SEIFCLayer.evalInto over a lane-major flattened map
-// on an ideal read-out: bias copy, block order and the `s − w0sum`
-// accumulation per lane match the per-image walker exactly, so
-// per-lane scores are bit-identical.
-func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *slicedScratch) {
+// slicedScores is SEIFCLayer.evalInto over a lane-major flattened map:
+// bias copy, block order, the read-out (columnsDrawn with the
+// pre-drawn draws, one read per block, on a non-ideal read-out) and
+// the `s − w0sum` accumulation per lane match the per-image walker
+// exactly, so per-lane scores are bit-identical.
+func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *slicedScratch, draws []float64) {
 	m := l.M
 	for lane := 0; lane < lanes; lane++ {
 		copy(s.scores[lane*m:lane*m+m], l.Bias)
 	}
+	nonIdeal := draws != nil || l.model.IRDropAlpha > 0
 	for bi := range l.blocks {
 		b := &l.blocks[bi]
-		onesTot := b.slicedSums(in, batchMask, false, s)
+		onesTot := b.slicedSums(in, batchMask, nonIdeal, s)
 		l.hw.ActiveInputs(onesTot)
 		dyn := b.w0 != nil
 		for lane := 0; lane < lanes; lane++ {
@@ -571,6 +733,9 @@ func (l *SEIFCLayer) slicedScores(in []uint64, lanes int, batchMask uint64, s *s
 				w0sum = s.w0[lane]
 			}
 			a := s.acc[lane*m : lane*m+m]
+			if nonIdeal {
+				w0sum *= l.columnsDrawn(a, int(s.ones[lane]), laneDraws(draws, bi, lane, m))
+			}
 			sc := s.scores[lane*m : lane*m+m]
 			for c, v := range a {
 				sc[c] += v - w0sum

@@ -237,15 +237,6 @@ func TestErrorRateTakesSlicedPath(t *testing.T) {
 		}()
 		return nn.ErrorRate(rec, d, sub, workers), rec.CounterValues()
 	}
-	comparable := func(all map[string]int64) map[string]int64 {
-		out := map[string]int64{}
-		for k, v := range all {
-			if !strings.HasPrefix(k, "par_") && !strings.HasPrefix(k, "predict_sliced_") {
-				out[k] = v
-			}
-		}
-		return out
-	}
 	for _, workers := range []int{1, 2} {
 		slicedErr, got := run(true, workers)
 		if got[nn.MetricSlicedGroups] != 2 || got[nn.MetricEvalImages] != 130 {
@@ -259,9 +250,9 @@ func TestErrorRateTakesSlicedPath(t *testing.T) {
 		if slicedErr != floatErr {
 			t.Fatalf("workers=%d: sliced error rate %v, float path %v", workers, slicedErr, floatErr)
 		}
-		if !reflect.DeepEqual(comparable(got), comparable(want)) {
+		if !reflect.DeepEqual(engineIndependent(got), engineIndependent(want)) {
 			t.Fatalf("workers=%d: counters diverge from the float path:\n got  %v\n want %v",
-				workers, comparable(got), comparable(want))
+				workers, engineIndependent(got), engineIndependent(want))
 		}
 	}
 }
@@ -341,5 +332,251 @@ func TestSlicedSurvivesSaveLoad(t *testing.T) {
 	b, _ := evalSliced(t, loaded, imgs)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("loaded design's sliced labels diverge from the original")
+	}
+}
+
+// engineIndependent drops the counters that legitimately differ
+// between dispatch routes — engine scheduling and sliced-group
+// accounting — keeping labels' witnesses: hw_*, sei_* and eval_images.
+func engineIndependent(all map[string]int64) map[string]int64 {
+	out := map[string]int64{}
+	for k, v := range all {
+		if !strings.HasPrefix(k, "par_") && !strings.HasPrefix(k, "predict_sliced_") {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// noisyCases are the non-ideal designs the seeded kernel takes:
+// per-column read noise, with and without IR drop, on contiguous and
+// permuted splits, with and without a dynamic-threshold slope and the
+// unipolar dynamic column (which the FC stage IR-scales), plus IR drop
+// alone. gamma sets a nonzero γ on the split conv stage after build.
+var noisyCases = []struct {
+	name  string
+	cfg   func() SEIBuildConfig
+	gamma bool
+}{
+	{"per-column", func() SEIBuildConfig {
+		cfg := DefaultSEIBuildConfig()
+		cfg.DynamicThreshold = false
+		cfg.Layer.Model.ReadNoiseSigma = 0.05
+		return cfg
+	}, false},
+	{"per-column-ir-drop", func() SEIBuildConfig {
+		cfg := DefaultSEIBuildConfig()
+		cfg.DynamicThreshold = false
+		cfg.Layer.Model.ReadNoiseSigma = 0.05
+		cfg.Layer.Model.IRDropAlpha = 0.05
+		return cfg
+	}, false},
+	{"split-permuted-gamma", func() SEIBuildConfig {
+		cfg := DefaultSEIBuildConfig()
+		cfg.DynamicThreshold = false
+		cfg.Layer.MaxCrossbar = 16
+		cfg.Orders = [][]int{nil, rand.New(rand.NewSource(12)).Perm(36)}
+		cfg.Layer.Model.ReadNoiseSigma = 0.05
+		return cfg
+	}, true},
+	{"unipolar-split-per-column-ir-drop", func() SEIBuildConfig {
+		cfg := DefaultSEIBuildConfig()
+		cfg.DynamicThreshold = false
+		cfg.Layer.Mode = ModeUnipolarDynamic
+		cfg.Layer.MaxCrossbar = 32
+		cfg.Layer.Model.ReadNoiseSigma = 0.05
+		cfg.Layer.Model.IRDropAlpha = 0.05
+		return cfg
+	}, false},
+	{"ir-drop-only", func() SEIBuildConfig {
+		cfg := DefaultSEIBuildConfig()
+		cfg.DynamicThreshold = false
+		cfg.Layer.Model.IRDropAlpha = 0.05
+		return cfg
+	}, false},
+}
+
+// buildNoisy builds one noisyCases design.
+func buildNoisy(t *testing.T, f *fixture, i int) *SEIDesign {
+	t.Helper()
+	tc := noisyCases[i]
+	d, err := BuildSEI(f.q, nil, tc.cfg(), rand.New(rand.NewSource(int64(20+i))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.gamma {
+		l := d.Convs[0]
+		if l.K < 2 {
+			t.Fatalf("%s: conv stage 1 has K=%d, want a split", tc.name, l.K)
+		}
+		l.Gamma = l.Threshold / float64(l.N)
+		for bi := range l.OnesMean {
+			l.OnesMean[bi] = float64(len(l.blocks[bi].inputs)) / 3
+		}
+	}
+	if d.SlicedBatchEligible() || !d.SeededBatchEligible() {
+		t.Fatalf("%s: sliced-eligible %v, seeded-eligible %v; want false, true",
+			tc.name, d.SlicedBatchEligible(), d.SeededBatchEligible())
+	}
+	return d
+}
+
+// TestSeededMatchesChunkedAndFloat pins the seeded kernel's contract
+// through nn's dispatch: on every non-ideal design it takes, labels
+// and every engine-independent counter — hw_* totals, sei_noise_draws
+// and eval_images — equal the chunked per-image engine's (the design
+// wrapped so it offers no batch kernel) and the float path's, for
+// batch sizes around the 64-lane group and at every worker count. The
+// batches of 65 and more also pin the ragged tail's chunk seeds.
+func TestSeededMatchesChunkedAndFloat(t *testing.T) {
+	f := getFixture(t)
+	for i, tc := range noisyCases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := buildNoisy(t, f, i)
+			run := func(c nn.Classifier, imgs []*tensor.Tensor, workers int) ([]int, map[string]int64) {
+				rec := obs.New()
+				d.Instrument(rec)
+				d.Q.Instrument(rec)
+				defer func() {
+					d.Instrument(nil)
+					d.Q.Instrument(nil)
+				}()
+				res := nn.PredictBatchObs(rec, c, imgs, workers)
+				labels := make([]int, len(res))
+				for j, r := range res {
+					if r.Err != nil {
+						t.Fatalf("image %d: %v", j, r.Err)
+					}
+					labels[j] = r.Label
+				}
+				return labels, rec.CounterValues()
+			}
+			chunked := struct{ nn.ParallelClassifier }{d}
+			for _, n := range []int{1, 63, 64, 65, 120, 130} {
+				imgs := f.test.Images[:n]
+				d.SetFastPath(false)
+				wantLabels, all := run(d, imgs, 1)
+				d.SetFastPath(true)
+				wantCounters := engineIndependent(all)
+				if tc.name != "ir-drop-only" && wantCounters[obs.SEINoiseDraws] == 0 {
+					t.Fatalf("n=%d: float path recorded no noise draws", n)
+				}
+				for _, workers := range []int{1, 2, 8} {
+					for _, path := range []struct {
+						name string
+						c    nn.Classifier
+					}{{"seeded", d}, {"chunked", chunked}} {
+						labels, all := run(path.c, imgs, workers)
+						if got, want := all[nn.MetricSlicedGroups], int64(n/nn.SlicedGroupSize); path.name == "seeded" && got != want {
+							t.Fatalf("n=%d workers=%d: %d seeded groups, want %d", n, workers, got, want)
+						}
+						counters := engineIndependent(all)
+						if !reflect.DeepEqual(labels, wantLabels) {
+							t.Errorf("n=%d workers=%d %s: labels diverge from the float path", n, workers, path.name)
+						}
+						if !reflect.DeepEqual(counters, wantCounters) {
+							t.Errorf("n=%d workers=%d %s: counters diverge from the float path:\n got  %v\n want %v",
+								n, workers, path.name, counters, wantCounters)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSeededRefusals pins every condition under which the seeded
+// kernel hands the batch back, leaving out untouched: per-cell noise,
+// an I-V nonlinearity, SetFastPath(false), more than 64 lanes, too few
+// seeds for the batch's chunks, and PredictBatchSliced's batch checks.
+func TestSeededRefusals(t *testing.T) {
+	f := getFixture(t)
+	imgs := f.test.Images[:nn.SlicedGroupSize]
+	seeds := []int64{1, 2, 3, 4}
+	sentinel := nn.PredictResult{Label: -7}
+	out := make([]nn.PredictResult, 2*nn.SlicedGroupSize)
+	refuses := func(name string, d *SEIDesign, imgs []*tensor.Tensor, seeds []int64) {
+		t.Helper()
+		for i := range out {
+			out[i] = sentinel
+		}
+		if d.PredictBatchSeeded(imgs, seeds, out) {
+			t.Errorf("%s: seeded kernel accepted the batch", name)
+		}
+		for i, r := range out {
+			if r != sentinel {
+				t.Fatalf("%s: refusal wrote out[%d] = %+v", name, i, r)
+			}
+		}
+	}
+	build := func(cfg SEIBuildConfig) *SEIDesign {
+		t.Helper()
+		d, err := BuildSEI(f.q, nil, cfg, rand.New(rand.NewSource(30)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	perCell := DefaultSEIBuildConfig()
+	perCell.DynamicThreshold = false
+	perCell.Layer.Model.ReadNoiseSigma = 0.05
+	perCell.Layer.Model.ReadNoisePerCell = true
+	if d := build(perCell); d.SeededBatchEligible() {
+		t.Error("per-cell noise design is seeded-eligible")
+	} else {
+		refuses("per-cell noise", d, imgs, seeds)
+	}
+	iv := DefaultSEIBuildConfig()
+	iv.DynamicThreshold = false
+	iv.Layer.Model.IVNonlinearity = 1
+	if d := build(iv); d.SeededBatchEligible() {
+		t.Error("I-V nonlinear design is seeded-eligible")
+	} else {
+		refuses("I-V nonlinearity", d, imgs, seeds)
+	}
+
+	d := buildNoisy(t, f, 0)
+	d.SetFastPath(false)
+	if d.SeededBatchEligible() {
+		t.Error("SetFastPath(false) left the design seeded-eligible")
+	}
+	refuses("SetFastPath(false)", d, imgs, seeds)
+	d.SetFastPath(true)
+
+	big := append(append([]*tensor.Tensor(nil), imgs...), imgs[0])
+	refuses("65 lanes", d, big, []int64{1, 2, 3, 4, 5})
+	refuses("three seeds for four chunks", d, imgs, seeds[:3])
+	refuses("no seeds", d, imgs[:1], nil)
+	refuses("empty batch", d, nil, seeds)
+	refuses("nil image", d, []*tensor.Tensor{imgs[0], nil}, seeds)
+	refuses("geometry mismatch", d, []*tensor.Tensor{imgs[0], tensor.New(1, 3, 3)}, seeds)
+	if !d.PredictBatchSeeded(imgs[:17], seeds[:2], out) {
+		t.Error("two seeds for 17 images refused")
+	}
+	if !d.PredictBatchSeeded(imgs, seeds, out) {
+		t.Error("valid seeded batch refused")
+	}
+}
+
+// TestNoisySlicedZeroAllocs pins the seeded kernel's arena: once the
+// scratch pool is warm, a full 64-lane noisy group — re-seeding the
+// arena's generator per chunk and layer and pre-drawing into its
+// buffer — performs zero heap allocations (the chunked engine
+// allocates three generator clones per 16 images).
+func TestNoisySlicedZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race; allocation counts are not meaningful")
+	}
+	f := getFixture(t)
+	d := buildNoisy(t, f, 1)
+	imgs := f.test.Images[:nn.SlicedGroupSize]
+	seeds := []int64{5, 6, 7, 8}
+	out := make([]nn.PredictResult, len(imgs))
+	if !d.PredictBatchSeeded(imgs, seeds, out) { // warm the pool
+		t.Fatal("seeded pass refused")
+	}
+	if avg := testing.AllocsPerRun(20, func() { d.PredictBatchSeeded(imgs, seeds, out) }); avg != 0 {
+		t.Errorf("seeded group allocates %.1f objects per pass, want 0", avg)
 	}
 }

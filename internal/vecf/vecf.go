@@ -8,7 +8,8 @@
 //	acc[i] = acc[i] + (w * x[i])
 //
 // with both the multiply and the add rounded separately (never fused
-// into an FMA), and compares with the same semantics as the Go `>`
+// into an FMA; ConvWin4's optional read-noise gain likewise), and
+// compares with the same semantics as the Go `>`
 // operator (NaN compares false). The amd64 AVX2 implementations use
 // VMULPD/VADDPD/VCMPPD, which round each element identically to the
 // scalar MULSD/ADDSD/UCOMISD sequence, so results are bit-identical
@@ -50,18 +51,26 @@ func GtMask64(x []float64, thr float64) uint64 {
 //
 //	acc_c[i] += w[r*4+c] * x[off[r]+i]
 //
-// with strict per-element mul-then-add rounding, then writes
-// masks[c] = lane mask of acc_c[i] > thr (NaN compares false). The
-// accumulators start at +0 and, in the AVX2 implementation, never
-// leave registers — the kernel replaces a zero/accumulate/compare
-// round trip through a 4·Lanes scratch buffer.
+// with strict per-element mul-then-add rounding. When g is non-nil it
+// then applies per-column read noise from lane-major draws (lane i's
+// four at g[i*4:i*4+4]),
+//
+//	acc_c[i] = acc_c[i] * (1 + (sigma * g[i*4+c]))
+//
+// each operation rounded separately, and finally writes masks[c] =
+// lane mask of acc_c[i] > thr (NaN compares false). The accumulators
+// start at +0 and, in the AVX2 implementation, never leave registers —
+// the kernel replaces a zero/accumulate/compare round trip through a
+// 4·Lanes scratch buffer.
 //
 // off holds element offsets into x, one per window row; rows whose
 // rowMask bit is clear are skipped entirely and their off entries are
 // not read. Panics when a set row's x span or weight row is out of
-// bounds.
-func ConvWin4(x, w []float64, off []int64, rowMask uint64, thr float64, masks *[4]uint64) {
-	if rowMask == 0 {
+// bounds, or g is non-nil and shorter than 4·Lanes.
+func ConvWin4(x, w []float64, off []int64, rowMask uint64, g []float64, sigma, thr float64, masks *[4]uint64) {
+	if g != nil {
+		_ = g[4*Lanes-1]
+	} else if rowMask == 0 {
 		var m uint64
 		if 0.0 > thr { // +0 accumulators can still fire a negative threshold
 			m = ^uint64(0)
@@ -69,12 +78,14 @@ func ConvWin4(x, w []float64, off []int64, rowMask uint64, thr float64, masks *[
 		masks[0], masks[1], masks[2], masks[3] = m, m, m, m
 		return
 	}
-	hi := 63 - bits.LeadingZeros64(rowMask)
-	_ = w[hi*4+3]
+	if rowMask != 0 {
+		hi := 63 - bits.LeadingZeros64(rowMask)
+		_ = w[hi*4+3]
+	}
 	for t := rowMask; t != 0; t &= t - 1 {
 		_ = x[off[bits.TrailingZeros64(t)]+Lanes-1]
 	}
-	convWin4(x, w, off, rowMask, thr, masks)
+	convWin4(x, w, off, rowMask, g, sigma, thr, masks)
 }
 
 // AddRowLanes adds one row of values into each set lane's lane-major
@@ -109,7 +120,7 @@ func addRowLanesGeneric(acc, row []float64, laneWord uint64) {
 }
 
 // convWin4Generic is the portable fused-window kernel.
-func convWin4Generic(x, w []float64, off []int64, rowMask uint64, thr float64, masks *[4]uint64) {
+func convWin4Generic(x, w []float64, off []int64, rowMask uint64, g []float64, sigma, thr float64, masks *[4]uint64) {
 	var acc [4 * Lanes]float64
 	for t := rowMask; t != 0; t &= t - 1 {
 		r := bits.TrailingZeros64(t)
@@ -119,6 +130,13 @@ func convWin4Generic(x, w []float64, off []int64, rowMask uint64, thr float64, m
 			a := acc[c*Lanes : c*Lanes+Lanes]
 			for i, v := range xr {
 				a[i] += wc * v
+			}
+		}
+	}
+	if g != nil {
+		for i := 0; i < Lanes; i++ {
+			for c, v := range g[i*4 : i*4+4] {
+				acc[c*Lanes+i] *= 1 + sigma*v
 			}
 		}
 	}

@@ -41,12 +41,16 @@ func gtMask64(x []float64, thr float64) uint64 {
 	return gtMask64Generic(x, thr)
 }
 
-func convWin4(x, w []float64, off []int64, rowMask uint64, thr float64, masks *[4]uint64) {
+func convWin4(x, w []float64, off []int64, rowMask uint64, g []float64, sigma, thr float64, masks *[4]uint64) {
 	if hasAVX2 {
-		convWin4AVX2(&x[0], &w[0], &off[0], rowMask, thr, &masks[0])
+		var gp *float64
+		if g != nil {
+			gp = &g[0]
+		}
+		convWin4AVX2(&x[0], &w[0], &off[0], rowMask, thr, gp, sigma, &masks[0])
 		return
 	}
-	convWin4Generic(x, w, off, rowMask, thr, masks)
+	convWin4Generic(x, w, off, rowMask, g, sigma, thr, masks)
 }
 
 func addRowLanes(acc, row []float64, laneWord uint64) {
@@ -72,7 +76,7 @@ func mulAccLanes64AVX2(acc, x, w *float64, m int)
 func gtMask64AVX2(x *float64, thr float64) uint64
 
 //go:noescape
-func convWin4AVX2(x, w *float64, off *int64, rowMask uint64, thr float64, masks *uint64)
+func convWin4AVX2(x, w *float64, off *int64, rowMask uint64, thr float64, noise *float64, sigma float64, masks *uint64)
 
 //go:noescape
 func addRowLanesAVX2(acc, row *float64, m int64, laneWord uint64)

@@ -91,20 +91,35 @@ gtloop:
 	MOVQ AX, ret+16(FP)
 	RET
 
-// func convWin4AVX2(x, w *float64, off *int64, rowMask uint64, thr float64, masks *uint64)
+DATA one<>+0(SB)/8, $1.0
+GLOBL one<>(SB), RODATA|NOPTR, $8
+
+// func convWin4AVX2(x, w *float64, off *int64, rowMask uint64, thr float64, noise *float64, sigma float64, masks *uint64)
 //
 // Fused four-filter window: per quad of lanes the four accumulators
 // live in Y4-Y7 across every window row (ascending set bits of
-// rowMask, VMULPD then VADDPD — never fused), then compare against the
-// broadcast threshold and pack the VMOVMSKPD nibbles into the four
-// mask words. Quads walk from the top so each nibble shifts into place
-// with an immediate shift, as in gtMask64AVX2.
-TEXT ·convWin4AVX2(SB), NOSPLIT, $0-48
+// rowMask, VMULPD then VADDPD — never fused); when noise is non-nil the
+// quad's 4×4 block of lane-major draws is transposed to one vector per
+// filter (VUNPCKLPD/VUNPCKHPD, VPERM2F128) and each accumulator is
+// multiplied by 1 + sigma·noise (VMULPD, VADDPD, VMULPD); then they
+// compare against the broadcast threshold and pack the VMOVMSKPD
+// nibbles into the four mask words. Quads walk from the top so each
+// nibble shifts into place with an immediate shift, as in
+// gtMask64AVX2.
+TEXT ·convWin4AVX2(SB), NOSPLIT, $0-64
 	MOVQ x+0(FP), SI
 	MOVQ w+8(FP), DX
 	MOVQ off+16(FP), R8
 	MOVQ rowMask+24(FP), R9
 	VBROADCASTSD thr+32(FP), Y0
+	MOVQ noise+40(FP), DI
+	TESTQ DI, DI
+	JZ   cwstart
+	VBROADCASTSD sigma+48(FP), Y3
+	VBROADCASTSD one<>(SB), Y8
+	ADDQ $1920, DI // noise: the last quad's lanes 60-63
+
+cwstart:
 	ADDQ $480, SI // last quad first
 	XORQ R10, R10
 	XORQ R11, R11
@@ -119,7 +134,7 @@ cwquad:
 	VXORPD Y7, Y7, Y7
 	MOVQ R9, BX
 	TESTQ BX, BX
-	JZ   cwcmp
+	JZ   cwnoise
 
 cwrow:
 	BSFQ BX, R14              // r = lowest set row
@@ -141,6 +156,35 @@ cwrow:
 	LEAQ -1(BX), R14
 	ANDQ R14, BX              // clear lowest set bit
 	JNZ  cwrow
+
+cwnoise:
+	TESTQ DI, DI
+	JZ   cwcmp
+	VMOVUPD (DI), Y9          // lane a = 4q: filters 0-3
+	VMOVUPD 32(DI), Y10       // lane b
+	VMOVUPD 64(DI), Y11       // lane c
+	VMOVUPD 96(DI), Y12       // lane d
+	VUNPCKLPD Y10, Y9, Y13    // (a0 b0 a2 b2)
+	VUNPCKHPD Y10, Y9, Y14    // (a1 b1 a3 b3)
+	VUNPCKLPD Y12, Y11, Y15   // (c0 d0 c2 d2)
+	VUNPCKHPD Y12, Y11, Y9    // (c1 d1 c3 d3)
+	VPERM2F128 $0x20, Y15, Y13, Y10 // filter 0: (a0 b0 c0 d0)
+	VPERM2F128 $0x31, Y15, Y13, Y12 // filter 2
+	VPERM2F128 $0x20, Y9, Y14, Y11  // filter 1
+	VPERM2F128 $0x31, Y9, Y14, Y13  // filter 3
+	VMULPD  Y3, Y10, Y10      // sigma*g
+	VADDPD  Y8, Y10, Y10      // 1 + sigma*g
+	VMULPD  Y10, Y4, Y4
+	VMULPD  Y3, Y11, Y11
+	VADDPD  Y8, Y11, Y11
+	VMULPD  Y11, Y5, Y5
+	VMULPD  Y3, Y12, Y12
+	VADDPD  Y8, Y12, Y12
+	VMULPD  Y12, Y6, Y6
+	VMULPD  Y3, Y13, Y13
+	VADDPD  Y8, Y13, Y13
+	VMULPD  Y13, Y7, Y7
+	SUBQ $128, DI
 
 cwcmp:
 	SHLQ $4, R10
@@ -164,7 +208,7 @@ cwcmp:
 	JNZ  cwquad
 
 	VZEROUPPER
-	MOVQ masks+40(FP), DI
+	MOVQ masks+56(FP), DI
 	MOVQ R10, (DI)
 	MOVQ R11, 8(DI)
 	MOVQ R12, 16(DI)

@@ -40,7 +40,8 @@ func TestAVX2MatchesGeneric(t *testing.T) {
 }
 
 // TestConvWin4AVX2MatchesGeneric runs the fused window kernel head to
-// head against the portable loop on the same inputs.
+// head against the portable loop on the same inputs, with and without
+// the read-noise gains.
 func TestConvWin4AVX2MatchesGeneric(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2 on this machine; dispatch uses the generic kernels")
@@ -55,13 +56,20 @@ func TestConvWin4AVX2MatchesGeneric(t *testing.T) {
 			off[r] = int64(rng.Intn(len(x) - Lanes + 1))
 		}
 		rowMask := rng.Uint64() & (1<<uint(rows) - 1)
-		if rowMask == 0 {
+		if rowMask == 0 && trial%2 == 0 {
 			rowMask = 1
 		}
 		thr := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)-6))
+		var gains []float64
+		var gp *float64
+		sigma := rng.Float64()
+		if trial%2 == 1 {
+			gains = randVec(rng, 4*Lanes)
+			gp = &gains[0]
+		}
 		var a, g [4]uint64
-		convWin4AVX2(&x[0], &w[0], &off[0], rowMask, thr, &a[0])
-		convWin4Generic(x, w, off, rowMask, thr, &g)
+		convWin4AVX2(&x[0], &w[0], &off[0], rowMask, thr, gp, sigma, &a[0])
+		convWin4Generic(x, w, off, rowMask, gains, sigma, thr, &g)
 		if a != g {
 			t.Fatalf("trial %d (rows=%d mask=%x): AVX2 %x, generic %x", trial, rows, rowMask, a, g)
 		}

@@ -141,8 +141,9 @@ func TestGtMask64MatchesScalar(t *testing.T) {
 
 // TestConvWin4MatchesScalar pins the fused window kernel against the
 // scalar composition: ascending-row mul-then-add accumulation from +0,
-// then a `>` compare per lane. Offsets overlap and repeat, rowMask is
-// sparse and sometimes empty, and thresholds include negative values
+// on odd trials the read-noise gain `acc *= 1 + sigma*g`, then a `>`
+// compare per lane. Offsets overlap and repeat, rowMask is sparse and
+// sometimes empty, and thresholds and gains include negative values
 // (which an all-skipped window must still fire) and NaN.
 func TestConvWin4MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -173,6 +174,19 @@ func TestConvWin4MatchesScalar(t *testing.T) {
 				}
 			}
 		}
+		var gains []float64
+		sigma := 0.05
+		if trial%2 == 1 {
+			gains = make([]float64, 4*Lanes)
+			for i := range gains {
+				gains[i] = adversarialValues[rng.Intn(len(adversarialValues))]
+			}
+			for c := 0; c < 4; c++ {
+				for i := 0; i < Lanes; i++ {
+					acc[c*Lanes+i] *= 1 + sigma*gains[i*4+c]
+				}
+			}
+		}
 		for c := 0; c < 4; c++ {
 			for i := 0; i < Lanes; i++ {
 				if acc[c*Lanes+i] > thr {
@@ -181,7 +195,7 @@ func TestConvWin4MatchesScalar(t *testing.T) {
 			}
 		}
 		var got [4]uint64
-		ConvWin4(x, w, off, rowMask, thr, &got)
+		ConvWin4(x, w, off, rowMask, gains, sigma, thr, &got)
 		if got != want {
 			t.Fatalf("trial %d (rows=%d mask=%x thr=%v): got %x, want %x",
 				trial, rows, rowMask, thr, got, want)
