@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-scaling bench-report vet staticcheck fmt ci
+.PHONY: build test race bench bench-smoke bench-scaling bench-report vet staticcheck fmt golden lines ci
 
 build:
 	$(GO) build ./...
@@ -63,26 +63,45 @@ staticcheck:
 fmt:
 	gofmt -l -w .
 
+# Byte-for-byte diffs of what the programs print against their
+# goldens: seisim's tables (all) and facade pipeline (pipeline) under
+# -quick, and every example that has a testdata/stdout.golden. They run
+# only where CI does (amd64): float rounding may differ on other
+# GOARCHes, so there they report "cannot check", as `seibench gate`
+# does.
+golden:
+	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
+		out="$${TMPDIR:-/tmp}/golden.out"; \
+		for s in all pipeline; do \
+			env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet $$s > "$$out" && \
+			diff -u cmd/seisim/testdata/quick-$$s.golden "$$out" || exit 1; \
+		done; \
+		for g in examples/*/testdata/stdout.golden; do \
+			env -u MNIST_DIR $(GO) run ./$${g%/testdata/stdout.golden} > "$$out" && \
+			diff -u "$$g" "$$out" || exit 1; \
+		done; \
+	else \
+		echo "golden: cannot check on $$($(GO) env GOARCH): the goldens hold linux/amd64 output"; \
+	fi
+
+# Non-test Go lines, comments and blank lines excluded: the module
+# outside perfbench, then each internal/ package. ROADMAP's "less
+# code" figures come from here.
+lines:
+	@printf '%-22s %6d\n' module $$(find . -name '*.go' -not -path './perfbench/*' | grep -v _test.go | xargs cat | grep -Ev '^\s*(//|$$)' | wc -l)
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' $${d%/} $$(cat $$(ls $$d*.go | grep -v _test.go) | grep -Ev '^\s*(//|$$)' | wc -l); \
+	done
+
 # Exactly what the GitHub Actions workflow runs. perfbench is its own
 # module (root ./... skips it), so it is vetted and tested separately.
-# The golden diffs (seisim's tables and examples/device_faults'
-# read-noise error rates) run only where CI does (amd64): float
-# rounding may differ on other GOARCHes, so there they report "cannot
-# check", as `seibench gate` does.
 ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test -timeout 5m ./...
-	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
-		env -u MNIST_DIR $(GO) run ./cmd/seisim -quick -quiet all > "$${TMPDIR:-/tmp}/quick-all.out" && \
-		diff -u cmd/seisim/testdata/quick-all.golden "$${TMPDIR:-/tmp}/quick-all.out" && \
-		env -u MNIST_DIR $(GO) run ./examples/device_faults > "$${TMPDIR:-/tmp}/device-faults.out" && \
-		diff -u examples/device_faults/testdata/stdout.golden "$${TMPDIR:-/tmp}/device-faults.out"; \
-	else \
-		echo "golden: cannot check on $$($(GO) env GOARCH): the goldens hold linux/amd64 output"; \
-	fi
+	$(MAKE) golden
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
 	$(GO) test -race ./internal/experiments

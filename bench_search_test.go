@@ -61,16 +61,15 @@ func BenchmarkSearchThresholdsNaive(b *testing.B) {
 }
 
 // BenchmarkQuantizePipeline measures the full calibration pipeline —
-// Algorithm-1 search, FC recalibration, coordinate-descent threshold
-// refinement — end to end on all cores, the shape cmd/seisim pays
-// before any inference experiment runs.
+// Algorithm-1 search, then quant.Calibrate (FC recalibration,
+// coordinate-descent threshold refinement, FC recalibration) — end to
+// end on all cores, the shape cmd/seisim pays before any inference
+// experiment runs.
 func BenchmarkQuantizePipeline(b *testing.B) {
 	c := benchContext(b)
 	net := c.Network(2)
 	scfg := quant.DefaultSearchConfig()
 	scfg.Samples = 100
-	rcfg := quant.DefaultRecalibrateConfig()
-	rcfg.Epochs = 2
 	fcfg := quant.DefaultRefineConfig()
 	fcfg.Samples = 100
 	fcfg.Rounds = 1
@@ -80,10 +79,7 @@ func BenchmarkQuantizePipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := quant.RecalibrateFC(q, c.Train, rcfg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := quant.RefineThresholds(q, c.Train, fcfg); err != nil {
+		if err := quant.Calibrate(q, c.Train, fcfg); err != nil {
 			b.Fatal(err)
 		}
 	}

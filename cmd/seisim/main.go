@@ -83,7 +83,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	var (
 		cache   = fs.String("cache", "", "model cache directory (empty = no cache)")
 		quick   = fs.Bool("quick", false, "use the small smoke-test sizing")
-		net     = fs.Int("net", 1, "network id for fig1/table4/homog (1-3)")
+		net     = fs.Int("net", 1, "network id for fig1/table4/homog/timing/map/pareto/pipeline (1-3)")
 		sizes   = fs.String("sizes", "512,256", "comma-separated crossbar sizes for table4")
 		quiet   = fs.Bool("quiet", false, "suppress progress logging")
 		workers = fs.Int("workers", 0, cliutil.WorkersUsage)

@@ -5,7 +5,8 @@ import (
 	"math/rand"
 
 	"sei/internal/arch"
-	"sei/internal/experiments"
+	"sei/internal/homog"
+	"sei/internal/obs"
 	"sei/internal/power"
 	"sei/internal/rram"
 	"sei/internal/seicore"
@@ -63,6 +64,13 @@ func DefaultBuildOptions() BuildOptions {
 // BuildDesign maps a quantized network onto SEI hardware with explicit
 // options. train may be nil when DynamicThreshold is false.
 func BuildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions) (*SEIDesign, error) {
+	return buildDesign(q, train, opt, 0, nil)
+}
+
+// buildDesign is BuildDesign on a bounded parallel engine (workers as
+// in PipelineConfig) with an optional recorder; RunPipeline builds
+// through it too.
+func buildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions, workers int, rec *obs.Recorder) (*SEIDesign, error) {
 	if opt.MaxCrossbar == 0 {
 		opt.MaxCrossbar = rram.MaxCrossbarSize
 	}
@@ -76,14 +84,20 @@ func BuildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions) (*SEIDesign,
 		cfg.Layer.Mode = seicore.ModeUnipolarDynamic
 	}
 	cfg.DynamicThreshold = opt.DynamicThreshold
+	cfg.Workers = workers
+	cfg.Obs = rec
 	if opt.DynamicThreshold && train == nil {
 		return nil, fmt.Errorf("sei: dynamic threshold calibration needs a training set")
 	}
 	switch opt.Order {
 	case OrderHomogenized:
-		cfg.Orders = experiments.HomogenizedOrdersFor(q, opt.MaxCrossbar, opt.Seed)
+		split, err := homog.SplitOrders(q, opt.MaxCrossbar, opt.Seed)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Orders = split.Orders(len(q.Convs))
 	case OrderRandom:
-		cfg.Orders = experiments.RandomOrdersFor(q, opt.MaxCrossbar, opt.Seed)
+		cfg.Orders = homog.RandomSplitOrders(q, opt.MaxCrossbar, rand.New(rand.NewSource(opt.Seed)))
 	case OrderNatural:
 		// nil orders: natural.
 	default:

@@ -13,9 +13,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-
 	"sync"
 
+	"sei/internal/homog"
 	"sei/internal/mnist"
 	"sei/internal/nn"
 	"sei/internal/obs"
@@ -81,23 +81,48 @@ func QuickConfig() Config {
 }
 
 // Context owns the shared expensive artifacts — datasets, trained
-// networks, quantized networks — reused across harnesses. The lazy
-// caches are not safe for concurrent use: harnesses that fan out must
-// populate them serially first (prefetch), then treat the context as
-// read-only inside the parallel region. logf is safe everywhere.
+// networks, quantized networks, split orders and error rates — reused
+// across harnesses. The lazy caches are not safe for concurrent use:
+// harnesses that fan out must populate them serially first (prefetch),
+// then treat the context as read-only inside the parallel region. logf
+// is safe everywhere.
 type Context struct {
 	Cfg   Config
 	Train *mnist.Dataset
 	Test  *mnist.Dataset
 
-	logMu sync.Mutex
+	// source names where the datasets came from ("mnist" or
+	// "synthetic"); it keys the on-disk cache.
+	source string
+	logMu  sync.Mutex
 
-	nets        map[int]*nn.Network
-	quants      map[int]*quant.QuantizedNet
-	quantsCal   map[int]*quant.QuantizedNet
-	floatErr    map[int]float64
-	quantErr    map[int]float64
-	quantCalErr map[int]float64
+	nets      memo[int, *nn.Network]
+	quants    memo[int, *quant.QuantizedNet]
+	quantsCal memo[int, *quant.QuantizedNet]
+	splits    memo[[2]int, homog.Splits] // (network id, crossbar size)
+	errs      memo[errKey, float64]
+}
+
+// errKey names one cached test error rate: which model of network id.
+type errKey struct {
+	kind string // "float", "quant", "quantcal", "dacadc" or "onebit"
+	id   int
+}
+
+// memo caches one value per key, computed on first use. A hit only
+// reads, so concurrent hits are safe once every key is populated.
+type memo[K comparable, V any] struct{ m map[K]V }
+
+func (m *memo[K, V]) get(k K, compute func() V) V {
+	if v, ok := m.m[k]; ok {
+		return v
+	}
+	v := compute()
+	if m.m == nil {
+		m.m = map[K]V{}
+	}
+	m.m[k] = v
+	return v
 }
 
 // NewContext builds the datasets (real MNIST from $MNIST_DIR if
@@ -108,29 +133,18 @@ func NewContext(cfg Config) *Context {
 	if err := par.Validate(cfg.Workers); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	var train, test *mnist.Dataset
+	c := &Context{Cfg: cfg, source: "synthetic"}
 	if dir := os.Getenv("MNIST_DIR"); dir != "" {
 		if tr, te, err := mnist.LoadIDXDir(dir); err == nil {
 			tr.Shuffle(rand.New(rand.NewSource(cfg.Seed)))
 			te.Shuffle(rand.New(rand.NewSource(cfg.Seed + 1)))
-			train, test = tr.Subset(cfg.TrainSamples), te.Subset(cfg.TestSamples)
+			c.Train, c.Test, c.source = tr.Subset(cfg.TrainSamples), te.Subset(cfg.TestSamples), "mnist"
 		}
 	}
-	if train == nil {
-		train, test = mnist.SyntheticSplit(cfg.TrainSamples, cfg.TestSamples, cfg.Seed)
+	if c.Train == nil {
+		c.Train, c.Test = mnist.SyntheticSplit(cfg.TrainSamples, cfg.TestSamples, cfg.Seed)
 	}
-	return &Context{
-		Cfg:   cfg,
-		Train: train,
-		Test:  test,
-
-		nets:        map[int]*nn.Network{},
-		quants:      map[int]*quant.QuantizedNet{},
-		quantsCal:   map[int]*quant.QuantizedNet{},
-		floatErr:    map[int]float64{},
-		quantErr:    map[int]float64{},
-		quantCalErr: map[int]float64{},
-	}
+	return c
 }
 
 func (c *Context) logf(format string, args ...any) {
@@ -142,133 +156,138 @@ func (c *Context) logf(format string, args ...any) {
 }
 
 // cachePath returns the on-disk cache file for an artifact kind and
-// network id, or "" when caching is disabled.
+// network id, or "" when caching is disabled. Every key names the data
+// source and the training workload; the quantized kinds also name the
+// threshold-search workload, which both the search and the refinement
+// read.
 func (c *Context) cachePath(kind string, id int) string {
 	if c.Cfg.CacheDir == "" {
 		return ""
 	}
-	name := fmt.Sprintf("%s_net%d_seed%d_n%d_e%d.gob",
-		kind, id, c.Cfg.Seed, c.Cfg.TrainSamples, c.Cfg.Epochs)
-	return filepath.Join(c.Cfg.CacheDir, name)
+	name := fmt.Sprintf("%s_%s_net%d_seed%d_n%d_e%d",
+		kind, c.source, id, c.Cfg.Seed, c.Cfg.TrainSamples, c.Cfg.Epochs)
+	if kind != "net" {
+		name += fmt.Sprintf("_s%d", c.Cfg.SearchSamples)
+	}
+	return filepath.Join(c.Cfg.CacheDir, name+".gob")
 }
 
 // Network returns Table-2 network id trained on the context's training
 // set, from cache when available.
 func (c *Context) Network(id int) *nn.Network {
-	if net, ok := c.nets[id]; ok {
+	return c.nets.get(id, func() *nn.Network {
+		if path := c.cachePath("net", id); path != "" {
+			if net, err := nn.LoadFile(path); err == nil {
+				c.logf("experiments: loaded %s from cache\n", net.Name)
+				return net
+			}
+		}
+		net := nn.NewTableNetwork(id, c.Cfg.Seed+int64(id)*101)
+		tcfg := nn.DefaultTrainConfig()
+		tcfg.Epochs = c.Cfg.Epochs
+		tcfg.Seed = c.Cfg.Seed
+		tcfg.Log = c.Cfg.Log
+		tcfg.Workers = c.Cfg.Workers
+		tcfg.Obs = c.Cfg.Obs
+		c.logf("experiments: training %s on %d samples, %d epochs\n", net.Name, c.Train.Len(), tcfg.Epochs)
+		sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("train/net%d", id))
+		nn.Train(net, c.Train, tcfg)
+		sp.AddSamples(int64(c.Train.Len() * tcfg.Epochs))
+		sp.End()
+		if path := c.cachePath("net", id); path != "" {
+			if err := nn.SaveFile(net, path); err != nil {
+				c.logf("experiments: cache write failed: %v\n", err)
+			}
+		}
 		return net
-	}
-	if path := c.cachePath("net", id); path != "" {
-		if net, err := nn.LoadFile(path); err == nil {
-			c.logf("experiments: loaded %s from cache\n", net.Name)
-			c.nets[id] = net
-			return net
-		}
-	}
-	net := nn.NewTableNetwork(id, c.Cfg.Seed+int64(id)*101)
-	tcfg := nn.DefaultTrainConfig()
-	tcfg.Epochs = c.Cfg.Epochs
-	tcfg.Seed = c.Cfg.Seed
-	tcfg.Log = c.Cfg.Log
-	tcfg.Workers = c.Cfg.Workers
-	tcfg.Obs = c.Cfg.Obs
-	c.logf("experiments: training %s on %d samples, %d epochs\n", net.Name, c.Train.Len(), tcfg.Epochs)
-	sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("train/net%d", id))
-	nn.Train(net, c.Train, tcfg)
-	sp.AddSamples(int64(c.Train.Len() * tcfg.Epochs))
-	sp.End()
-	if path := c.cachePath("net", id); path != "" {
-		if err := nn.SaveFile(net, path); err != nil {
-			c.logf("experiments: cache write failed: %v\n", err)
-		}
-	}
-	c.nets[id] = net
-	return net
+	})
 }
 
 // Quantized returns network id after the plain Algorithm-1
 // quantization (weight re-scaling + greedy threshold search), from
 // cache when available.
 func (c *Context) Quantized(id int) *quant.QuantizedNet {
-	if q, ok := c.quants[id]; ok {
+	return c.quants.get(id, func() *quant.QuantizedNet {
+		if path := c.cachePath("quant", id); path != "" {
+			if q, err := quant.LoadFile(path); err == nil {
+				c.logf("experiments: loaded quantized net %d from cache\n", id)
+				// gob skips the unexported recorder hook; re-attach it.
+				q.Instrument(c.Cfg.Obs)
+				return q
+			}
+		}
+		net := c.Network(id)
+		scfg := quant.DefaultSearchConfig()
+		scfg.Samples = c.Cfg.SearchSamples
+		scfg.Workers = c.Cfg.Workers
+		scfg.Obs = c.Cfg.Obs
+		c.logf("experiments: quantizing %s (Algorithm 1)\n", net.Name)
+		sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("quantize/net%d", id))
+		q, report, err := quant.QuantizeNetwork(net, c.Train, []int{1, 28, 28}, scfg)
+		sp.End()
+		if err != nil {
+			panic(fmt.Sprintf("experiments: quantizing network %d: %v", id, err))
+		}
+		for _, lr := range report.Layers {
+			c.logf("experiments:   layer %d threshold %.4f (train acc %.4f)\n", lr.Layer, lr.Threshold, lr.Accuracy)
+		}
+		if path := c.cachePath("quant", id); path != "" {
+			if err := q.SaveFile(path); err != nil {
+				c.logf("experiments: cache write failed: %v\n", err)
+			}
+		}
 		return q
-	}
-	if path := c.cachePath("quant", id); path != "" {
-		if q, err := quant.LoadFile(path); err == nil {
-			c.logf("experiments: loaded quantized net %d from cache\n", id)
-			// gob skips the unexported recorder hook; re-attach it.
-			q.Instrument(c.Cfg.Obs)
-			c.quants[id] = q
-			return q
-		}
-	}
-	net := c.Network(id)
-	scfg := quant.DefaultSearchConfig()
-	scfg.Samples = c.Cfg.SearchSamples
-	scfg.Workers = c.Cfg.Workers
-	scfg.Obs = c.Cfg.Obs
-	c.logf("experiments: quantizing %s (Algorithm 1)\n", net.Name)
-	sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("quantize/net%d", id))
-	q, report, err := quant.QuantizeNetwork(net, c.Train, []int{1, 28, 28}, scfg)
-	sp.End()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: quantizing network %d: %v", id, err))
-	}
-	for _, lr := range report.Layers {
-		c.logf("experiments:   layer %d threshold %.4f (train acc %.4f)\n", lr.Layer, lr.Threshold, lr.Accuracy)
-	}
-	if path := c.cachePath("quant", id); path != "" {
-		if err := q.SaveFile(path); err != nil {
-			c.logf("experiments: cache write failed: %v\n", err)
-		}
-	}
-	c.quants[id] = q
-	return q
+	})
 }
 
 // QuantizedCalibrated returns network id after Algorithm 1 plus the
 // FC-recalibration and threshold-refinement extensions (DESIGN.md §2;
 // reported separately from the paper's plain numbers).
 func (c *Context) QuantizedCalibrated(id int) *quant.QuantizedNet {
-	if q, ok := c.quantsCal[id]; ok {
-		return q
-	}
-	if path := c.cachePath("quantcal", id); path != "" {
-		if q, err := quant.LoadFile(path); err == nil {
-			q.Instrument(c.Cfg.Obs)
-			c.quantsCal[id] = q
-			return q
+	return c.quantsCal.get(id, func() *quant.QuantizedNet {
+		if path := c.cachePath("quantcal", id); path != "" {
+			if q, err := quant.LoadFile(path); err == nil {
+				q.Instrument(c.Cfg.Obs)
+				return q
+			}
 		}
-	}
-	// Re-run extraction so the plain quantized model is not mutated.
-	base := c.Quantized(id)
-	clone := cloneQuantized(base)
-	clone.Instrument(c.Cfg.Obs)
-	sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("calibrate/net%d", id))
-	defer sp.End()
-	ccfg := quant.DefaultRecalibrateConfig()
-	ccfg.Workers = c.Cfg.Workers
-	ccfg.Obs = c.Cfg.Obs
-	if err := quant.RecalibrateFC(clone, c.Train, ccfg); err != nil {
-		panic(fmt.Sprintf("experiments: recalibrating network %d: %v", id, err))
-	}
-	rcfg := quant.DefaultRefineConfig()
-	rcfg.Samples = c.Cfg.SearchSamples
-	rcfg.Workers = c.Cfg.Workers
-	rcfg.Obs = c.Cfg.Obs
-	if _, err := quant.RefineThresholds(clone, c.Train, rcfg); err != nil {
-		panic(fmt.Sprintf("experiments: refining network %d: %v", id, err))
-	}
-	if err := quant.RecalibrateFC(clone, c.Train, ccfg); err != nil {
-		panic(fmt.Sprintf("experiments: recalibrating network %d: %v", id, err))
-	}
-	if path := c.cachePath("quantcal", id); path != "" {
-		if err := clone.SaveFile(path); err != nil {
-			c.logf("experiments: cache write failed: %v\n", err)
+		// Calibrate a copy so the plain quantized model is not mutated.
+		clone := cloneQuantized(c.Quantized(id))
+		clone.Instrument(c.Cfg.Obs)
+		sp := c.Cfg.Obs.StartSpan(fmt.Sprintf("calibrate/net%d", id))
+		defer sp.End()
+		rcfg := quant.DefaultRefineConfig()
+		rcfg.Samples = c.Cfg.SearchSamples
+		rcfg.Workers = c.Cfg.Workers
+		rcfg.Obs = c.Cfg.Obs
+		if err := quant.Calibrate(clone, c.Train, rcfg); err != nil {
+			panic(fmt.Sprintf("experiments: calibrating network %d: %v", id, err))
 		}
-	}
-	c.quantsCal[id] = clone
-	return clone
+		if path := c.cachePath("quantcal", id); path != "" {
+			if err := clone.SaveFile(path); err != nil {
+				c.logf("experiments: cache write failed: %v\n", err)
+			}
+		}
+		return clone
+	})
+}
+
+// splitOrders returns the homogenized orders of calibrated network
+// id's conv stages that split at crossbar size maxSize, seeded at the
+// config seed: Table 4, Table 5 and the homogenization study read one
+// GA run per split stage.
+func (c *Context) splitOrders(id, maxSize int) homog.Splits {
+	return c.splits.get([2]int{id, maxSize}, func() homog.Splits {
+		split, err := homog.SplitOrders(c.QuantizedCalibrated(id), maxSize, c.Cfg.Seed)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: homogenizing network %d at %d: %v", id, maxSize, err))
+		}
+		for _, s := range split {
+			c.logf("experiments: homogenized net%d stage %d (K=%d): distance %.4f -> %.4f (%.1f%% reduction)\n",
+				id, s.Stage, s.K, s.NaturalDistance, s.Distance, 100*s.Reduction())
+		}
+		return split
+	})
 }
 
 // cloneQuantized deep-copies a quantized network via its snapshot
@@ -285,33 +304,25 @@ func cloneQuantized(q *quant.QuantizedNet) *quant.QuantizedNet {
 	return clone
 }
 
+// testError returns a model's test error rate, cached under (kind, id).
+func (c *Context) testError(kind string, id int, model func() nn.Classifier) float64 {
+	return c.errs.get(errKey{kind, id}, func() float64 {
+		return nn.ErrorRate(c.Cfg.Obs, model(), c.Test, c.Cfg.Workers)
+	})
+}
+
 // FloatError returns network id's test error rate (cached).
 func (c *Context) FloatError(id int) float64 {
-	if e, ok := c.floatErr[id]; ok {
-		return e
-	}
-	e := nn.ErrorRate(c.Cfg.Obs, c.Network(id), c.Test, c.Cfg.Workers)
-	c.floatErr[id] = e
-	return e
+	return c.testError("float", id, func() nn.Classifier { return c.Network(id) })
 }
 
 // QuantError returns the plain-quantized test error rate (cached).
 func (c *Context) QuantError(id int) float64 {
-	if e, ok := c.quantErr[id]; ok {
-		return e
-	}
-	e := nn.ErrorRate(c.Cfg.Obs, c.Quantized(id), c.Test, c.Cfg.Workers)
-	c.quantErr[id] = e
-	return e
+	return c.testError("quant", id, func() nn.Classifier { return c.Quantized(id) })
 }
 
 // QuantCalibratedError returns the calibrated-quantized test error
 // rate (cached).
 func (c *Context) QuantCalibratedError(id int) float64 {
-	if e, ok := c.quantCalErr[id]; ok {
-		return e
-	}
-	e := nn.ErrorRate(c.Cfg.Obs, c.QuantizedCalibrated(id), c.Test, c.Cfg.Workers)
-	c.quantCalErr[id] = e
-	return e
+	return c.testError("quantcal", id, func() nn.Classifier { return c.QuantizedCalibrated(id) })
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -64,6 +65,43 @@ func TestContextDiskCache(t *testing.T) {
 	img := a.Test.Images[0]
 	if netA.Predict(img) != netB.Predict(img) {
 		t.Fatal("cached model predicts differently")
+	}
+}
+
+// TestContextCacheKeysSearchSamples: the quantized artifacts depend on
+// the threshold-search workload, so two contexts that share a cache
+// directory and differ only in SearchSamples share the trained network
+// but neither the plain nor the calibrated quantized net.
+func TestContextCacheKeysSearchSamples(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.TrainSamples = 300
+	cfg.Epochs = 1
+	cfg.SearchSamples = 50
+	cfg.CacheDir = t.TempDir()
+	a := NewContext(cfg)
+	a.QuantizedCalibrated(2)
+
+	cfg.SearchSamples = 100
+	var log bytes.Buffer
+	cfg.Log = &log
+	b := NewContext(cfg)
+	b.QuantizedCalibrated(2)
+	if !strings.Contains(log.String(), "from cache") {
+		t.Fatalf("the trained network was not reused from the cache:\n%s", log.String())
+	}
+	if strings.Contains(log.String(), "loaded quantized net") {
+		t.Fatalf("a 100-sample context loaded the 50-sample quantization:\n%s", log.String())
+	}
+	entries, err := os.ReadDir(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, e := range entries {
+		kinds[strings.SplitN(e.Name(), "_", 2)[0]]++
+	}
+	if kinds["net"] != 1 || kinds["quant"] != 2 || kinds["quantcal"] != 2 {
+		t.Fatalf("cache holds %v, want 1 net, 2 quant and 2 quantcal files", kinds)
 	}
 }
 
@@ -273,6 +311,40 @@ func TestHomogenizationStudy(t *testing.T) {
 	PrintHomogStudy(&buf, 2, rows)
 	if !strings.Contains(buf.String(), "GA") {
 		t.Fatal("Print output missing columns")
+	}
+}
+
+// TestSplitOrdersShareOneGARun: Table 4 and the homogenization study
+// read the context's memoized split orders, so Table 4's distance
+// reduction is the mean of the study's per-stage GA reductions, and a
+// second lookup hands back the same orders rather than a rerun's.
+func TestSplitOrdersShareOneGARun(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.TrainSamples = 100
+	cfg.TestSamples = 20
+	cfg.Epochs = 1
+	cfg.SearchSamples = 50
+	cfg.RandomOrders = 1
+	cfg.CalibImages = 5
+	c := NewContext(cfg)
+	col := Table4(c, 1, []int{512}).Columns[0]
+	rows := HomogenizationStudy(c, 1, 512)
+	if len(rows) == 0 {
+		t.Fatal("Network 1 splits no conv stage at 512")
+	}
+	mean := 0.0
+	for _, r := range rows {
+		mean += r.GAReduction
+	}
+	mean /= float64(len(rows))
+	if col.HomogReduction != mean {
+		t.Fatalf("Table 4 reduction %v, study mean %v", col.HomogReduction, mean)
+	}
+	first, second := c.splitOrders(1, 512), c.splitOrders(1, 512)
+	for i := range first {
+		if &first[i].Order[0] != &second[i].Order[0] {
+			t.Fatalf("stage %d: the second lookup returned a different order slice", first[i].Stage)
+		}
 	}
 }
 

@@ -47,6 +47,14 @@ func TestContextLoadsMNISTDir(t *testing.T) {
 	if err := c.Train.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A model trained on these files must not be reloaded by a run on
+	// synthetic data that shares the cache directory, or vice versa.
+	cfg.CacheDir = t.TempDir()
+	c = NewContext(cfg)
+	t.Setenv("MNIST_DIR", "")
+	if synth := NewContext(cfg); c.cachePath("net", 2) == synth.cachePath("net", 2) {
+		t.Fatalf("MNIST and synthetic contexts share the cache file %s", c.cachePath("net", 2))
+	}
 }
 
 func TestContextFallsBackWithoutMNISTDir(t *testing.T) {

@@ -32,29 +32,21 @@ func HomogenizationStudy(c *Context, networkID, maxSize int) []HomogStudyRow {
 	q := c.QuantizedCalibrated(networkID)
 	rng := rand.New(rand.NewSource(c.Cfg.Seed))
 	var rows []HomogStudyRow
-	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
-		l, k := s.Stage, s.K
-		w := q.ConvMatrix(l)
-		n := w.Dim(0)
+	for _, s := range c.splitOrders(networkID, maxSize) {
+		w := q.ConvMatrix(s.Stage)
 		row := HomogStudyRow{
-			Stage:       l,
-			K:           k,
-			NaturalDist: homog.Distance(w, seicore.NaturalOrder(n), k),
-			GreedyDist:  homog.Distance(w, homog.GreedySerpentine(w, k), k),
+			Stage:       s.Stage,
+			K:           s.K,
+			NaturalDist: s.NaturalDistance,
+			GreedyDist:  homog.Distance(w, homog.GreedySerpentine(w, s.K), s.K),
+			GADist:      s.Distance,
+			GAReduction: s.Reduction(),
 		}
 		const samples = 10
-		for s := 0; s < samples; s++ {
-			row.RandomMean += homog.Distance(w, homog.RandomOrder(n, rng), k)
+		for i := 0; i < samples; i++ {
+			row.RandomMean += homog.Distance(w, homog.RandomOrder(w.Dim(0), rng), s.K)
 		}
 		row.RandomMean /= samples
-		cfg := homog.DefaultGAConfig()
-		cfg.Seed = c.Cfg.Seed + int64(l)
-		res, err := homog.Homogenize(w, k, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: homogenization study stage %d: %v", l, err))
-		}
-		row.GADist = res.Distance
-		row.GAReduction = res.Reduction()
 		rows = append(rows, row)
 	}
 	return rows

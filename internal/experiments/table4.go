@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync/atomic"
-
 	"sort"
+	"sync/atomic"
 
 	"sei/internal/homog"
 	"sei/internal/nn"
@@ -43,77 +42,13 @@ type Table4Column struct {
 	HomogReduction float64
 	// SplitStages records which conv stages split and into how many
 	// blocks, in ascending stage order.
-	SplitStages []SplitStage
+	SplitStages []homog.SplitStage
 }
-
-// SplitStage is one conv stage that needs splitting and its block
-// count.
-type SplitStage struct{ Stage, K int }
 
 // Table4Result reproduces Table 4 for one network.
 type Table4Result struct {
 	NetworkID int
 	Columns   []Table4Column
-}
-
-// splitConvStages returns the conv stages (index ≥ 1) that need
-// splitting at the given crossbar size, with their block counts, in
-// ascending stage order — callers draw from shared RNG streams and
-// fold floats over the result, so its order is part of their output.
-func splitConvStages(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode) []SplitStage {
-	var out []SplitStage
-	for l := 1; l < len(q.Convs); l++ {
-		n := q.Convs[l].FanIn()
-		if k := seicore.BlocksFor(n, mode.CellsPerWeight(), maxSize); k > 1 {
-			out = append(out, SplitStage{l, k})
-		}
-	}
-	return out
-}
-
-// homogenizedOrders computes GA orders for every split conv stage and
-// the aggregate distance reduction.
-func homogenizedOrders(c *Context, q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode) (orders [][]int, reduction float64) {
-	split := splitConvStages(q, maxSize, mode)
-	orders = make([][]int, len(q.Convs))
-	var reds []float64
-	for _, s := range split {
-		l, k := s.Stage, s.K
-		cfg := homog.DefaultGAConfig()
-		cfg.Seed = c.Cfg.Seed + int64(l)
-		res, err := homog.Homogenize(q.ConvMatrix(l), k, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: homogenizing stage %d: %v", l, err))
-		}
-		orders[l] = res.Order
-		reds = append(reds, res.Reduction())
-		c.logf("experiments: homogenized stage %d (K=%d): distance %.4f -> %.4f (%.1f%% reduction)\n",
-			l, k, res.NaturalDistance, res.Distance, 100*res.Reduction())
-	}
-	for _, r := range reds {
-		reduction += r
-	}
-	if len(reds) > 0 {
-		reduction /= float64(len(reds))
-	}
-	return orders, reduction
-}
-
-// HomogenizedOrdersFor computes GA split orders for every conv stage
-// of q that splits at the given crossbar size, without needing a full
-// experiment context — the facade's pipeline uses it.
-func HomogenizedOrdersFor(q *quant.QuantizedNet, maxSize int, seed int64) [][]int {
-	orders := make([][]int, len(q.Convs))
-	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
-		cfg := homog.DefaultGAConfig()
-		cfg.Seed = seed + int64(s.Stage)
-		res, err := homog.Homogenize(q.ConvMatrix(s.Stage), s.K, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: homogenizing stage %d: %v", s.Stage, err))
-		}
-		orders[s.Stage] = res.Order
-	}
-	return orders
 }
 
 // sortedOrder returns the matrix's rows sorted by decreasing row sum —
@@ -130,18 +65,6 @@ func sortedOrder(w *tensor.Tensor) []int {
 	order := seicore.NaturalOrder(n)
 	sort.Slice(order, func(a, b int) bool { return sums[order[a]] > sums[order[b]] })
 	return order
-}
-
-// RandomOrdersFor draws a seeded random permutation for every conv
-// stage of q that splits at the given crossbar size — the Table-4
-// "Random Order Splitting" condition, exposed for the facade.
-func RandomOrdersFor(q *quant.QuantizedNet, maxSize int, seed int64) [][]int {
-	rng := rand.New(rand.NewSource(seed))
-	orders := make([][]int, len(q.Convs))
-	for _, s := range splitConvStages(q, maxSize, seicore.ModeBipolar) {
-		orders[s.Stage] = homog.RandomOrder(q.Convs[s.Stage].FanIn(), rng)
-	}
-	return orders
 }
 
 // seiError builds an SEI design with the given orders and dynamic
@@ -178,7 +101,7 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 			MaxCrossbar:  size,
 			Original:     c.FloatError(networkID),
 			Quantization: c.QuantCalibratedError(networkID),
-			SplitStages:  splitConvStages(q, size, seicore.ModeBipolar),
+			SplitStages:  homog.SplitStages(q, size, seicore.ModeBipolar),
 		}
 
 		// Random order sampling with static thresholds. The orders are
@@ -190,11 +113,7 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 		col.RandomOrdersSampled = c.Cfg.RandomOrders
 		randOrders := make([][][]int, c.Cfg.RandomOrders)
 		for r := range randOrders {
-			orders := make([][]int, len(q.Convs))
-			for _, s := range col.SplitStages {
-				orders[s.Stage] = homog.RandomOrder(q.Convs[s.Stage].FanIn(), rng)
-			}
-			randOrders[r] = orders
+			randOrders[r] = homog.RandomSplitOrders(q, size, rng)
 		}
 		randErr := make([]float64, c.Cfg.RandomOrders)
 		var done atomic.Int64
@@ -222,8 +141,9 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 		}
 		col.Clustered = seiError(c, q, size, clustered, false, c.Cfg.Seed+500, c.Cfg.Workers)
 
-		orders, reduction := homogenizedOrders(c, q, size, seicore.ModeBipolar)
-		col.HomogReduction = reduction
+		split := c.splitOrders(networkID, size)
+		col.HomogReduction = split.MeanReduction()
+		orders := split.Orders(len(q.Convs))
 		col.Homogenized = seiError(c, q, size, orders, false, c.Cfg.Seed+1000, c.Cfg.Workers)
 		col.DynamicThreshold = seiError(c, q, size, orders, true, c.Cfg.Seed+1000, c.Cfg.Workers)
 		c.logf("experiments: table4 net%d @%d: homog %.4f dynamic %.4f\n",

@@ -64,6 +64,7 @@ func Table5(c *Context, points []Table5Point) (*Table5Result, error) {
 	// Serial prefetch: everything that writes the context's lazy maps.
 	for _, pt := range points {
 		c.QuantizedCalibrated(pt.NetworkID)
+		c.splitOrders(pt.NetworkID, pt.MaxCrossbar)
 		c.dacadcError(pt.NetworkID)
 		c.oneBitError(pt.NetworkID)
 	}
@@ -114,7 +115,7 @@ func Table5(c *Context, points []Table5Point) (*Table5Result, error) {
 			case seicore.StructOneBitADC:
 				row.ErrorRate = c.oneBitError(pt.NetworkID)
 			case seicore.StructSEI:
-				orders, _ := homogenizedOrders(c, q, pt.MaxCrossbar, seicore.ModeBipolar)
+				orders := c.splitOrders(pt.NetworkID, pt.MaxCrossbar).Orders(len(q.Convs))
 				row.ErrorRate = seiError(c, q, pt.MaxCrossbar, orders, true, c.Cfg.Seed+int64(pt.MaxCrossbar), inner)
 			}
 			c.logf("experiments: table5 net%d @%d %s: err %.4f energy %.3f uJ area %.4f mm2\n",
@@ -134,36 +135,28 @@ func Table5(c *Context, points []Table5Point) (*Table5Result, error) {
 // dacadcError evaluates the full-precision hardware design (cached per
 // network).
 func (c *Context) dacadcError(id int) float64 {
-	key := -id // negative keys hold hardware-path errors
-	if e, ok := c.floatErr[key]; ok {
-		return e
-	}
-	design, err := seicore.BuildDACADC(c.Network(id), []int{1, 28, 28}, rram.DefaultDeviceModel(),
-		rand.New(rand.NewSource(c.Cfg.Seed)))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: building DAC+ADC design: %v", err))
-	}
-	design.Instrument(c.Cfg.Obs)
-	e := nn.ErrorRate(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
-	c.floatErr[key] = e
-	return e
+	return c.testError("dacadc", id, func() nn.Classifier {
+		design, err := seicore.BuildDACADC(c.Network(id), []int{1, 28, 28}, rram.DefaultDeviceModel(),
+			rand.New(rand.NewSource(c.Cfg.Seed)))
+		if err != nil {
+			panic(fmt.Sprintf("experiments: building DAC+ADC design: %v", err))
+		}
+		design.Instrument(c.Cfg.Obs)
+		return design
+	})
 }
 
 // oneBitError evaluates the 1-bit-input ADC-merged design (cached).
 func (c *Context) oneBitError(id int) float64 {
-	key := -id
-	if e, ok := c.quantErr[key]; ok {
-		return e
-	}
-	design, err := seicore.BuildOneBitADC(c.QuantizedCalibrated(id), rram.DefaultDeviceModel(),
-		rand.New(rand.NewSource(c.Cfg.Seed)))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: building 1-bit+ADC design: %v", err))
-	}
-	design.Instrument(c.Cfg.Obs)
-	e := nn.ErrorRate(c.Cfg.Obs, design, c.Test, c.Cfg.Workers)
-	c.quantErr[key] = e
-	return e
+	return c.testError("onebit", id, func() nn.Classifier {
+		design, err := seicore.BuildOneBitADC(c.QuantizedCalibrated(id), rram.DefaultDeviceModel(),
+			rand.New(rand.NewSource(c.Cfg.Seed)))
+		if err != nil {
+			panic(fmt.Sprintf("experiments: building 1-bit+ADC design: %v", err))
+		}
+		design.Instrument(c.Cfg.Obs)
+		return design
+	})
 }
 
 // Print renders the result like the paper's Table 5.

@@ -201,3 +201,56 @@ func TestRefineThresholdsStopsWhenConverged(t *testing.T) {
 		}
 	}
 }
+
+// TestCalibrateIsTheThreeStepChain pins Calibrate to the chain it
+// replaces — recalibrate, refine, recalibrate, the recalibrations on
+// the default config with the refine config's workers — bit for bit,
+// and checks that an invalid refine config fails before any step runs.
+func TestCalibrateIsTheThreeStepChain(t *testing.T) {
+	got, train, _ := quantizedFixture(t)
+	want, _, _ := quantizedFixture(t)
+	train = train.Subset(300)
+	cfg := DefaultRefineConfig()
+	cfg.Samples = 100
+	cfg.Workers = 2
+	if err := Calibrate(got, train, cfg); err != nil {
+		t.Fatal(err)
+	}
+	rcfg := DefaultRecalibrateConfig()
+	rcfg.Workers = 2
+	if err := RecalibrateFC(want, train, rcfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RefineThresholds(want, train, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := RecalibrateFC(want, train, rcfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Thresholds {
+		if got.Thresholds[i] != want.Thresholds[i] {
+			t.Fatalf("thresholds %v, want %v", got.Thresholds, want.Thresholds)
+		}
+	}
+	for i, w := range want.FC.W.Data() {
+		if got.FC.W.Data()[i] != w {
+			t.Fatalf("FC weight %d = %v, want %v", i, got.FC.W.Data()[i], w)
+		}
+	}
+	for i, b := range want.FC.B {
+		if got.FC.B[i] != b {
+			t.Fatalf("FC bias %d = %v, want %v", i, got.FC.B[i], b)
+		}
+	}
+
+	bad, _, _ := quantizedFixture(t)
+	before := append([]float64(nil), bad.FC.W.Data()...)
+	if err := Calibrate(bad, train, RefineConfig{Workers: -1}); err == nil {
+		t.Fatal("negative workers accepted")
+	}
+	for i, w := range before {
+		if bad.FC.W.Data()[i] != w {
+			t.Fatal("a rejected config still recalibrated the FC layer")
+		}
+	}
+}

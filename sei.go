@@ -28,7 +28,6 @@ package sei
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"sei/internal/experiments"
 	"sei/internal/mnist"
@@ -128,19 +127,10 @@ func quantizeObs(rec *obs.Recorder, net *Network, train *Dataset, workers int) (
 	if err != nil {
 		return nil, err
 	}
-	ccfg := quant.DefaultRecalibrateConfig()
-	ccfg.Workers = workers
-	ccfg.Obs = rec
-	if err := quant.RecalibrateFC(q, train, ccfg); err != nil {
-		return nil, err
-	}
 	rcfg := quant.DefaultRefineConfig()
 	rcfg.Workers = workers
 	rcfg.Obs = rec
-	if _, err := quant.RefineThresholds(q, train, rcfg); err != nil {
-		return nil, err
-	}
-	if err := quant.RecalibrateFC(q, train, ccfg); err != nil {
+	if err := quant.Calibrate(q, train, rcfg); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -149,16 +139,6 @@ func quantizeObs(rec *obs.Recorder, net *Network, train *Dataset, workers int) (
 // EvaluateQuantized returns the digital binarized network's test error
 // rate.
 func EvaluateQuantized(q *QuantizedNet, test *Dataset) float64 { return nn.ErrorRate(nil, q, test, 0) }
-
-// BuildSEIDesign maps the quantized network onto SEI crossbars with
-// the default device (4-bit, mild variation), 512×512 crossbars,
-// homogenized split orders and calibrated dynamic thresholds.
-func BuildSEIDesign(q *QuantizedNet, train *Dataset, seed int64) (*SEIDesign, error) {
-	cfg := seicore.DefaultSEIBuildConfig()
-	orders := experiments.HomogenizedOrdersFor(q, cfg.Layer.MaxCrossbar, seed)
-	cfg.Orders = orders
-	return seicore.BuildSEI(q, train, cfg, rand.New(rand.NewSource(seed)))
-}
 
 // SaveDesignFile persists a built design — programmed effective
 // weights and calibrated thresholds — to path, creating parent
@@ -341,12 +321,10 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	logf("sei: quantized error %.4f; mapping to SEI\n", res.QuantError)
 
 	sp = cfg.Obs.StartSpan("build")
-	bcfg := seicore.DefaultSEIBuildConfig()
-	bcfg.Layer.MaxCrossbar = cfg.MaxCrossbar
-	bcfg.Orders = experiments.HomogenizedOrdersFor(q, cfg.MaxCrossbar, cfg.Seed)
-	bcfg.Workers = cfg.Workers
-	bcfg.Obs = cfg.Obs
-	design, err := seicore.BuildSEI(q, train, bcfg, rand.New(rand.NewSource(cfg.Seed)))
+	opt := DefaultBuildOptions()
+	opt.MaxCrossbar = cfg.MaxCrossbar
+	opt.Seed = cfg.Seed
+	design, err := buildDesign(q, train, opt, cfg.Workers, cfg.Obs)
 	sp.End()
 	if err != nil {
 		return nil, err

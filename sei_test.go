@@ -66,7 +66,7 @@ func TestStageAPIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	quantErr := EvaluateQuantized(q, test)
-	design, err := BuildSEIDesign(q, train, 1)
+	design, err := BuildDesign(q, train, DefaultBuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
