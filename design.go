@@ -91,13 +91,13 @@ func buildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions, workers int,
 	}
 	switch opt.Order {
 	case OrderHomogenized:
-		split, err := homog.SplitOrders(q, opt.MaxCrossbar, opt.Seed)
+		split, err := homog.SplitOrders(q, opt.MaxCrossbar, cfg.Layer.Mode, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Orders = split.Orders(len(q.Convs))
 	case OrderRandom:
-		cfg.Orders = homog.RandomSplitOrders(q, opt.MaxCrossbar, rand.New(rand.NewSource(opt.Seed)))
+		cfg.Orders = homog.RandomSplitOrders(q, opt.MaxCrossbar, cfg.Layer.Mode, rand.New(rand.NewSource(opt.Seed)))
 	case OrderNatural:
 		// nil orders: natural.
 	default:

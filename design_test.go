@@ -1,8 +1,13 @@
 package sei
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
+
+	"sei/internal/homog"
+	"sei/internal/seicore"
 )
 
 var designFixture struct {
@@ -104,6 +109,70 @@ func TestBuildDesignOrderStrategiesDiffer(t *testing.T) {
 		if e := EvaluateDesign(d, test.Subset(50)); e > 0.9 {
 			t.Fatalf("order %d produced degenerate design (err %.2f)", o, e)
 		}
+	}
+}
+
+// TestBuildDesignSplitOrdersFollowMapping: at crossbar 64 Network 2's
+// conv2 splits into 2 unipolar blocks but 3 bipolar ones, and
+// BuildDesign programs the homogenized orders the GA found for the
+// design's own mapping. Each design is byte-identical to
+// seicore.BuildSEI given homog's orders for that mode, and the unipolar
+// design differs from one programmed with the K = 3 bipolar orders.
+func TestBuildDesignSplitOrdersFollowMapping(t *testing.T) {
+	q, _, _ := designFix(t)
+	save := func(d *SEIDesign) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	opt := DefaultBuildOptions()
+	opt.MaxCrossbar = 64
+	opt.DynamicThreshold = false
+	buildWith := func(mode seicore.SignedMode, ordersMode seicore.SignedMode) []byte {
+		t.Helper()
+		split, err := homog.SplitOrders(q, opt.MaxCrossbar, ordersMode, opt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := seicore.DefaultSEIBuildConfig()
+		cfg.Layer.Model = opt.Device
+		cfg.Layer.MaxCrossbar = opt.MaxCrossbar
+		cfg.Layer.Mode = mode
+		cfg.DynamicThreshold = false
+		cfg.Orders = split.Orders(len(q.Convs))
+		d, err := seicore.BuildSEI(q, nil, cfg, rand.New(rand.NewSource(opt.Seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return save(d)
+	}
+	for _, tc := range []struct {
+		unipolar bool
+		mode     seicore.SignedMode
+		k        int
+	}{{false, seicore.ModeBipolar, 3}, {true, seicore.ModeUnipolarDynamic, 2}} {
+		opt.Unipolar = tc.unipolar
+		d, err := BuildDesign(q, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := d.Convs[0].K; k != tc.k { // Convs[0] maps conv stage 1
+			t.Fatalf("%v design splits conv2 into %d blocks, want %d", tc.mode, k, tc.k)
+		}
+		if !bytes.Equal(save(d), buildWith(tc.mode, tc.mode)) {
+			t.Fatalf("%v design is not programmed with the %v split orders", tc.mode, tc.mode)
+		}
+	}
+	opt.Unipolar = true
+	d, err := BuildDesign(q, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(save(d), buildWith(seicore.ModeUnipolarDynamic, seicore.ModeBipolar)) {
+		t.Fatal("unipolar design equals one programmed with the bipolar orders; the check cannot tell the mappings apart")
 	}
 }
 

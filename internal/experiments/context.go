@@ -21,6 +21,7 @@ import (
 	"sei/internal/obs"
 	"sei/internal/par"
 	"sei/internal/quant"
+	"sei/internal/seicore"
 )
 
 // Config sizes the experiment workloads. The defaults fit a
@@ -278,7 +279,7 @@ func (c *Context) QuantizedCalibrated(id int) *quant.QuantizedNet {
 // GA run per split stage.
 func (c *Context) splitOrders(id, maxSize int) homog.Splits {
 	return c.splits.get([2]int{id, maxSize}, func() homog.Splits {
-		split, err := homog.SplitOrders(c.QuantizedCalibrated(id), maxSize, c.Cfg.Seed)
+		split, err := homog.SplitOrders(c.QuantizedCalibrated(id), maxSize, seicore.ModeBipolar, c.Cfg.Seed)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: homogenizing network %d at %d: %v", id, maxSize, err))
 		}

@@ -113,7 +113,7 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 		col.RandomOrdersSampled = c.Cfg.RandomOrders
 		randOrders := make([][][]int, c.Cfg.RandomOrders)
 		for r := range randOrders {
-			randOrders[r] = homog.RandomSplitOrders(q, size, rng)
+			randOrders[r] = homog.RandomSplitOrders(q, size, seicore.ModeBipolar, rng)
 		}
 		randErr := make([]float64, c.Cfg.RandomOrders)
 		var done atomic.Int64

@@ -40,11 +40,12 @@ type StageOrder struct {
 type Splits []StageOrder
 
 // SplitOrders runs the GA on every conv stage of q that splits at the
-// given crossbar size under the bipolar mapping, seeding stage l at
-// seed+l. It is the one place the design flow homogenizes.
-func SplitOrders(q *quant.QuantizedNet, maxSize int, seed int64) (Splits, error) {
+// given crossbar size under mode, seeding stage l at seed+l, so each
+// order is homogenized for the block count the design uses. It is the
+// one place the design flow homogenizes.
+func SplitOrders(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode, seed int64) (Splits, error) {
 	var out Splits
-	for _, s := range SplitStages(q, maxSize, seicore.ModeBipolar) {
+	for _, s := range SplitStages(q, maxSize, mode) {
 		cfg := DefaultGAConfig()
 		cfg.Seed = seed + int64(s.Stage)
 		res, err := Homogenize(q.ConvMatrix(s.Stage), s.K, cfg)
@@ -81,12 +82,12 @@ func (s Splits) MeanReduction() float64 {
 }
 
 // RandomSplitOrders draws a random permutation from rng for every conv
-// stage of q that splits at the given crossbar size under the bipolar
-// mapping, in ascending stage order — the Table-4 "Random Order
-// Splitting" condition.
-func RandomSplitOrders(q *quant.QuantizedNet, maxSize int, rng *rand.Rand) [][]int {
+// stage of q that splits at the given crossbar size under mode, in
+// ascending stage order — the Table-4 "Random Order Splitting"
+// condition.
+func RandomSplitOrders(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode, rng *rand.Rand) [][]int {
 	orders := make([][]int, len(q.Convs))
-	for _, s := range SplitStages(q, maxSize, seicore.ModeBipolar) {
+	for _, s := range SplitStages(q, maxSize, mode) {
 		orders[s.Stage] = RandomOrder(q.Convs[s.Stage].FanIn(), rng)
 	}
 	return orders

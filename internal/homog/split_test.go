@@ -2,6 +2,7 @@ package homog
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sei/internal/nn"
@@ -22,7 +23,7 @@ func net2(t *testing.T) *quant.QuantizedNet {
 
 func TestSplitOrdersShape(t *testing.T) {
 	q := net2(t)
-	split, err := SplitOrders(q, 64, 1)
+	split, err := SplitOrders(q, 64, seicore.ModeBipolar, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,9 @@ func TestSplitOrdersShape(t *testing.T) {
 
 func TestRandomSplitOrdersDeterministic(t *testing.T) {
 	q := net2(t)
-	draw := func(seed int64) [][]int { return RandomSplitOrders(q, 64, rand.New(rand.NewSource(seed))) }
+	draw := func(seed int64) [][]int {
+		return RandomSplitOrders(q, 64, seicore.ModeBipolar, rand.New(rand.NewSource(seed)))
+	}
 	a := draw(7)
 	b := draw(7)
 	for i := range a[1] {
@@ -85,7 +88,7 @@ func TestRandomSplitOrdersStableWithTwoSplitStages(t *testing.T) {
 	if got := SplitStages(q, 64, seicore.ModeBipolar); len(got) != 2 {
 		t.Fatalf("deep net splits %v at 64, want two stages", got)
 	}
-	draw := func() [][]int { return RandomSplitOrders(q, 64, rand.New(rand.NewSource(7))) }
+	draw := func() [][]int { return RandomSplitOrders(q, 64, seicore.ModeBipolar, rand.New(rand.NewSource(7))) }
 	want := draw()
 	for call := 0; call < 200; call++ {
 		got := draw()
@@ -95,6 +98,41 @@ func TestRandomSplitOrdersStableWithTwoSplitStages(t *testing.T) {
 					t.Fatalf("call %d: stage %d order differs from the first call", call, l)
 				}
 			}
+		}
+	}
+}
+
+// TestSplitOrdersFollowMode: Network 2's 36-row conv2 splits into 3
+// bipolar blocks at crossbar 64 but 2 unipolar ones (2 cells per
+// weight instead of 4), so the GA must homogenize for the mode's own
+// K. The bipolar orders stay those of a direct GA run at K = 3 seeded
+// at seed+stage, and the random draws size their permutations the same
+// way under either mode.
+func TestSplitOrdersFollowMode(t *testing.T) {
+	q := net2(t)
+	for _, tc := range []struct {
+		mode seicore.SignedMode
+		k    int
+	}{{seicore.ModeBipolar, 3}, {seicore.ModeUnipolarDynamic, 2}} {
+		split, err := SplitOrders(q, 64, tc.mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(split) != 1 || split[0].Stage != 1 || split[0].K != tc.k {
+			t.Fatalf("%v: split %+v, want stage 1 in %d blocks", tc.mode, split, tc.k)
+		}
+		cfg := DefaultGAConfig()
+		cfg.Seed = 2
+		want, err := Homogenize(q.ConvMatrix(1), tc.k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(split[0].Order, want.Order) || split[0].Distance != want.Distance {
+			t.Fatalf("%v: order %v (distance %v), direct GA at K=%d gives %v (%v)",
+				tc.mode, split[0].Order, split[0].Distance, tc.k, want.Order, want.Distance)
+		}
+		if got := RandomSplitOrders(q, 64, tc.mode, rand.New(rand.NewSource(7))); len(got[1]) != 36 || got[0] != nil {
+			t.Fatalf("%v: random orders %v, want one 36-row permutation for stage 1", tc.mode, got)
 		}
 	}
 }

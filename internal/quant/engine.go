@@ -34,7 +34,7 @@ package quant
 //     Hence s is the ascending fold of the weights whose input bit is
 //     on — what vecf.AddRowLanes computes for every lane at once over
 //     the filter-major transposed weights. The binarized refinement
-//     tail (stageSums' skip-zero order) is the same fold, thresholded.
+//     tail (stageSums, convsum.go) is the same fold, thresholded.
 //   - Deeper float stages (float inputs after the first remainder
 //     stage) use vecf.MulAccLanes — strict mul-then-add per lane — in
 //     ascending fan order, skipping zero weights as MatMulInto does;

@@ -82,15 +82,19 @@ func Load(r io.Reader) (*QuantizedNet, error) {
 	return q, nil
 }
 
-// validate checks a decoded snapshot's geometry before any tensor is
-// built from it: every shape positive and exactly as long as its data;
-// 4-D conv kernels chaining from the 3-D input shape (channels match,
-// kernels fit, stride ≥ 1, non-empty pooled maps, as convStage and
-// orPool compute them); one threshold per conv stage; and a 2-D FC
-// matrix [classes, flattened final map] with one bias per class.
+// validate checks a decoded snapshot before any tensor is built from
+// it: every shape positive and exactly as long as its data; 4-D conv
+// kernels chaining from the 3-D input shape (channels match, kernels
+// fit, stride ≥ 1, non-empty pooled maps, as convStage and orPool
+// compute them); one threshold per conv stage; a 2-D FC matrix
+// [classes, flattened final map] with one bias per class; and finite
+// weights, biases and thresholds, as Extract requires.
 func (s *quantSnapshot) validate() error {
 	if len(s.Convs) == 0 || len(s.Thresholds) != len(s.Convs) {
 		return fmt.Errorf("%d thresholds for %d conv stages", len(s.Thresholds), len(s.Convs))
+	}
+	if !allFinite(s.Thresholds) {
+		return fmt.Errorf("non-finite threshold in %v", s.Thresholds)
 	}
 	if len(s.InShape) != 3 || s.InShape[0] <= 0 || s.InShape[1] <= 0 || s.InShape[2] <= 0 {
 		return fmt.Errorf("input shape %v, want 3 positive dimensions", s.InShape)
@@ -99,6 +103,9 @@ func (s *quantSnapshot) validate() error {
 	for l, cs := range s.Convs {
 		if len(cs.Shape) != 4 || !shapeHolds(cs.Shape, len(cs.Data)) {
 			return fmt.Errorf("conv stage %d: kernel shape %v for %d weights", l, cs.Shape, len(cs.Data))
+		}
+		if !allFinite(cs.Data) {
+			return fmt.Errorf("conv stage %d: non-finite weight", l)
 		}
 		kh, kw := cs.Shape[2], cs.Shape[3]
 		if cs.Shape[1] != c || kh > h || kw > w || cs.Stride < 1 || cs.PoolSize < 0 {
@@ -116,6 +123,9 @@ func (s *quantSnapshot) validate() error {
 		!shapeHolds([]int{c, h, w}, s.FCShape[1]) || len(s.FCBias) != s.FCShape[0] {
 		return fmt.Errorf("FC shape %v with %d weights and %d biases after a %d×%d×%d map",
 			s.FCShape, len(s.FCData), len(s.FCBias), c, h, w)
+	}
+	if !allFinite(s.FCData) || !allFinite(s.FCBias) {
+		return fmt.Errorf("FC stage: non-finite weight or bias")
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 
 	"sei/internal/nn"
 	"sei/internal/obs"
@@ -119,8 +120,28 @@ func Extract(net *nn.Network, inShape []int) (*QuantizedNet, error) {
 	if len(q.Convs) == 0 || q.FC.W == nil {
 		return nil, fmt.Errorf("quant: network %q lacks conv or FC stages", net.Name)
 	}
+	for l, c := range q.Convs {
+		if !allFinite(c.W.Data()) {
+			return nil, fmt.Errorf("quant: conv stage %d has a non-finite weight", l)
+		}
+	}
+	if !allFinite(q.FC.W.Data()) || !allFinite(q.FC.B) {
+		return nil, fmt.Errorf("quant: FC stage has a non-finite weight or bias")
+	}
 	q.Thresholds = make([]float64, len(q.Convs))
 	return q, nil
+}
+
+// allFinite reports whether no value is NaN or ±Inf. Weights, biases
+// and thresholds must be finite: the conv-sum kernel's zero-skip
+// equivalence (convsum.go) does not hold for 0·Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ConvMatrix returns conv stage l's kernels as the RRAM-oriented
@@ -199,9 +220,9 @@ func (q *QuantizedNet) ForwardWith(eval StageEval, img *tensor.Tensor) []float64
 
 // convStage applies conv stage l (matrix eval + binarize + OR pool) to
 // the current activation map and returns the next 0/1 map. The digital
-// evaluator takes the dense kernels (stageSums' skip-zero fold is
-// digitalEval.EvalConv's, position by position); other evaluators are
-// asked one receptive field at a time.
+// evaluator takes the conv-sum kernel (stageSums, convsum.go, gives
+// digitalEval.EvalConv's sums bit for bit, 64 positions at a time);
+// other evaluators are asked one receptive field at a time.
 func (q *QuantizedNet) convStage(eval StageEval, l int, cur *tensor.Tensor) *tensor.Tensor {
 	c := &q.Convs[l]
 	if d, ok := eval.(digitalEval); ok && d.q == q {

@@ -3,6 +3,7 @@ package quant
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,6 +58,26 @@ func TestExtractRejectsConvBias(t *testing.T) {
 	}}
 	if _, err := Extract(net, []int{1, 28, 28}); err == nil {
 		t.Fatal("Extract accepted conv bias")
+	}
+}
+
+// TestExtractRejectsNonFinite: a NaN or ±Inf conv weight, FC weight
+// or FC bias is refused, as Load refuses it in a snapshot.
+func TestExtractRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(net *nn.Network)
+	}{
+		{"conv-nan", func(net *nn.Network) { net.Layers[0].(*nn.Conv2D).Weight.Value.Data()[4] = math.NaN() }},
+		{"conv2-inf", func(net *nn.Network) { net.Layers[3].(*nn.Conv2D).Weight.Value.Data()[0] = math.Inf(-1) }},
+		{"fc-weight-inf", func(net *nn.Network) { net.Layers[7].(*nn.Dense).Weight.Value.Data()[9] = math.Inf(1) }},
+		{"fc-bias-nan", func(net *nn.Network) { net.Layers[7].(*nn.Dense).Bias.Value.Data()[1] = math.NaN() }},
+	} {
+		net := nn.NewTableNetwork(2, 1)
+		tc.set(net)
+		if _, err := Extract(net, []int{1, 28, 28}); err == nil {
+			t.Fatalf("%s: Extract accepted a non-finite parameter", tc.name)
+		}
 	}
 }
 
@@ -296,8 +317,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // snapshotCorruptions each decode cleanly and would otherwise panic in
-// tensor.FromSlice or leave a net whose stages do not chain; only
-// "intact" may load.
+// tensor.FromSlice, leave a net whose stages do not chain, or carry a
+// non-finite weight, bias or threshold; only "intact" may load.
 var snapshotCorruptions = []struct {
 	name    string
 	corrupt func(*quantSnapshot)
@@ -316,6 +337,12 @@ var snapshotCorruptions = []struct {
 	{"fc-bias-short", func(s *quantSnapshot) { s.FCBias = s.FCBias[1:] }},
 	{"thresholds-short", func(s *quantSnapshot) { s.Thresholds = s.Thresholds[1:] }},
 	{"no-conv-stages", func(s *quantSnapshot) { s.Convs, s.Thresholds = nil, nil }},
+	{"kernel-nan", func(s *quantSnapshot) { s.Convs[0].Data[3] = math.NaN() }},
+	{"kernel-inf", func(s *quantSnapshot) { s.Convs[1].Data[0] = math.Inf(1) }},
+	{"fc-weight-neg-inf", func(s *quantSnapshot) { s.FCData[7] = math.Inf(-1) }},
+	{"fc-bias-nan", func(s *quantSnapshot) { s.FCBias[2] = math.NaN() }},
+	{"threshold-nan", func(s *quantSnapshot) { s.Thresholds[0] = math.NaN() }},
+	{"threshold-inf", func(s *quantSnapshot) { s.Thresholds[1] = math.Inf(1) }},
 }
 
 // savedNet2 returns the snapshot bytes of an untrained, extracted
@@ -364,9 +391,11 @@ func TestLoadRejectsInconsistentGeometry(t *testing.T) {
 
 // FuzzLoadQuantized pins Load's contract on arbitrary input: it either
 // returns an error, or a net whose Predict classifies a valid 28×28
-// image into one of its FC outputs without panicking. The seed corpus
-// is a saved Network 2 plus the corruptions above; plain go test runs
-// only the corpus.
+// image into one of its FC outputs without panicking, with the scores
+// of a forward pass on the reference Im2Col fold bit for bit — so the
+// fuzzer drives the conv-sum kernel over the geometries it generates.
+// The seed corpus is a saved Network 2 plus the corruptions above;
+// plain go test runs only the corpus.
 func FuzzLoadQuantized(f *testing.F) {
 	saved := savedNet2(f)
 	for _, tc := range snapshotCorruptions {
@@ -386,6 +415,12 @@ func FuzzLoadQuantized(f *testing.F) {
 		}
 		if label, outs := q.Predict(img), len(q.FC.B); label < 0 || label >= outs {
 			t.Fatalf("Predict returned label %d outside [0,%d)", label, outs)
+		}
+		got, want := q.ForwardWith(q.Digital(), img), forwardReference(q, img)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("score %d = %v, reference fold %v", i, got[i], want[i])
+			}
 		}
 	})
 }

@@ -130,36 +130,6 @@ func newRefineSweeper(q *QuantizedNet, l int, sums []*tensor.Tensor) func(ts []f
 	}
 }
 
-// stageSums computes conv stage c's pre-threshold analog sums on in,
-// accumulated in exactly digitalEval.EvalConv's skip-zero order, so
-// `sum > t` reproduces the binarized pipeline's bit for any candidate
-// t without re-running the convolution.
-func stageSums(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
-	kh, kw := c.W.Dim(2), c.W.Dim(3)
-	cols := tensor.Im2Col(in, kh, kw, c.Stride)
-	positions, fan := cols.Dim(0), cols.Dim(1)
-	h, w := in.Dim(1), in.Dim(2)
-	outH := (h-kh)/c.Stride + 1
-	outW := (w-kw)/c.Stride + 1
-	f := c.Filters()
-	out := tensor.New(f, outH, outW)
-	od, cd, wd := out.Data(), cols.Data(), c.W.Data()
-	for p := 0; p < positions; p++ {
-		field := cd[p*fan : (p+1)*fan]
-		for k := 0; k < f; k++ {
-			row := wd[k*fan : (k+1)*fan]
-			s := 0.0
-			for j, x := range field {
-				if x != 0 {
-					s += row[j] * x
-				}
-			}
-			od[k*positions+p] = s
-		}
-	}
-	return out
-}
-
 // advanceFromSums binarizes precomputed stage-l analog sums at
 // threshold t and applies the stage's OR pool, reproducing convStage's
 // output — and its OR-pool hardware accounting — without redoing the

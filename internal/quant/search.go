@@ -208,16 +208,16 @@ func searchThresholds(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig, f
 
 	for l := range q.Convs {
 		sp := cfg.Obs.StartSpan(fmt.Sprintf("search/conv%d", l))
-		// Step 1: stage outputs under the quantized prefix. Each
-		// sample's output lands in its own slot; the per-chunk maxima
-		// fold in chunk order (max is order-independent anyway).
+		// Step 1: stage outputs under the quantized prefix (stageSums
+		// gives floatConv's bits; convsum.go). Each sample's output
+		// lands in its own slot; the per-chunk maxima fold in chunk
+		// order (max is order-independent anyway).
 		convOut := make([]*tensor.Tensor, data.Len())
 		maxOut := par.MapReduceRec(cfg.Obs, cfg.Workers, data.Len(), par.DefaultChunkSize,
 			func(c par.Chunk) float64 {
-				var sc convScratch
 				m := 0.0
 				for i := c.Lo; i < c.Hi; i++ {
-					convOut[i] = sc.floatConv(&q.Convs[l], entries[i])
+					convOut[i] = stageSums(&q.Convs[l], entries[i])
 					if v := convOut[i].Max(); v > m {
 						m = v
 					}
@@ -273,10 +273,13 @@ func searchThresholds(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig, f
 		sp.AddSamples(int64(data.Len()))
 		sp.End()
 
-		// Advance the cached entries through the now-final stage.
-		par.ForEachRec(cfg.Obs, cfg.Workers, len(entries), func(i int) {
-			entries[i] = q.convStage(eval, l, entries[i])
-		})
+		// Advance the cached entries through the now-final stage; the
+		// last stage's outputs have no reader.
+		if l+1 < len(q.Convs) {
+			par.ForEachRec(cfg.Obs, cfg.Workers, len(entries), func(i int) {
+				entries[i] = q.convStage(eval, l, entries[i])
+			})
+		}
 	}
 	if report.Stats.Evaluations > 0 {
 		cfg.Obs.Gauge(GaugeSearchSkipRate).Set(report.Stats.SkipRate())
@@ -332,32 +335,15 @@ func newNaiveSweeper(q *QuantizedNet, l int, convOut []*tensor.Tensor, labels []
 }
 
 // floatConv computes the real-valued convolution of one stage on an
-// input map (no ReLU, no pooling): the "Output(L)" of Algorithm 1.
+// input map (no ReLU, no pooling) with Im2Col, Transpose2D and MatMul,
+// which skips zero weights: the retained reference for Algorithm 1's
+// "Output(L)", which the search computes with stageSums.
 func floatConv(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
-	var sc convScratch
-	return sc.floatConv(c, in)
-}
-
-// convScratch holds floatConv's unroll buffers, reused across calls
-// whose receptive-field geometry matches (every sample of one stage).
-type convScratch struct{ cols, colsT *tensor.Tensor }
-
-// floatConv is the package-level floatConv on the Into kernels: the
-// same Im2Col/Transpose2D/ikj MatMul accumulation, only the returned
-// output is freshly allocated.
-func (sc *convScratch) floatConv(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
 	kh, kw := c.W.Dim(2), c.W.Dim(3)
 	outH := (in.Dim(1)-kh)/c.Stride + 1
 	outW := (in.Dim(2)-kw)/c.Stride + 1
-	positions, fan := outH*outW, c.FanIn()
-	if sc.cols == nil || sc.cols.Dim(0) != positions || sc.cols.Dim(1) != fan {
-		sc.cols = tensor.New(positions, fan)
-		sc.colsT = tensor.New(fan, positions)
-	}
-	tensor.Im2ColInto(sc.cols, in, kh, kw, c.Stride)
-	tensor.Transpose2DInto(sc.colsT, sc.cols)
-	prod := tensor.New(c.Filters(), positions)
-	tensor.MatMulInto(prod, c.W.Reshape(c.Filters(), fan), sc.colsT)
+	cols := tensor.Im2Col(in, kh, kw, c.Stride)
+	prod := tensor.MatMul(c.W.Reshape(c.Filters(), c.FanIn()), tensor.Transpose2D(cols))
 	return prod.Reshape(c.Filters(), outH, outW)
 }
 
