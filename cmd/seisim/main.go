@@ -18,7 +18,6 @@
 //	efficiency  GOPs/J vs FPGA/GPU (Section 5.3)
 //	timing      latency/throughput and the replica trade-off (Section 5.3)
 //	map         per-layer floorplan with measured-activity energy
-//	pareto      device precision/variation Pareto frontier
 //	vgg         VGG-19 motivation numbers (Section 2.3)
 //	pipeline    one end-to-end train→quantize→SEI run
 //	all         every table and figure, in paper order
@@ -83,14 +82,14 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	var (
 		cache   = fs.String("cache", "", "model cache directory (empty = no cache)")
 		quick   = fs.Bool("quick", false, "use the small smoke-test sizing")
-		net     = fs.Int("net", 1, "network id for fig1/table4/homog/timing/map/pareto/pipeline (1-3)")
+		net     = fs.Int("net", 1, "network id for fig1/table4/homog/timing/map/pipeline (1-3)")
 		sizes   = fs.String("sizes", "512,256", "comma-separated crossbar sizes for table4")
 		quiet   = fs.Bool("quiet", false, "suppress progress logging")
 		workers = fs.Int("workers", 0, cliutil.WorkersUsage)
 	)
 	opt.obs.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: seisim [flags] <fig1|table1..5|homog|efficiency|timing|map|pareto|vgg|pipeline|all>\n\n")
+		fmt.Fprintf(stderr, "usage: seisim [flags] <fig1|table1..5|homog|efficiency|timing|map|vgg|pipeline|all>\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -261,12 +260,6 @@ func run(what string, cfg experiments.Config, netID int, sizes []int) error {
 			cost.Mapping.Describe(w)
 			fmt.Fprintln(w)
 		}
-	case "pareto":
-		points, err := experiments.ParetoStudy(c(), netID, []int{2, 3, 4, 5, 6}, []float64{0, 0.02, 0.05, 0.1})
-		if err != nil {
-			return err
-		}
-		experiments.PrintPareto(w, netID, points)
 	case "vgg":
 		res, err := experiments.VGGAnalysis()
 		if err != nil {

@@ -91,13 +91,17 @@ func buildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions, workers int,
 	}
 	switch opt.Order {
 	case OrderHomogenized:
-		split, err := homog.SplitOrders(q, opt.MaxCrossbar, cfg.Layer.Mode, opt.Seed)
+		split, err := homog.SplitOrders(q, cfg.Layer, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Orders = split.Orders(len(q.Convs))
 	case OrderRandom:
-		cfg.Orders = homog.RandomSplitOrders(q, opt.MaxCrossbar, cfg.Layer.Mode, rand.New(rand.NewSource(opt.Seed)))
+		orders, err := homog.RandomSplitOrders(q, cfg.Layer, rand.New(rand.NewSource(opt.Seed)))
+		if err != nil {
+			return nil, err
+		}
+		cfg.Orders = orders
 	case OrderNatural:
 		// nil orders: natural.
 	default:
@@ -110,16 +114,21 @@ func buildDesign(q *QuantizedNet, train *Dataset, opt BuildOptions, workers int,
 // quantized network's weights onto SEI crossbars under the
 // program-and-verify write model (the paper's [13]): total µJ, mean
 // pulses per cell, and the cell count. Each weight takes the cells
-// EffectiveSignedMatrix programs for it: pos/neg × ceil(8/model.Bits)
+// its bipolar seicore.LayoutFor gives it: pos/neg × ceil(8/model.Bits)
 // slices. An invalid model or network costs nothing.
 func DeploymentCost(q *QuantizedNet, model DeviceModel) (energyUJ, pulsesPerCell float64, cells int64) {
 	geoms, err := arch.GeometryOf(q)
-	if err != nil || model.Validate() != nil {
+	if err != nil {
 		return 0, 0, 0
 	}
-	perWeight := int64(seicore.ModeBipolar.CellsPerWeightFor(model.Bits))
+	lopt := seicore.DefaultLayerOptions()
+	lopt.Model = model
 	for _, g := range geoms {
-		cells += perWeight * int64(g.N) * int64(g.M)
+		lay, err := seicore.LayoutFor(g.N, g.M, lopt)
+		if err != nil {
+			return 0, 0, 0
+		}
+		cells += int64(lay.Cells) * int64(g.N) * int64(g.M)
 	}
 	cfg := rram.DefaultWriteConfig()
 	pulsesPerCell = rram.ExpectedPulses(model, cfg)

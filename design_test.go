@@ -133,13 +133,14 @@ func TestBuildDesignSplitOrdersFollowMapping(t *testing.T) {
 	opt.DynamicThreshold = false
 	buildWith := func(mode seicore.SignedMode, ordersMode seicore.SignedMode) []byte {
 		t.Helper()
-		split, err := homog.SplitOrders(q, opt.MaxCrossbar, ordersMode, opt.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := seicore.DefaultSEIBuildConfig()
 		cfg.Layer.Model = opt.Device
 		cfg.Layer.MaxCrossbar = opt.MaxCrossbar
+		cfg.Layer.Mode = ordersMode
+		split, err := homog.SplitOrders(q, cfg.Layer, opt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Layer.Mode = mode
 		cfg.DynamicThreshold = false
 		cfg.Orders = split.Orders(len(q.Convs))
@@ -173,6 +174,71 @@ func TestBuildDesignSplitOrdersFollowMapping(t *testing.T) {
 	}
 	if bytes.Equal(save(d), buildWith(seicore.ModeUnipolarDynamic, seicore.ModeBipolar)) {
 		t.Fatal("unipolar design equals one programmed with the bipolar orders; the check cannot tell the mappings apart")
+	}
+}
+
+// TestBuildDesignSplitOrdersFollowDevice: on a 1-bit device a weight
+// takes 16 cells, so at the default crossbar 512 Network 2's 36-input
+// conv2 splits into 2 blocks. homog.SplitStages must report the
+// design's own K for every stage, and BuildDesign must program conv2
+// with the GA's homogenized order, not the natural one.
+func TestBuildDesignSplitOrdersFollowDevice(t *testing.T) {
+	q, _, _ := designFix(t)
+	opt := DefaultBuildOptions()
+	opt.Device = IdealDeviceModel(1)
+	opt.DynamicThreshold = false
+	d, err := BuildDesign(q, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := seicore.DefaultSEIBuildConfig()
+	cfg.Layer.Model = opt.Device
+	cfg.DynamicThreshold = false
+	stages, err := homog.SplitStages(q, cfg.Layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(q.Convs))
+	for l := range want {
+		want[l] = 1
+	}
+	for _, s := range stages {
+		want[s.Stage] = s.K
+	}
+	for l, c := range d.Convs { // Convs[l] maps conv stage l+1
+		if c.K != want[l+1] {
+			t.Errorf("conv stage %d: design has K = %d, SplitStages says %d", l+1, c.K, want[l+1])
+		}
+	}
+	if d.Convs[0].K != 2 {
+		t.Fatalf("1-bit design splits conv2 into %d blocks, want 2", d.Convs[0].K)
+	}
+	build := func(orders [][]int) []byte {
+		t.Helper()
+		cfg.Orders = orders
+		b, err := seicore.BuildSEI(q, nil, cfg, rand.New(rand.NewSource(opt.Seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := b.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var got bytes.Buffer
+	if err := d.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), build(nil)) {
+		t.Fatal("1-bit design programs conv2 in the natural order")
+	}
+	split, err := homog.SplitOrders(q, cfg.Layer, opt.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), build(split.Orders(len(q.Convs)))) {
+		t.Fatal("1-bit design is not programmed with the homogenized split orders")
 	}
 }
 

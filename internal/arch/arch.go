@@ -239,10 +239,10 @@ func mapMerged(g LayerGeom, s int, analogInput bool, dataBits int64) (LayerCost,
 // deeper conv layers are SEI crossbars with SA readout and digital
 // count thresholds; the FC layer is SEI with per-block column ADCs
 // whose results are summed digitally for the argmax. Weights are
-// bipolar and every split crossbar carries one input-selected
-// dynamic-threshold column.
+// bipolar on the paper's 4-bit device, laid out by seicore.LayoutFor,
+// and every split crossbar carries one input-selected dynamic-threshold
+// column.
 func mapSEI(g LayerGeom, s int, inputStage bool) (LayerCost, error) {
-	cells := seicore.ModeBipolar.CellsPerWeight()
 	uses, n, mm := int64(g.Uses), int64(g.N), int64(g.M)
 
 	if inputStage && !g.IsFC {
@@ -268,14 +268,17 @@ func mapSEI(g LayerGeom, s int, inputStage bool) (LayerCost, error) {
 		return lc, nil
 	}
 
-	if g.M+1 > s {
-		return LayerCost{}, fmt.Errorf("%d output columns (+ threshold column) exceed crossbar width %d", g.M, s)
+	opt := seicore.DefaultLayerOptions()
+	opt.MaxCrossbar = s
+	lay, err := seicore.LayoutFor(g.N, g.M, opt)
+	if err != nil {
+		return LayerCost{}, err
 	}
-	k := seicore.BlocksFor(g.N, cells, s)
+	k, cells, cols := lay.K, int64(lay.Cells), int64(lay.Cols)
 	lc := LayerCost{Geom: g, RowBlocks: k, Crossbars: int64(k)}
 	c := &lc.Counts
-	c.CellReads = uses * int64(cells) * n * (mm + 1) // + the threshold column
-	c.RowDrives = uses * int64(cells) * n
+	c.CellReads = uses * cells * n * cols
+	c.RowDrives = uses * cells * n
 	if g.IsFC {
 		c.ADCConversions = mm * int64(k)
 		c.Adds = mm*int64(k-1) + mm // block accumulation + bias add
@@ -287,8 +290,8 @@ func mapSEI(g LayerGeom, s int, inputStage bool) (LayerCost, error) {
 	c.BufferBytes = ceil64(int64(g.OutValues), 8) * 2
 
 	v := &lc.Inventory
-	v.Cells = int64(cells) * n * (mm + 1)
-	v.DriverRows = int64(cells) * n
+	v.Cells = cells * n * cols
+	v.DriverRows = cells * n
 	v.Crossbars = int64(k)
 	v.DigitalBlocks = int64(k)
 	if g.IsFC {

@@ -279,7 +279,9 @@ func (c *Context) QuantizedCalibrated(id int) *quant.QuantizedNet {
 // GA run per split stage.
 func (c *Context) splitOrders(id, maxSize int) homog.Splits {
 	return c.splits.get([2]int{id, maxSize}, func() homog.Splits {
-		split, err := homog.SplitOrders(c.QuantizedCalibrated(id), maxSize, seicore.ModeBipolar, c.Cfg.Seed)
+		opt := seicore.DefaultLayerOptions()
+		opt.MaxCrossbar = maxSize
+		split, err := homog.SplitOrders(c.QuantizedCalibrated(id), opt, c.Cfg.Seed)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: homogenizing network %d at %d: %v", id, maxSize, err))
 		}

@@ -11,17 +11,27 @@ import (
 func TestSplitConvStagesDetection(t *testing.T) {
 	c := ctx(t)
 	q := c.Quantized(2)
+	splits := func(size int, mode seicore.SignedMode) []homog.SplitStage {
+		t.Helper()
+		opt := seicore.DefaultLayerOptions()
+		opt.MaxCrossbar, opt.Mode = size, mode
+		got, err := homog.SplitStages(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	// At 512, Network 2's conv2 (36 weights × 4 cells = 144 rows) fits.
-	if got := homog.SplitStages(q, 512, seicore.ModeBipolar); len(got) != 0 {
+	if got := splits(512, seicore.ModeBipolar); len(got) != 0 {
 		t.Fatalf("unexpected splits at 512: %v", got)
 	}
 	// At 64, it splits into ceil(36/16) = 3 blocks.
-	got := homog.SplitStages(q, 64, seicore.ModeBipolar)
+	got := splits(64, seicore.ModeBipolar)
 	if len(got) != 1 || got[0] != (homog.SplitStage{Stage: 1, K: 3}) {
 		t.Fatalf("splits at 64: %v, want [{1 3}]", got)
 	}
 	// Unipolar mode halves the rows: ceil(36/32) = 2 blocks.
-	got = homog.SplitStages(q, 64, seicore.ModeUnipolarDynamic)
+	got = splits(64, seicore.ModeUnipolarDynamic)
 	if len(got) != 1 || got[0] != (homog.SplitStage{Stage: 1, K: 2}) {
 		t.Fatalf("unipolar splits at 64: %v, want [{1 2}]", got)
 	}

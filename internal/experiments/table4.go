@@ -97,11 +97,17 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 	defer sp.End()
 	res := &Table4Result{NetworkID: networkID}
 	for _, size := range sizes {
+		opt := seicore.DefaultLayerOptions()
+		opt.MaxCrossbar = size
+		stages, err := homog.SplitStages(q, opt)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: table4 net%d @%d: %v", networkID, size, err))
+		}
 		col := Table4Column{
 			MaxCrossbar:  size,
 			Original:     c.FloatError(networkID),
 			Quantization: c.QuantCalibratedError(networkID),
-			SplitStages:  homog.SplitStages(q, size, seicore.ModeBipolar),
+			SplitStages:  stages,
 		}
 
 		// Random order sampling with static thresholds. The orders are
@@ -113,7 +119,8 @@ func Table4(c *Context, networkID int, sizes []int) *Table4Result {
 		col.RandomOrdersSampled = c.Cfg.RandomOrders
 		randOrders := make([][][]int, c.Cfg.RandomOrders)
 		for r := range randOrders {
-			randOrders[r] = homog.RandomSplitOrders(q, size, seicore.ModeBipolar, rng)
+			// SplitStages accepted opt, so the draw cannot fail.
+			randOrders[r], _ = homog.RandomSplitOrders(q, opt, rng)
 		}
 		randErr := make([]float64, c.Cfg.RandomOrders)
 		var done atomic.Int64

@@ -8,24 +8,30 @@ import (
 	"sei/internal/seicore"
 )
 
-// SplitStage is one conv stage that needs splitting at a crossbar
-// size, and its block count.
+// SplitStage is one conv stage that needs splitting under a layer
+// mapping, and its block count.
 type SplitStage struct{ Stage, K int }
 
-// SplitStages returns the conv stages (index ≥ 1) of q that need
-// splitting at the given crossbar size under mode, with their block
-// counts, in ascending stage order — callers draw from shared RNG
-// streams and fold floats over the result, so its order is part of
-// their output.
-func SplitStages(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode) []SplitStage {
+// SplitStages returns the conv stages (index ≥ 1) of q that split into
+// more than one block under opt, the seicore.LayerOptions the design
+// is built with, with their block counts. The counts come from
+// seicore.LayoutFor, so they follow the device's bits per cell, the
+// signed mode and the crossbar size exactly as the built design does.
+// Stages are in ascending order: callers draw from shared RNG streams
+// and fold floats over the result, so its order is part of their
+// output.
+func SplitStages(q *quant.QuantizedNet, opt seicore.LayerOptions) ([]SplitStage, error) {
 	var out []SplitStage
 	for l := 1; l < len(q.Convs); l++ {
-		n := q.Convs[l].FanIn()
-		if k := seicore.BlocksFor(n, mode.CellsPerWeight(), maxSize); k > 1 {
-			out = append(out, SplitStage{l, k})
+		lay, err := seicore.LayoutFor(q.Convs[l].FanIn(), q.Convs[l].Filters(), opt)
+		if err != nil {
+			return nil, fmt.Errorf("homog: stage %d: %w", l, err)
+		}
+		if lay.K > 1 {
+			out = append(out, SplitStage{l, lay.K})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // StageOrder is the homogenized row order of one split conv stage,
@@ -39,13 +45,18 @@ type StageOrder struct {
 // stages, in ascending stage order.
 type Splits []StageOrder
 
-// SplitOrders runs the GA on every conv stage of q that splits at the
-// given crossbar size under mode, seeding stage l at seed+l, so each
-// order is homogenized for the block count the design uses. It is the
-// one place the design flow homogenizes.
-func SplitOrders(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode, seed int64) (Splits, error) {
+// SplitOrders runs the GA on every conv stage of q that splits under
+// opt (see SplitStages), seeding stage l at seed+l, so each order is
+// homogenized for the block count the design's device, signed mode and
+// crossbar size give it. It is the one place the design flow
+// homogenizes.
+func SplitOrders(q *quant.QuantizedNet, opt seicore.LayerOptions, seed int64) (Splits, error) {
+	stages, err := SplitStages(q, opt)
+	if err != nil {
+		return nil, err
+	}
 	var out Splits
-	for _, s := range SplitStages(q, maxSize, mode) {
+	for _, s := range stages {
 		cfg := DefaultGAConfig()
 		cfg.Seed = seed + int64(s.Stage)
 		res, err := Homogenize(q.ConvMatrix(s.Stage), s.K, cfg)
@@ -82,13 +93,16 @@ func (s Splits) MeanReduction() float64 {
 }
 
 // RandomSplitOrders draws a random permutation from rng for every conv
-// stage of q that splits at the given crossbar size under mode, in
-// ascending stage order — the Table-4 "Random Order Splitting"
-// condition.
-func RandomSplitOrders(q *quant.QuantizedNet, maxSize int, mode seicore.SignedMode, rng *rand.Rand) [][]int {
+// stage of q that splits under opt (see SplitStages), in ascending
+// stage order — the Table-4 "Random Order Splitting" condition.
+func RandomSplitOrders(q *quant.QuantizedNet, opt seicore.LayerOptions, rng *rand.Rand) ([][]int, error) {
+	stages, err := SplitStages(q, opt)
+	if err != nil {
+		return nil, err
+	}
 	orders := make([][]int, len(q.Convs))
-	for _, s := range SplitStages(q, maxSize, mode) {
+	for _, s := range stages {
 		orders[s.Stage] = RandomOrder(q.Convs[s.Stage].FanIn(), rng)
 	}
-	return orders
+	return orders, nil
 }

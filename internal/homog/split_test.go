@@ -7,8 +7,16 @@ import (
 
 	"sei/internal/nn"
 	"sei/internal/quant"
+	"sei/internal/rram"
 	"sei/internal/seicore"
 )
+
+// layerOpts is the paper's bipolar 4-bit mapping at crossbar size.
+func layerOpts(size int) seicore.LayerOptions {
+	opt := seicore.DefaultLayerOptions()
+	opt.MaxCrossbar = size
+	return opt
+}
 
 // net2 returns an untrained Network 2, extracted: its conv2 has 36
 // logical rows, which split into 3 blocks at crossbar size 64.
@@ -23,7 +31,7 @@ func net2(t *testing.T) *quant.QuantizedNet {
 
 func TestSplitOrdersShape(t *testing.T) {
 	q := net2(t)
-	split, err := SplitOrders(q, 64, seicore.ModeBipolar, 1)
+	split, err := SplitOrders(q, layerOpts(64), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +62,11 @@ func TestSplitOrdersShape(t *testing.T) {
 func TestRandomSplitOrdersDeterministic(t *testing.T) {
 	q := net2(t)
 	draw := func(seed int64) [][]int {
-		return RandomSplitOrders(q, 64, seicore.ModeBipolar, rand.New(rand.NewSource(seed)))
+		orders, err := RandomSplitOrders(q, layerOpts(64), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return orders
 	}
 	a := draw(7)
 	b := draw(7)
@@ -85,10 +97,16 @@ func TestRandomSplitOrdersStableWithTwoSplitStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SplitStages(q, 64, seicore.ModeBipolar); len(got) != 2 {
-		t.Fatalf("deep net splits %v at 64, want two stages", got)
+	if got, err := SplitStages(q, layerOpts(64)); err != nil || len(got) != 2 {
+		t.Fatalf("deep net splits %v at 64 (%v), want two stages", got, err)
 	}
-	draw := func() [][]int { return RandomSplitOrders(q, 64, seicore.ModeBipolar, rand.New(rand.NewSource(7))) }
+	draw := func() [][]int {
+		orders, err := RandomSplitOrders(q, layerOpts(64), rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return orders
+	}
 	want := draw()
 	for call := 0; call < 200; call++ {
 		got := draw()
@@ -104,22 +122,28 @@ func TestRandomSplitOrdersStableWithTwoSplitStages(t *testing.T) {
 
 // TestSplitOrdersFollowMode: Network 2's 36-row conv2 splits into 3
 // bipolar blocks at crossbar 64 but 2 unipolar ones (2 cells per
-// weight instead of 4), so the GA must homogenize for the mode's own
-// K. The bipolar orders stay those of a direct GA run at K = 3 seeded
-// at seed+stage, and the random draws size their permutations the same
-// way under either mode.
+// weight instead of 4), and into 2 bipolar blocks at crossbar 512 on a
+// 1-bit device (16 cells per weight), so the GA must homogenize for
+// the mapping's own K. The orders stay those of a direct GA run at
+// that K seeded at seed+stage, and the random draws size their
+// permutations the same way under every mapping.
 func TestSplitOrdersFollowMode(t *testing.T) {
 	q := net2(t)
+	oneBit := layerOpts(512)
+	oneBit.Model = rram.IdealDeviceModel(1)
+	unipolar := layerOpts(64)
+	unipolar.Mode = seicore.ModeUnipolarDynamic
 	for _, tc := range []struct {
-		mode seicore.SignedMode
+		name string
+		opt  seicore.LayerOptions
 		k    int
-	}{{seicore.ModeBipolar, 3}, {seicore.ModeUnipolarDynamic, 2}} {
-		split, err := SplitOrders(q, 64, tc.mode, 1)
+	}{{"bipolar@64", layerOpts(64), 3}, {"unipolar@64", unipolar, 2}, {"1-bit@512", oneBit, 2}} {
+		split, err := SplitOrders(q, tc.opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(split) != 1 || split[0].Stage != 1 || split[0].K != tc.k {
-			t.Fatalf("%v: split %+v, want stage 1 in %d blocks", tc.mode, split, tc.k)
+			t.Fatalf("%s: split %+v, want stage 1 in %d blocks", tc.name, split, tc.k)
 		}
 		cfg := DefaultGAConfig()
 		cfg.Seed = 2
@@ -128,11 +152,19 @@ func TestSplitOrdersFollowMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(split[0].Order, want.Order) || split[0].Distance != want.Distance {
-			t.Fatalf("%v: order %v (distance %v), direct GA at K=%d gives %v (%v)",
-				tc.mode, split[0].Order, split[0].Distance, tc.k, want.Order, want.Distance)
+			t.Fatalf("%s: order %v (distance %v), direct GA at K=%d gives %v (%v)",
+				tc.name, split[0].Order, split[0].Distance, tc.k, want.Order, want.Distance)
 		}
-		if got := RandomSplitOrders(q, 64, tc.mode, rand.New(rand.NewSource(7))); len(got[1]) != 36 || got[0] != nil {
-			t.Fatalf("%v: random orders %v, want one 36-row permutation for stage 1", tc.mode, got)
+		if got, err := RandomSplitOrders(q, tc.opt, rand.New(rand.NewSource(7))); err != nil || len(got[1]) != 36 || got[0] != nil {
+			t.Fatalf("%s: random orders %v (%v), want one 36-row permutation for stage 1", tc.name, got, err)
 		}
+	}
+	bad := layerOpts(512)
+	bad.Model.Bits = 0
+	if _, err := SplitOrders(q, bad, 1); err == nil {
+		t.Fatal("SplitOrders accepted an invalid device")
+	}
+	if _, err := RandomSplitOrders(q, bad, rand.New(rand.NewSource(7))); err == nil {
+		t.Fatal("RandomSplitOrders accepted an invalid device")
 	}
 }

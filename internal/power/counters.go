@@ -7,9 +7,10 @@ import (
 )
 
 // CellsPerWeight is the number of physical RRAM cells realizing one
-// logical weight in the SEI mapping: positive/negative rails × hi/lo
-// 4-bit slices (DESIGN.md §5; internal/arch uses the same factor in
-// its static accounting).
+// logical weight in the SEI mapping on the paper's 4-bit bipolar
+// device: positive/negative rails × hi/lo 4-bit slices. A design's
+// own count comes from seicore.LayoutFor (DESIGN.md §5); this term
+// does not read it yet, so it prices other devices as 4-bit ones.
 const CellsPerWeight = 4
 
 // CountsFromReport joins the hardware-event counter totals of an

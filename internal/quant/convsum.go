@@ -24,7 +24,7 @@ package quant
 //     is 1 add row j (w·1 = w exactly) and the others add nothing.
 //
 // Exactness. Per (filter, position) both fold w·x over the fan in
-// ascending order from +0, as the references do: MatMulInto skips
+// ascending order from +0, as the references do: MatMul skips
 // zero weights, the Im2Col skip-zero fold skips zero inputs, and the
 // kernel skips zero inputs (AddRowLanes, all-zero slot vectors) or
 // nothing (MulAccLanes). On finite values a skipped term is a signed

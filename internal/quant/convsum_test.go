@@ -111,7 +111,7 @@ func convSumCases(t testing.TB) []convSumCase {
 }
 
 // TestConvSumsMatchReference pins stageSums bit for bit against the
-// Im2Col skip-zero fold and the MatMulInto float conv, on 0/1 maps and
+// Im2Col skip-zero fold and the MatMul float conv, on 0/1 maps and
 // real-valued inputs (with zeros and negatives), with weights forced to
 // +0 and -0 in places.
 func TestConvSumsMatchReference(t *testing.T) {
@@ -146,7 +146,7 @@ func TestConvSumsMatchReference(t *testing.T) {
 			got := stageSums(&c, in)
 			for name, want := range map[string]*tensor.Tensor{
 				"Im2Col skip-zero fold": stageSumsReference(&c, in),
-				"MatMulInto float conv": floatConv(&c, in),
+				"MatMul float conv":     floatConv(&c, in),
 			} {
 				if !slices.Equal(got.Shape(), want.Shape()) {
 					t.Fatalf("%s binary=%v: shape %v, %s %v", tc.name, binary, got.Shape(), name, want.Shape())

@@ -37,7 +37,7 @@ package quant
 //     tail (stageSums, convsum.go) is the same fold, thresholded.
 //   - Deeper float stages (float inputs after the first remainder
 //     stage) use vecf.MulAccLanes — strict mul-then-add per lane — in
-//     ascending fan order, skipping zero weights as MatMulInto does;
+//     ascending fan order, skipping zero weights as MatMul does;
 //     ReLU and max pooling follow the reference's compare order.
 //   - The classifier is a fresh per-lane fold of the FC (AddRowLanes
 //     over FC columns for a 0/1 input, MulAccLanes for a float one)

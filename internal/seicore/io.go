@@ -85,10 +85,13 @@ func snapshotBlocks(blocks []seiBlock) []blockSnapshot {
 }
 
 // restoreBlocks rebuilds a layer's k blocks from their snapshots and
-// checks that their inputs form a permutation of the layer's n logical
-// inputs: the evaluators index input vectors by them unchecked.
-func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
-	if n < 0 || len(snaps) != k {
+// checks them against the layer's layout: their inputs form a
+// permutation of the layer's n logical inputs (the evaluators index
+// input vectors by them unchecked), each fits lay's crossbar height,
+// and each carries a dynamic column exactly when the layer is
+// unipolar (the walkers read "dynamic" from the column).
+func restoreBlocks(snaps []blockSnapshot, n, m, k int, lay Layout, mode SignedMode) ([]seiBlock, error) {
+	if len(snaps) != k {
 		return nil, fmt.Errorf("seicore: %d blocks over %d inputs, want K=%d", len(snaps), n, k)
 	}
 	seen := make([]bool, n)
@@ -97,6 +100,10 @@ func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
 	for i, s := range snaps {
 		if len(s.Inputs) == 0 {
 			return nil, fmt.Errorf("seicore: block %d holds no inputs", i)
+		}
+		if len(s.Inputs) > lay.Rows {
+			return nil, fmt.Errorf("seicore: block %d holds %d inputs, over the %d that fit a crossbar at %d cells each",
+				i, len(s.Inputs), lay.Rows, lay.Cells)
 		}
 		for _, j := range s.Inputs {
 			if j < 0 || j >= n || seen[j] {
@@ -107,6 +114,9 @@ func restoreBlocks(snaps []blockSnapshot, n, m, k int) ([]seiBlock, error) {
 		held += len(s.Inputs)
 		if len(s.Eff) != len(s.Inputs)*m {
 			return nil, fmt.Errorf("seicore: block %d has %d effective weights, want %d×%d", i, len(s.Eff), len(s.Inputs), m)
+		}
+		if (s.W0 != nil) != (mode == ModeUnipolarDynamic) {
+			return nil, fmt.Errorf("seicore: block %d of a %v layer has %d dynamic-column entries", i, mode, len(s.W0))
 		}
 		if s.W0 != nil && len(s.W0) != len(s.Inputs) {
 			return nil, fmt.Errorf("seicore: block %d has %d dynamic-column entries, want %d", i, len(s.W0), len(s.Inputs))
@@ -138,21 +148,21 @@ func (a *seiArray) snapshot() seiLayerSnapshot {
 // snapshot, checked against the quantized net's n×m stage matrix, with
 // its noise source anchored at seed.
 func restoreArray(ls seiLayerSnapshot, n, m int, seed int64) (seiArray, error) {
-	if err := ls.Model.Validate(); err != nil {
-		return seiArray{}, fmt.Errorf("device: %w", err)
-	}
 	if ls.N != n || ls.M != m {
 		return seiArray{}, fmt.Errorf("%d×%d matrix, quantized net has %d×%d", ls.N, ls.M, n, m)
 	}
+	// A snapshot does not record the crossbar size it was built at, so
+	// its blocks are checked against the fabrication limit.
 	mode := SignedMode(ls.Mode)
-	if mode != ModeBipolar && mode != ModeUnipolarDynamic {
-		return seiArray{}, fmt.Errorf("unknown signed mode %d", ls.Mode)
-	}
-	blocks, err := restoreBlocks(ls.Blocks, n, m, ls.K)
+	lay, err := LayoutFor(n, m, LayerOptions{Model: ls.Model, MaxCrossbar: rram.MaxCrossbarSize, Mode: mode})
 	if err != nil {
 		return seiArray{}, err
 	}
-	ro := readout{model: ls.Model, irRows: mode.CellsPerWeightFor(ls.Model.Bits)}
+	blocks, err := restoreBlocks(ls.Blocks, n, m, ls.K, lay, mode)
+	if err != nil {
+		return seiArray{}, err
+	}
+	ro := readout{model: ls.Model, irRows: lay.Cells}
 	a := seiArray{N: n, M: m, K: ls.K, Mode: mode, blocks: blocks, readout: ro.seeded(seed)}
 	a.layout()
 	return a, nil

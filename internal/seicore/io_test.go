@@ -284,7 +284,7 @@ func TestLoadDesignRejectsCorruptSnapshots(t *testing.T) {
 		{"fc-bias-short", func(s *designSnapshot) { s.FC.Bias = s.FC.Bias[1:] }},
 		{"fc-input-out-of-range", func(s *designSnapshot) { s.FC.Blocks[0].Inputs[0] = -1 }},
 	}
-	cases = append(cases, geometryCorruptions...)
+	cases = append(append(cases, geometryCorruptions...), layoutCorruptions...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := load(tc.corrupt); err == nil {
@@ -311,20 +311,64 @@ var geometryCorruptions = []snapshotCorruption{
 		s.Input.Eff = s.Input.Eff[:s.Input.N*s.Input.M]
 	}},
 	{"conv-fan-in-short", func(s *designSnapshot) { dropInputs(&s.Convs[0], s.Convs[0].N-4) }},
-	{"fc-extra-class", func(s *designSnapshot) {
+	{"fc-extra-class", func(s *designSnapshot) { padClasses(&s.FC, s.FC.M+1) }},
+}
+
+// layoutCorruptions break a layout invariant that seicore.LayoutFor
+// gives every built design while the snapshot stays consistent with
+// the nested quantized net: each loaded before LoadDesign checked the
+// layout.
+var layoutCorruptions = []snapshotCorruption{
+	// One FC block holding every input: Network 2's 200 inputs × 4
+	// cells are 800 rows, over the 512-row fabrication limit.
+	{"fc-block-over-height", func(s *designSnapshot) {
 		fc := &s.FC
-		for bi := range fc.Blocks {
-			b := &fc.Blocks[bi]
-			var eff []float64
-			for local := range b.Inputs {
-				eff = append(eff, b.Eff[local*fc.M:(local+1)*fc.M]...)
-				eff = append(eff, 0)
-			}
-			b.Eff = eff
+		merged := blockSnapshot{}
+		for _, b := range fc.Blocks {
+			merged.Inputs = append(merged.Inputs, b.Inputs...)
+			merged.Eff = append(merged.Eff, b.Eff...)
 		}
-		fc.M++
-		fc.Bias = append(fc.Bias, 0)
+		fc.Blocks, fc.K = []blockSnapshot{merged}, 1
 	}},
+	// 512 classes leave no column for the threshold: widen the nested
+	// net's FC too, so only the layout is wrong.
+	{"fc-columns-over-width", func(s *designSnapshot) {
+		q, err := quant.Load(bytes.NewReader(s.Quant))
+		if err != nil {
+			panic(err)
+		}
+		m, n := rram.MaxCrossbarSize, q.FC.W.Dim(1)
+		w := tensor.New(m, n)
+		copy(w.Data(), q.FC.W.Data())
+		q.FC.W, q.FC.B = w, append(q.FC.B, make([]float64, m-len(q.FC.B))...)
+		var buf bytes.Buffer
+		if err := q.Save(&buf); err != nil {
+			panic(err)
+		}
+		s.Quant = buf.Bytes()
+		padClasses(&s.FC, m)
+	}},
+	{"conv-w0-on-bipolar", func(s *designSnapshot) {
+		b := &s.Convs[0].Blocks[0]
+		b.W0 = make([]float64, len(b.Inputs))
+	}},
+	{"conv-unipolar-without-w0", func(s *designSnapshot) { s.Convs[0].Mode = int(ModeUnipolarDynamic) }},
+}
+
+// padClasses widens an FC layer snapshot to m classes with zero
+// weights and biases.
+func padClasses(fc *seiLayerSnapshot, m int) {
+	for bi := range fc.Blocks {
+		b := &fc.Blocks[bi]
+		var eff []float64
+		for local := range b.Inputs {
+			eff = append(eff, b.Eff[local*fc.M:(local+1)*fc.M]...)
+			eff = append(eff, make([]float64, m-fc.M)...)
+		}
+		b.Eff = eff
+	}
+	fc.Bias = append(fc.Bias, make([]float64, m-fc.M)...)
+	fc.M = m
 }
 
 // dropInputs shrinks a layer snapshot to its first n logical inputs,
@@ -368,7 +412,8 @@ func corruptSnapshot(t testing.TB, data []byte, corrupt func(*designSnapshot)) [
 // either returns an error, or a design whose Predict classifies a
 // valid 28×28 image into one of its M classes without panicking. The
 // seed corpus is a valid snapshot of a small random net plus the
-// geometry corruptions above; plain go test runs only the corpus.
+// geometry and layout corruptions above; plain go test runs only the
+// corpus.
 func FuzzLoadDesign(f *testing.F) {
 	// Two conv stages and four classes keep the snapshot to a few
 	// kilobytes, so the fuzzer minimizes new inputs in well under a
@@ -402,7 +447,7 @@ func FuzzLoadDesign(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	for _, c := range geometryCorruptions {
+	for _, c := range append(geometryCorruptions, layoutCorruptions...) {
 		f.Add(corruptSnapshot(f, buf.Bytes(), c.corrupt))
 	}
 	img := tensor.New(1, 28, 28)

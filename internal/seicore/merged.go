@@ -69,24 +69,6 @@ func (l *MergedLayer) Eval(in []float64) []float64 {
 	return out
 }
 
-// BlocksFor returns how many row blocks a logical matrix needs when
-// each logical input occupies cellsPerInput physical rows and the
-// crossbar is limited to maxRows physical rows.
-func BlocksFor(n, cellsPerInput, maxRows int) int {
-	if maxRows <= 0 || cellsPerInput <= 0 {
-		panic(fmt.Sprintf("seicore: invalid split parameters cells=%d max=%d", cellsPerInput, maxRows))
-	}
-	weightsPerBlock := maxRows / cellsPerInput
-	if weightsPerBlock == 0 {
-		panic(fmt.Sprintf("seicore: %d cells per input exceed crossbar height %d", cellsPerInput, maxRows))
-	}
-	k := (n + weightsPerBlock - 1) / weightsPerBlock
-	if k == 0 {
-		k = 1
-	}
-	return k
-}
-
 // SplitOrder partitions the logical input indices, in the given order,
 // into k contiguous blocks of near-equal size (the paper splits
 // 1200×64 into three 400×64 crossbars — balanced, not greedy-filled).

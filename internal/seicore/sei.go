@@ -25,23 +25,6 @@ const (
 	ModeUnipolarDynamic
 )
 
-// CellsPerWeight returns how many physical rows one logical input
-// occupies in this mode with the paper's default 4-bit device
-// (ceil(8/4) = 2 slices). For other device precisions use
-// CellsPerWeightFor.
-func (m SignedMode) CellsPerWeight() int { return m.CellsPerWeightFor(4) }
-
-// CellsPerWeightFor returns physical rows per logical input for a
-// device with the given bits per cell: ceil(8/bits) slices, doubled
-// for the bipolar positive/negative pair.
-func (m SignedMode) CellsPerWeightFor(deviceBits int) int {
-	n := rram.SliceCount(rram.WeightBits, deviceBits)
-	if m == ModeUnipolarDynamic {
-		return n
-	}
-	return 2 * n
-}
-
 func (m SignedMode) String() string {
 	if m == ModeUnipolarDynamic {
 		return "unipolar-dynamic"
@@ -67,28 +50,69 @@ func DefaultLayerOptions() LayerOptions {
 	}
 }
 
-func (o LayerOptions) validate(n, m int) error {
-	if err := o.Model.Validate(); err != nil {
-		return err
+// Layout is how one N×M logical matrix sits on SEI crossbars
+// (Section 4.1): each logical input takes Cells physical rows, a block
+// holds at most Rows logical inputs, the inputs split into K balanced
+// blocks, and every block has Cols physical columns, the M outputs
+// plus the one reserved dynamic-threshold column.
+type Layout struct {
+	Cells int // physical rows per logical input
+	Rows  int // most logical inputs one block holds, crossbar height / Cells
+	K     int // row blocks, ceil(N/Rows)
+	Cols  int // physical columns per block, M + 1
+}
+
+// LayoutFor is the one place that decides how an n-input, m-output
+// layer sits on SEI crossbars under opt's device, signed mode and
+// crossbar size (opt.Order is not read). A weight takes ceil(8/bits)
+// cells, doubled for the bipolar positive/negative pair; K is the
+// fewest blocks whose rows fit the crossbar height. It fails on an
+// invalid device or mode, a crossbar size outside
+// (0, rram.MaxCrossbarSize], a weight wider than the crossbar height
+// and M+1 columns wider than the crossbar.
+func LayoutFor(n, m int, opt LayerOptions) (Layout, error) {
+	if err := opt.Model.Validate(); err != nil {
+		return Layout{}, err
 	}
-	if o.MaxCrossbar <= 0 || o.MaxCrossbar > rram.MaxCrossbarSize {
-		return fmt.Errorf("seicore: max crossbar size %d outside (0,%d]", o.MaxCrossbar, rram.MaxCrossbarSize)
+	if opt.MaxCrossbar <= 0 || opt.MaxCrossbar > rram.MaxCrossbarSize {
+		return Layout{}, fmt.Errorf("seicore: max crossbar size %d outside (0,%d]", opt.MaxCrossbar, rram.MaxCrossbarSize)
 	}
-	// One column is reserved for the dynamic-threshold column.
-	if m+1 > o.MaxCrossbar {
-		return fmt.Errorf("seicore: %d output columns (+1 threshold) exceed crossbar width %d", m, o.MaxCrossbar)
+	if n < 1 {
+		return Layout{}, fmt.Errorf("seicore: %d logical inputs", n)
 	}
-	if o.Order != nil {
-		if len(o.Order) != n {
-			return fmt.Errorf("seicore: order length %d, want %d", len(o.Order), n)
+	cells := rram.SliceCount(rram.WeightBits, opt.Model.Bits)
+	switch opt.Mode {
+	case ModeBipolar:
+		cells *= 2
+	case ModeUnipolarDynamic:
+	default:
+		return Layout{}, fmt.Errorf("seicore: unknown signed mode %d", opt.Mode)
+	}
+	rows := opt.MaxCrossbar / cells
+	if rows == 0 {
+		return Layout{}, fmt.Errorf("seicore: %d cells per weight exceed crossbar height %d", cells, opt.MaxCrossbar)
+	}
+	if m+1 > opt.MaxCrossbar {
+		return Layout{}, fmt.Errorf("seicore: %d output columns (+1 threshold) exceed crossbar width %d", m, opt.MaxCrossbar)
+	}
+	return Layout{Cells: cells, Rows: rows, K: (n + rows - 1) / rows, Cols: m + 1}, nil
+}
+
+// checkOrder rejects an order that is not a permutation of 0..n-1; nil
+// (the natural order) passes.
+func checkOrder(order []int, n int) error {
+	if order == nil {
+		return nil
+	}
+	if len(order) != n {
+		return fmt.Errorf("seicore: order length %d, want %d", len(order), n)
+	}
+	seen := make([]bool, n)
+	for _, idx := range order {
+		if idx < 0 || idx >= n || seen[idx] {
+			return fmt.Errorf("seicore: order is not a permutation of 0..%d", n-1)
 		}
-		seen := make([]bool, n)
-		for _, idx := range o.Order {
-			if idx < 0 || idx >= n || seen[idx] {
-				return fmt.Errorf("seicore: order is not a permutation of 0..%d", n-1)
-			}
-			seen[idx] = true
-		}
+		seen[idx] = true
 	}
 	return nil
 }
@@ -235,13 +259,16 @@ func (a *seiArray) local(win, dst []uint64) []uint64 {
 // read-out, whose noise source is drawn from rng last.
 func newSEIArray(w *tensor.Tensor, opt LayerOptions, rng *rand.Rand) (seiArray, error) {
 	n, m := w.Dim(0), w.Dim(1)
-	if err := opt.validate(n, m); err != nil {
+	lay, err := LayoutFor(n, m, opt)
+	if err != nil {
+		return seiArray{}, err
+	}
+	if err := checkOrder(opt.Order, n); err != nil {
 		return seiArray{}, err
 	}
 	var (
 		eff *tensor.Tensor
 		w0  []float64
-		err error
 	)
 	if opt.Mode == ModeUnipolarDynamic {
 		eff, w0, err = EffectiveUnipolarMatrix(w, opt.Model, rng)
@@ -255,10 +282,8 @@ func newSEIArray(w *tensor.Tensor, opt LayerOptions, rng *rand.Rand) (seiArray, 
 	if order == nil {
 		order = NaturalOrder(n)
 	}
-	cells := opt.Mode.CellsPerWeightFor(opt.Model.Bits)
-	k := BlocksFor(n, cells, opt.MaxCrossbar)
-	a := seiArray{N: n, M: m, K: k, Mode: opt.Mode, readout: newReadout(opt.Model, cells, rng)}
-	for _, rows := range SplitOrder(order, k) {
+	a := seiArray{N: n, M: m, K: lay.K, Mode: opt.Mode, readout: newReadout(opt.Model, lay.Cells, rng)}
+	for _, rows := range SplitOrder(order, lay.K) {
 		b := seiBlock{
 			inputs: append([]int(nil), rows...),
 			eff:    gatherRows(eff, rows),

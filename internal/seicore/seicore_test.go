@@ -96,21 +96,6 @@ func TestEffectiveUnipolarAllDevicePrecisions(t *testing.T) {
 	}
 }
 
-func TestCellsPerWeightFor(t *testing.T) {
-	if ModeBipolar.CellsPerWeightFor(4) != 4 || ModeUnipolarDynamic.CellsPerWeightFor(4) != 2 {
-		t.Fatal("4-bit cells-per-weight wrong")
-	}
-	if ModeBipolar.CellsPerWeightFor(2) != 8 || ModeUnipolarDynamic.CellsPerWeightFor(2) != 4 {
-		t.Fatal("2-bit cells-per-weight wrong")
-	}
-	if ModeBipolar.CellsPerWeightFor(8) != 2 || ModeUnipolarDynamic.CellsPerWeightFor(8) != 1 {
-		t.Fatal("8-bit cells-per-weight wrong")
-	}
-	if ModeBipolar.CellsPerWeight() != 4 {
-		t.Fatal("default cells-per-weight changed")
-	}
-}
-
 func TestEffectiveSignedMatrixVariationPerturbs(t *testing.T) {
 	w := randomMatrix(10, 10, 3)
 	m := idealModel()
@@ -221,27 +206,102 @@ func TestMergedLayerInputLengthPanics(t *testing.T) {
 	layer.Eval(make([]float64, 3))
 }
 
+// TestLayoutFor pins the one layout decision: ceil(8/bits) cells per
+// weight, doubled for bipolar; K from the crossbar height; M+1
+// columns. The paper's example: "we still need three 400×64 crossbars
+// to implement the huge 1200×64 RRAM array", Network 1's conv2 (300
+// inputs × 4 cells) at 512, and five blocks at 256.
+func TestLayoutFor(t *testing.T) {
+	bi, uni := ModeBipolar, ModeUnipolarDynamic
+	for _, tc := range []struct {
+		bits int
+		mode SignedMode
+		n, m int
+		size int
+		want Layout
+	}{
+		{4, bi, 300, 64, 512, Layout{Cells: 4, Rows: 128, K: 3, Cols: 65}}, // Network 1 conv2
+		{4, bi, 300, 64, 256, Layout{Cells: 4, Rows: 64, K: 5, Cols: 65}},
+		{4, uni, 300, 64, 512, Layout{Cells: 2, Rows: 256, K: 2, Cols: 65}},
+		{4, bi, 1024, 10, 512, Layout{Cells: 4, Rows: 128, K: 8, Cols: 11}}, // Network 1 FC
+		{4, bi, 100, 10, 512, Layout{Cells: 4, Rows: 128, K: 1, Cols: 11}},
+		{1, bi, 300, 64, 512, Layout{Cells: 16, Rows: 32, K: 10, Cols: 65}},
+		{1, uni, 300, 64, 512, Layout{Cells: 8, Rows: 64, K: 5, Cols: 65}},
+		{1, bi, 36, 8, 512, Layout{Cells: 16, Rows: 32, K: 2, Cols: 9}}, // Network 2 conv2
+		{2, bi, 300, 64, 512, Layout{Cells: 8, Rows: 64, K: 5, Cols: 65}},
+		{2, uni, 300, 64, 512, Layout{Cells: 4, Rows: 128, K: 3, Cols: 65}},
+		{8, bi, 300, 64, 512, Layout{Cells: 2, Rows: 256, K: 2, Cols: 65}},
+		{8, uni, 300, 64, 512, Layout{Cells: 1, Rows: 512, K: 1, Cols: 65}},
+		{8, uni, 1, 511, 512, Layout{Cells: 1, Rows: 512, K: 1, Cols: 512}},
+	} {
+		opt := LayerOptions{Model: rram.IdealDeviceModel(tc.bits), MaxCrossbar: tc.size, Mode: tc.mode}
+		got, err := LayoutFor(tc.n, tc.m, opt)
+		if err != nil || got != tc.want {
+			t.Errorf("%d-bit %v %d×%d @%d: layout %+v (%v), want %+v", tc.bits, tc.mode, tc.n, tc.m, tc.size, got, err, tc.want)
+		}
+	}
+	for name, tc := range map[string]struct {
+		bits int
+		mode SignedMode
+		n, m int
+		size int
+	}{
+		"invalid device":         {0, bi, 300, 64, 512},
+		"crossbar zero":          {4, bi, 300, 64, 0},
+		"crossbar over limit":    {4, bi, 300, 64, 1000},
+		"unknown mode":           {4, SignedMode(7), 300, 64, 512},
+		"no inputs":              {4, bi, 0, 64, 512},
+		"weight over height":     {1, bi, 300, 8, 8},
+		"threshold column wider": {4, bi, 300, 512, 512},
+	} {
+		opt := LayerOptions{Model: rram.IdealDeviceModel(tc.bits), MaxCrossbar: tc.size, Mode: tc.mode}
+		if got, err := LayoutFor(tc.n, tc.m, opt); err == nil {
+			t.Errorf("%s: accepted with layout %+v", name, got)
+		}
+	}
+}
+
+// TestBlocksForPaperExample pins LayoutFor's block count K on the
+// paper's example and the networks' big layers.
 func TestBlocksForPaperExample(t *testing.T) {
-	// "we still need three 400×64 crossbars to implement the huge
-	// 1200×64 RRAM array": 300 logical inputs × 4 cells, 512 limit → 3.
-	if k := BlocksFor(300, 4, 512); k != 3 {
-		t.Fatalf("BlocksFor(300,4,512) = %d, want 3", k)
+	for _, tc := range []struct {
+		n, size, want int
+	}{
+		// "we still need three 400×64 crossbars to implement the huge
+		// 1200×64 RRAM array": 300 logical inputs × 4 cells, 512 limit.
+		{300, 512, 3},
+		{1024, 512, 8}, // Network 1 FC: 1024 × 4 cells / 512
+		{100, 512, 1},  // fits in one crossbar
+		{300, 256, 5},  // 256-size crossbars need more blocks
+	} {
+		opt := LayerOptions{Model: rram.DefaultDeviceModel(), MaxCrossbar: tc.size, Mode: ModeBipolar}
+		lay, err := LayoutFor(tc.n, 64, opt)
+		if err != nil || lay.K != tc.want {
+			t.Fatalf("LayoutFor(%d,64) @%d: K=%d (%v), want %d", tc.n, tc.size, lay.K, err, tc.want)
+		}
 	}
-	// Network 1 FC: 1024 inputs × 4 cells / 512 → 8 blocks.
-	if k := BlocksFor(1024, 4, 512); k != 8 {
-		t.Fatalf("BlocksFor(1024,4,512) = %d, want 8", k)
+}
+
+// TestCellsPerWeightFor pins LayoutFor's cells per weight:
+// ceil(8/bits), doubled for the bipolar positive/negative pair.
+func TestCellsPerWeightFor(t *testing.T) {
+	for _, tc := range []struct {
+		bits, bipolar, unipolar int
+	}{
+		{4, 4, 2},
+		{2, 8, 4},
+		{8, 2, 1},
+	} {
+		for mode, want := range map[SignedMode]int{ModeBipolar: tc.bipolar, ModeUnipolarDynamic: tc.unipolar} {
+			opt := LayerOptions{Model: rram.IdealDeviceModel(tc.bits), MaxCrossbar: rram.MaxCrossbarSize, Mode: mode}
+			lay, err := LayoutFor(300, 64, opt)
+			if err != nil || lay.Cells != want {
+				t.Fatalf("%d-bit %v: %d cells per weight (%v), want %d", tc.bits, mode, lay.Cells, err, want)
+			}
+		}
 	}
-	// Network 3 FC: 300 × 4 / 512 → 3 blocks.
-	if k := BlocksFor(300, 4, 512); k != 3 {
-		t.Fatalf("BlocksFor(300,4,512) = %d, want 3", k)
-	}
-	// Fits in one crossbar.
-	if k := BlocksFor(100, 4, 512); k != 1 {
-		t.Fatalf("BlocksFor(100,4,512) = %d, want 1", k)
-	}
-	// 256-size crossbars need more blocks.
-	if k := BlocksFor(300, 4, 256); k != 5 {
-		t.Fatalf("BlocksFor(300,4,256) = %d, want 5", k)
+	if lay, err := LayoutFor(300, 64, DefaultLayerOptions()); err != nil || lay.Cells != 4 {
+		t.Fatalf("default cells per weight %d (%v), want 4", lay.Cells, err)
 	}
 }
 

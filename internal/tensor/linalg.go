@@ -75,38 +75,21 @@ func MatVecTInto(dst []float64, a *Tensor, x []float64) {
 
 // MatMul computes C = A·B for 2-D tensors A [m,k] and B [k,n],
 // returning a new [m,n] tensor. The kernel iterates in ikj order so
-// the inner loop walks both B and C contiguously.
+// the inner loop walks both B and C contiguously, and skips zero A
+// entries.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-D matrices, got %v and %v", a.shape, b.shape))
 	}
-	c := New(a.shape[0], b.shape[1])
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes C = A·B into the caller-provided dst ([m,n]),
-// zeroing it first. The accumulation is exactly MatMul's ikj kernel
-// (zero A entries skipped), so results are bit-identical to MatMul
-// while letting tight loops reuse one product buffer.
-func MatMulInto(dst, a, b *Tensor) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto needs 2-D matrices, got %v and %v", a.shape, b.shape))
-	}
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch: %dx%d by %dx%d", m, k, k2, n))
+		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch: %dx%d by %dx%d", m, k, k2, n))
 	}
-	if dst.Dims() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto destination shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
+	c := New(m, n)
 	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
-		crow := dst.data[i*n : (i+1)*n]
+		crow := c.data[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
 			av := arow[p]
 			if av == 0 {
@@ -118,6 +101,7 @@ func MatMulInto(dst, a, b *Tensor) {
 			}
 		}
 	}
+	return c
 }
 
 // Transpose2D returns a new tensor that is the transpose of a 2-D
@@ -126,26 +110,14 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D needs a 2-D matrix, got %v", a.shape))
 	}
-	t := New(a.shape[1], a.shape[0])
-	Transpose2DInto(t, a)
-	return t
-}
-
-// Transpose2DInto writes the transpose of 2-D a into dst ([n,m]),
-// overwriting every element.
-func Transpose2DInto(dst, a *Tensor) {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2DInto needs a 2-D matrix, got %v", a.shape))
-	}
 	m, n := a.shape[0], a.shape[1]
-	if dst.Dims() != 2 || dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: Transpose2DInto destination shape %v, want [%d %d]", dst.shape, n, m))
-	}
+	t := New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			dst.data[j*m+i] = a.data[i*n+j]
+			t.data[j*m+i] = a.data[i*n+j]
 		}
 	}
+	return t
 }
 
 // Im2Col unrolls a [channels, height, width] input into a matrix of
@@ -168,34 +140,10 @@ func Im2Col(in *Tensor, kh, kw, stride int) *Tensor {
 	outH := (h-kh)/stride + 1
 	outW := (w-kw)/stride + 1
 	cols := New(outH*outW, c*kh*kw)
-	Im2ColInto(cols, in, kh, kw, stride)
-	return cols
-}
-
-// Im2ColInto is Im2Col into the caller-provided dst, which must have
-// shape [outH*outW, c*kh*kw]. Every element is overwritten in the same
-// channel-major copy order, so results are bit-identical to Im2Col
-// while letting tight loops reuse one unroll buffer.
-func Im2ColInto(dst, in *Tensor, kh, kw, stride int) {
-	if in.Dims() != 3 {
-		panic(fmt.Sprintf("tensor: Im2ColInto needs a 3-D [c,h,w] input, got %v", in.shape))
-	}
-	if kh <= 0 || kw <= 0 || stride <= 0 {
-		panic(fmt.Sprintf("tensor: Im2ColInto invalid kernel %dx%d stride %d", kh, kw, stride))
-	}
-	c, h, w := in.shape[0], in.shape[1], in.shape[2]
-	if kh > h || kw > w {
-		panic(fmt.Sprintf("tensor: Im2ColInto kernel %dx%d larger than input %dx%d", kh, kw, h, w))
-	}
-	outH := (h-kh)/stride + 1
-	outW := (w-kw)/stride + 1
-	if dst.Dims() != 2 || dst.shape[0] != outH*outW || dst.shape[1] != c*kh*kw {
-		panic(fmt.Sprintf("tensor: Im2ColInto destination shape %v, want [%d %d]", dst.shape, outH*outW, c*kh*kw))
-	}
 	p := 0
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
-			row := dst.data[p*c*kh*kw : (p+1)*c*kh*kw]
+			row := cols.data[p*c*kh*kw : (p+1)*c*kh*kw]
 			d := 0
 			for ch := 0; ch < c; ch++ {
 				base := ch * h * w
@@ -208,6 +156,7 @@ func Im2ColInto(dst, in *Tensor, kh, kw, stride int) {
 			p++
 		}
 	}
+	return cols
 }
 
 // Col2Im scatter-adds a gradient matrix of shape

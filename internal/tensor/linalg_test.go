@@ -165,93 +165,3 @@ func TestCol2ImShapePanic(t *testing.T) {
 	}()
 	Col2Im(New(3, 3), 1, 4, 4, 2, 2, 1)
 }
-
-// TestIntoKernelsMatchAllocatingKernels pins the Into variants against
-// their allocating counterparts bit-for-bit on random inputs, with the
-// destination pre-poisoned to catch any element that is not
-// overwritten (or, for MatMulInto, not zeroed).
-func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		randFill := func(x *Tensor) {
-			d := x.Data()
-			for i := range d {
-				d[i] = r.NormFloat64()
-				if r.Intn(4) == 0 { // exercise the zero-skip branches
-					d[i] = 0
-				}
-			}
-		}
-		m, k, n := 1+r.Intn(5), 1+r.Intn(5), 1+r.Intn(5)
-		a := New(m, k)
-		b := New(k, n)
-		randFill(a)
-		randFill(b)
-
-		want := MatMul(a, b)
-		got := New(m, n)
-		got.Fill(math.NaN())
-		MatMulInto(got, a, b)
-		for i := range want.Data() {
-			if want.Data()[i] != got.Data()[i] {
-				return false
-			}
-		}
-
-		wantT := Transpose2D(a)
-		gotT := New(k, m)
-		gotT.Fill(math.NaN())
-		Transpose2DInto(gotT, a)
-		for i := range wantT.Data() {
-			if wantT.Data()[i] != gotT.Data()[i] {
-				return false
-			}
-		}
-
-		x := make([]float64, k)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-
-		c := 1 + r.Intn(3)
-		kh, kw := 1+r.Intn(3), 1+r.Intn(3)
-		h, w := kh+r.Intn(4), kw+r.Intn(4)
-		stride := 1 + r.Intn(2)
-		in := New(c, h, w)
-		randFill(in)
-		wantC := Im2Col(in, kh, kw, stride)
-		gotC := New(wantC.Dim(0), wantC.Dim(1))
-		gotC.Fill(math.NaN())
-		Im2ColInto(gotC, in, kh, kw, stride)
-		for i := range wantC.Data() {
-			if wantC.Data()[i] != gotC.Data()[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIntoKernelShapePanics pins the destination-shape validation of
-// the Into kernels.
-func TestIntoKernelShapePanics(t *testing.T) {
-	cases := []func(){
-		func() { MatMulInto(New(2, 2), New(2, 3), New(3, 3)) },  // wrong dst shape
-		func() { MatMulInto(New(2, 3), New(2, 2), New(3, 3)) },  // inner mismatch
-		func() { Transpose2DInto(New(2, 3), New(2, 3)) },        // dst not transposed shape
-		func() { Im2ColInto(New(4, 4), New(1, 4, 4), 2, 2, 1) }, // wrong dst shape
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
